@@ -187,7 +187,6 @@ def build_parser():
 
     sp = sub.add_parser("roundtrip", help="random instance, full cycle")
     sp.add_argument("--K", type=int, required=True)
-    sp.add_argument("--M", type=int, default=1)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--trials", type=int, default=1)
     sp.add_argument("--margin", type=float, default=0.05)

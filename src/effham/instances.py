@@ -4,7 +4,7 @@ import numpy as np
 
 from .model import PartitionedHamiltonian, TridiagonalChain
 
-__all__ = ["random_chain", "random_hamiltonian", "probe_window"]
+__all__ = ["random_chain", "random_hamiltonian", "probe_window", "real_poles"]
 
 
 def random_chain(K, rng, rho_sign="positive"):

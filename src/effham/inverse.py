@@ -4,12 +4,18 @@ values of G(E).
 Two steps:
 
 1.  *Linearization.*  G(E) = d0(E)/d1(E) with deg d0 = K+1, deg d1 = K and
-    leading coefficients pinned to (-1)^deg (the determinant convention for
-    trailing blocks of S - E).  The interpolation conditions
-    d0(E_a) - G_a d1(E_a) = 0 are linear in the remaining 2K+1 coefficients.
-    The system is solved in a Chebyshev basis over a rescaled energy
-    variable t = (E - center)/halfwidth; raw monomial systems in E are
-    hopelessly ill-conditioned beyond K of about 4.
+    leading coefficients (-1)^deg (the determinant convention for trailing
+    blocks of S - E), written in a rescaled energy t = (E - center)/halfwidth.
+    Since lead(d0) = -E lead(d1), the shifted function u = G + E = n0/d1
+    with n0 = d0 + E d1 is rational of type (K, K), and the 2K+1 samples
+    fix it.  :func:`reconstruct` finds it in extended precision by a Loewner
+    (barycentric) realization: the sorted probes alternate between K+1
+    supports t_j and K test points t_i, the weights solve the
+    (K+1) x (K+1) system [L; 1^T] w = e_{K+1} with Loewner matrix
+    L_ij = (u_i - u_j)/(t_i - t_j), and d1, n0 are read off the barycentric
+    form.  A float64 version of the coefficient problem in a Chebyshev
+    basis (:func:`linearize_samples`) supplies the condition estimate and
+    the pair used when the extended-precision system is singular.
 
 2.  *Expansion.*  The trailing determinants obey the three-term recursion
     d_k = (a_k - E) d_{k+1} - rho_k d_{k+2}, so repeated polynomial
@@ -43,6 +49,7 @@ __all__ = [
     "k1_variables_from_chain",
     "expand_to_chain",
     "reconstruct",
+    "samples_from_chain",
 ]
 
 COND_LIMIT = 1e10
@@ -317,66 +324,121 @@ def expand_to_chain(pair, drop_tol=DROP_TOL):
     return TridiagonalChain(np.array(a_list), np.array(rho_list))
 
 
+def _solve_mp(A, b):
+    """Solve A x = b (lists of mpf) by Gaussian elimination with partial
+    pivoting at the working precision.  Raises ZeroDivisionError when a
+    pivot is at most ||A||_1 eps, mpmath's own singularity rule."""
+    n = len(b)
+    tol = max(sum(abs(row[j]) for row in A) for j in range(n)) * mp.eps
+    rows = [list(row) + [bi] for row, bi in zip(A, b)]
+    for j in range(n):
+        p = max(range(j, n), key=lambda i: abs(rows[i][j]))
+        if abs(rows[p][j]) <= tol:
+            raise ZeroDivisionError("matrix is numerically singular")
+        rows[j], rows[p] = rows[p], rows[j]
+        piv = rows[j]
+        for row in rows[j + 1:]:
+            f = row[j] / piv[j]
+            for k in range(j + 1, n + 1):
+                row[k] -= f * piv[k]
+    x = [mp.mpf(0)] * n
+    for i in range(n - 1, -1, -1):
+        row = rows[i]
+        x[i] = (row[n] - mp.fsum(row[k] * x[k] for k in range(i + 1, n))) / row[i]
+    return x
+
+
+def _loewner_pair(E, G, K):
+    """The pair (d0, d1) through the samples, as ascending coefficient
+    lists in t = (E - center)/h, from the barycentric form of the
+    type-(K, K) function u = G + E = n0/d1; returns (center, h, d0, d1).
+    Runs at the caller's mpmath precision."""
+    center = (max(E) + min(E)) / 2
+    h = max((max(E) - min(E)) / 2, mp.mpf(1))
+    order = sorted(range(2 * K + 1), key=lambda a: E[a])
+    t = [(E[a] - center) / h for a in order]
+    u = [G[a] + E[a] for a in order]
+    sup, tst = range(0, 2 * K + 1, 2), range(1, 2 * K + 1, 2)
+    A = [[(u[i] - u[j]) / (t[i] - t[j]) for j in sup] for i in tst]
+    A.append([mp.mpf(1)] * (K + 1))
+    w = _solve_mp(A, [mp.mpf(0)] * K + [mp.mpf(1)])
+
+    # ell(t) = prod_j (t - t_j); d1 = c sum_j w_j ell/(t - t_j), n0 likewise
+    # with w_j u_j, where c = lead(d1) makes sum_j w_j = 1 the normalization
+    ell = [mp.mpf(1)]
+    for j in sup:  # ell *= (t - t_j)
+        ell = [mp.mpf(0)] + ell
+        for k in range(len(ell) - 1):
+            ell[k] -= t[j] * ell[k + 1]
+    c = (-1) ** K * h ** K
+    d1 = [mp.mpf(0)] * (K + 1)
+    n0 = [mp.mpf(0)] * (K + 1)
+    for wj, j in zip(w, sup):
+        cw = c * wj
+        cwu = cw * u[j]
+        q = ell[K + 1]  # synthetic division of ell by (t - t_j)
+        for k in range(K, -1, -1):
+            d1[k] += cw * q
+            n0[k] += cwu * q
+            q = ell[k] + t[j] * q
+    # d0 = n0 - E d1 with E = center + h t
+    d0 = [n0[k] - center * d1[k] - (h * d1[k - 1] if k else 0)
+          for k in range(K + 1)] + [-h * d1[K]]
+    return center, h, d0, d1
+
+
+def _polydiv_mp(num, den):
+    num = list(num)
+    q = [mp.mpf(0)] * (len(num) - len(den) + 1)
+    for i in range(len(num) - len(den), -1, -1):
+        q[i] = num[i + len(den) - 1] / den[-1]
+        for j in range(len(den)):
+            num[i + j] -= q[i] * den[j]
+    return q, num[:len(den) - 1]
+
+
+def _cascade_mp(d0, d1, center, h, K, drop_tol):
+    """Division cascade on an mpf pair in t = (E - center)/h at the
+    caller's precision; only the recovered a_k, rho_k are rounded."""
+    cur, nxt = d0, d1
+    a_list, rho_list = [], []
+    coef_scale = max(max(abs(x) for x in cur), max(abs(x) for x in nxt))
+    for k in range(K + 1):
+        q, r = _polydiv_mp(cur, nxt)
+        a_list.append(float(q[0] + center))
+        if k == K:
+            break
+        ed = len(nxt) - 2
+        coef_scale = max([coef_scale] + [abs(x) for x in r])
+        r_lead = r[ed]
+        if abs(r_lead) < drop_tol * coef_scale:
+            prefix = TridiagonalChain(np.array(a_list), np.array(rho_list))
+            raise ChainBreakdown(prefix, level=k)
+        rho_k = -r_lead / ((-1) ** ed * h ** ed)
+        rho_list.append(float(rho_k))
+        cur, nxt = nxt, [ri / (-rho_k) for ri in r]
+    return TridiagonalChain(np.array(a_list), np.array(rho_list))
+
+
 def _expand_extended(samples, K, drop_tol=DROP_TOL):
-    """Linear step plus division cascade carried out in extended precision.
+    """Loewner coefficient step plus division cascade carried out in
+    extended precision.
 
     The coefficient problem is ill-conditioned (condition numbers beyond
     1e10 are routine at K around 8) even though the samples-to-chain map
     itself is well-conditioned when probes bracket the poles, so the
-    intermediate polynomial pair must never be rounded to float64.
-    Inputs and outputs are ordinary floats.
+    intermediate polynomial pair must never be rounded to float64.  The
+    pair comes from the (K+1) x (K+1) Loewner system of
+    :func:`_loewner_pair`, which interpolates the same 2K+1 samples as the
+    full (2K+1)-unknown coefficient system; a numerically singular Loewner
+    system (reducible G) raises ZeroDivisionError.  Inputs and outputs are
+    ordinary floats.
     """
-    E_f = [s.energy for s in samples]
-    G_f = [s.g_value for s in samples]
     with mp.workdps(40 + 10 * K):
-        E = [mp.mpf(e) for e in E_f]
-        G = [mp.mpf(g) for g in G_f]
-        center = (max(E) + min(E)) / 2
-        h = max((max(E) - min(E)) / 2, mp.mpf(1))
-        t = [(e - center) / h for e in E]
-        lead0 = (-1) ** (K + 1) * h ** (K + 1)
-        lead1 = (-1) ** K * h ** K
-        n = 2 * K + 1
-        A = mp.zeros(n, n)
-        rhs = mp.zeros(n, 1)
-        for a in range(n):
-            for j in range(K + 1):
-                A[a, j] = t[a] ** j
-            for j in range(K):
-                A[a, K + 1 + j] = -G[a] * t[a] ** j
-            rhs[a] = -lead0 * t[a] ** (K + 1) + G[a] * lead1 * t[a] ** K
-        u = mp.lu_solve(A, rhs)
-        d0 = [u[j] for j in range(K + 1)] + [lead0]
-        d1 = [u[K + 1 + j] for j in range(K)] + [lead1]
-
-        def polydiv(num, den):
-            num = list(num)
-            q = [mp.mpf(0)] * (len(num) - len(den) + 1)
-            for i in range(len(num) - len(den), -1, -1):
-                q[i] = num[i + len(den) - 1] / den[-1]
-                for j in range(len(den)):
-                    num[i + j] -= q[i] * den[j]
-            return q, num[:len(den) - 1]
-
-        cur, nxt = d0, d1
-        a_list, rho_list = [], []
-        coef_scale = max(max(abs(x) for x in cur), max(abs(x) for x in nxt))
-        for k in range(K + 1):
-            q, r = polydiv(cur, nxt)
-            a_list.append(float(q[0] + center))
-            if k == K:
-                break
-            ed = len(nxt) - 2
-            coef_scale = max([coef_scale] + [abs(x) for x in r])
-            r_lead = r[ed]
-            if abs(r_lead) < drop_tol * coef_scale:
-                prefix = TridiagonalChain(np.array(a_list),
-                                          np.array(rho_list))
-                raise ChainBreakdown(prefix, level=k)
-            rho_k = -r_lead / ((-1) ** ed * h ** ed)
-            rho_list.append(float(rho_k))
-            cur, nxt = nxt, [ri / (-rho_k) for ri in r]
-    return TridiagonalChain(np.array(a_list), np.array(rho_list))
+        E = [mp.mpf(s.energy) for s in samples]
+        G = [mp.mpf(s.g_value) for s in samples]
+        center, h, d0, d1 = _loewner_pair(E, G, K)
+        return _cascade_mp(d0, d1, center, h, K, drop_tol)
 
 
 def reconstruct(samples, K, holdout=()):

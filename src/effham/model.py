@@ -29,8 +29,11 @@ __all__ = [
     "GSample",
     "ValidationResult",
     "validate_chain",
+    "validate_hamiltonian",
     "assemble_dense",
     "refactorize",
+    "chain_to_dict",
+    "chain_from_dict",
     "hamiltonian_to_dict",
     "hamiltonian_from_dict",
     "samples_to_dict",

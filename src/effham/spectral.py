@@ -20,6 +20,7 @@ __all__ = [
     "secular_function",
     "self_consistent_solve",
     "embed_full_space",
+    "full_space_residual",
 ]
 
 MAX_DENSE_N = 64

@@ -1,6 +1,8 @@
+import mpmath as mp
 import numpy as np
 import pytest
 
+from effham import inverse
 from effham.errors import (ChainBreakdown, InfeasibleSampling, MalformedPair,
                            SampleDegeneracy)
 from effham.forward import g_function
@@ -12,6 +14,49 @@ from effham.inverse import (CharPolyPair, K1Variables, choose_probe_energies,
 from effham.model import GSample, TridiagonalChain
 
 PAPER_SAMPLES = [GSample(0.0, -1.5), GSample(1.0, -2.0), GSample(3.0, -6.0)]
+
+
+def _monomial_expand(samples, K):
+    """Reference for the extended-precision coefficient step: the full
+    (2K+1)-unknown monomial system in t for (d0, d1), solved by
+    ``mp.lu_solve``, then the same division cascade as ``reconstruct``."""
+    with mp.workdps(40 + 10 * K):
+        E = [mp.mpf(s.energy) for s in samples]
+        G = [mp.mpf(s.g_value) for s in samples]
+        center = (max(E) + min(E)) / 2
+        h = max((max(E) - min(E)) / 2, mp.mpf(1))
+        t = [(e - center) / h for e in E]
+        lead0 = (-1) ** (K + 1) * h ** (K + 1)
+        lead1 = (-1) ** K * h ** K
+        n = 2 * K + 1
+        A = mp.zeros(n, n)
+        rhs = mp.zeros(n, 1)
+        for a in range(n):
+            for j in range(K + 1):
+                A[a, j] = t[a] ** j
+            for j in range(K):
+                A[a, K + 1 + j] = -G[a] * t[a] ** j
+            rhs[a] = -lead0 * t[a] ** (K + 1) + G[a] * lead1 * t[a] ** K
+        u = mp.lu_solve(A, rhs)
+        d0 = [u[j] for j in range(K + 1)] + [lead0]
+        d1 = [u[K + 1 + j] for j in range(K)] + [lead1]
+        return inverse._cascade_mp(d0, d1, center, h, K, inverse.DROP_TOL)
+
+
+def _monomial_reconstruct(samples, K):
+    try:
+        return _monomial_expand(samples, K)
+    except ZeroDivisionError:
+        return expand_to_chain(linearize_samples(samples, K))
+
+
+def _outcome(fn, samples, K):
+    """The chain's (a, rho) as exact float tuples, or the breakdown level."""
+    try:
+        chain = fn(samples, K)
+    except ChainBreakdown as exc:
+        return ("breakdown", exc.level)
+    return (tuple(chain.a.tolist()), tuple(chain.rho.tolist()))
 
 
 def _max_rel_err(got, ref):
@@ -174,6 +219,52 @@ class TestExpansion:
         prefix = exc.value.recovered_prefix
         np.testing.assert_allclose(prefix.a, [1.0, -0.5], atol=1e-6)
         np.testing.assert_allclose(prefix.rho, [1.5], atol=1e-6)
+
+
+class TestLoewnerStep:
+    @pytest.mark.parametrize("rho_sign", ["positive", "mixed"])
+    @pytest.mark.parametrize("K", [2, 5, 8, 11, 13])
+    def test_bitwise_against_monomial_solve(self, K, rho_sign):
+        # probes as in ``effham roundtrip``
+        for seed in (100 * K + 1, 100 * K + 2):
+            chain = random_chain(K, np.random.default_rng(seed), rho_sign)
+            probes = choose_probe_energies(
+                2 * K + 1, probe_window(chain, pad=0.5),
+                real_poles(chain), 0.05)
+            samples = samples_from_chain(chain, probes)
+            got = _outcome(lambda s, k: reconstruct(s, k).chain, samples, K)
+            assert got == _outcome(_monomial_reconstruct, samples, K)
+
+    def test_breakdown_level_against_monomial_solve(self):
+        # rho_1 = 0 in float64 samples: both solves reach the cascade,
+        # which must stop at the same level
+        chain = TridiagonalChain([1.0, -0.5, 2.0], [1.5, 0.0])
+        probes = choose_probe_energies(5, probe_window(chain),
+                                       real_poles(chain), 0.1)
+        samples = samples_from_chain(chain, probes)
+        got = _outcome(lambda s, k: reconstruct(s, k).chain, samples, 2)
+        assert got == _outcome(_monomial_reconstruct, samples, 2)
+        assert got == ("breakdown", 1)
+
+    @pytest.mark.parametrize("a, rho, probes", [
+        ([1.0, 2.0], [0.0], (-1.0, 0.5, 3.0)),
+        ([1.0, 2.0, -1.0], [0.0, 1.0], (-2.0, -0.5, 0.25, 1.5, 4.0)),
+    ])
+    def test_singular_system_falls_back_to_float64_pair(self, a, rho, probes):
+        # rho_0 = 0 makes G = a_0 - E exactly, so the extended-precision
+        # system is singular and the float64 minimum-norm pair classifies
+        chain = TridiagonalChain(a, rho)
+        samples = samples_from_chain(chain, probes)
+        K = len(rho)
+        with pytest.raises(ZeroDivisionError):
+            inverse._expand_extended(samples, K)
+        with pytest.raises(ZeroDivisionError):
+            _monomial_expand(samples, K)
+        with pytest.raises(ChainBreakdown) as exc:
+            reconstruct(samples, K)
+        assert exc.value.level == 0
+        np.testing.assert_allclose(exc.value.recovered_prefix.a, [1.0],
+                                   rtol=1e-12)
 
 
 class TestReconstruct:
