@@ -10,6 +10,14 @@ the stored arrays); the downward recursion
 produces the reciprocal pivots, and G(E) extends it one level to k = 0:
 
     G(E) = a_0 - E - rho_0 f_1(E)  =  1 / f_0(E).
+
+:func:`continued_fraction` keeps every f_k together with the alpha/beta
+products that :func:`ufl_factorize` and :func:`resolvent_factored` need,
+in any off-diagonal gauge.  :func:`g_function` needs only f_1 in the
+stored unit-subdiagonal gauge, so it runs the same recursion without
+that state: on Python floats for a single energy, and as one numpy pass
+over all energies for an array.  Both forms do the same operations in
+the same order, so they agree bit for bit.
 """
 
 from dataclasses import dataclass
@@ -140,29 +148,63 @@ def resolvent_factored(tail, E):
     K = tail.K + 1
     alpha, beta, f = state.alpha, state.beta, state.f
     u_inv = np.eye(K)
-    for i in range(K):
-        prod = 1.0
-        for j in range(i + 1, K):
-            prod *= alpha[j - 1]       # alpha_{j+1}
-            u_inv[i, j] = prod
     l_inv = np.eye(K)
-    for j in range(K):
-        prod = 1.0
-        for i in range(j + 1, K):
-            prod *= beta[i - 1]        # beta_{i+1}
-            l_inv[i, j] = prod
+    for i in range(K - 1):
+        # u_inv[i, j] = alpha_{i+2} ... alpha_{j+1} and
+        # l_inv[j, i] = beta_{i+2} ... beta_{j+1} for j > i
+        u_inv[i, i + 1:] = np.cumprod(alpha[i:K - 1])
+        l_inv[i + 1:, i] = np.cumprod(beta[i:])
     return l_inv @ np.diag(f[:K]) @ u_inv
 
 
 def g_function(chain, E):
-    """The scalar energy-dependent element G(E) = a_0 - E - rho_0 f_1(E).
+    """The energy-dependent element G(E) = a_0 - E - rho_0 f_1(E).
 
+    ``E`` is a single energy (returns a float) or an array of energies
+    (returns an array of the same shape, one numpy pass over the levels).
     For a K = 0 chain this is just a_0 - E.
+
+    Raises :class:`PoleProximity` under the pivot rule of
+    :func:`continued_fraction`.  For an array, the error is the one a loop
+    of scalar calls over the energies in order would raise first: that of
+    the first offending energy, at the level its own call reports.  A
+    non-finite energy is not a pole; it propagates NaN or infinity.
     """
-    if chain.K == 0:
-        return chain.a[0] - E
-    state = continued_fraction(chain.tail(), E)
-    return chain.a[0] - E - chain.rho[0] * state.f[0]
+    a, rho = chain.a.tolist(), chain.rho.tolist()
+    if type(E) is not float:
+        E = np.asarray(E, dtype=float)
+        if E.ndim:
+            return _g_array(a, rho, E)
+        E = float(E)
+    f = 0.0  # f_{k+1}; f_{K+1} = 0
+    for k in range(len(a) - 1, 0, -1):
+        coupling = rho[k] * f if k < len(rho) else 0.0
+        pivot = a[k] - E - coupling
+        scale = abs(a[k]) + abs(E) + abs(coupling) + 1.0
+        if abs(pivot) < PIVOT_TOL * scale:
+            raise PoleProximity(k)
+        f = 1.0 / pivot
+    return a[0] - E - rho[0] * f if rho else a[0] - E
+
+
+def _g_array(a, rho, E):
+    """:func:`g_function` over an array of energies."""
+    f = 0.0
+    level = np.zeros(E.shape, dtype=int)  # first pole level; 0 = none
+    absE = np.abs(E)
+    for k in range(len(a) - 1, 0, -1):
+        coupling = rho[k] * f if k < len(rho) else 0.0
+        pivot = a[k] - E - coupling
+        scale = abs(a[k]) + absE + np.abs(coupling) + 1.0
+        bad = np.abs(pivot) < PIVOT_TOL * scale
+        if bad.any():
+            level[bad & (level == 0)] = k
+            pivot[bad] = np.inf  # f = 0 keeps the other levels warning-free
+        f = 1.0 / pivot
+    hit = np.flatnonzero(level)
+    if len(hit):
+        raise PoleProximity(int(level.flat[hit[0]]))
+    return a[0] - E - rho[0] * f if rho else a[0] - E
 
 
 def effective_hamiltonian(h, E):

@@ -444,6 +444,10 @@ def _expand_extended(samples, K, drop_tol=DROP_TOL):
 def reconstruct(samples, K, holdout=()):
     """End-to-end reconstruction: linearize, expand, then score against
     held-out samples via the continued-fraction G of the recovered chain."""
+    hold_E = np.array([s.energy for s in holdout], dtype=float)
+    hold_G = np.array([s.g_value for s in holdout], dtype=float)
+    if not (np.all(np.isfinite(hold_E)) and np.all(np.isfinite(hold_G))):
+        raise SampleDegeneracy("non-finite holdout values")
     pair, cond = _linear_system(samples, K)
     try:
         chain = _expand_extended(samples, K)
@@ -454,8 +458,8 @@ def reconstruct(samples, K, holdout=()):
     if not validate_chain(chain):
         raise MalformedPair("expansion produced an invalid chain")
     residual = 0.0
-    for s in holdout:
-        residual = max(residual, abs(s.g_value - g_function(chain, s.energy)))
+    if len(hold_E):
+        residual = float(np.max(np.abs(hold_G - g_function(chain, hold_E))))
     return ReconstructionReport(chain=chain,
                                 residual_max=residual,
                                 condition_estimate=cond,
@@ -465,4 +469,6 @@ def reconstruct(samples, K, holdout=()):
 
 def samples_from_chain(chain, energies):
     """Evaluate G at the given probe energies (forward direction helper)."""
-    return [GSample(float(E), g_function(chain, float(E))) for E in energies]
+    E = np.asarray(energies, dtype=float)
+    return [GSample(e, g) for e, g in zip(E.tolist(),
+                                          g_function(chain, E).tolist())]

@@ -46,14 +46,7 @@ def eigenvalues_dense(m):
         raise ValueError("matrix must be square")
     if m.shape[0] > MAX_DENSE_N:
         raise ValueError(f"dense path limited to N <= {MAX_DENSE_N}")
-    try:
-        w = np.linalg.eigvals(m)
-    except np.linalg.LinAlgError as exc:
-        raise EigSolverFailure(str(exc)) from exc
-    scale = max(1.0, float(np.max(np.abs(m))))
-    w = np.where(np.abs(w.imag) <= IMAG_COLLAPSE * scale, w.real, w)
-    order = np.lexsort((w.imag, w.real))
-    return w[order]
+    return _sorted_eig(m, vectors=False)[0]
 
 
 def secular_function(h, E):
@@ -63,15 +56,20 @@ def secular_function(h, E):
     return float(np.linalg.det(effective_hamiltonian(h, E) - E * np.eye(M)))
 
 
-def _sorted_eig(m):
+def _sorted_eig(m, vectors=True):
+    """Eigenvalues of m, with right eigenvectors as columns when
+    ``vectors`` (else None), in the order of :func:`eigenvalues_dense`."""
     try:
-        w, v = np.linalg.eig(m)
+        if vectors:
+            w, v = np.linalg.eig(m)
+        else:
+            w, v = np.linalg.eigvals(m), None
     except np.linalg.LinAlgError as exc:
         raise EigSolverFailure(str(exc)) from exc
     scale = max(1.0, float(np.max(np.abs(m))))
     w = np.where(np.abs(w.imag) <= IMAG_COLLAPSE * scale, w.real, w)
     order = np.lexsort((w.imag, w.real))
-    return w[order], v[:, order]
+    return w[order], None if v is None else v[:, order]
 
 
 def self_consistent_solve(h, eta0, n, fp_tol=1e-10, max_iter=200,

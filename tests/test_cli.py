@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -136,3 +138,47 @@ class TestDeterminism:
         runs = [subprocess.run(cmd, capture_output=True, check=True).stdout
                 for _ in range(2)]
         assert runs[0] == runs[1]
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+GFUN_GOLDEN = (
+    b'{\n  "samples": [\n    {\n      "E": 0.0,\n      "G": -1.5\n    },\n'
+    b'    {\n      "E": 0.25,\n      "G": -1.6785714285714286\n    },\n'
+    b'    {\n      "E": 1.0,\n      "G": -2.0\n    },\n'
+    b'    {\n      "E": 3.0,\n      "G": -6.0\n    }\n  ]\n}\n')
+
+RECONSTRUCT_GOLDEN = (
+    b'{\n  "chain": {\n    "a": [\n      -2.0,\n      2.0\n    ],\n'
+    b'    "rho": [\n      -1.0\n    ]\n  },\n'
+    b'  "residual_max": 0.0014285714285713347,\n'
+    b'  "condition_estimate": 21.320713247546085,\n'
+    b'  "hermitizable": [\n    false\n  ]\n}\n')
+
+
+def _cli_stdout(*args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "effham.cli", *args],
+                          capture_output=True, check=True, env=env).stdout
+
+
+class TestGoldenBytes:
+    """CLI output pinned byte for byte on the paper Hamiltonian."""
+
+    def test_gfun(self, paper_file):
+        assert _cli_stdout("gfun", "--input", paper_file,
+                           "--energies", "0,0.25,1,3") == GFUN_GOLDEN
+
+    def test_reconstruct_with_holdout(self, paper_file, tmp_path):
+        samples = tmp_path / "samples.json"
+        assert main(["gfun", "--input", paper_file, "--energies", "0,1,3",
+                     "--output", str(samples)]) == 0
+        holdout = tmp_path / "holdout.json"
+        holdout.write_text(json.dumps({"samples": [
+            {"E": -1.0, "G": -0.6667}, {"E": 0.25, "G": -1.68},
+            {"E": 2.5, "G": -6.5}, {"E": 5.0, "G": -7.3333}]}))
+        assert _cli_stdout("reconstruct", "--samples", str(samples),
+                           "--holdout", str(holdout),
+                           "--K", "1") == RECONSTRUCT_GOLDEN

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from effham.errors import NearSingularBlock, PoleProximity
 from effham.forward import (continued_fraction, effective_hamiltonian,
@@ -13,6 +15,48 @@ from effham.model import (PartitionedHamiltonian, TridiagonalChain,
 def _tail(a, rho):
     """Factored QHQ block (unit-subdiagonal gauge) from raw tail entries."""
     return refactorize(TridiagonalChain(a, rho), "unit_subdiagonal")
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def _resolvent_loops(tail, E):
+    """Reference for ``resolvent_factored``: the explicit products
+    accumulated one factor at a time."""
+    state = continued_fraction(tail, E)
+    K = tail.K + 1
+    alpha, beta, f = state.alpha, state.beta, state.f
+    u_inv = np.eye(K)
+    for i in range(K):
+        prod = 1.0
+        for j in range(i + 1, K):
+            prod *= alpha[j - 1]
+            u_inv[i, j] = prod
+    l_inv = np.eye(K)
+    for j in range(K):
+        prod = 1.0
+        for i in range(j + 1, K):
+            prod *= beta[i - 1]
+            l_inv[i, j] = prod
+    return l_inv @ np.diag(f[:K]) @ u_inv
+
+
+def _g_reference(chain, E):
+    """G(E) through the full continued-fraction state of the tail."""
+    if chain.K == 0:
+        return chain.a[0] - E
+    return chain.a[0] - E - chain.rho[0] * continued_fraction(
+        chain.tail(), E).f[0]
+
+
+def _outcome(fn, *args):
+    """The bits of ``fn(*args)``, or the level of the PoleProximity it
+    raises."""
+    try:
+        return _bits(fn(*args))
+    except PoleProximity as exc:
+        return ("pole", exc.level)
 
 
 class TestContinuedFraction:
@@ -103,6 +147,22 @@ class TestResolvent:
             ref = np.linalg.inv(dense - E * np.eye(K))
             np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-14)
 
+    def test_bitwise_against_product_loops(self):
+        rng = np.random.default_rng(7)
+        for _ in range(100):
+            K = int(rng.integers(1, 13))
+            pos = random_chain(K - 1, rng, "positive")
+            mixed = random_chain(K - 1, rng, "mixed")
+            E = float(rng.uniform(-8.0, 8.0))
+            for tail in (refactorize(pos, "unit_subdiagonal"),
+                         refactorize(pos, "symmetric"),
+                         refactorize(mixed, "unit_subdiagonal")):
+                try:
+                    ref = _resolvent_loops(tail, E)
+                except PoleProximity:
+                    continue
+                assert _bits(resolvent_factored(tail, E)) == _bits(ref)
+
 
 class TestGFunction:
     def test_paper_values(self, paper_chain):
@@ -156,6 +216,50 @@ class TestGFunction:
         for s in (-2.5, 1.0, 7.75):
             assert g_function(chain.shifted(s), 1.25 + s) == pytest.approx(
                 g_function(chain, 1.25), rel=1e-12)
+
+    def test_array_shapes_and_k0(self, paper_chain):
+        E = np.array([0.0, 0.25, 1.0, 3.0, -2.7])
+        got = g_function(paper_chain, E)
+        assert isinstance(got, np.ndarray) and got.shape == E.shape
+        assert g_function(paper_chain, np.zeros(0)).shape == (0,)
+        k0 = TridiagonalChain([4.0], [])
+        assert _bits(g_function(k0, E)) == _bits(4.0 - E)
+
+    def test_array_pole_reports_first_energy(self):
+        # a = (0, 1, 1), rho = (1, 1): E = 1 hits level 2 (a_2 - E = 0),
+        # E = 0 hits level 1 (a_1 - E - rho_1 / (a_2 - E) = 0)
+        chain = TridiagonalChain([0.0, 1.0, 1.0], [1.0, 1.0])
+        for energies, level in (([5.0, 0.0, 1.0], 1), ([5.0, 1.0, 0.0], 2)):
+            with pytest.raises(PoleProximity) as scalar:
+                for e in energies:
+                    g_function(chain, e)
+            with pytest.raises(PoleProximity) as array:
+                g_function(chain, np.array(energies))
+            assert scalar.value.level == array.value.level == level
+
+    def test_non_finite_energy_propagates(self, paper_chain):
+        got = g_function(paper_chain, np.array([np.nan, 0.0, np.inf]))
+        assert np.isnan(got[0]) and got[1] == -1.5 and got[2] == -np.inf
+        assert np.isnan(g_function(paper_chain, float("nan")))
+
+    @settings(max_examples=150, deadline=None)
+    @given(K=st.integers(0, 20), sign=st.sampled_from(["positive", "mixed"]),
+           seed=st.integers(0, 2 ** 32 - 1),
+           u=st.lists(st.floats(-1.5, 1.5), min_size=1, max_size=12),
+           on_pole=st.booleans())
+    def test_forms_bitwise_equal(self, K, sign, seed, u, on_pole):
+        # energies across and beyond the spectrum, optionally including
+        # E = a_K, where the last pivot a_K - E vanishes (a pole at level K)
+        chain = random_chain(K, np.random.default_rng(seed), sign)
+        lo, hi = -3.0 - 4.0 * np.sqrt(K), 3.0 + 4.0 * np.sqrt(K)
+        E = [0.5 * (lo + hi) + 0.5 * (hi - lo) * x for x in u]
+        if on_pole and K:
+            E.insert(len(E) // 2, float(chain.a[-1]))
+        ref = [_outcome(_g_reference, chain, e) for e in E]
+        assert [_outcome(g_function, chain, e) for e in E] == ref
+        poles = [r for r in ref if isinstance(r, tuple)]
+        got = _outcome(g_function, chain, np.array(E))
+        assert got == (poles[0] if poles else b"".join(ref))
 
     def test_oracle_near_singular_guard(self):
         # tail [[2, 1], [1, 3]] has an eigenvalue at (5 + sqrt(5))/2

@@ -282,6 +282,24 @@ class TestReconstruct:
         assert rep.residual_max < 1e-10
         assert rep.condition_estimate >= 1.0
 
+    @pytest.mark.parametrize("bad", [GSample(0.3, float("nan")),
+                                     GSample(float("nan"), 1.0),
+                                     GSample(float("inf"), 1.0)])
+    def test_non_finite_holdout_rejected(self, bad):
+        good = GSample(0.5, -1.5)
+        with pytest.raises(SampleDegeneracy):
+            reconstruct(PAPER_SAMPLES, 1, holdout=[good, bad])
+
+    def test_holdout_residual_is_largest_deviation(self):
+        holdout = [GSample(-1.0, -0.6667), GSample(0.25, -1.68),
+                   GSample(2.5, -6.5)]
+        rep = reconstruct(PAPER_SAMPLES, 1, holdout=holdout)
+        chain = TridiagonalChain([-2.0, 2.0], [-1.0])
+        ref = max(abs(s.g_value - g_function(chain, s.energy))
+                  for s in holdout)
+        assert rep.residual_max == pytest.approx(ref, rel=1e-9)
+        assert rep.residual_max == pytest.approx(0.00142857142857, rel=1e-9)
+
     def test_roundtrip_positive(self):
         rng = np.random.default_rng(11)
         for _ in range(40):
