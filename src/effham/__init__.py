@@ -8,10 +8,10 @@ from .errors import (ChainBreakdown, DomainError, EffHamError,
 from .forward import (continued_fraction, effective_hamiltonian, g_function,
                       g_function_dense_oracle, resolvent_factored,
                       ufl_factorize)
-from .inverse import (CharPolyPair, K1Variables, ReconstructionReport,
-                      choose_probe_energies, expand_to_chain, k1_closed_form,
-                      k1_invert, k1_variables_from_chain, linearize_samples,
-                      reconstruct, samples_from_chain)
+from .inverse import (K1Variables, ReconstructionReport,
+                      choose_probe_energies, k1_closed_form, k1_invert,
+                      k1_variables_from_chain, reconstruct,
+                      samples_from_chain)
 from .model import (FactoredChain, GSample, PartitionedHamiltonian,
                     TridiagonalChain, assemble_dense, refactorize,
                     validate_chain)

@@ -95,7 +95,6 @@ def cmd_reconstruct(args):
     rep = reconstruct(samples, args.K, holdout)
     _emit({"chain": chain_to_dict(rep.chain),
            "residual_max": rep.residual_max,
-           "condition_estimate": rep.condition_estimate,
            "hermitizable": list(rep.hermitizable)}, args.output)
     return 0
 

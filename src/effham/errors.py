@@ -44,12 +44,14 @@ class NearSingularBlock(DomainError):
 
 
 class SampleDegeneracy(DomainError):
-    """The sample set does not determine the coefficient problem
-    (duplicate energies, or an inconsistent/ill-posed linear system)."""
+    """The samples determine no chain: duplicate or non-finite energies or
+    values, or samples that no G = d0/d1 of a chain of length <= K + 1
+    interpolates."""
 
 
 class MalformedPair(DomainError):
-    """A polynomial pair violating the degree/sign contract of G = d0/d1."""
+    """The expansion of the fitted G = d0/d1 produced an invalid chain
+    (non-finite entries)."""
 
 
 class ChainBreakdown(DomainError):

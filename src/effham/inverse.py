@@ -1,21 +1,21 @@
 """Inverse direction: reconstruct the tridiagonal tail from 2K+1 sampled
 values of G(E).
 
-Two steps:
+Two steps, both at 40 + 10K significant digits (mpmath); only the
+recovered a_k, rho_k are rounded to float64:
 
-1.  *Linearization.*  G(E) = d0(E)/d1(E) with deg d0 = K+1, deg d1 = K and
+1.  *Rational fit.*  G(E) = d0(E)/d1(E) with deg d0 = K+1, deg d1 = K and
     leading coefficients (-1)^deg (the determinant convention for trailing
-    blocks of S - E), written in a rescaled energy t = (E - center)/halfwidth.
+    blocks of S - E), written in a rescaled energy t = (E - center)/h.
     Since lead(d0) = -E lead(d1), the shifted function u = G + E = n0/d1
     with n0 = d0 + E d1 is rational of type (K, K), and the 2K+1 samples
-    fix it.  :func:`reconstruct` finds it in extended precision by a Loewner
-    (barycentric) realization: the sorted probes alternate between K+1
-    supports t_j and K test points t_i, the weights solve the
-    (K+1) x (K+1) system [L; 1^T] w = e_{K+1} with Loewner matrix
-    L_ij = (u_i - u_j)/(t_i - t_j), and d1, n0 are read off the barycentric
-    form.  A float64 version of the coefficient problem in a Chebyshev
-    basis (:func:`linearize_samples`) supplies the condition estimate and
-    the pair used when the extended-precision system is singular.
+    fix it.  A Loewner (barycentric) realization finds it: the sorted
+    probes alternate between K+1 supports t_j and K test points t_i, the
+    weights solve the (K+1) x (K+1) system [L; 1^T] w = e_{K+1} with
+    Loewner matrix L_ij = (u_i - u_j)/(t_i - t_j), and d1, n0 are read off
+    the barycentric form.  A singular system means u is of lower type
+    (k, k) because rho_k = 0: the fit deflates to that type and the chain
+    it expands to is reported as the prefix of a :class:`ChainBreakdown`.
 
 2.  *Expansion.*  The trailing determinants obey the three-term recursion
     d_k = (a_k - E) d_{k+1} - rho_k d_{k+2}, so repeated polynomial
@@ -30,8 +30,6 @@ from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
-from numpy.polynomial import chebyshev as C
-from numpy.polynomial import polynomial as P
 
 from .errors import (ChainBreakdown, InfeasibleSampling, MalformedPair,
                      SampleDegeneracy)
@@ -39,41 +37,18 @@ from .forward import g_function
 from .model import GSample, TridiagonalChain, validate_chain
 
 __all__ = [
-    "CharPolyPair",
     "K1Variables",
     "ReconstructionReport",
     "choose_probe_energies",
-    "linearize_samples",
     "k1_closed_form",
     "k1_invert",
     "k1_variables_from_chain",
-    "expand_to_chain",
     "reconstruct",
     "samples_from_chain",
 ]
 
 COND_LIMIT = 1e10
 DROP_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class CharPolyPair:
-    """G(E) = d0(E)/d1(E); coefficients ascending in E, with
-    lead(d0) = (-1)^(K+1) and lead(d1) = (-1)^K up to rounding."""
-
-    d0: np.ndarray
-    d1: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "d0", np.asarray(self.d0, dtype=float))
-        object.__setattr__(self, "d1", np.asarray(self.d1, dtype=float))
-
-    @property
-    def K(self):
-        return len(self.d1) - 1
-
-    def g_value(self, E):
-        return P.polyval(E, self.d0) / P.polyval(E, self.d1)
 
 
 @dataclass(frozen=True)
@@ -89,7 +64,6 @@ class K1Variables:
 class ReconstructionReport:
     chain: TridiagonalChain
     residual_max: float
-    condition_estimate: float
     hermitizable: tuple
 
 
@@ -149,87 +123,6 @@ def _select_probes(nodes, forbidden, count):
     return np.sort(np.array(chosen[:count]))
 
 
-def _cheb_lead(degree, halfwidth, sign):
-    # top Chebyshev coefficient of a polynomial whose E-monomial lead is
-    # sign * 1:  E^n = (halfwidth t + center)^n -> lead in t is h^n, and
-    # t^n = 2^(1-n) T_n + lower  (n >= 1).
-    if degree == 0:
-        return sign
-    return sign * halfwidth ** degree * 2.0 ** (1 - degree)
-
-
-def _linear_system(samples, K):
-    """Solve the coefficient problem; returns (pair, condition_estimate)."""
-    if len(samples) != 2 * K + 1:
-        raise ValueError(f"need exactly {2 * K + 1} samples, got {len(samples)}")
-    E = np.array([s.energy for s in samples], dtype=float)
-    G = np.array([s.g_value for s in samples], dtype=float)
-    if len(np.unique(E)) != len(E):
-        raise SampleDegeneracy("duplicate probe energies")
-    if not (np.all(np.isfinite(E)) and np.all(np.isfinite(G))):
-        raise SampleDegeneracy("non-finite sample values")
-
-    center = 0.5 * (E.max() + E.min())
-    halfwidth = max(0.5 * (E.max() - E.min()), 1.0)
-    t = (E - center) / halfwidth
-
-    s0 = (-1.0) ** (K + 1)
-    s1 = (-1.0) ** K
-    lead0 = _cheb_lead(K + 1, halfwidth, s0)
-    lead1 = _cheb_lead(K, halfwidth, s1)
-
-    # Chebyshev collocation values T_j(t_a), j = 0..K+1.
-    V = C.chebvander(t, K + 1)
-    n = 2 * K + 1
-    A = np.zeros((n, n))
-    A[:, :K + 1] = V[:, :K + 1]
-    if K >= 1:
-        A[:, K + 1:] = -G[:, None] * V[:, :K]
-    rhs = -lead0 * V[:, K + 1] + G * lead1 * V[:, K]
-
-    row_scale = np.maximum(np.max(np.abs(A), axis=1), np.abs(rhs))
-    row_scale = np.where(row_scale > 0, row_scale, 1.0)
-    A_s = A / row_scale[:, None]
-    rhs_s = rhs / row_scale
-    cond = float(np.linalg.cond(A_s))
-
-    if cond <= COND_LIMIT:
-        u = np.linalg.solve(A_s, rhs_s)
-    else:
-        # Rank-deficient but consistent systems arise when the generating
-        # chain has a vanishing rho_k (G is a reducible rational function);
-        # take the minimum-norm solution and let the expansion step classify.
-        u, _, _, _ = np.linalg.lstsq(A_s, rhs_s, rcond=None)
-        rel_res = np.linalg.norm(A_s @ u - rhs_s) / max(np.linalg.norm(rhs_s), 1.0)
-        if rel_res > 1e-6:
-            raise SampleDegeneracy(
-                f"ill-conditioned and inconsistent sample system "
-                f"(cond {cond:.2e}, residual {rel_res:.2e})")
-
-    c0 = np.concatenate([u[:K + 1], [lead0]])
-    c1 = np.concatenate([u[K + 1:], [lead1]]) if K >= 1 else np.array([lead1])
-
-    # Chebyshev(t) -> monomial(t) -> monomial(E) via E = center + halfwidth t.
-    shift = np.array([-center / halfwidth, 1.0 / halfwidth])
-    d0 = _compose(C.cheb2poly(c0), shift)
-    d1 = _compose(C.cheb2poly(c1), shift)
-    return CharPolyPair(d0, d1), cond
-
-
-def _compose(coeffs, inner):
-    """Coefficients of p(inner(E)) for p given by ascending ``coeffs``."""
-    out = np.zeros(1)
-    for c in coeffs[::-1]:
-        out = P.polyadd(P.polymul(out, inner), [c])
-    return out
-
-
-def linearize_samples(samples, K):
-    """Fit the polynomial pair (d0, d1) through the sampled values of G."""
-    pair, _ = _linear_system(samples, K)
-    return pair
-
-
 def k1_variables_from_chain(chain):
     a0, a1 = chain.a
     rho0 = chain.rho[0]
@@ -260,68 +153,6 @@ def k1_closed_form(samples):
         raise SampleDegeneracy("degenerate K = 1 sample system")
     y1, x1, x2 = np.linalg.solve(A, rhs)
     return k1_invert(K1Variables(x1=x1, x2=x2, y1=y1))
-
-
-def _trim(coeffs, tol):
-    coeffs = np.asarray(coeffs, dtype=float)
-    nz = np.nonzero(np.abs(coeffs) > tol)[0]
-    if len(nz) == 0:
-        return np.zeros(1)
-    return coeffs[:nz[-1] + 1]
-
-
-def expand_to_chain(pair, drop_tol=DROP_TOL):
-    """Recover the unique unit-subdiagonal chain with G = d0/d1 by the
-    repeated-division cascade.
-
-    Raises :class:`ChainBreakdown` (with the recovered prefix attached)
-    when a remainder's leading coefficient drops below ``drop_tol`` times
-    the largest coefficient magnitude seen: the generating rho_k is
-    numerically zero and the tail beyond it is decoupled.
-    """
-    d0 = _trim(pair.d0, 0.0)
-    d1 = _trim(pair.d1, 0.0)
-    K = len(d1) - 1
-    if np.all(pair.d1 == 0):
-        raise MalformedPair("d1 is identically zero")
-    if len(d0) - 1 != K + 1:
-        raise MalformedPair(
-            f"degree mismatch: deg d0 = {len(d0) - 1}, deg d1 = {K}")
-
-    # Work in t = (E - center)/halfwidth with the window spanning the roots
-    # of d0 (eigenvalues of the chain): keeps cascade coefficients tame.
-    roots = P.polyroots(d0)
-    center = float(np.mean(roots.real))
-    halfwidth = max(1.0, float(np.max(np.abs(roots - center))))
-    shift = np.array([center, halfwidth])  # E(t) = center + halfwidth * t
-    cur = _compose(d0, shift)
-    nxt = _compose(d1, shift)
-
-    a_list, rho_list = [], []
-    coef_scale = max(np.max(np.abs(cur)), np.max(np.abs(nxt)))
-    for k in range(K + 1):
-        q, r = P.polydiv(cur, nxt)
-        if len(q) - 1 != 1:
-            raise MalformedPair(f"quotient at level {k} is not linear")
-        a_list.append(q[0] + center)
-        if k == K:
-            break
-        expected_deg = len(nxt) - 2  # deg(d_{k+2})
-        r = np.concatenate([r, np.zeros(max(0, expected_deg + 1 - len(r)))])
-        if len(r) - 1 > expected_deg:
-            raise MalformedPair(f"remainder degree too large at level {k}")
-        coef_scale = max(coef_scale, np.max(np.abs(r)))
-        r_lead = r[expected_deg]
-        if abs(r_lead) < drop_tol * coef_scale:
-            prefix = TridiagonalChain(np.array(a_list), np.array(rho_list))
-            raise ChainBreakdown(prefix, level=k)
-        # remainder = -rho_k * d_{k+2}; d_{k+2} lead in t is (-1)^deg h^deg
-        conv_lead = (-1.0) ** expected_deg * halfwidth ** expected_deg
-        rho_k = -r_lead / conv_lead
-        rho_list.append(rho_k)
-        cur, nxt = nxt, r / (-rho_k)
-        coef_scale = max(coef_scale, np.max(np.abs(nxt)))
-    return TridiagonalChain(np.array(a_list), np.array(rho_list))
 
 
 def _solve_mp(A, b):
@@ -420,41 +251,63 @@ def _cascade_mp(d0, d1, center, h, K, drop_tol):
     return TridiagonalChain(np.array(a_list), np.array(rho_list))
 
 
-def _expand_extended(samples, K, drop_tol=DROP_TOL):
-    """Loewner coefficient step plus division cascade carried out in
-    extended precision.
+def _expand_extended(samples, K):
+    """Loewner fit plus division cascade carried out in extended precision.
 
     The coefficient problem is ill-conditioned (condition numbers beyond
     1e10 are routine at K around 8) even though the samples-to-chain map
     itself is well-conditioned when probes bracket the poles, so the
-    intermediate polynomial pair must never be rounded to float64.  The
-    pair comes from the (K+1) x (K+1) Loewner system of
-    :func:`_loewner_pair`, which interpolates the same 2K+1 samples as the
-    full (2K+1)-unknown coefficient system; a numerically singular Loewner
-    system (reducible G) raises ZeroDivisionError.  Inputs and outputs are
-    ordinary floats.
+    intermediate polynomial pair must never be rounded to float64.
+
+    A numerically singular type-(K, K) Loewner system means G + E is
+    exactly of lower type, so the fit is redone at k = K-1, ..., 0 from the
+    first 2k+1 samples.  If that fit reproduces every sample, rho_k = 0 and
+    the chain it expands to is raised as the prefix of a
+    :class:`ChainBreakdown` at level k; otherwise no chain interpolates the
+    samples (:class:`SampleDegeneracy`).  Inputs and outputs are ordinary
+    floats.
     """
     with mp.workdps(40 + 10 * K):
         E = [mp.mpf(s.energy) for s in samples]
         G = [mp.mpf(s.g_value) for s in samples]
-        center, h, d0, d1 = _loewner_pair(E, G, K)
-        return _cascade_mp(d0, d1, center, h, K, drop_tol)
+        for k in range(K, -1, -1):  # k = 0 is a 1 x 1 system, never singular
+            try:
+                center, h, d0, d1 = _loewner_pair(E[:2 * k + 1],
+                                                  G[:2 * k + 1], k)
+                break
+            except ZeroDivisionError:
+                pass
+        if k == K:
+            return _cascade_mp(d0, d1, center, h, K, DROP_TOL)
+        for e, g in zip(E, G):
+            t = (e - center) / h
+            p0, p1 = mp.polyval(d0[::-1], t), g * mp.polyval(d1[::-1], t)
+            if abs(p0 - p1) > DROP_TOL * (abs(p0) + abs(p1)):
+                raise SampleDegeneracy(
+                    f"no chain fits the samples (type-({k}, {k}) fit "
+                    f"misses G({float(e)}))")
+        raise ChainBreakdown(_cascade_mp(d0, d1, center, h, k, DROP_TOL),
+                             level=k)
 
 
 def reconstruct(samples, K, holdout=()):
-    """End-to-end reconstruction: linearize, expand, then score against
-    held-out samples via the continued-fraction G of the recovered chain."""
+    """End-to-end reconstruction: fit and expand in extended precision,
+    then score against held-out samples via the continued-fraction G of
+    the recovered chain."""
+    E = np.array([s.energy for s in samples], dtype=float)
+    G = np.array([s.g_value for s in samples], dtype=float)
     hold_E = np.array([s.energy for s in holdout], dtype=float)
     hold_G = np.array([s.g_value for s in holdout], dtype=float)
     if not (np.all(np.isfinite(hold_E)) and np.all(np.isfinite(hold_G))):
         raise SampleDegeneracy("non-finite holdout values")
-    pair, cond = _linear_system(samples, K)
-    try:
-        chain = _expand_extended(samples, K)
-    except ZeroDivisionError:
-        # singular extended-precision system: reducible G (some rho_k = 0);
-        # classify through the float64 minimum-norm pair instead
-        chain = expand_to_chain(pair)
+    if len(samples) != 2 * K + 1:
+        raise ValueError(f"need exactly {2 * K + 1} samples, got {len(samples)}")
+    # duplicates first: in the Loewner step they divide by zero
+    if len(np.unique(E)) != len(E):
+        raise SampleDegeneracy("duplicate probe energies")
+    if not (np.all(np.isfinite(E)) and np.all(np.isfinite(G))):
+        raise SampleDegeneracy("non-finite sample values")
+    chain = _expand_extended(samples, K)
     if not validate_chain(chain):
         raise MalformedPair("expansion produced an invalid chain")
     residual = 0.0
@@ -462,7 +315,6 @@ def reconstruct(samples, K, holdout=()):
         residual = float(np.max(np.abs(hold_G - g_function(chain, hold_E))))
     return ReconstructionReport(chain=chain,
                                 residual_max=residual,
-                                condition_estimate=cond,
                                 hermitizable=tuple(bool(r >= 0)
                                                    for r in chain.rho))
 

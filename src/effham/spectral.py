@@ -23,7 +23,6 @@ __all__ = [
     "full_space_residual",
 ]
 
-MAX_DENSE_N = 64
 IMAG_COLLAPSE = 1e-10
 
 
@@ -38,14 +37,12 @@ class SelfConsistentResult:
 
 
 def eigenvalues_dense(m):
-    """All eigenvalues of a small dense matrix, sorted by real part then
+    """All eigenvalues of a dense matrix, sorted by real part then
     imaginary part; eigenvalues with negligible imaginary part are
     collapsed onto the real axis."""
     m = np.atleast_2d(np.asarray(m, dtype=float))
     if m.shape[0] != m.shape[1]:
         raise ValueError("matrix must be square")
-    if m.shape[0] > MAX_DENSE_N:
-        raise ValueError(f"dense path limited to N <= {MAX_DENSE_N}")
     return _sorted_eig(m, vectors=False)[0]
 
 

@@ -152,7 +152,6 @@ RECONSTRUCT_GOLDEN = (
     b'{\n  "chain": {\n    "a": [\n      -2.0,\n      2.0\n    ],\n'
     b'    "rho": [\n      -1.0\n    ]\n  },\n'
     b'  "residual_max": 0.0014285714285713347,\n'
-    b'  "condition_estimate": 21.320713247546085,\n'
     b'  "hermitizable": [\n    false\n  ]\n}\n')
 
 

@@ -3,20 +3,18 @@ import numpy as np
 import pytest
 
 from effham import inverse
-from effham.errors import (ChainBreakdown, InfeasibleSampling, MalformedPair,
-                           SampleDegeneracy)
+from effham.errors import ChainBreakdown, InfeasibleSampling, SampleDegeneracy
 from effham.forward import g_function
 from effham.instances import probe_window, random_chain, real_poles
-from effham.inverse import (CharPolyPair, K1Variables, choose_probe_energies,
-                            expand_to_chain, k1_closed_form, k1_invert,
-                            k1_variables_from_chain, linearize_samples,
-                            reconstruct, samples_from_chain)
+from effham.inverse import (K1Variables, choose_probe_energies, k1_closed_form,
+                            k1_invert, k1_variables_from_chain, reconstruct,
+                            samples_from_chain)
 from effham.model import GSample, TridiagonalChain
 
 PAPER_SAMPLES = [GSample(0.0, -1.5), GSample(1.0, -2.0), GSample(3.0, -6.0)]
 
 
-def _monomial_expand(samples, K):
+def _monomial_reconstruct(samples, K):
     """Reference for the extended-precision coefficient step: the full
     (2K+1)-unknown monomial system in t for (d0, d1), solved by
     ``mp.lu_solve``, then the same division cascade as ``reconstruct``."""
@@ -41,13 +39,6 @@ def _monomial_expand(samples, K):
         d0 = [u[j] for j in range(K + 1)] + [lead0]
         d1 = [u[K + 1 + j] for j in range(K)] + [lead1]
         return inverse._cascade_mp(d0, d1, center, h, K, inverse.DROP_TOL)
-
-
-def _monomial_reconstruct(samples, K):
-    try:
-        return _monomial_expand(samples, K)
-    except ZeroDivisionError:
-        return expand_to_chain(linearize_samples(samples, K))
 
 
 def _outcome(fn, samples, K):
@@ -100,36 +91,21 @@ class TestProbeSelection:
 
 
 class TestLinearize:
-    def test_paper_pair(self):
-        pair = linearize_samples(PAPER_SAMPLES, 1)
-        # G = (E^2 - 3)/(2 - E): d0 lead +1 = (-1)^2, d1 lead -1
-        np.testing.assert_allclose(pair.d0, [-3.0, 0.0, 1.0], atol=1e-12)
-        np.testing.assert_allclose(pair.d1, [2.0, -1.0], atol=1e-12)
-
-    def test_pair_interpolates(self):
-        pair = linearize_samples(PAPER_SAMPLES, 1)
-        for s in PAPER_SAMPLES:
-            assert pair.g_value(s.energy) == pytest.approx(s.g_value,
-                                                           rel=1e-12)
-
-    def test_k0(self):
-        pair = linearize_samples([GSample(1.0, 3.0)], 0)
-        np.testing.assert_allclose(pair.d0, [4.0, -1.0], atol=1e-14)
-        np.testing.assert_allclose(pair.d1, [1.0], atol=1e-15)
+    """The sample contract of the rational fit inside ``reconstruct``."""
 
     def test_wrong_count(self):
         with pytest.raises(ValueError):
-            linearize_samples(PAPER_SAMPLES, 2)
+            reconstruct(PAPER_SAMPLES, 2)
 
     def test_duplicate_energy(self):
         bad = [GSample(0.0, -1.5), GSample(0.0, -1.5), GSample(3.0, -6.0)]
         with pytest.raises(SampleDegeneracy):
-            linearize_samples(bad, 1)
+            reconstruct(bad, 1)
 
     def test_nonfinite(self):
         bad = [GSample(0.0, np.inf), GSample(1.0, -2.0), GSample(3.0, -6.0)]
         with pytest.raises(SampleDegeneracy):
-            linearize_samples(bad, 1)
+            reconstruct(bad, 1)
 
 
 class TestK1:
@@ -174,10 +150,18 @@ class TestK1:
             assert _max_rel_err(rep.chain, chain) < 1e-9
 
 
+def _cascade(d0, d1):
+    """The division cascade on float coefficients in E itself."""
+    with mp.workdps(60):
+        return inverse._cascade_mp([mp.mpf(x) for x in d0],
+                                   [mp.mpf(x) for x in d1], mp.mpf(0),
+                                   mp.mpf(1), len(d1) - 1, inverse.DROP_TOL)
+
+
 class TestExpansion:
     def test_paper_pair(self):
-        pair = CharPolyPair([-3.0, 0.0, 1.0], [2.0, -1.0])
-        chain = expand_to_chain(pair)
+        # G = (E^2 - 3)/(2 - E): d0 lead +1 = (-1)^2, d1 lead -1
+        chain = _cascade([-3.0, 0.0, 1.0], [2.0, -1.0])
         np.testing.assert_allclose(chain.a, [-2.0, 2.0], atol=1e-13)
         np.testing.assert_allclose(chain.rho, [-1.0], atol=1e-13)
 
@@ -194,18 +178,10 @@ class TestExpansion:
                 np.linalg.eigvals(dense))).real
             d1 = ((-1.0) ** K * np.polynomial.polynomial.polyfromroots(
                 np.linalg.eigvals(dense[1:, 1:]))).real
-            got = expand_to_chain(CharPolyPair(d0, d1))
+            got = _cascade(d0, d1)
             # eigenvalue rounding is amplified by the division cascade at
             # deep K (hence the extended-precision path inside reconstruct)
             assert _max_rel_err(got, chain) < 1e-5
-
-    def test_degree_mismatch(self):
-        with pytest.raises(MalformedPair):
-            expand_to_chain(CharPolyPair([1.0, 2.0], [1.0, -1.0]))
-
-    def test_zero_d1(self):
-        with pytest.raises(MalformedPair):
-            expand_to_chain(CharPolyPair([-3.0, 0.0, 1.0], [0.0, 0.0]))
 
     def test_breakdown_reports_prefix(self):
         # rho_1 = 0 decouples the last level: G is reducible and the cascade
@@ -250,21 +226,40 @@ class TestLoewnerStep:
         ([1.0, 2.0], [0.0], (-1.0, 0.5, 3.0)),
         ([1.0, 2.0, -1.0], [0.0, 1.0], (-2.0, -0.5, 0.25, 1.5, 4.0)),
     ])
-    def test_singular_system_falls_back_to_float64_pair(self, a, rho, probes):
-        # rho_0 = 0 makes G = a_0 - E exactly, so the extended-precision
-        # system is singular and the float64 minimum-norm pair classifies
+    def test_singular_system_deflates_to_exact_prefix(self, a, rho, probes):
+        # rho_0 = 0 makes G = a_0 - E exactly, so the type-(K, K) system is
+        # singular and the fit deflates to type (0, 0)
         chain = TridiagonalChain(a, rho)
         samples = samples_from_chain(chain, probes)
         K = len(rho)
         with pytest.raises(ZeroDivisionError):
-            inverse._expand_extended(samples, K)
-        with pytest.raises(ZeroDivisionError):
-            _monomial_expand(samples, K)
+            _monomial_reconstruct(samples, K)
         with pytest.raises(ChainBreakdown) as exc:
             reconstruct(samples, K)
         assert exc.value.level == 0
-        np.testing.assert_allclose(exc.value.recovered_prefix.a, [1.0],
-                                   rtol=1e-12)
+        assert exc.value.recovered_prefix.a.tolist() == [1.0]
+        assert exc.value.recovered_prefix.rho.tolist() == []
+
+    def test_deflation_to_inner_level(self):
+        # rho_1 = 0 with G + E = 1/E exactly: type (1, 1), not (2, 2)
+        chain = TridiagonalChain([0.0, 0.0, 5.0], [1.0, 0.0])
+        samples = samples_from_chain(chain, (-4.0, -2.0, -1.0, -0.5, 0.5))
+        with pytest.raises(ChainBreakdown) as exc:
+            reconstruct(samples, 2)
+        assert exc.value.level == 1
+        assert exc.value.recovered_prefix.a.tolist() == [0.0, 0.0]
+        assert exc.value.recovered_prefix.rho.tolist() == [1.0]
+
+    @pytest.mark.parametrize("g, energies", [
+        (lambda e: 1.0 - 2.0 * e, (0.0, 1.0, 3.0)),
+        (lambda e: 5.0, (-2.0, -0.5, 0.25, 1.5, 4.0)),
+    ], ids=["1-2E", "constant"])
+    def test_samples_no_chain_fits(self, g, energies):
+        # G + E is of lower type, but no chain has this G: the deflated fit
+        # misses samples
+        samples = [GSample(e, g(e)) for e in energies]
+        with pytest.raises(SampleDegeneracy):
+            reconstruct(samples, len(energies) // 2)
 
 
 class TestReconstruct:
@@ -280,7 +275,6 @@ class TestReconstruct:
                               TridiagonalChain([-2.0, 2.0], [-1.0]), -2.0))])
         assert rep.hermitizable == (False,)
         assert rep.residual_max < 1e-10
-        assert rep.condition_estimate >= 1.0
 
     @pytest.mark.parametrize("bad", [GSample(0.3, float("nan")),
                                      GSample(float("nan"), 1.0),

@@ -26,9 +26,16 @@ class TestEigenvaluesDense:
         with pytest.raises(ValueError):
             eigenvalues_dense(np.zeros((2, 3)))
 
-    def test_rejects_oversized(self):
-        with pytest.raises(ValueError):
-            eigenvalues_dense(np.eye(65))
+    def test_large_matrix_sorted(self):
+        # no size cap: N = 80 comes back complete and in sorted order
+        rng = np.random.default_rng(15)
+        m = rng.standard_normal((80, 80))
+        w = eigenvalues_dense(m)
+        ref = np.linalg.eigvals(m)
+        assert len(w) == 80
+        assert np.all(np.diff(w.real) >= 0)
+        np.testing.assert_allclose(np.sort_complex(w), np.sort_complex(ref),
+                                   rtol=1e-12, atol=1e-12)
 
 
 class TestSecularFunction:
