@@ -1,8 +1,9 @@
 """Inverse direction: reconstruct the tridiagonal tail from 2K+1 sampled
 values of G(E).
 
-Two steps, both at 40 + 10K significant digits (mpmath); only the
-recovered a_k, rho_k are rounded to float64:
+Two steps, both at 42 + 10K significant digits (stdlib ``decimal``, each
+call in its own explicitly built context); only the recovered a_k, rho_k
+are rounded to float64:
 
 1.  *Rational fit.*  G(E) = d0(E)/d1(E) with deg d0 = K+1, deg d1 = K and
     leading coefficients (-1)^deg (the determinant convention for trailing
@@ -27,8 +28,10 @@ The K = 1 case admits the closed-form change of variables
 """
 
 from dataclasses import dataclass
+from decimal import (MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal,
+                     DivisionByZero, InvalidOperation, Overflow, getcontext,
+                     localcontext)
 
-import mpmath as mp
 import numpy as np
 
 from .errors import (ChainBreakdown, InfeasibleSampling, MalformedPair,
@@ -155,12 +158,25 @@ def k1_closed_form(samples):
     return k1_invert(K1Variables(x1=x1, x2=x2, y1=y1))
 
 
-def _solve_mp(A, b):
-    """Solve A x = b (lists of mpf) by Gaussian elimination with partial
-    pivoting at the working precision.  Raises ZeroDivisionError when a
-    pivot is at most ||A||_1 eps, mpmath's own singularity rule."""
+def _working_context(K):
+    """The decimal context of the extended-precision steps at depth K:
+    42 + 10K significant digits, round half even, and every field set
+    here, so that neither the caller's context nor a changed
+    ``decimal.DefaultContext`` can alter a result.  Decimal contexts are
+    per thread, so concurrent reconstructions do not interact."""
+    return Context(prec=42 + 10 * K, rounding=ROUND_HALF_EVEN,
+                   Emin=MIN_EMIN, Emax=MAX_EMAX, clamp=0,
+                   traps=[InvalidOperation, DivisionByZero, Overflow])
+
+
+def _solve(A, b):
+    """Solve A x = b (lists of Decimal) by Gaussian elimination with
+    partial pivoting at the current context's precision.  Raises
+    ZeroDivisionError when a pivot is at most ||A||_1 eps, with eps the
+    spacing of the working precision at 1."""
     n = len(b)
-    tol = max(sum(abs(row[j]) for row in A) for j in range(n)) * mp.eps
+    eps = Decimal(1).scaleb(1 - getcontext().prec)
+    tol = max(sum(abs(row[j]) for row in A) for j in range(n)) * eps
     rows = [list(row) + [bi] for row, bi in zip(A, b)]
     for j in range(n):
         p = max(range(j, n), key=lambda i: abs(rows[i][j]))
@@ -172,10 +188,11 @@ def _solve_mp(A, b):
             f = row[j] / piv[j]
             for k in range(j + 1, n + 1):
                 row[k] -= f * piv[k]
-    x = [mp.mpf(0)] * n
+    x = [Decimal(0)] * n
     for i in range(n - 1, -1, -1):
         row = rows[i]
-        x[i] = (row[n] - mp.fsum(row[k] * x[k] for k in range(i + 1, n))) / row[i]
+        x[i] = (row[n] - sum((row[k] * x[k] for k in range(i + 1, n)),
+                             Decimal(0))) / row[i]
     return x
 
 
@@ -183,27 +200,27 @@ def _loewner_pair(E, G, K):
     """The pair (d0, d1) through the samples, as ascending coefficient
     lists in t = (E - center)/h, from the barycentric form of the
     type-(K, K) function u = G + E = n0/d1; returns (center, h, d0, d1).
-    Runs at the caller's mpmath precision."""
+    Runs at the current decimal context's precision."""
     center = (max(E) + min(E)) / 2
-    h = max((max(E) - min(E)) / 2, mp.mpf(1))
+    h = max((max(E) - min(E)) / 2, Decimal(1))
     order = sorted(range(2 * K + 1), key=lambda a: E[a])
     t = [(E[a] - center) / h for a in order]
     u = [G[a] + E[a] for a in order]
     sup, tst = range(0, 2 * K + 1, 2), range(1, 2 * K + 1, 2)
     A = [[(u[i] - u[j]) / (t[i] - t[j]) for j in sup] for i in tst]
-    A.append([mp.mpf(1)] * (K + 1))
-    w = _solve_mp(A, [mp.mpf(0)] * K + [mp.mpf(1)])
+    A.append([Decimal(1)] * (K + 1))
+    w = _solve(A, [Decimal(0)] * K + [Decimal(1)])
 
     # ell(t) = prod_j (t - t_j); d1 = c sum_j w_j ell/(t - t_j), n0 likewise
     # with w_j u_j, where c = lead(d1) makes sum_j w_j = 1 the normalization
-    ell = [mp.mpf(1)]
+    ell = [Decimal(1)]
     for j in sup:  # ell *= (t - t_j)
-        ell = [mp.mpf(0)] + ell
+        ell = [Decimal(0)] + ell
         for k in range(len(ell) - 1):
             ell[k] -= t[j] * ell[k + 1]
     c = (-1) ** K * h ** K
-    d1 = [mp.mpf(0)] * (K + 1)
-    n0 = [mp.mpf(0)] * (K + 1)
+    d1 = [Decimal(0)] * (K + 1)
+    n0 = [Decimal(0)] * (K + 1)
     for wj, j in zip(w, sup):
         cw = c * wj
         cwu = cw * u[j]
@@ -218,9 +235,9 @@ def _loewner_pair(E, G, K):
     return center, h, d0, d1
 
 
-def _polydiv_mp(num, den):
+def _polydiv(num, den):
     num = list(num)
-    q = [mp.mpf(0)] * (len(num) - len(den) + 1)
+    q = [Decimal(0)] * (len(num) - len(den) + 1)
     for i in range(len(num) - len(den), -1, -1):
         q[i] = num[i + len(den) - 1] / den[-1]
         for j in range(len(den)):
@@ -228,14 +245,23 @@ def _polydiv_mp(num, den):
     return q, num[:len(den) - 1]
 
 
-def _cascade_mp(d0, d1, center, h, K, drop_tol):
-    """Division cascade on an mpf pair in t = (E - center)/h at the
-    caller's precision; only the recovered a_k, rho_k are rounded."""
+def _polyval(coef, t):
+    """Horner evaluation of an ascending coefficient list."""
+    acc = Decimal(0)
+    for c in reversed(coef):
+        acc = acc * t + c
+    return acc
+
+
+def _cascade(d0, d1, center, h, K, drop_tol):
+    """Division cascade on a Decimal pair in t = (E - center)/h at the
+    current context's precision; only the recovered a_k, rho_k are
+    rounded.  ``drop_tol`` is a Decimal."""
     cur, nxt = d0, d1
     a_list, rho_list = [], []
     coef_scale = max(max(abs(x) for x in cur), max(abs(x) for x in nxt))
     for k in range(K + 1):
-        q, r = _polydiv_mp(cur, nxt)
+        q, r = _polydiv(cur, nxt)
         a_list.append(float(q[0] + center))
         if k == K:
             break
@@ -252,7 +278,8 @@ def _cascade_mp(d0, d1, center, h, K, drop_tol):
 
 
 def _expand_extended(samples, K):
-    """Loewner fit plus division cascade carried out in extended precision.
+    """Loewner fit plus division cascade carried out in extended precision
+    (stdlib ``decimal`` at 42 + 10K significant digits).
 
     The coefficient problem is ill-conditioned (condition numbers beyond
     1e10 are routine at K around 8) even though the samples-to-chain map
@@ -265,11 +292,12 @@ def _expand_extended(samples, K):
     the chain it expands to is raised as the prefix of a
     :class:`ChainBreakdown` at level k; otherwise no chain interpolates the
     samples (:class:`SampleDegeneracy`).  Inputs and outputs are ordinary
-    floats.
+    floats: Decimal(float) is exact and float(Decimal) correctly rounded.
     """
-    with mp.workdps(40 + 10 * K):
-        E = [mp.mpf(s.energy) for s in samples]
-        G = [mp.mpf(s.g_value) for s in samples]
+    with localcontext(_working_context(K)):
+        drop_tol = Decimal(DROP_TOL)
+        E = [Decimal(s.energy) for s in samples]
+        G = [Decimal(s.g_value) for s in samples]
         for k in range(K, -1, -1):  # k = 0 is a 1 x 1 system, never singular
             try:
                 center, h, d0, d1 = _loewner_pair(E[:2 * k + 1],
@@ -278,15 +306,15 @@ def _expand_extended(samples, K):
             except ZeroDivisionError:
                 pass
         if k == K:
-            return _cascade_mp(d0, d1, center, h, K, DROP_TOL)
+            return _cascade(d0, d1, center, h, K, drop_tol)
         for e, g in zip(E, G):
             t = (e - center) / h
-            p0, p1 = mp.polyval(d0[::-1], t), g * mp.polyval(d1[::-1], t)
-            if abs(p0 - p1) > DROP_TOL * (abs(p0) + abs(p1)):
+            p0, p1 = _polyval(d0, t), g * _polyval(d1, t)
+            if abs(p0 - p1) > drop_tol * (abs(p0) + abs(p1)):
                 raise SampleDegeneracy(
                     f"no chain fits the samples (type-({k}, {k}) fit "
                     f"misses G({float(e)}))")
-        raise ChainBreakdown(_cascade_mp(d0, d1, center, h, k, DROP_TOL),
+        raise ChainBreakdown(_cascade(d0, d1, center, h, k, drop_tol),
                              level=k)
 
 

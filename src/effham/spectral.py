@@ -83,7 +83,7 @@ def self_consistent_solve(h, eta0, n, fp_tol=1e-10, max_iter=200,
     eta = float(eta0)
     trace = [eta]
     for _ in range(max_iter):
-        w, _ = _sorted_eig(effective_hamiltonian(h, eta))
+        w, _ = _sorted_eig(effective_hamiltonian(h, eta), vectors=False)
         target = float(np.real(w[n - 1]))
         nxt = (1.0 - lambda_damp) * eta + lambda_damp * target
         trace.append(nxt)
@@ -97,7 +97,7 @@ def self_consistent_solve(h, eta0, n, fp_tol=1e-10, max_iter=200,
     # secant polish of r(eta) = E^(n)(eta) - eta: the damped iteration stops
     # on iterate differences, which lags the root when contraction is slow
     def _r(x):
-        w, _ = _sorted_eig(effective_hamiltonian(h, x))
+        w, _ = _sorted_eig(effective_hamiltonian(h, x), vectors=False)
         return float(np.real(w[n - 1])) - x
 
     x0, x1 = trace[-2], trace[-1]

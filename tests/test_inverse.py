@@ -1,7 +1,17 @@
+import os
+import subprocess
+import sys
+import textwrap
+from concurrent.futures import ThreadPoolExecutor
+from decimal import (ROUND_DOWN, Context, Decimal, DefaultContext, Inexact,
+                     getcontext, localcontext)
+from pathlib import Path
+
 import mpmath as mp
 import numpy as np
 import pytest
 
+import effham
 from effham import inverse
 from effham.errors import ChainBreakdown, InfeasibleSampling, SampleDegeneracy
 from effham.forward import g_function
@@ -14,10 +24,44 @@ from effham.model import GSample, TridiagonalChain
 PAPER_SAMPLES = [GSample(0.0, -1.5), GSample(1.0, -2.0), GSample(3.0, -6.0)]
 
 
+def _mp_polydiv(num, den):
+    num = list(num)
+    q = [mp.mpf(0)] * (len(num) - len(den) + 1)
+    for i in range(len(num) - len(den), -1, -1):
+        q[i] = num[i + len(den) - 1] / den[-1]
+        for j in range(len(den)):
+            num[i + j] -= q[i] * den[j]
+    return q, num[:len(den) - 1]
+
+
+def _mp_cascade(d0, d1, center, h, K, drop_tol):
+    """The division cascade of ``reconstruct``, on mpf at the caller's
+    mpmath precision."""
+    cur, nxt = d0, d1
+    a_list, rho_list = [], []
+    coef_scale = max(max(abs(x) for x in cur), max(abs(x) for x in nxt))
+    for k in range(K + 1):
+        q, r = _mp_polydiv(cur, nxt)
+        a_list.append(float(q[0] + center))
+        if k == K:
+            break
+        ed = len(nxt) - 2
+        coef_scale = max([coef_scale] + [abs(x) for x in r])
+        r_lead = r[ed]
+        if abs(r_lead) < drop_tol * coef_scale:
+            prefix = TridiagonalChain(np.array(a_list), np.array(rho_list))
+            raise ChainBreakdown(prefix, level=k)
+        rho_k = -r_lead / ((-1) ** ed * h ** ed)
+        rho_list.append(float(rho_k))
+        cur, nxt = nxt, [ri / (-rho_k) for ri in r]
+    return TridiagonalChain(np.array(a_list), np.array(rho_list))
+
+
 def _monomial_reconstruct(samples, K):
-    """Reference for the extended-precision coefficient step: the full
-    (2K+1)-unknown monomial system in t for (d0, d1), solved by
-    ``mp.lu_solve``, then the same division cascade as ``reconstruct``."""
+    """Reference for the extended-precision coefficient step, all in
+    mpmath at 40 + 10K digits: the full (2K+1)-unknown monomial system in
+    t for (d0, d1), solved by ``mp.lu_solve``, then the division cascade
+    of ``reconstruct``."""
     with mp.workdps(40 + 10 * K):
         E = [mp.mpf(s.energy) for s in samples]
         G = [mp.mpf(s.g_value) for s in samples]
@@ -38,7 +82,7 @@ def _monomial_reconstruct(samples, K):
         u = mp.lu_solve(A, rhs)
         d0 = [u[j] for j in range(K + 1)] + [lead0]
         d1 = [u[K + 1 + j] for j in range(K)] + [lead1]
-        return inverse._cascade_mp(d0, d1, center, h, K, inverse.DROP_TOL)
+        return _mp_cascade(d0, d1, center, h, K, inverse.DROP_TOL)
 
 
 def _outcome(fn, samples, K):
@@ -152,10 +196,11 @@ class TestK1:
 
 def _cascade(d0, d1):
     """The division cascade on float coefficients in E itself."""
-    with mp.workdps(60):
-        return inverse._cascade_mp([mp.mpf(x) for x in d0],
-                                   [mp.mpf(x) for x in d1], mp.mpf(0),
-                                   mp.mpf(1), len(d1) - 1, inverse.DROP_TOL)
+    with localcontext(Context(prec=60)):
+        return inverse._cascade([Decimal(x) for x in d0],
+                                [Decimal(x) for x in d1], Decimal(0),
+                                Decimal(1), len(d1) - 1,
+                                Decimal(inverse.DROP_TOL))
 
 
 class TestExpansion:
@@ -339,3 +384,95 @@ class TestReconstruct:
         np.testing.assert_allclose(rep5.chain.a, rep0.chain.a + 5.0,
                                    rtol=1e-7, atol=1e-7)
         np.testing.assert_allclose(rep5.chain.rho, rep0.chain.rho, rtol=1e-6)
+
+
+def _roundtrip_samples(K, seed, rho_sign="positive"):
+    """Probes as in ``effham roundtrip`` on a random chain."""
+    chain = random_chain(K, np.random.default_rng(seed), rho_sign)
+    probes = choose_probe_energies(2 * K + 1, probe_window(chain, pad=0.5),
+                                   real_poles(chain), 0.05)
+    return samples_from_chain(chain, probes)
+
+
+def _bits(chain):
+    return (tuple(chain.a.tolist()), tuple(chain.rho.tolist()))
+
+
+class TestExtendedPrecision:
+    """The decimal arithmetic of ``reconstruct`` runs in its own context and
+    needs nothing beyond the standard library and numpy."""
+
+    def test_no_mpmath_import(self):
+        code = textwrap.dedent("""
+            import sys
+            import numpy as np
+            import effham
+            from effham.instances import probe_window, random_chain, real_poles
+            chain = random_chain(5, np.random.default_rng(3), "mixed")
+            probes = effham.choose_probe_energies(
+                11, probe_window(chain, pad=0.5), real_poles(chain), 0.05)
+            effham.reconstruct(effham.samples_from_chain(chain, probes), 5)
+            assert "mpmath" not in sys.modules, "mpmath was imported"
+            """)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(Path(effham.__file__).parents[1]),
+                        env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr.decode()
+
+    @pytest.mark.parametrize("samples, K, error", [
+        (_roundtrip_samples(5, 501), 5, None),
+        (samples_from_chain(TridiagonalChain([0.0, 0.0, 5.0], [1.0, 0.0]),
+                            (-4.0, -2.0, -1.0, -0.5, 0.5)), 2, ChainBreakdown),
+        ([GSample(e, 1.0 - 2.0 * e) for e in (0.0, 1.0, 3.0)], 1,
+         SampleDegeneracy),
+    ], ids=["returns", "breakdown", "degeneracy"])
+    def test_caller_context_untouched(self, samples, K, error):
+        caller = Context(prec=7, rounding=ROUND_DOWN, traps=[Inexact])
+        caller.flags[Inexact] = True
+        with localcontext(caller) as ctx:
+            before = (ctx.prec, ctx.rounding, dict(ctx.traps), dict(ctx.flags))
+            if error is None:
+                reconstruct(samples, K)
+            else:
+                with pytest.raises(error):
+                    reconstruct(samples, K)
+            ctx = getcontext()
+            assert (ctx.prec, ctx.rounding, dict(ctx.traps),
+                    dict(ctx.flags)) == before
+
+    @pytest.mark.parametrize("K", [5, 12])
+    def test_hostile_caller_context(self, K):
+        samples = _roundtrip_samples(K, 100 * K + 7, "mixed")
+        ref = _bits(reconstruct(samples, K).chain)
+        with localcontext(Context(prec=5, rounding=ROUND_DOWN, Emax=2,
+                                  Emin=-2, traps=[Inexact])):
+            assert _bits(reconstruct(samples, K).chain) == ref
+        saved = (DefaultContext.prec, DefaultContext.rounding,
+                 DefaultContext.Emax, DefaultContext.Emin)
+        try:
+            DefaultContext.prec, DefaultContext.rounding = 5, ROUND_DOWN
+            DefaultContext.Emax, DefaultContext.Emin = 2, -2
+            assert _bits(reconstruct(samples, K).chain) == ref
+        finally:
+            (DefaultContext.prec, DefaultContext.rounding,
+             DefaultContext.Emax, DefaultContext.Emin) = saved
+
+    def test_threads_match_serial(self):
+        jobs = [(K, _roundtrip_samples(K, 100 * K + s, sign))
+                for K in (5, 12) for s in (1, 2)
+                for sign in ("positive", "mixed")] * 4
+        serial = [_bits(reconstruct(samples, K).chain) for K, samples in jobs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                futures = [pool.submit(reconstruct, samples, K)
+                           for K, samples in jobs]
+                threaded = [_bits(f.result(timeout=60).chain)
+                            for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial
