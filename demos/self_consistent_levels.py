@@ -2,9 +2,11 @@
 
 A doorway-form matrix with an M = 2 model space is projected down to a
 2x2 H_eff(E) whose corner element carries all the energy dependence.
-The physical levels are the self-consistent points E = E^(n)(E); the
-fixed-point trace is printed for one level and the results are checked
-against the dense spectrum of the assembled matrix.
+The physical levels are the self-consistent points E = E^(n)(E).  The
+solver scans the pole-free intervals of G for a sign change of
+E^(n)(eta) - eta and closes that bracket by regula falsi; the energies it
+evaluated are printed for one level, and the result is checked against
+the dense spectrum of the assembled matrix.
 
 Run:  python3 demos/self_consistent_levels.py
 """
@@ -31,10 +33,13 @@ def main():
         heff = effective_hamiltonian(h, E)
         print(f"  E = {E:+.1f}:  corner = {heff[-1, -1]:+.8g}")
 
-    print("\nself-consistent solve for the lowest level (trace):")
+    print("\nself-consistent solve for the lowest level "
+          "(energies evaluated):")
     res = self_consistent_solve(h, eta0=-3.0, n=1)
     for i, eta in enumerate(res.trace):
-        print(f"  iter {i:2d}: eta = {eta:+.12g}")
+        print(f"  eval {i:2d}: eta = {eta:+.12g}")
+    lo, hi = res.bracket
+    print(f"final bracket [{lo:+.17g}, {hi:+.17g}]")
     print(f"converged: E = {res.energy:+.12g} "
           f"(residual {res.residual:.2e})")
     print(f"full-space residual of the embedded eigenvector: "

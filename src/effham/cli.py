@@ -74,12 +74,14 @@ def cmd_gfun(args):
 def cmd_spectrum(args):
     h = hamiltonian_from_dict(_read_json(args.input))
     if args.self_consistent:
-        res = self_consistent_solve(h, args.eta0, args.level,
-                                    fp_tol=args.fp_tol)
+        res = self_consistent_solve(h, args.eta0, args.level)
         for i, eta in enumerate(res.trace):
-            print(f"iter {i:3d}  eta = {eta:+.15g}")
+            print(f"eval {i:3d}  eta = {eta:+.15g}")
+        lo, hi = res.bracket
+        print(f"bracket [{lo:+.17g}, {hi:+.17g}]")
         print(f"converged level {res.level_index}: E = {res.energy:+.15g} "
-              f"({res.iterations} iterations, residual {res.residual:.3e})")
+              f"({res.iterations} H_eff evaluations, "
+              f"residual {res.residual:.3e})")
     else:
         for w in eigenvalues_dense(assemble_dense(h)):
             if w.imag == 0:
@@ -169,12 +171,12 @@ def build_parser():
     sp.add_argument("--output")
     sp.set_defaults(func=cmd_gfun)
 
-    sp = sub.add_parser("spectrum", help="eigenvalues or fixed-point trace")
+    sp = sub.add_parser("spectrum",
+                        help="eigenvalues, or one self-consistent level")
     sp.add_argument("--input", required=True)
     sp.add_argument("--self-consistent", action="store_true")
     sp.add_argument("--level", type=int, default=1)
     sp.add_argument("--eta0", type=float, default=0.0)
-    sp.add_argument("--fp-tol", type=float, default=1e-10)
     sp.set_defaults(func=cmd_spectrum)
 
     sp = sub.add_parser("reconstruct", help="recover the chain from samples")

@@ -74,10 +74,13 @@ class InfeasibleSampling(DomainError):
 
 
 class NonConvergence(DomainError):
-    """Fixed-point iteration failed to converge; ``trace`` holds the
-    iterates produced before giving up."""
+    """The self-consistent solve found no level: no sign change of
+    E^(n)(eta) - eta to bracket one, an exhausted budget of H_eff
+    evaluations, or a level that fails the residual check.  The message
+    names the cause; ``trace`` holds the energies evaluated before giving
+    up."""
 
-    def __init__(self, trace, msg="fixed-point iteration did not converge"):
+    def __init__(self, trace, msg="self-consistent solve found no level"):
         self.trace = list(trace)
         super().__init__(msg)
 

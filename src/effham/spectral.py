@@ -2,16 +2,26 @@
 nonlinear model-space eigenproblem E = E^(n)(E).
 
 The effective problem H_eff(eta) |phi> = E |phi> only yields physical
-energies at the self-consistent point eta = E; a damped fixed-point
-iteration over eta recovers them level by level.
+energies at the self-consistent points eta = E, the real roots of
+
+    r_n(eta) = Re E^(n)(eta) - eta,
+
+where E^(n)(eta) is the n-th eigenvalue of H_eff(eta).  r_n is continuous
+between consecutive real poles of G.  For a symmetric model block and
+rho_k >= 0 it is also strictly decreasing there, so a sign change across
+a pole-free interval brackets exactly one level.
+:func:`self_consistent_solve` scans those intervals outward from a start
+energy and closes the first bracket by Anderson-Bjorck regula falsi.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, EigSolverFailure, NonConvergence
+from .errors import EigSolverFailure, NonConvergence, PoleProximity
 from .forward import effective_hamiltonian
+from .instances import real_poles
 from .model import assemble_dense
 
 __all__ = [
@@ -24,12 +34,22 @@ __all__ = [
 ]
 
 IMAG_COLLAPSE = 1e-10
+# a pole-adjacent interval end sits this far (relative) inside its pole
+POLE_OFFSET = 1e-10
+# interior probes of an interval whose ends give r the same sign, when r
+# may be non-monotone
+INTERIOR_SAMPLES = 8
 
 
 @dataclass(frozen=True)
 class SelfConsistentResult:
+    """A converged level.  ``bracket`` is the final (lo, hi) around
+    ``energy``; ``trace`` lists every energy at which H_eff was evaluated,
+    in order, starting with eta0, and ``iterations`` is its length."""
+
     level_index: int
     energy: float
+    bracket: tuple
     iterations: int
     trace: tuple
     eigvec_model: np.ndarray
@@ -69,50 +89,72 @@ def _sorted_eig(m, vectors=True):
     return w[order], None if v is None else v[:, order]
 
 
-def self_consistent_solve(h, eta0, n, fp_tol=1e-10, max_iter=200,
-                          lambda_damp=0.5, res_tol=1e-8):
-    """Damped fixed-point iteration eta <- (1-lambda) eta + lambda E^(n)(eta)
-    for the n-th (1-based, ascending) eigenvalue of H_eff(eta).
+def self_consistent_solve(h, eta0, n, max_iter=200, res_tol=1e-8):
+    """The n-th (1-based) self-consistent level: a root of
+    r_n(eta) = Re E^(n)(eta) - eta, where E^(n) is the n-th eigenvalue of
+    H_eff(eta) in the order of :func:`eigenvalues_dense`.
 
-    Returns a :class:`SelfConsistentResult` once successive iterates differ
-    by at most ``fp_tol``; raises :class:`NonConvergence` after ``max_iter``
-    steps (the trace of iterates is attached to the exception).
+    Which root (eta0, n) selects: the real poles of G cut the axis into
+    pole-free intervals.  Each end next to a pole sits ``POLE_OFFSET``
+    (relative) inside it, moved further in while the pivot test of G
+    still fires; the outermost ends lie at +-(1 + ||H||_inf), beyond every
+    level.  Starting at eta0, the intervals are visited in the direction
+    of sign r_n(eta0), which is where r_n pushes eta; the first one is
+    [eta0, next end].  The bracket is the first interval whose ends give
+    r_n opposite signs.  When r_n may be non-monotone (a non-symmetric
+    block or some rho_k < 0), an interval without that sign change is
+    also probed at ``INTERIOR_SAMPLES`` equally spaced points, in scan
+    order, and the first sign change met is the bracket.  A scan that
+    finds none is repeated in the opposite direction.  In the Hermitian
+    case (symmetric block, rho_k >= 0) r_n is strictly decreasing in each
+    interval, so the level is the only root of the first interval, in
+    scan order, that holds one.
+
+    Anderson-Bjorck regula falsi then shrinks the bracket until r_n = 0
+    or it is a few ulps wide, and the end with the smaller |r_n| is the
+    energy.  ``max_iter`` bounds the number of H_eff evaluations.
+
+    Raises :class:`NonConvergence` when no sign change is found in either
+    direction (e.g. the levels of a quasi-Hermitian block are complex),
+    when the evaluation budget runs out, or when the eigenvector of the
+    energy found leaves a residual above ``res_tol`` times the scale of
+    H_eff; the evaluated energies are attached as ``trace``.
+    :class:`PoleProximity` propagates when eta0 itself sits on a pole.
     """
     if not 1 <= n <= h.M:
         raise ValueError(f"level index n={n} outside 1..{h.M}")
+    trace = []
+
+    def r(x):
+        if len(trace) == max_iter:
+            raise NonConvergence(
+                trace, f"budget of {max_iter} H_eff evaluations exhausted")
+        trace.append(x)
+        try:
+            w = np.linalg.eigvals(effective_hamiltonian(h, x))
+        except np.linalg.LinAlgError as exc:
+            raise EigSolverFailure(str(exc)) from exc
+        # Re E^(n): real parts lead the order of eigenvalues_dense
+        return float(np.sort(w.real)[n - 1]) - x
+
     eta = float(eta0)
-    trace = [eta]
-    for _ in range(max_iter):
-        w, _ = _sorted_eig(effective_hamiltonian(h, eta), vectors=False)
-        target = float(np.real(w[n - 1]))
-        nxt = (1.0 - lambda_damp) * eta + lambda_damp * target
-        trace.append(nxt)
-        if abs(nxt - eta) <= fp_tol:
-            eta = nxt
-            break
-        eta = nxt
-    else:
-        raise NonConvergence(trace)
-
-    # secant polish of r(eta) = E^(n)(eta) - eta: the damped iteration stops
-    # on iterate differences, which lags the root when contraction is slow
-    def _r(x):
-        w, _ = _sorted_eig(effective_hamiltonian(h, x), vectors=False)
-        return float(np.real(w[n - 1])) - x
-
-    x0, x1 = trace[-2], trace[-1]
-    try:
-        r0, r1 = _r(x0), _r(x1)
-        for _ in range(8):
-            if r1 == r0 or abs(r1) < 1e-15 * (1 + abs(x1)):
-                break
-            x2 = x1 - r1 * (x1 - x0) / (r1 - r0)
-            x0, r0, x1 = x1, r1, x2
-            r1 = _r(x1)
-            trace.append(x1)
-        eta = x1
-    except DomainError:
-        pass  # polish failed near a pole; keep the fixed-point iterate
+    r0 = r(eta)
+    bracket = (eta, eta)
+    if r0 != 0.0:
+        poles = real_poles(h.chain)
+        bound = 1.0 + float(np.max(np.abs(assemble_dense(h)).sum(axis=1)))
+        monotone = (bool(np.all(h.chain.rho >= 0))
+                    and np.array_equal(h.p_block, h.p_block.T))
+        d = 1.0 if r0 > 0 else -1.0
+        ends = (_scan(r, eta, r0, d, poles, bound, monotone)
+                or _scan(r, eta, r0, -d, poles, bound, monotone))
+        if ends is None:
+            raise NonConvergence(
+                trace, f"no sign change of r_{n} found in either direction "
+                f"from eta0 = {eta:.17g}")
+        (lo, r_lo), (hi, r_hi) = sorted(_anderson_bjorck(r, *ends))
+        eta = lo if abs(r_lo) <= abs(r_hi) else hi
+        bracket = (lo, hi)
 
     heff = effective_hamiltonian(h, eta)
     w, v = _sorted_eig(heff)
@@ -121,12 +163,101 @@ def self_consistent_solve(h, eta0, n, fp_tol=1e-10, max_iter=200,
     scale = max(1.0, float(np.max(np.abs(heff))))
     if residual > res_tol * scale:
         raise NonConvergence(
-            trace, f"converged iterate has residual {residual:.3e}")
-    return SelfConsistentResult(level_index=n, energy=eta,
-                                iterations=len(trace) - 1,
-                                trace=tuple(trace),
+            trace, f"residual check failed: level at {eta:.17g} leaves "
+            f"residual {residual:.3e}")
+    return SelfConsistentResult(level_index=n, energy=eta, bracket=bracket,
+                                iterations=len(trace), trace=tuple(trace),
                                 eigvec_model=np.real(vec),
                                 residual=residual)
+
+
+def _scan(r, eta0, r0, d, poles, bound, monotone):
+    """Visit the pole-free intervals from eta0 in direction d (+-1); return
+    the first bracket as ((x, r(x)), (y, r(y))) with r(x) r(y) <= 0, or
+    None.  Each interval's far end is evaluated first: where r is
+    monotone, a far end with the sign of d settles that the interval holds
+    no root, and its near end is never evaluated."""
+    cuts = [eta0] + [float(p) for p in poles[::int(d)] if d * (p - eta0) > 0]
+    for i, x in enumerate(cuts):
+        if i + 1 < len(cuts):
+            far = _inside(r, cuts[i + 1], -d, x)
+        elif d * (d * bound - x) > 0:
+            far = (d * bound, r(d * bound))
+        else:
+            far = None
+        if far is None or (monotone and d * far[1] > 0):
+            continue
+        near = (eta0, r0) if i == 0 else _inside(r, x, d, far[0])
+        if near is None:
+            continue
+        if near[1] * far[1] <= 0:
+            return near, far
+        if monotone:
+            continue
+        prev = near
+        for j in range(1, INTERIOR_SAMPLES + 1):
+            t = near[0] + (far[0] - near[0]) * j / (INTERIOR_SAMPLES + 1)
+            try:
+                cur = (t, r(t))
+            except PoleProximity:
+                continue
+            if prev[1] * cur[1] <= 0:
+                return prev, cur
+            prev = cur
+    return None
+
+
+def _inside(r, pole, side, limit):
+    """(x, r(x)) at x = pole + side * POLE_OFFSET * max(1, |pole|), the
+    offset growing while x still trips the pivot test; None once x would
+    pass ``limit``."""
+    off = POLE_OFFSET * max(1.0, abs(pole))
+    while True:
+        x = pole + side * off
+        if side * (limit - x) <= 0:
+            return None
+        try:
+            return x, r(x)
+        except PoleProximity:
+            off *= 16.0
+
+
+def _anderson_bjorck(r, a, b):
+    """Shrink the bracket a = (x, r(x)), b = (y, r(y)) until r vanishes at
+    an end or the ends are a few ulps (of max(1, |x|)) apart; return both
+    ends with their true values of r.  Anderson & Bjorck, BIT 13 (1973)
+    253, with a bisection step whenever six steps have not halved the
+    bracket, which regula falsi fails to do next to a pole of r."""
+    (xa, ra), (xb, rb) = a, b
+    fa = ra  # the weighted value regula falsi works with at the fixed end
+    widths = [abs(xb - xa)] * 6
+    while ra != 0.0 and rb != 0.0:
+        # r carries rounding of order ulp(max(1, |H|)); below unit scale
+        # its sign near the root is noise, so the width goal stops at ulp(1)
+        tol = 2.0 * math.ulp(max(abs(xa), abs(xb), 1.0))
+        if widths[-1] <= 2.0 * tol:
+            break
+        if widths[-1] > 0.5 * widths[-6]:
+            xc = 0.5 * (xa + xb)
+        else:
+            # keep at least tol off both ends: once one end sits on the
+            # root to rounding, the secant step stalls there, and the
+            # forced step closes the bracket onto it
+            xc = xb - rb * (xb - xa) / (rb - fa)
+            xc = min(max(xc, min(xa, xb) + tol), max(xa, xb) - tol)
+        try:
+            rc = r(xc)
+        except PoleProximity:
+            xc = 0.5 * (xa + xb)
+            rc = r(xc)
+        if rc * rb < 0:
+            xa, ra, fa = xb, rb, rb
+        else:
+            m = 1.0 - rc / rb
+            fa *= m if m > 0 else 0.5
+        xb, rb = xc, rc
+        widths.append(abs(xb - xa))
+    return (xa, ra), (xb, rb)
 
 
 def embed_full_space(h, energy, phi):

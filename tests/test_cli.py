@@ -71,6 +71,17 @@ class TestSpectrum:
         energy = float(out.split("E = ")[1].split()[0])
         assert energy == pytest.approx(-np.sqrt(3), abs=1e-9)
 
+    def test_self_consistent_bracket(self, paper_file, capsys):
+        assert main(["spectrum", "--input", paper_file, "--self-consistent",
+                     "--eta0", "1.9"]) == 0
+        out = capsys.readouterr().out
+        lo, hi = (float(x) for x in
+                  out.split("bracket [")[1].split("]")[0].split(","))
+        assert lo <= np.sqrt(3) <= hi and hi - lo < 1e-14
+        assert main(["spectrum", "--input", paper_file, "--self-consistent",
+                     "--fp-tol", "1e-10"]) == 1
+        assert "unrecognized arguments: --fp-tol" in capsys.readouterr().err
+
 
 class TestReconstruct:
     def test_cli_roundtrip(self, paper_file, tmp_path, capsys):
