@@ -13,8 +13,7 @@ from .inverse import (K1Variables, ReconstructionReport,
                       k1_variables_from_chain, reconstruct,
                       samples_from_chain)
 from .model import (FactoredChain, GSample, PartitionedHamiltonian,
-                    TridiagonalChain, assemble_dense, refactorize,
-                    validate_chain)
+                    TridiagonalChain, assemble_dense, refactorize)
 from .spectral import (SelfConsistentResult, eigenvalues_dense,
                        secular_function, self_consistent_solve)
 from .toys import (M2ToyInput, TwoLevelInput, m2_g_closed_form, m2_paradox,

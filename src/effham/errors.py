@@ -50,8 +50,9 @@ class SampleDegeneracy(DomainError):
 
 
 class MalformedPair(DomainError):
-    """The expansion of the fitted G = d0/d1 produced an invalid chain
-    (non-finite entries)."""
+    """The expansion of the fitted G = d0/d1 is finite in extended
+    precision, but a chain entry is not finite after rounding to
+    float64."""
 
 
 class ChainBreakdown(DomainError):

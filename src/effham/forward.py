@@ -40,6 +40,7 @@ __all__ = [
 ]
 
 PIVOT_TOL = 1e-12  # relative to the local scale of each pivot
+ORACLE_COND_LIMIT = 1e12  # of E - QHQ in the dense oracle
 
 
 @dataclass(frozen=True)
@@ -101,8 +102,6 @@ def continued_fraction(tail, E):
     """
     tail = _as_factored_tail(tail)
     K = tail.K + 1  # number of tail levels a_1..a_K
-    if K < 1:
-        raise ValueError("tail must contain at least one level")
     a, b, c = tail.a, tail.b, tail.c
     f = np.zeros(K + 1)  # f[k-1] stores f_k; f[K] = f_{K+1} = 0
     for k in range(K, 0, -1):
@@ -215,22 +214,22 @@ def effective_hamiltonian(h, E):
     return out
 
 
-def g_function_dense_oracle(h, E, cond_limit=1e12):
+def g_function_dense_oracle(h, E):
     """Brute-force evaluation of G(E) through a dense solve against the
     assembled excluded-space block:
 
         G(E) = a_0 - E + rho_0 * [(E - QHQ)^{-1}]_{11}.
 
     Intended for testing; raises :class:`NearSingularBlock` when the
-    conditioning estimate of (E - QHQ) exceeds ``cond_limit``.
+    conditioning estimate of (E - QHQ) exceeds ``ORACLE_COND_LIMIT``.
     """
     chain = h.chain if isinstance(h, PartitionedHamiltonian) else h
     if chain.K == 0:
         return chain.a[0] - E
     block = E * np.eye(chain.K) - chain.tail().to_dense()
-    if np.linalg.cond(block) > cond_limit:
+    if np.linalg.cond(block) > ORACLE_COND_LIMIT:
         raise NearSingularBlock(
-            f"E - QHQ conditioning exceeds {cond_limit:g} at E = {E}")
+            f"E - QHQ conditioning exceeds {ORACLE_COND_LIMIT:g} at E = {E}")
     rhs = np.zeros(chain.K)
     rhs[0] = 1.0
     x = np.linalg.solve(block, rhs)

@@ -6,6 +6,8 @@ from .model import PartitionedHamiltonian, TridiagonalChain
 
 __all__ = ["random_chain", "random_hamiltonian", "probe_window", "real_poles"]
 
+IMAG_TOL = 1e-8  # relative imaginary part below which a pole counts as real
+
 
 def random_chain(K, rng, rho_sign="positive"):
     """Chain with a_k uniform in [-3, 3] and |rho_k| uniform in [0.2, 4];
@@ -40,9 +42,9 @@ def probe_window(chain, pad=2.0):
     return lo, hi
 
 
-def real_poles(chain, imag_tol=1e-8):
+def real_poles(chain):
     """Real eigenvalues of the excluded-space block (the poles of G)."""
     if chain.K == 0:
         return np.zeros(0)
     w = np.linalg.eigvals(chain.tail().to_dense())
-    return np.sort(w.real[np.abs(w.imag) <= imag_tol * (1 + np.abs(w))])
+    return np.sort(w.real[np.abs(w.imag) <= IMAG_TOL * (1 + np.abs(w))])

@@ -37,7 +37,7 @@ import numpy as np
 from .errors import (ChainBreakdown, InfeasibleSampling, MalformedPair,
                      SampleDegeneracy)
 from .forward import g_function
-from .model import GSample, TridiagonalChain, validate_chain
+from .model import GSample, TridiagonalChain
 
 __all__ = [
     "K1Variables",
@@ -117,13 +117,10 @@ def _select_probes(nodes, forbidden, count):
     free = nodes[~taken]
     need = count - len(chosen)
     if need > 0:
+        # need <= len(free), so the step is >= 1 and the picks are distinct
         picks = np.round(np.linspace(0, len(free) - 1, need)).astype(int)
-        chosen.extend(free[np.unique(picks)])
-        # rounding collisions: top up from whatever admissible nodes remain
-        if len(chosen) < count:
-            rest = sorted(set(free.tolist()) - set(chosen))
-            chosen.extend(rest[:count - len(chosen)])
-    return np.sort(np.array(chosen[:count]))
+        chosen.extend(free[picks])
+    return np.sort(np.array(chosen))
 
 
 def k1_variables_from_chain(chain):
@@ -256,9 +253,14 @@ def _polyval(coef, t):
 def _cascade(d0, d1, center, h, K, drop_tol):
     """Division cascade on a Decimal pair in t = (E - center)/h at the
     current context's precision; only the recovered a_k, rho_k are
-    rounded.  ``drop_tol`` is a Decimal."""
+    rounded.  ``drop_tol`` is a Decimal.
+
+    Raises :class:`MalformedPair` when an entry of the chain, or of the
+    prefix a :class:`ChainBreakdown` would carry, rounds to a non-finite
+    float64."""
     cur, nxt = d0, d1
     a_list, rho_list = [], []
+    breakdown = None
     coef_scale = max(max(abs(x) for x in cur), max(abs(x) for x in nxt))
     for k in range(K + 1):
         q, r = _polydiv(cur, nxt)
@@ -269,12 +271,17 @@ def _cascade(d0, d1, center, h, K, drop_tol):
         coef_scale = max([coef_scale] + [abs(x) for x in r])
         r_lead = r[ed]
         if abs(r_lead) < drop_tol * coef_scale:
-            prefix = TridiagonalChain(np.array(a_list), np.array(rho_list))
-            raise ChainBreakdown(prefix, level=k)
+            breakdown = k
+            break
         rho_k = -r_lead / ((-1) ** ed * h ** ed)
         rho_list.append(float(rho_k))
         cur, nxt = nxt, [ri / (-rho_k) for ri in r]
-    return TridiagonalChain(np.array(a_list), np.array(rho_list))
+    if not np.isfinite(a_list + rho_list).all():
+        raise MalformedPair("expansion produced a non-finite chain entry")
+    chain = TridiagonalChain(np.array(a_list), np.array(rho_list))
+    if breakdown is not None:
+        raise ChainBreakdown(chain, level=breakdown)
+    return chain
 
 
 def _expand_extended(samples, K):
@@ -336,8 +343,6 @@ def reconstruct(samples, K, holdout=()):
     if not (np.all(np.isfinite(E)) and np.all(np.isfinite(G))):
         raise SampleDegeneracy("non-finite sample values")
     chain = _expand_extended(samples, K)
-    if not validate_chain(chain):
-        raise MalformedPair("expansion produced an invalid chain")
     residual = 0.0
     if len(hold_E):
         residual = float(np.max(np.abs(hold_G - g_function(chain, hold_E))))

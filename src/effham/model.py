@@ -1,5 +1,6 @@
-"""Domain types: tridiagonal chains, partitioned doorway Hamiltonians,
-their validation, dense assembly and JSON (de)serialization.
+"""Domain types: tridiagonal chains and partitioned doorway Hamiltonians,
+which check their own invariants on construction, their dense assembly and
+JSON (de)serialization.
 
 Conventions
 -----------
@@ -27,9 +28,6 @@ __all__ = [
     "FactoredChain",
     "PartitionedHamiltonian",
     "GSample",
-    "ValidationResult",
-    "validate_chain",
-    "validate_hamiltonian",
     "assemble_dense",
     "refactorize",
     "chain_to_dict",
@@ -47,17 +45,38 @@ def _freeze(arr):
     return out
 
 
+def _check_finite(name, arr):
+    if not np.isfinite(arr).all():
+        raise ValueError(f"non-finite entries in {name}")
+
+
 @dataclass(frozen=True)
 class TridiagonalChain:
     """The reconstructable tail: diagonal ``a`` (K+1 entries) and
-    superdiagonal products ``rho`` (K entries); unit subdiagonal."""
+    superdiagonal products ``rho`` (K entries); unit subdiagonal.
+
+    Construction raises ``ValueError`` unless ``a`` and ``rho`` are 1-D,
+    ``a`` has at least one entry, ``len(rho) == len(a) - 1`` and every
+    entry is finite.
+    """
 
     a: np.ndarray
     rho: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     def __post_init__(self):
-        object.__setattr__(self, "a", _freeze(np.atleast_1d(self.a)))
-        object.__setattr__(self, "rho", _freeze(np.atleast_1d(self.rho)))
+        a = _freeze(np.atleast_1d(self.a))
+        rho = _freeze(np.atleast_1d(self.rho))
+        if a.ndim != 1 or rho.ndim != 1:
+            raise ValueError("a and rho must be 1-D")
+        if len(a) < 1:
+            raise ValueError("chain must have at least one diagonal entry")
+        if len(rho) != len(a) - 1:
+            raise ValueError(f"length mismatch: len(rho)={len(rho)} "
+                             f"!= len(a)-1={len(a) - 1}")
+        _check_finite("a", a)
+        _check_finite("rho", rho)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "rho", rho)
 
     @property
     def K(self):
@@ -96,6 +115,8 @@ class FactoredChain:
         object.__setattr__(self, "c", _freeze(np.atleast_1d(self.c)))
         if len(self.b) != len(self.a) - 1 or len(self.c) != len(self.a) - 1:
             raise ValueError("b and c must have one entry fewer than a")
+        for name in ("a", "b", "c"):
+            _check_finite(name, getattr(self, name))
 
     @property
     def K(self):
@@ -123,7 +144,10 @@ class PartitionedHamiltonian:
     to a tridiagonal tail of length K.
 
     The chain is the single source of truth for the shared corner entry
-    a_0 = H_MM; the constructor copies it into the block.
+    a_0 = H_MM; the constructor copies it into the block.  Construction
+    raises ``ValueError`` unless the block is a non-empty square matrix
+    whose entries, with that corner, are finite; the chain checks its own
+    invariants.
     """
 
     p_block: np.ndarray
@@ -131,9 +155,11 @@ class PartitionedHamiltonian:
 
     def __post_init__(self):
         block = np.array(np.atleast_2d(self.p_block), dtype=float)
-        if block.ndim != 2 or block.shape[0] != block.shape[1]:
-            raise ValueError("p_block must be a square matrix")
+        if (block.ndim != 2 or block.shape[0] != block.shape[1]
+                or not block.size):
+            raise ValueError("p_block must be a non-empty square matrix")
         block[-1, -1] = self.chain.a[0]
+        _check_finite("p_block", block)
         block.flags.writeable = False
         object.__setattr__(self, "p_block", block)
 
@@ -163,47 +189,9 @@ class GSample:
     g_value: float
 
 
-@dataclass(frozen=True)
-class ValidationResult:
-    ok: bool
-    violations: tuple = ()
-
-    def __bool__(self):
-        return self.ok
-
-
-def validate_chain(chain):
-    """Diagnostic check of the chain invariants; never raises."""
-    violations = []
-    if len(chain.rho) != len(chain.a) - 1:
-        violations.append(
-            f"length mismatch: len(rho)={len(chain.rho)} != len(a)-1={len(chain.a) - 1}")
-    if len(chain.a) < 1:
-        violations.append("chain must have at least one diagonal entry")
-    if not np.all(np.isfinite(chain.a)):
-        violations.append("non-finite diagonal entries")
-    if not np.all(np.isfinite(chain.rho)):
-        violations.append("non-finite superdiagonal entries")
-    return ValidationResult(not violations, tuple(violations))
-
-
-def validate_hamiltonian(h):
-    """Diagnostic check of the partitioned-Hamiltonian invariants."""
-    res = validate_chain(h.chain)
-    violations = list(res.violations)
-    if h.M < 1:
-        violations.append("M must be >= 1")
-    if not np.all(np.isfinite(h.p_block)):
-        violations.append("non-finite model-block entries")
-    return ValidationResult(not violations, tuple(violations))
-
-
 def assemble_dense(h):
     """The full N x N matrix: model block upper-left, rho_0 at (M, M+1),
     unit subdiagonal and (a_k, rho_k) along the tail, zeros elsewhere."""
-    res = validate_hamiltonian(h)
-    if not res:
-        raise ValueError("invalid Hamiltonian: " + "; ".join(res.violations))
     M, K, N = h.M, h.K, h.N
     out = np.zeros((N, N))
     out[:M, :M] = h.p_block

@@ -34,6 +34,8 @@ __all__ = [
 ]
 
 IMAG_COLLAPSE = 1e-10
+# largest accepted eigenvector residual of a level, relative to |H_eff|
+RES_TOL = 1e-8
 # a pole-adjacent interval end sits this far (relative) inside its pole
 POLE_OFFSET = 1e-10
 # interior probes of an interval whose ends give r the same sign, when r
@@ -89,7 +91,7 @@ def _sorted_eig(m, vectors=True):
     return w[order], None if v is None else v[:, order]
 
 
-def self_consistent_solve(h, eta0, n, max_iter=200, res_tol=1e-8):
+def self_consistent_solve(h, eta0, n, max_iter=200):
     """The n-th (1-based) self-consistent level: a root of
     r_n(eta) = Re E^(n)(eta) - eta, where E^(n) is the n-th eigenvalue of
     H_eff(eta) in the order of :func:`eigenvalues_dense`.
@@ -117,7 +119,7 @@ def self_consistent_solve(h, eta0, n, max_iter=200, res_tol=1e-8):
     Raises :class:`NonConvergence` when no sign change is found in either
     direction (e.g. the levels of a quasi-Hermitian block are complex),
     when the evaluation budget runs out, or when the eigenvector of the
-    energy found leaves a residual above ``res_tol`` times the scale of
+    energy found leaves a residual above ``RES_TOL`` times the scale of
     H_eff; the evaluated energies are attached as ``trace``.
     :class:`PoleProximity` propagates when eta0 itself sits on a pole.
     """
@@ -161,7 +163,7 @@ def self_consistent_solve(h, eta0, n, max_iter=200, res_tol=1e-8):
     vec = np.real_if_close(v[:, n - 1], tol=1e6)
     residual = float(np.linalg.norm((heff - eta * np.eye(h.M)) @ vec))
     scale = max(1.0, float(np.max(np.abs(heff))))
-    if residual > res_tol * scale:
+    if residual > RES_TOL * scale:
         raise NonConvergence(
             trace, f"residual check failed: level at {eta:.17g} leaves "
             f"residual {residual:.3e}")

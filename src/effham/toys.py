@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PoleProximity
+from .forward import PIVOT_TOL
 from .inverse import k1_closed_form
 from .model import GSample, PartitionedHamiltonian, assemble_dense
 
@@ -66,9 +67,10 @@ def two_level_reconstruct(inp):
     return TwoLevelResult(matrix=matrix, rho=rho, shift=shift)
 
 
-def m2_g_closed_form(inp, E, tol=1e-12):
-    """The unique optimal input function for the M = 2 toy: B*C/(A - E)."""
-    if abs(inp.A - E) < tol * (abs(inp.A) + abs(E) + 1.0):
+def m2_g_closed_form(inp, E):
+    """The unique optimal input function for the M = 2 toy: B*C/(A - E).
+    Raises :class:`PoleProximity` under the pivot rule of G."""
+    if abs(inp.A - E) < PIVOT_TOL * (abs(inp.A) + abs(E) + 1.0):
         raise PoleProximity(0, f"E = {E} at the pole A = {inp.A}")
     return inp.B * inp.C / (inp.A - E)
 

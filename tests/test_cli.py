@@ -83,6 +83,29 @@ class TestSpectrum:
         assert "unrecognized arguments: --fp-tol" in capsys.readouterr().err
 
 
+class TestMalformedHamiltonian:
+    """A chain with len(rho) != len(a) - 1 is rejected by every command
+    that reads a Hamiltonian, before any of them evaluates it."""
+
+    ARGS = {"project": ["--energy", "0"], "gfun": ["--energies", "0,1"],
+            "spectrum": []}
+
+    def test_length_mismatch_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"M": 1, "p_block": [[1.0]],
+                                    "chain": {"a": [1.0, 2.0, 3.0],
+                                              "rho": [0.5]}}))
+        errs = {}
+        for cmd, extra in self.ARGS.items():
+            assert main([cmd, "--input", str(path)] + extra) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            errs[cmd] = captured.err
+        assert errs["spectrum"].startswith(
+            "effham: ValueError: length mismatch")
+        assert errs["project"] == errs["gfun"] == errs["spectrum"]
+
+
 class TestReconstruct:
     def test_cli_roundtrip(self, paper_file, tmp_path, capsys):
         samples = tmp_path / "samples.json"

@@ -13,7 +13,8 @@ import pytest
 
 import effham
 from effham import inverse
-from effham.errors import ChainBreakdown, InfeasibleSampling, SampleDegeneracy
+from effham.errors import (ChainBreakdown, InfeasibleSampling, MalformedPair,
+                           SampleDegeneracy)
 from effham.forward import g_function
 from effham.instances import probe_window, random_chain, real_poles
 from effham.inverse import (K1Variables, choose_probe_energies, k1_closed_form,
@@ -328,6 +329,19 @@ class TestReconstruct:
         good = GSample(0.5, -1.5)
         with pytest.raises(SampleDegeneracy):
             reconstruct(PAPER_SAMPLES, 1, holdout=[good, bad])
+
+    def test_k0_overflow_is_malformed(self):
+        # a_0 = G + E = 3e308 is exact in extended precision, inf in float64
+        with pytest.raises(MalformedPair):
+            reconstruct([GSample(1.5e308, 1.5e308)], 0)
+
+    def test_overflowing_breakdown_prefix_is_malformed(self):
+        # G + E = 3e308 at every probe: the fit deflates to K = 0, whose
+        # only entry a_0 overflows, so there is no float64 prefix to report
+        E = [1.5e308 - 1e300, 1.5e308, 1.5e308 + 1e300]
+        G = [1.5e308 + 1e300, 1.5e308, 1.5e308 - 1e300]
+        with pytest.raises(MalformedPair):
+            reconstruct([GSample(e, g) for e, g in zip(E, G)], 1)
 
     def test_holdout_residual_is_largest_deviation(self):
         holdout = [GSample(-1.0, -0.6667), GSample(0.25, -1.68),

@@ -8,24 +8,50 @@ from effham.model import (FactoredChain, GSample, PartitionedHamiltonian,
                           TridiagonalChain, assemble_dense, chain_from_dict,
                           chain_to_dict, hamiltonian_from_dict,
                           hamiltonian_to_dict, refactorize, samples_from_dict,
-                          samples_to_dict, validate_chain)
+                          samples_to_dict)
 
 
 class TestValidation:
+    """The types reject malformed objects on construction."""
+
     def test_paper_chain_ok(self):
-        assert validate_chain(TridiagonalChain([-2.0, 2.0], [-1.0])).ok
+        chain = TridiagonalChain([-2.0, 2.0], [-1.0])
+        assert chain.K == 1
 
     def test_k0_chain_ok(self):
-        assert validate_chain(TridiagonalChain([0.0], [])).ok
+        chain = TridiagonalChain([0.0], [])
+        assert chain.K == 0
+        assert PartitionedHamiltonian.from_chain(chain).N == 1
 
     def test_length_mismatch(self):
-        res = validate_chain(TridiagonalChain([1.0, 2.0], [0.5, 0.5]))
-        assert not res.ok
-        assert any("length mismatch" in v for v in res.violations)
+        with pytest.raises(ValueError, match="length mismatch"):
+            TridiagonalChain([1.0, 2.0], [0.5, 0.5])
+        with pytest.raises(ValueError, match="length mismatch"):
+            TridiagonalChain([1.0, 2.0, 3.0], [0.5])
+
+    def test_empty_a(self):
+        with pytest.raises(ValueError, match="at least one"):
+            TridiagonalChain([], [])
+
+    def test_2d_a(self):
+        with pytest.raises(ValueError, match="1-D"):
+            TridiagonalChain([[1.0, 2.0]], [0.5])
 
     def test_nonfinite(self):
-        res = validate_chain(TridiagonalChain([np.nan, 2.0], [1.0]))
-        assert not res.ok
+        with pytest.raises(ValueError, match="non-finite entries in a"):
+            TridiagonalChain([np.nan, 2.0], [1.0])
+        with pytest.raises(ValueError, match="non-finite entries in rho"):
+            TridiagonalChain([1.0, 2.0], [np.nan])
+
+    def test_nan_model_block(self):
+        chain = TridiagonalChain([1.0, 2.0], [0.5])
+        with pytest.raises(ValueError, match="non-finite entries in p_block"):
+            PartitionedHamiltonian(np.array([[np.nan, 1.0], [1.0, 0.0]]),
+                                   chain)
+
+    def test_factored_chain_inf(self):
+        with pytest.raises(ValueError, match="non-finite entries in b"):
+            FactoredChain([1.0, 2.0], [np.inf], [1.0])
 
 
 class TestAssemble:

@@ -125,7 +125,7 @@ class TestSelfConsistent:
 
     def test_residual_check_failure(self):
         # a level 2e-10 below the pole at 1, where r' ~ 5e9: one float step
-        # moves r by far more than res_tol, so no float passes the check
+        # moves r by far more than RES_TOL, so no float passes the check
         h = PartitionedHamiltonian.from_chain(
             TridiagonalChain([2.0, 1.0], [2e-10]))
         with pytest.raises(NonConvergence, match="residual check failed"):
