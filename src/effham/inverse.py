@@ -1,9 +1,11 @@
 """Inverse direction: reconstruct the tridiagonal tail from 2K+1 sampled
 values of G(E).
 
-Two steps, both at 42 + 10K significant digits (stdlib ``decimal``, each
+Two steps, both at 40 + 2K significant digits (stdlib ``decimal``, each
 call in its own explicitly built context); only the recovered a_k, rho_k
-are rounded to float64:
+are rounded to float64.  The precision is the measured smallest one
+that reproduces the outcome, which grows by about one digit per level
+(at most 38 digits up to K = 20), plus 20 guard digits.
 
 1.  *Rational fit.*  G(E) = d0(E)/d1(E) with deg d0 = K+1, deg d1 = K and
     leading coefficients (-1)^deg (the determinant convention for trailing
@@ -13,10 +15,12 @@ are rounded to float64:
     fix it.  A Loewner (barycentric) realization finds it: the sorted
     probes alternate between K+1 supports t_j and K test points t_i, the
     weights solve the (K+1) x (K+1) system [L; 1^T] w = e_{K+1} with
-    Loewner matrix L_ij = (u_i - u_j)/(t_i - t_j), and d1, n0 are read off
-    the barycentric form.  A singular system means u is of lower type
-    (k, k) because rho_k = 0: the fit deflates to that type and the chain
-    it expands to is reported as the prefix of a :class:`ChainBreakdown`.
+    Loewner matrix L_ij = (u_i - u_j)/(t_i - t_j) (the last row and its
+    right-hand side scaled by a power of ten near max |L_ij|), and d1, n0
+    are read off the barycentric form.  A singular system means u is of
+    lower type (k, k) because rho_k = 0: the fit deflates to that type and
+    the chain it expands to is reported as the prefix of a
+    :class:`ChainBreakdown`.
 
 2.  *Expansion.*  The trailing determinants obey the three-term recursion
     d_k = (a_k - E) d_{k+1} - rho_k d_{k+2}, so repeated polynomial
@@ -27,6 +31,7 @@ The K = 1 case admits the closed-form change of variables
 (x1, x2, y1) = (-a0 - a1, a0 a1 - rho0, a1), inverted exactly.
 """
 
+import logging
 from dataclasses import dataclass
 from decimal import (MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal,
                      DivisionByZero, InvalidOperation, Overflow, getcontext,
@@ -52,6 +57,8 @@ __all__ = [
 
 COND_LIMIT = 1e10
 DROP_TOL = 1e-10
+
+log = logging.getLogger("effham")
 
 
 @dataclass(frozen=True)
@@ -139,29 +146,48 @@ def k1_invert(var):
 
 def k1_closed_form(samples):
     """Closed-form K = 1 reconstruction from exactly 3 samples: solve the
-    linear system for (x1, x2, y1), then invert the variable change."""
+    linear system for (x1, x2, y1), then invert the variable change.
+
+    The system is solved in units of a power of two sigma near
+    max(|E|, |G|), which rescales exactly, so neither E^2 nor the
+    condition test depends on the scale of the samples; the chain is
+    scaled back as a -> sigma a, rho -> sigma^2 rho.  Raises
+    :class:`MalformedPair` when an entry overflows float64 on the way
+    back."""
     if len(samples) != 3:
         raise ValueError("K = 1 closed form needs exactly 3 samples")
     E = np.array([s.energy for s in samples], dtype=float)
     G = np.array([s.g_value for s in samples], dtype=float)
     if len(np.unique(E)) != 3:
         raise SampleDegeneracy("duplicate probe energies")
+    _, e = np.frexp(max(np.max(np.abs(E)), np.max(np.abs(G))))  # sigma = 2^e
+    E, G = np.ldexp(E, -e), np.ldexp(G, -e)
     # rows: G_a y1 - E_a x1 - x2 = E_a^2 + G_a E_a
     A = np.column_stack([G, -E, -np.ones(3)])
     rhs = E ** 2 + G * E
     if np.linalg.cond(A) > COND_LIMIT:
         raise SampleDegeneracy("degenerate K = 1 sample system")
     y1, x1, x2 = np.linalg.solve(A, rhs)
-    return k1_invert(K1Variables(x1=x1, x2=x2, y1=y1))
+    unit = k1_invert(K1Variables(x1=x1, x2=x2, y1=y1))
+    with np.errstate(over="ignore"):
+        a, rho = np.ldexp(unit.a, e), np.ldexp(unit.rho, 2 * e)
+    if not np.isfinite(np.concatenate([a, rho])).all():
+        raise MalformedPair("K = 1 chain entry overflows float64")
+    return TridiagonalChain(a, rho)
 
 
 def _working_context(K):
     """The decimal context of the extended-precision steps at depth K:
-    42 + 10K significant digits, round half even, and every field set
+    40 + 2K significant digits, round half even, and every field set
     here, so that neither the caller's context nor a changed
     ``decimal.DefaultContext`` can alter a result.  Decimal contexts are
-    per thread, so concurrent reconstructions do not interact."""
-    return Context(prec=42 + 10 * K, rounding=ROUND_HALF_EVEN,
+    per thread, so concurrent reconstructions do not interact.
+
+    The precision is the smallest one measured to reproduce, bit for bit,
+    the outcome at a far higher precision (42 + 10K digits): about
+    17 + K digits, at most 38 up to K = 20 on roundtrip probes with either
+    sign of rho.  20 guard digits are added on top."""
+    return Context(prec=40 + 2 * K, rounding=ROUND_HALF_EVEN,
                    Emin=MIN_EMIN, Emax=MAX_EMAX, clamp=0,
                    traps=[InvalidOperation, DivisionByZero, Overflow])
 
@@ -205,8 +231,12 @@ def _loewner_pair(E, G, K):
     u = [G[a] + E[a] for a in order]
     sup, tst = range(0, 2 * K + 1, 2), range(1, 2 * K + 1, 2)
     A = [[(u[i] - u[j]) / (t[i] - t[j]) for j in sup] for i in tst]
-    A.append([Decimal(1)] * (K + 1))
-    w = _solve(A, [Decimal(0)] * K + [Decimal(1)])
+    # sum_j w_j = 1, scaled by a power of ten (exact) to the size of L so
+    # that the pivot test does not mistake it for rounding noise
+    big = max((abs(x) for row in A for x in row), default=Decimal(1))
+    scale = Decimal(1).scaleb(big.adjusted())
+    A.append([scale] * (K + 1))
+    w = _solve(A, [Decimal(0)] * K + [scale])
 
     # ell(t) = prod_j (t - t_j); d1 = c sum_j w_j ell/(t - t_j), n0 likewise
     # with w_j u_j, where c = lead(d1) makes sum_j w_j = 1 the normalization
@@ -286,7 +316,8 @@ def _cascade(d0, d1, center, h, K, drop_tol):
 
 def _expand_extended(samples, K):
     """Loewner fit plus division cascade carried out in extended precision
-    (stdlib ``decimal`` at 42 + 10K significant digits).
+    (stdlib ``decimal`` at 40 + 2K significant digits, see
+    :func:`_working_context`).
 
     The coefficient problem is ill-conditioned (condition numbers beyond
     1e10 are routine at K around 8) even though the samples-to-chain map
@@ -301,7 +332,8 @@ def _expand_extended(samples, K):
     samples (:class:`SampleDegeneracy`).  Inputs and outputs are ordinary
     floats: Decimal(float) is exact and float(Decimal) correctly rounded.
     """
-    with localcontext(_working_context(K)):
+    ctx = _working_context(K)
+    with localcontext(ctx):
         drop_tol = Decimal(DROP_TOL)
         E = [Decimal(s.energy) for s in samples]
         G = [Decimal(s.g_value) for s in samples]
@@ -313,7 +345,10 @@ def _expand_extended(samples, K):
             except ZeroDivisionError:
                 pass
         if k == K:
+            log.debug("reconstruct: K=%d at %d digits", K, ctx.prec)
             return _cascade(d0, d1, center, h, K, drop_tol)
+        log.debug("reconstruct: K=%d at %d digits, fit deflated to level %d",
+                  K, ctx.prec, k)
         for e, g in zip(E, G):
             t = (e - center) / h
             p0, p1 = _polyval(d0, t), g * _polyval(d1, t)

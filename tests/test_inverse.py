@@ -1,3 +1,5 @@
+import contextlib
+import logging
 import os
 import subprocess
 import sys
@@ -13,8 +15,8 @@ import pytest
 
 import effham
 from effham import inverse
-from effham.errors import (ChainBreakdown, InfeasibleSampling, MalformedPair,
-                           SampleDegeneracy)
+from effham.errors import (ChainBreakdown, DomainError, InfeasibleSampling,
+                           MalformedPair, SampleDegeneracy)
 from effham.forward import g_function
 from effham.instances import probe_window, random_chain, real_poles
 from effham.inverse import (K1Variables, choose_probe_energies, k1_closed_form,
@@ -23,6 +25,18 @@ from effham.inverse import (K1Variables, choose_probe_energies, k1_closed_form,
 from effham.model import GSample, TridiagonalChain
 
 PAPER_SAMPLES = [GSample(0.0, -1.5), GSample(1.0, -2.0), GSample(3.0, -6.0)]
+
+
+def _scaled_paper_samples(s):
+    """The paper samples of the chain a = (-2, 2), rho = -1 at energy scale
+    s, i.e. of the chain a = (-2s, 2s), rho = -s^2."""
+    return [GSample(x.energy * s, x.g_value * s) for x in PAPER_SAMPLES]
+
+
+def _assert_scaled_paper_chain(chain, s):
+    np.testing.assert_allclose(chain.a, [-2.0 * s, 2.0 * s], rtol=1e-12,
+                               atol=0)
+    np.testing.assert_allclose(chain.rho, [-s * s], rtol=1e-12, atol=0)
 
 
 def _mp_polydiv(num, den):
@@ -171,6 +185,18 @@ class TestK1:
         chain = k1_closed_form(PAPER_SAMPLES)
         np.testing.assert_allclose(chain.a, [-2.0, 2.0], atol=1e-12)
         np.testing.assert_allclose(chain.rho, [-1.0], atol=1e-12)
+
+    @pytest.mark.parametrize("s", [1e-100, 1e-20, 1e10, 1e154])
+    def test_closed_form_scale(self, s):
+        # the system is solved in units of a power of two near the sample
+        # scale, so neither E^2 nor the condition test sees s
+        _assert_scaled_paper_chain(k1_closed_form(_scaled_paper_samples(s)),
+                                   s)
+
+    def test_closed_form_overflow_is_malformed(self):
+        # rho_0 = -1e310 is finite before scaling back, inf in float64
+        with pytest.raises(MalformedPair):
+            k1_closed_form(_scaled_paper_samples(1e155))
 
     def test_closed_form_needs_three(self):
         with pytest.raises(ValueError):
@@ -330,6 +356,14 @@ class TestReconstruct:
         with pytest.raises(SampleDegeneracy):
             reconstruct(PAPER_SAMPLES, 1, holdout=[good, bad])
 
+    @pytest.mark.parametrize("s", [1e10, 1e50, 1e100, 1e150])
+    def test_paper_chain_at_scale(self, s):
+        # the normalization row of the Loewner system is scaled to the size
+        # of the Loewner entries, so the pivot test does not mistake it for
+        # rounding noise when G is large
+        _assert_scaled_paper_chain(
+            reconstruct(_scaled_paper_samples(s), 1).chain, s)
+
     def test_k0_overflow_is_malformed(self):
         # a_0 = G + E = 3e308 is exact in extended precision, inf in float64
         with pytest.raises(MalformedPair):
@@ -412,6 +446,25 @@ def _bits(chain):
     return (tuple(chain.a.tolist()), tuple(chain.rho.tolist()))
 
 
+def _outcome_bytes(samples, K):
+    """``reconstruct``'s outcome: the chain's bytes, or the error type with
+    its level and the bytes of its recovered prefix."""
+    try:
+        chain = reconstruct(samples, K).chain
+    except DomainError as exc:
+        prefix = getattr(exc, "recovered_prefix", None)
+        return (type(exc).__name__, getattr(exc, "level", None),
+                None if prefix is None else
+                (prefix.a.tobytes(), prefix.rho.tobytes()))
+    return (chain.a.tobytes(), chain.rho.tobytes())
+
+
+# rho_1 = 0 with G + E = 1/E exactly: the K = 2 fit deflates to level 1
+DEFLATING_SAMPLES = samples_from_chain(
+    TridiagonalChain([0.0, 0.0, 5.0], [1.0, 0.0]),
+    (-4.0, -2.0, -1.0, -0.5, 0.5))
+
+
 class TestExtendedPrecision:
     """The decimal arithmetic of ``reconstruct`` runs in its own context and
     needs nothing beyond the standard library and numpy."""
@@ -490,3 +543,37 @@ class TestExtendedPrecision:
         finally:
             sys.setswitchinterval(interval)
         assert threaded == serial
+
+    @pytest.mark.parametrize("rho_sign", ["positive", "mixed"])
+    def test_guard_digits(self, monkeypatch, rho_sign):
+        # The smallest precision that reproduces the outcome grows by about
+        # one digit per level (at most 21 digits at K = 1 and 38 up to
+        # K = 20 on roundtrip probes), so the rule keeps >= 20 guard
+        # digits: 20 fewer, and the former 42 + 10K, change nothing.
+        cases = [(K, _roundtrip_samples(K, 1000 * K + s, rho_sign))
+                 for K in (1, 2, 3, 5, 8, 10, 12, 13, 14, 15, 16)
+                 for s in (0, 1)]
+        cases.append((2, DEFLATING_SAMPLES))
+        ref = [_outcome_bytes(samples, K) for K, samples in cases]
+        assert ref[-1][:2] == ("ChainBreakdown", 1)
+        rule = inverse._working_context
+        for prec in (lambda K: rule(K).prec - 20, lambda K: 42 + 10 * K):
+            def at(K, prec=prec):
+                ctx = rule(K)
+                ctx.prec = prec(K)
+                return ctx
+            monkeypatch.setattr(inverse, "_working_context", at)
+            assert [_outcome_bytes(samples, K)
+                    for K, samples in cases] == ref
+
+    @pytest.mark.parametrize("samples, K, line", [
+        (_roundtrip_samples(5, 501), 5, "reconstruct: K=5 at 50 digits"),
+        (DEFLATING_SAMPLES, 2,
+         "reconstruct: K=2 at 44 digits, fit deflated to level 1"),
+    ], ids=["returns", "deflated"])
+    def test_debug_line(self, caplog, samples, K, line):
+        with caplog.at_level(logging.DEBUG, logger="effham"), \
+                contextlib.suppress(ChainBreakdown):
+            reconstruct(samples, K)
+        assert [r.getMessage() for r in caplog.records
+                if r.name == "effham"] == [line]
