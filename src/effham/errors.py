@@ -18,8 +18,8 @@ class PoleProximity(DomainError):
     """The continued-fraction pivot vanished: E sits at (or numerically on
     top of) an eigenvalue of a trailing block of the excluded-space matrix.
 
-    ``level`` is the recursion index k at which the pivot broke down
-    (0 means the pole of G itself).
+    ``level`` is the recursion index k at which the pivot broke down: E is
+    an eigenvalue of the block from level k on (1 means a pole of G).
     """
 
     def __init__(self, level, detail=""):

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import NearSingularBlock, PoleProximity
 from .model import (FactoredChain, PartitionedHamiltonian, TridiagonalChain,
-                    refactorize)
+                    _freeze, refactorize)
 
 __all__ = [
     "ContinuedFractionState",
@@ -53,10 +53,6 @@ class ContinuedFractionState:
     alpha: np.ndarray
     beta: np.ndarray
 
-    @property
-    def K(self):
-        return len(self.f) - 1
-
 
 @dataclass(frozen=True)
 class UFLFactors:
@@ -67,21 +63,11 @@ class UFLFactors:
     f_diag: np.ndarray   # 1/f_k,      k = 1..K
     l_sub: np.ndarray    # f_k c_k,    k = 2..K
 
-    @property
-    def K(self):
-        return len(self.f_diag)
-
-    def u_matrix(self):
-        return np.eye(self.K) + np.diag(self.u_super, 1)
-
-    def f_matrix(self):
-        return np.diag(self.f_diag)
-
-    def l_matrix(self):
-        return np.eye(self.K) + np.diag(self.l_sub, -1)
-
     def product(self):
-        return self.u_matrix() @ self.f_matrix() @ self.l_matrix()
+        K = len(self.f_diag)
+        upper = np.eye(K) + np.diag(self.u_super, 1)
+        lower = np.eye(K) + np.diag(self.l_sub, -1)
+        return upper @ np.diag(self.f_diag) @ lower
 
 
 def _as_factored_tail(tail):
@@ -114,13 +100,7 @@ def continued_fraction(tail, E):
     alpha = np.zeros(K)
     alpha[:K - 1] = -b * f[1:K]
     beta = -c * f[1:K]
-    return ContinuedFractionState(_ro(f), _ro(alpha), _ro(beta))
-
-
-def _ro(arr):
-    arr = np.asarray(arr, dtype=float)
-    arr.flags.writeable = False
-    return arr
+    return ContinuedFractionState(_freeze(f), _freeze(alpha), _freeze(beta))
 
 
 def ufl_factorize(tail, E):
@@ -133,7 +113,7 @@ def ufl_factorize(tail, E):
     u_super = tail.b * f[1:K]
     f_diag = 1.0 / f[:K]
     l_sub = f[1:K] * tail.c
-    return UFLFactors(_ro(u_super), _ro(f_diag), _ro(l_sub))
+    return UFLFactors(_freeze(u_super), _freeze(f_diag), _freeze(l_sub))
 
 
 def resolvent_factored(tail, E):
@@ -165,16 +145,17 @@ def g_function(chain, E):
 
     Raises :class:`PoleProximity` under the pivot rule of
     :func:`continued_fraction`.  For an array, the error is the one a loop
-    of scalar calls over the energies in order would raise first: that of
-    the first offending energy, at the level its own call reports.  A
-    non-finite energy is not a pole; it propagates NaN or infinity.
+    of scalar calls over the energies in order would raise first: once a
+    pivot vanishes, the energies are replayed in order through the scalar
+    form.  A non-finite energy is not a pole; it propagates NaN or
+    infinity.
     """
-    a, rho = chain.a.tolist(), chain.rho.tolist()
     if type(E) is not float:
         E = np.asarray(E, dtype=float)
         if E.ndim:
-            return _g_array(a, rho, E)
+            return _g_array(chain, E)
         E = float(E)
+    a, rho = chain.a.tolist(), chain.rho.tolist()
     f = 0.0  # f_{k+1}; f_{K+1} = 0
     for k in range(len(a) - 1, 0, -1):
         coupling = rho[k] * f if k < len(rho) else 0.0
@@ -186,23 +167,21 @@ def g_function(chain, E):
     return a[0] - E - rho[0] * f if rho else a[0] - E
 
 
-def _g_array(a, rho, E):
-    """:func:`g_function` over an array of energies."""
+def _g_array(chain, E):
+    """:func:`g_function` over an array of energies.  Once a pivot vanishes,
+    the scalar form, which does the same operations, replays the energies
+    in order and raises the error of the first offending one."""
+    a, rho = chain.a.tolist(), chain.rho.tolist()
     f = 0.0
-    level = np.zeros(E.shape, dtype=int)  # first pole level; 0 = none
     absE = np.abs(E)
     for k in range(len(a) - 1, 0, -1):
         coupling = rho[k] * f if k < len(rho) else 0.0
         pivot = a[k] - E - coupling
         scale = abs(a[k]) + absE + np.abs(coupling) + 1.0
-        bad = np.abs(pivot) < PIVOT_TOL * scale
-        if bad.any():
-            level[bad & (level == 0)] = k
-            pivot[bad] = np.inf  # f = 0 keeps the other levels warning-free
+        if (np.abs(pivot) < PIVOT_TOL * scale).any():
+            for e in E.ravel().tolist():
+                g_function(chain, e)
         f = 1.0 / pivot
-    hit = np.flatnonzero(level)
-    if len(hit):
-        raise PoleProximity(int(level.flat[hit[0]]))
     return a[0] - E - rho[0] * f if rho else a[0] - E
 
 

@@ -11,13 +11,11 @@ IMAG_TOL = 1e-8  # relative imaginary part below which a pole counts as real
 
 def random_chain(K, rng, rho_sign="positive"):
     """Chain with a_k uniform in [-3, 3] and |rho_k| uniform in [0.2, 4];
-    ``rho_sign`` is 'positive', 'negative' or 'mixed'."""
+    ``rho_sign`` is 'positive' or 'mixed'."""
     a = rng.uniform(-3.0, 3.0, K + 1)
     mag = rng.uniform(0.2, 4.0, K)
     if rho_sign == "positive":
         sign = np.ones(K)
-    elif rho_sign == "negative":
-        sign = -np.ones(K)
     elif rho_sign == "mixed":
         sign = rng.choice([-1.0, 1.0], K)
     else:

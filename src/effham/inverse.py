@@ -140,8 +140,21 @@ def k1_invert(var):
     """Exact inversion of the K = 1 change of variables."""
     a1 = var.y1
     a0 = -var.x1 - var.y1
-    rho0 = -var.x1 * var.y1 - var.x2 - var.y1 ** 2
+    rho0 = -var.x1 * var.y1 - var.x2 - var.y1 * var.y1
     return TridiagonalChain(np.array([a0, a1]), np.array([rho0]))
+
+
+def _sample_arrays(samples):
+    """Energies and values of the samples as float arrays (E, G).  Raises
+    :class:`SampleDegeneracy` for a duplicate energy, checked first since
+    the Loewner step divides by zero on one, or for a non-finite entry."""
+    E = np.array([s.energy for s in samples], dtype=float)
+    G = np.array([s.g_value for s in samples], dtype=float)
+    if len(np.unique(E)) != len(E):
+        raise SampleDegeneracy("duplicate probe energies")
+    if not (np.all(np.isfinite(E)) and np.all(np.isfinite(G))):
+        raise SampleDegeneracy("non-finite sample values")
+    return E, G
 
 
 def k1_closed_form(samples):
@@ -156,10 +169,7 @@ def k1_closed_form(samples):
     back."""
     if len(samples) != 3:
         raise ValueError("K = 1 closed form needs exactly 3 samples")
-    E = np.array([s.energy for s in samples], dtype=float)
-    G = np.array([s.g_value for s in samples], dtype=float)
-    if len(np.unique(E)) != 3:
-        raise SampleDegeneracy("duplicate probe energies")
+    E, G = _sample_arrays(samples)
     _, e = np.frexp(max(np.max(np.abs(E)), np.max(np.abs(G))))  # sigma = 2^e
     E, G = np.ldexp(E, -e), np.ldexp(G, -e)
     # rows: G_a y1 - E_a x1 - x2 = E_a^2 + G_a E_a
@@ -314,8 +324,9 @@ def _cascade(d0, d1, center, h, K, drop_tol):
     return chain
 
 
-def _expand_extended(samples, K):
-    """Loewner fit plus division cascade carried out in extended precision
+def _expand_extended(E, G, K):
+    """Loewner fit plus division cascade of the sample arrays ``E``, ``G``
+    (as checked by :func:`_sample_arrays`), carried out in extended precision
     (stdlib ``decimal`` at 40 + 2K significant digits, see
     :func:`_working_context`).
 
@@ -335,8 +346,8 @@ def _expand_extended(samples, K):
     ctx = _working_context(K)
     with localcontext(ctx):
         drop_tol = Decimal(DROP_TOL)
-        E = [Decimal(s.energy) for s in samples]
-        G = [Decimal(s.g_value) for s in samples]
+        E = [Decimal(e) for e in E.tolist()]
+        G = [Decimal(g) for g in G.tolist()]
         for k in range(K, -1, -1):  # k = 0 is a 1 x 1 system, never singular
             try:
                 center, h, d0, d1 = _loewner_pair(E[:2 * k + 1],
@@ -364,20 +375,13 @@ def reconstruct(samples, K, holdout=()):
     """End-to-end reconstruction: fit and expand in extended precision,
     then score against held-out samples via the continued-fraction G of
     the recovered chain."""
-    E = np.array([s.energy for s in samples], dtype=float)
-    G = np.array([s.g_value for s in samples], dtype=float)
     hold_E = np.array([s.energy for s in holdout], dtype=float)
     hold_G = np.array([s.g_value for s in holdout], dtype=float)
     if not (np.all(np.isfinite(hold_E)) and np.all(np.isfinite(hold_G))):
         raise SampleDegeneracy("non-finite holdout values")
     if len(samples) != 2 * K + 1:
         raise ValueError(f"need exactly {2 * K + 1} samples, got {len(samples)}")
-    # duplicates first: in the Loewner step they divide by zero
-    if len(np.unique(E)) != len(E):
-        raise SampleDegeneracy("duplicate probe energies")
-    if not (np.all(np.isfinite(E)) and np.all(np.isfinite(G))):
-        raise SampleDegeneracy("non-finite sample values")
-    chain = _expand_extended(samples, K)
+    chain = _expand_extended(*_sample_arrays(samples), K)
     residual = 0.0
     if len(hold_E):
         residual = float(np.max(np.abs(hold_G - g_function(chain, hold_E))))

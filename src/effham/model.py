@@ -45,9 +45,14 @@ def _freeze(arr):
     return out
 
 
-def _check_finite(name, arr):
-    if not np.isfinite(arr).all():
+def _vector(name, x):
+    """A read-only 1-D finite float copy of ``x``, else ``ValueError``."""
+    v = _freeze(np.atleast_1d(x))
+    if v.ndim != 1:
+        raise ValueError(f"{name} must be 1-D")
+    if not np.isfinite(v).all():
         raise ValueError(f"non-finite entries in {name}")
+    return v
 
 
 @dataclass(frozen=True)
@@ -64,19 +69,14 @@ class TridiagonalChain:
     rho: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     def __post_init__(self):
-        a = _freeze(np.atleast_1d(self.a))
-        rho = _freeze(np.atleast_1d(self.rho))
-        if a.ndim != 1 or rho.ndim != 1:
-            raise ValueError("a and rho must be 1-D")
+        for name in ("a", "rho"):
+            object.__setattr__(self, name, _vector(name, getattr(self, name)))
+        a, rho = self.a, self.rho
         if len(a) < 1:
             raise ValueError("chain must have at least one diagonal entry")
         if len(rho) != len(a) - 1:
             raise ValueError(f"length mismatch: len(rho)={len(rho)} "
                              f"!= len(a)-1={len(a) - 1}")
-        _check_finite("a", a)
-        _check_finite("rho", rho)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "rho", rho)
 
     @property
     def K(self):
@@ -110,24 +110,14 @@ class FactoredChain:
     c: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "a", _freeze(np.atleast_1d(self.a)))
-        object.__setattr__(self, "b", _freeze(np.atleast_1d(self.b)))
-        object.__setattr__(self, "c", _freeze(np.atleast_1d(self.c)))
+        for name in ("a", "b", "c"):
+            object.__setattr__(self, name, _vector(name, getattr(self, name)))
         if len(self.b) != len(self.a) - 1 or len(self.c) != len(self.a) - 1:
             raise ValueError("b and c must have one entry fewer than a")
-        for name in ("a", "b", "c"):
-            _check_finite(name, getattr(self, name))
 
     @property
     def K(self):
         return len(self.a) - 1
-
-    @property
-    def rho(self):
-        return self.b * self.c
-
-    def to_chain(self):
-        return TridiagonalChain(self.a, self.rho)
 
     def to_dense(self):
         n = self.K + 1
@@ -159,7 +149,8 @@ class PartitionedHamiltonian:
                 or not block.size):
             raise ValueError("p_block must be a non-empty square matrix")
         block[-1, -1] = self.chain.a[0]
-        _check_finite("p_block", block)
+        if not np.isfinite(block).all():
+            raise ValueError("non-finite entries in p_block")
         block.flags.writeable = False
         object.__setattr__(self, "p_block", block)
 

@@ -71,8 +71,15 @@ def m2_g_closed_form(inp, E):
     """The unique optimal input function for the M = 2 toy: B*C/(A - E).
     Raises :class:`PoleProximity` under the pivot rule of G."""
     if abs(inp.A - E) < PIVOT_TOL * (abs(inp.A) + abs(E) + 1.0):
-        raise PoleProximity(0, f"E = {E} at the pole A = {inp.A}")
+        raise PoleProximity(1, f"E = {E} at the pole A = {inp.A}")
     return inp.B * inp.C / (inp.A - E)
+
+
+def _m2_levels(inp, chain):
+    """Sorted real eigenvalue parts of the M = 2 doorway matrix."""
+    h = PartitionedHamiltonian(
+        np.array([[inp.A, inp.B], [inp.C, chain.a[0]]]), chain)
+    return np.sort(np.linalg.eigvals(assemble_dense(h)).real)
 
 
 def m2_paradox(inp, chain, wrong_probe=None, wrong_factor=1.25):
@@ -88,29 +95,18 @@ def m2_paradox(inp, chain, wrong_probe=None, wrong_factor=1.25):
 
     Returns a dict of intermediate values for display and assertions.
     """
-    h = PartitionedHamiltonian(
-        np.array([[inp.A, inp.B], [inp.C, chain.a[0]]]), chain)
-    dense = assemble_dense(h)
-    levels = np.sort(np.linalg.eigvals(dense).real)
+    levels = _m2_levels(inp, chain)
 
     lucky_samples = [GSample(E, m2_g_closed_form(inp, E)) for E in levels]
     lucky_chain = k1_closed_form(lucky_samples)
-    lucky_h = PartitionedHamiltonian(
-        np.array([[inp.A, inp.B], [inp.C, lucky_chain.a[0]]]), lucky_chain)
-    lucky_levels = np.sort(np.linalg.eigvals(assemble_dense(lucky_h)).real)
+    lucky_levels = _m2_levels(inp, lucky_chain)
 
     if wrong_probe is None:
         wrong_probe = 0.5 * (levels[0] + levels[1])
-    wrong_samples = [
-        GSample(levels[0], m2_g_closed_form(inp, levels[0])),
-        GSample(levels[1], m2_g_closed_form(inp, levels[1])),
-        GSample(wrong_probe,
-                wrong_factor * m2_g_closed_form(inp, wrong_probe)),
-    ]
+    wrong_samples = lucky_samples[:2] + [GSample(
+        wrong_probe, wrong_factor * m2_g_closed_form(inp, wrong_probe))]
     wrong_chain = k1_closed_form(wrong_samples)
-    wrong_h = PartitionedHamiltonian(
-        np.array([[inp.A, inp.B], [inp.C, wrong_chain.a[0]]]), wrong_chain)
-    wrong_levels = np.sort(np.linalg.eigvals(assemble_dense(wrong_h)).real)
+    wrong_levels = _m2_levels(inp, wrong_chain)
 
     return {
         "original_levels": levels,

@@ -207,6 +207,31 @@ class TestK1:
         with pytest.raises(SampleDegeneracy):
             k1_closed_form(bad)
 
+    def test_invert_square_correctly_rounded(self):
+        # y1 ** 2 goes through libm pow, which is 1 ulp off at this y1;
+        # the correctly rounded square ends in ...845
+        y1 = -float.fromhex("0x1.a478a91156e4fp-1")
+        chain = k1_invert(K1Variables(x1=0.0, x2=0.0, y1=y1))
+        assert chain.rho[0] == -float.fromhex("0x1.594e11cfea845p-1")
+
+    def test_closed_form_nan_value(self):
+        bad = [GSample(0.0, np.nan), PAPER_SAMPLES[1], PAPER_SAMPLES[2]]
+        with pytest.raises(SampleDegeneracy, match="non-finite"):
+            k1_closed_form(bad)
+
+    def test_closed_form_infinite_energy(self):
+        bad = [GSample(np.inf, -1.5), PAPER_SAMPLES[1], PAPER_SAMPLES[2]]
+        with pytest.raises(SampleDegeneracy,
+                           match="^non-finite sample values$"):
+            k1_closed_form(bad)
+
+    def test_closed_form_collinear_samples(self):
+        # G = E on all three probes: the G and E columns of the system
+        # are proportional
+        line = [GSample(e, e) for e in (0.0, 1.0, 2.0)]
+        with pytest.raises(SampleDegeneracy, match="degenerate K = 1"):
+            k1_closed_form(line)
+
     def test_general_path_matches_closed_form(self):
         rng = np.random.default_rng(9)
         for _ in range(20):

@@ -53,6 +53,10 @@ class TestValidation:
         with pytest.raises(ValueError, match="non-finite entries in b"):
             FactoredChain([1.0, 2.0], [np.inf], [1.0])
 
+    def test_factored_chain_2d_a(self):
+        with pytest.raises(ValueError, match="1-D"):
+            FactoredChain([[1.0, 2.0]], [], [])
+
 
 class TestAssemble:
     def test_paper_2x2(self, paper_hamiltonian):

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from effham.errors import NonConvergence
+from effham import spectral
+from effham.errors import NonConvergence, PoleProximity
 from effham.forward import effective_hamiltonian, g_function
 from effham.instances import random_hamiltonian, real_poles
 from effham.model import (PartitionedHamiltonian, TridiagonalChain,
@@ -198,6 +199,81 @@ class TestSelfConsistent:
     def test_full_space_residual(self, m2_hamiltonian):
         res = self_consistent_solve(m2_hamiltonian, eta0=-3.0, n=1)
         assert full_space_residual(m2_hamiltonian, res) < 1e-7
+
+
+def _assert_dense_level(h, res):
+    w = eigenvalues_dense(assemble_dense(h))
+    assert np.min(np.abs(w[w.imag == 0].real - res.energy)) <= 1e-12
+
+
+def _pole_once(monkeypatch, where):
+    """Make the first H_eff evaluation at an energy x with ``where(x)``
+    raise PoleProximity(2), as if x sat on a pole of a deeper level of the
+    chain; return the list that receives that x."""
+    heff = spectral.effective_hamiltonian
+    hits = []
+
+    def fake(h, x):
+        if not hits and where(x):
+            hits.append(x)
+            raise PoleProximity(2)
+        return heff(h, x)
+    monkeypatch.setattr(spectral, "effective_hamiltonian", fake)
+    return hits
+
+
+class TestScanEdges:
+    """Branches of the bracket scan that levels of random Hamiltonians do
+    not reach."""
+
+    @pytest.mark.parametrize("eta0", [-3.0, 3.0])
+    def test_double_pole(self, eta0):
+        # the tail [[1, -1], [1, -1]] is a Jordan block, so G has a double
+        # pole at 0 where the pivot vanishes quadratically: the offsets off
+        # the pole still trip the pivot test and grow by 16 until one does
+        # not.  eig lists the pole twice, and from below the empty interval
+        # between the copies is skipped.
+        h = PartitionedHamiltonian.from_chain(
+            TridiagonalChain([0.0, 1.0, -1.0], [1.0, -1.0]))
+        res = self_consistent_solve(h, eta0, n=1)
+        _assert_dense_level(h, res)
+        offsets = np.abs(res.trace[1:6])
+        np.testing.assert_allclose(offsets[1:] / offsets[:-1], 16.0,
+                                   rtol=1e-6)
+
+    def test_coincident_poles(self):
+        # rho_1 = 0 and a_1 = a_2: the pole at 2 is listed twice, and the
+        # empty interval between the copies yields no bracket end
+        h = PartitionedHamiltonian.from_chain(
+            TridiagonalChain([-2.0, 2.0, 2.0], [-1.0, 0.0]))
+        res = self_consistent_solve(h, eta0=3.0, n=1)
+        _assert_dense_level(h, res)
+        assert res.energy == pytest.approx(ROOT3, abs=1e-12)
+
+    def test_interior_sample_on_a_pole_is_skipped(self, monkeypatch,
+                                                  paper_hamiltonian):
+        # from eta0 = 3 the scan probes the interval below the pole at 2 at
+        # interior points (rho_0 < 0, so r may be non-monotone); the first
+        # of them below sqrt(3) is made to sit on a pole
+        hits = _pole_once(monkeypatch, lambda x: 0.0 < x < ROOT3)
+        res = self_consistent_solve(paper_hamiltonian, eta0=3.0, n=1)
+        assert len(hits) == 1
+        _assert_dense_level(paper_hamiltonian, res)
+        assert res.energy == pytest.approx(ROOT3, abs=1e-12)
+
+    def test_regula_falsi_step_on_a_pole_bisects(self, monkeypatch,
+                                                 paper_hamiltonian):
+        # from eta0 = -1 the bracket is [-4, -1]; its first step bisects
+        # to -2.5, and the secant step after it is made to sit on a pole
+        hits = _pole_once(monkeypatch,
+                          lambda x: -4.0 < x < -1.0 and x != -2.5)
+        res = self_consistent_solve(paper_hamiltonian, eta0=-1.0, n=1)
+        assert len(hits) == 1
+        _assert_dense_level(paper_hamiltonian, res)
+        assert res.energy == pytest.approx(-ROOT3, abs=1e-12)
+        i = res.trace.index(hits[0])
+        assert res.trace[i + 1] in {0.5 * (x + y) for x in res.trace[:i]
+                                    for y in res.trace[:i]}
 
 
 class TestEmbedding:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from effham.errors import PoleProximity
+from effham.forward import g_function
 from effham.model import TridiagonalChain
 from effham.toys import (M2ToyInput, TwoLevelInput, m2_g_closed_form,
                          m2_paradox, two_level_reconstruct)
@@ -58,6 +59,15 @@ class TestM2ClosedForm:
     def test_pole_guard(self):
         with pytest.raises(PoleProximity):
             m2_g_closed_form(M2ToyInput(A=1.0, B=2.0, C=3.0), 1.0)
+
+    def test_pole_of_g_is_level_1(self, paper_chain):
+        # the same convention as the continued fraction: level 1 is a pole
+        # of G itself (the paper chain's G has its pole at a_1 = 2)
+        with pytest.raises(PoleProximity) as closed:
+            m2_g_closed_form(M2ToyInput(A=1.0, B=2.0, C=3.0), 1.0)
+        with pytest.raises(PoleProximity) as chain:
+            g_function(paper_chain, 2.0)
+        assert closed.value.level == chain.value.level == 1
 
     def test_zero_coupling_rejected(self):
         with pytest.raises(ValueError):

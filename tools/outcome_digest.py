@@ -1,0 +1,89 @@
+"""Bitwise outcome digests of the benchmark's reconstruction and
+self-consistent ops, for checking that a change keeps every result.
+
+    python3 tools/outcome_digest.py [CHECKOUT]
+
+runs the effham under ``CHECKOUT/src`` (default: this checkout) on the
+inputs of ``perfbench/workloads.py`` in this checkout, and prints the two
+digests with the verdict counts behind them.  Two commits do the same work
+when both digests agree.
+
+Reconstruction digest: ``recon_op`` over seeds 1, 2, 5 and 7777 in that
+order, ``recon_deep`` before ``recon_holdout`` (2000 ops).  A returned op
+contributes ``["ok", a, rho, residual_max.hex(), hermitizable]``, a
+raised one ``[type name, str(exc), level or None]``.
+
+Self-consistent digest: every level of ``solve_op`` over
+``self_consistent`` seeds 1, then 7777.  A returned level contributes
+``[energy, [lo, hi], trace, residual, eigvec_model]`` as float hex, a
+raised one ``[type name, str(exc), trace as float hex]``.
+
+Each digest is the sha256 of the concatenated ``json.dumps`` of one such
+list per op or per level.
+"""
+
+import hashlib
+import json
+import sys
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+RECON_SEEDS = (1, 2, 5, 7777)
+SOLVE_SEEDS = (1, 7777)
+
+
+def _hex(xs):
+    return [float(x).hex() for x in xs]
+
+
+def _recon_entry(api, wl, inst):
+    try:
+        rep = wl.recon_op(api, *wl.to_program(api, inst))
+    except Exception as exc:  # every outcome, expected or not, is recorded
+        return [type(exc).__name__, str(exc), getattr(exc, "level", None)]
+    return ["ok", rep.chain.a.tolist(), rep.chain.rho.tolist(),
+            rep.residual_max.hex(), list(rep.hermitizable)]
+
+
+def _level_entry(level):
+    if isinstance(level, Exception):
+        return [type(level).__name__, str(level),
+                _hex(getattr(level, "trace", ()))]
+    lo, hi = level.bracket
+    return [level.energy.hex(), [lo.hex(), hi.hex()], _hex(level.trace),
+            level.residual.hex(), _hex(level.eigvec_model.tolist())]
+
+
+def main(argv):
+    checkout = Path(argv[1]).resolve() if len(argv) > 1 else ROOT
+    sys.path[:0] = [str(checkout / "src"), str(ROOT / "perfbench")]
+    import workloads as wl
+
+    # the package is the api object of the op functions: it exports the
+    # types they build and, once imported, its inverse, instances and
+    # spectral modules
+    import effham as api
+    print(f"effham from {Path(api.__file__).parent}")
+
+    digest, counts = hashlib.sha256(), Counter()
+    for seed in RECON_SEEDS:
+        for workload in ("recon_deep", "recon_holdout"):
+            for inst in wl.make_inputs(workload, seed):
+                entry = _recon_entry(api, wl, inst)
+                counts[entry[0]] += 1
+                digest.update(json.dumps(entry).encode())
+    print("reconstruction ", digest.hexdigest(), dict(sorted(counts.items())))
+
+    digest, counts = hashlib.sha256(), Counter()
+    for seed in SOLVE_SEEDS:
+        for inst in wl.make_inputs("self_consistent", seed):
+            for level in wl.solve_op(api, *wl.to_program(api, inst)):
+                entry = _level_entry(level)
+                counts[entry[0] if isinstance(level, Exception) else "ok"] += 1
+                digest.update(json.dumps(entry).encode())
+    print("self-consistent", digest.hexdigest(), dict(sorted(counts.items())))
+
+
+if __name__ == "__main__":
+    main(sys.argv)
