@@ -211,7 +211,17 @@ def main(argv=None):
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader stopped early, which is not an error of ours; point
+        # stdout at devnull so that the interpreter's final flush of what
+        # is still buffered writes nowhere instead of failing again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except DomainError as exc:
         print(f"effham: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

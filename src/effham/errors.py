@@ -75,14 +75,16 @@ class InfeasibleSampling(DomainError):
 
 
 class NonConvergence(DomainError):
-    """The self-consistent solve found no level: no sign change of
-    E^(n)(eta) - eta to bracket one, an exhausted budget of H_eff
-    evaluations, or a level that fails the residual check.  The message
-    names the cause; ``trace`` holds the energies evaluated before giving
-    up."""
+    """The self-consistent solve found no level.  ``reason`` names the
+    cause for a machine: ``"no_sign_change"`` (no sign change of
+    E^(n)(eta) - eta to bracket one), ``"budget"`` (the budget of H_eff
+    evaluations ran out) or ``"residual"`` (the level found fails the
+    residual check); the message names it for a person.  ``trace`` holds
+    the energies evaluated before giving up."""
 
-    def __init__(self, trace, msg="self-consistent solve found no level"):
+    def __init__(self, trace, reason, msg):
         self.trace = list(trace)
+        self.reason = reason
         super().__init__(msg)
 
 

@@ -12,15 +12,14 @@ that reproduces the outcome, which grows by about one digit per level
     blocks of S - E), written in a rescaled energy t = (E - center)/h.
     Since lead(d0) = -E lead(d1), the shifted function u = G + E = n0/d1
     with n0 = d0 + E d1 is rational of type (K, K), and the 2K+1 samples
-    fix it.  A Loewner (barycentric) realization finds it: the sorted
-    probes alternate between K+1 supports t_j and K test points t_i, the
-    weights solve the (K+1) x (K+1) system [L; 1^T] w = e_{K+1} with
-    Loewner matrix L_ij = (u_i - u_j)/(t_i - t_j) (the last row and its
-    right-hand side scaled by a power of ten near max |L_ij|), and d1, n0
-    are read off the barycentric form.  A singular system means u is of
-    lower type (k, k) because rho_k = 0: the fit deflates to that type and
-    the chain it expands to is reported as the prefix of a
-    :class:`ChainBreakdown`.
+    fix it.  A Thiele continued fraction finds it in O(K^2) operations:
+    inverse differences of u over the sorted probes, taken in E itself so
+    that exact samples give exact differences, with the node of the
+    largest denominator pivoted in at each step; the fraction, evaluated
+    backwards, gives n0 and d1.  When every denominator of a step
+    vanishes, u is of lower type (k, k) because rho_k = 0: the fit
+    deflates to that type and the chain it expands to is reported as the
+    prefix of a :class:`ChainBreakdown`.
 
 2.  *Expansion.*  The trailing determinants obey the three-term recursion
     d_k = (a_k - E) d_{k+1} - rho_k d_{k+2}, so repeated polynomial
@@ -57,6 +56,7 @@ __all__ = [
 
 COND_LIMIT = 1e10
 DROP_TOL = 1e-10
+_INF = Decimal("Infinity")
 
 log = logging.getLogger("effham")
 
@@ -147,7 +147,8 @@ def k1_invert(var):
 def _sample_arrays(samples):
     """Energies and values of the samples as float arrays (E, G).  Raises
     :class:`SampleDegeneracy` for a duplicate energy, checked first since
-    the Loewner step divides by zero on one, or for a non-finite entry."""
+    two samples at one energy are one interpolation node short, or for a
+    non-finite entry."""
     E = np.array([s.energy for s in samples], dtype=float)
     G = np.array([s.g_value for s in samples], dtype=float)
     if len(np.unique(E)) != len(E):
@@ -202,70 +203,55 @@ def _working_context(K):
                    traps=[InvalidOperation, DivisionByZero, Overflow])
 
 
-def _solve(A, b):
-    """Solve A x = b (lists of Decimal) by Gaussian elimination with
-    partial pivoting at the current context's precision.  Raises
-    ZeroDivisionError when a pivot is at most ||A||_1 eps, with eps the
-    spacing of the working precision at 1."""
-    n = len(b)
-    eps = Decimal(1).scaleb(1 - getcontext().prec)
-    tol = max(sum(abs(row[j]) for row in A) for j in range(n)) * eps
-    rows = [list(row) + [bi] for row, bi in zip(A, b)]
-    for j in range(n):
-        p = max(range(j, n), key=lambda i: abs(rows[i][j]))
-        if abs(rows[p][j]) <= tol:
-            raise ZeroDivisionError("matrix is numerically singular")
-        rows[j], rows[p] = rows[p], rows[j]
-        piv = rows[j]
-        for row in rows[j + 1:]:
-            f = row[j] / piv[j]
-            for k in range(j + 1, n + 1):
-                row[k] -= f * piv[k]
-    x = [Decimal(0)] * n
-    for i in range(n - 1, -1, -1):
-        row = rows[i]
-        x[i] = (row[n] - sum((row[k] * x[k] for k in range(i + 1, n)),
-                             Decimal(0))) / row[i]
-    return x
-
-
-def _loewner_pair(E, G, K):
+def _thiele_pair(E, G, K):
     """The pair (d0, d1) through the samples, as ascending coefficient
-    lists in t = (E - center)/h, from the barycentric form of the
+    lists in t = (E - center)/h, from the Thiele continued fraction of the
     type-(K, K) function u = G + E = n0/d1; returns (center, h, d0, d1).
-    Runs at the current decimal context's precision."""
+    Runs at the current decimal context's precision.
+
+    The inverse differences phi_k(x_i) = (x_i - x_{k-1}) /
+    (phi_{k-1}(x_i) - phi_{k-1}(x_{k-1})) difference the energies
+    themselves, so exact data stay exact.  A denominator vanishes when it
+    is at most eps |phi_{k-1}(x_{k-1})|, with eps the spacing of the
+    working precision at 1.  At each step the node with the largest
+    denominator becomes x_k; a vanishing one makes phi_k(x_i) infinite,
+    and so phi_{k+1}(x_i) zero.  Raises ZeroDivisionError when every
+    denominator of a step vanishes, or when d1 comes out of degree below
+    K."""
     center = (max(E) + min(E)) / 2
     h = max((max(E) - min(E)) / 2, Decimal(1))
-    order = sorted(range(2 * K + 1), key=lambda a: E[a])
-    t = [(E[a] - center) / h for a in order]
-    u = [G[a] + E[a] for a in order]
-    sup, tst = range(0, 2 * K + 1, 2), range(1, 2 * K + 1, 2)
-    A = [[(u[i] - u[j]) / (t[i] - t[j]) for j in sup] for i in tst]
-    # sum_j w_j = 1, scaled by a power of ten (exact) to the size of L so
-    # that the pivot test does not mistake it for rounding noise
-    big = max((abs(x) for row in A for x in row), default=Decimal(1))
-    scale = Decimal(1).scaleb(big.adjusted())
-    A.append([scale] * (K + 1))
-    w = _solve(A, [Decimal(0)] * K + [scale])
+    x, v = map(list, zip(*sorted((e, g + e) for e, g in zip(E, G))))
+    eps = Decimal(1).scaleb(1 - getcontext().prec)
+    for k in range(1, 2 * K + 1):
+        xp, vp = x[k - 1], v[k - 1]
+        tol = eps * abs(vp)
+        den = [vi - vp for vi in v[k:]]
+        mag = [abs(d) for d in den]
+        j = mag.index(max(mag))
+        if mag[j] <= tol:
+            raise ZeroDivisionError("inverse differences vanish")
+        x[k], x[k + j] = x[k + j], x[k]
+        den[0], den[j], mag[0], mag[j] = den[j], den[0], mag[j], mag[0]
+        v[k:] = [(xi - xp) / d if m > tol else _INF
+                 for xi, d, m in zip(x[k:], den, mag)]
 
-    # ell(t) = prod_j (t - t_j); d1 = c sum_j w_j ell/(t - t_j), n0 likewise
-    # with w_j u_j, where c = lead(d1) makes sum_j w_j = 1 the normalization
-    ell = [Decimal(1)]
-    for j in sup:  # ell *= (t - t_j)
-        ell = [Decimal(0)] + ell
-        for k in range(len(ell) - 1):
-            ell[k] -= t[j] * ell[k + 1]
-    c = (-1) ** K * h ** K
-    d1 = [Decimal(0)] * (K + 1)
-    n0 = [Decimal(0)] * (K + 1)
-    for wj, j in zip(w, sup):
-        cw = c * wj
-        cwu = cw * u[j]
-        q = ell[K + 1]  # synthetic division of ell by (t - t_j)
-        for k in range(K, -1, -1):
-            d1[k] += cw * q
-            n0[k] += cwu * q
-            q = ell[k] + t[j] * q
+    # u = phi_0 + (E - x_0)/(phi_1 + (E - x_1)/(... + (E - x_{2K-1})/phi_2K))
+    # = p/q, evaluated backwards in tau = E - center = h t, where
+    # E - x_k = tau + (center - x_k); the degree of q grows by one every
+    # second step and p never outgrows tau q
+    zero = Decimal(0)
+    p, q = [v[-1]], [Decimal(1)]
+    for k in range(2 * K - 1, -1, -1):
+        s, vk = center - x[k], v[k]
+        p, q = [vk * pi + s * qi + qm for pi, qi, qm in
+                zip(p + [zero] * (len(q) + 1 - len(p)), q + [zero],
+                    [zero] + q)], p
+    # to t and to lead(d1) = (-1)^K h^K, the determinant convention in t
+    scale = [(-1) ** K / q[K]]
+    for _ in range(K):
+        scale.append(scale[-1] * h)
+    d1 = [c * qi for c, qi in zip(scale, q[:K])] + [(-1) ** K * h ** K]
+    n0 = [c * pi for c, pi in zip(scale, p)]
     # d0 = n0 - E d1 with E = center + h t
     d0 = [n0[k] - center * d1[k] - (h * d1[k - 1] if k else 0)
           for k in range(K + 1)] + [-h * d1[K]]
@@ -325,7 +311,7 @@ def _cascade(d0, d1, center, h, K, drop_tol):
 
 
 def _expand_extended(E, G, K):
-    """Loewner fit plus division cascade of the sample arrays ``E``, ``G``
+    """Thiele fit plus division cascade of the sample arrays ``E``, ``G``
     (as checked by :func:`_sample_arrays`), carried out in extended precision
     (stdlib ``decimal`` at 40 + 2K significant digits, see
     :func:`_working_context`).
@@ -335,23 +321,24 @@ def _expand_extended(E, G, K):
     itself is well-conditioned when probes bracket the poles, so the
     intermediate polynomial pair must never be rounded to float64.
 
-    A numerically singular type-(K, K) Loewner system means G + E is
-    exactly of lower type, so the fit is redone at k = K-1, ..., 0 from the
-    first 2k+1 samples.  If that fit reproduces every sample, rho_k = 0 and
-    the chain it expands to is raised as the prefix of a
-    :class:`ChainBreakdown` at level k; otherwise no chain interpolates the
-    samples (:class:`SampleDegeneracy`).  Inputs and outputs are ordinary
-    floats: Decimal(float) is exact and float(Decimal) correctly rounded.
+    A step of the type-(K, K) fit whose inverse differences all vanish
+    means G + E is exactly of lower type, so the fit is redone at
+    k = K-1, ..., 0 from the first 2k+1 samples.  If that fit reproduces
+    every sample, rho_k = 0 and the chain it expands to is raised as the
+    prefix of a :class:`ChainBreakdown` at level k; otherwise no chain
+    interpolates the samples (:class:`SampleDegeneracy`).  Inputs and
+    outputs are ordinary floats: Decimal(float) is exact and
+    float(Decimal) correctly rounded.
     """
     ctx = _working_context(K)
     with localcontext(ctx):
         drop_tol = Decimal(DROP_TOL)
         E = [Decimal(e) for e in E.tolist()]
         G = [Decimal(g) for g in G.tolist()]
-        for k in range(K, -1, -1):  # k = 0 is a 1 x 1 system, never singular
+        for k in range(K, -1, -1):  # k = 0 takes no differences, never fails
             try:
-                center, h, d0, d1 = _loewner_pair(E[:2 * k + 1],
-                                                  G[:2 * k + 1], k)
+                center, h, d0, d1 = _thiele_pair(E[:2 * k + 1],
+                                                 G[:2 * k + 1], k)
                 break
             except ZeroDivisionError:
                 pass

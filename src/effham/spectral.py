@@ -120,7 +120,8 @@ def self_consistent_solve(h, eta0, n, max_iter=200):
     direction (e.g. the levels of a quasi-Hermitian block are complex),
     when the evaluation budget runs out, or when the eigenvector of the
     energy found leaves a residual above ``RES_TOL`` times the scale of
-    H_eff; the evaluated energies are attached as ``trace``.
+    H_eff (``reason`` "no_sign_change", "budget" or "residual"); the
+    evaluated energies are attached as ``trace``.
     :class:`PoleProximity` propagates when eta0 itself sits on a pole.
     """
     if not 1 <= n <= h.M:
@@ -130,7 +131,8 @@ def self_consistent_solve(h, eta0, n, max_iter=200):
     def r(x):
         if len(trace) == max_iter:
             raise NonConvergence(
-                trace, f"budget of {max_iter} H_eff evaluations exhausted")
+                trace, "budget",
+                f"budget of {max_iter} H_eff evaluations exhausted")
         trace.append(x)
         try:
             w = np.linalg.eigvals(effective_hamiltonian(h, x))
@@ -152,8 +154,8 @@ def self_consistent_solve(h, eta0, n, max_iter=200):
                 or _scan(r, eta, r0, -d, poles, bound, monotone))
         if ends is None:
             raise NonConvergence(
-                trace, f"no sign change of r_{n} found in either direction "
-                f"from eta0 = {eta:.17g}")
+                trace, "no_sign_change", f"no sign change of r_{n} found in "
+                f"either direction from eta0 = {eta:.17g}")
         (lo, r_lo), (hi, r_hi) = sorted(_anderson_bjorck(r, *ends))
         eta = lo if abs(r_lo) <= abs(r_hi) else hi
         bracket = (lo, hi)
@@ -165,8 +167,8 @@ def self_consistent_solve(h, eta0, n, max_iter=200):
     scale = max(1.0, float(np.max(np.abs(heff))))
     if residual > RES_TOL * scale:
         raise NonConvergence(
-            trace, f"residual check failed: level at {eta:.17g} leaves "
-            f"residual {residual:.3e}")
+            trace, "residual", f"residual check failed: level at "
+            f"{eta:.17g} leaves residual {residual:.3e}")
     return SelfConsistentResult(level_index=n, energy=eta, bracket=bracket,
                                 iterations=len(trace), trace=tuple(trace),
                                 eigvec_model=np.real(vec),

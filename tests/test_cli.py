@@ -163,6 +163,54 @@ class TestUsage:
         assert main(["frobnicate"]) == 1
 
 
+class _ClosedPipe:
+    """A stdout whose reader has gone: every write raises."""
+
+    def __init__(self, fd):
+        self._fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self._fd
+
+
+class TestClosedPipe:
+    def test_write_error_exits_0_silently(self, tmp_path, monkeypatch,
+                                          capsys):
+        target = tmp_path / "stdout"
+        with open(target, "wb") as fh:
+            monkeypatch.setattr(sys, "stdout", _ClosedPipe(fh.fileno()))
+            assert main(["demo", "two-level"]) == 0
+            # the descriptor behind stdout now leads to the null device
+            os.write(fh.fileno(), b"flushed at exit")
+        assert capsys.readouterr().err == ""
+        assert target.read_bytes() == b""
+
+    @pytest.mark.parametrize("unbuffered", [False, True],
+                             ids=["buffered", "unbuffered"])
+    def test_reader_gone_before_output(self, unbuffered):
+        # the read end is closed before the command writes anything, as
+        # when `effham demo m2-paradox | head -1` loses the race; buffered
+        # output would first be written by the final flush at exit
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (SRC, env.get("PYTHONPATH")) if p)
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        r, w = os.pipe()
+        os.close(r)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "effham.cli", "demo", "m2-paradox"],
+                stdout=w, stderr=subprocess.PIPE, env=env, timeout=60)
+        finally:
+            os.close(w)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+
+
 class TestDeterminism:
     def test_byte_identical_output(self, tmp_path):
         path = tmp_path / "h.json"

@@ -12,6 +12,8 @@ from pathlib import Path
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import effham
 from effham import inverse
@@ -359,6 +361,31 @@ class TestLoewnerStep:
             reconstruct(samples, len(energies) // 2)
 
 
+class TestThieleFit:
+    @pytest.mark.parametrize("probes", [(-0.5, 0.25, 0.5, 2.0, 3.0),
+                                        (-0.5, 2.0, 2.5, 3.0, 4.0)],
+                             ids=["apart", "adjacent"])
+    def test_equal_values_of_g_plus_e(self, probes):
+        # G + E = 1.5 E/(E^2 - 1) is 1 at both -0.5 and 2.0: an inverse
+        # difference there is infinite, and, when the two probes are
+        # adjacent, the next node in sorted order has a zero denominator
+        chain = TridiagonalChain([0.0, 0.0, 0.0], [1.5, 1.0])
+        samples = samples_from_chain(chain, probes)
+        assert samples[0].g_value + samples[0].energy == 1.0
+        assert samples[probes.index(2.0)].g_value + 2.0 == 1.0
+        rep = reconstruct(samples, 2)
+        assert _max_rel_err(rep.chain, chain) <= 1e-12
+        np.testing.assert_allclose(rep.chain.rho, [1.5, 1.0], rtol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(K=st.integers(1, 8), sign=st.sampled_from(["positive", "mixed"]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_bitwise_against_monomial_solve(self, K, sign, seed):
+        samples = _roundtrip_samples(K, seed, sign)
+        got = _outcome(lambda s, k: reconstruct(s, k).chain, samples, K)
+        assert got == _outcome(_monomial_reconstruct, samples, K)
+
+
 class TestReconstruct:
     def test_k0(self):
         rep = reconstruct([GSample(1.0, 3.0)], 0)
@@ -383,9 +410,9 @@ class TestReconstruct:
 
     @pytest.mark.parametrize("s", [1e10, 1e50, 1e100, 1e150])
     def test_paper_chain_at_scale(self, s):
-        # the normalization row of the Loewner system is scaled to the size
-        # of the Loewner entries, so the pivot test does not mistake it for
-        # rounding noise when G is large
+        # the vanishing test of the inverse differences is relative to
+        # their size, so it does not mistake them for rounding noise when
+        # G is large
         _assert_scaled_paper_chain(
             reconstruct(_scaled_paper_samples(s), 1).chain, s)
 

@@ -132,6 +132,18 @@ class TestSelfConsistent:
         with pytest.raises(NonConvergence, match="residual check failed"):
             self_consistent_solve(h, eta0=0.0, n=1)
 
+    @pytest.mark.parametrize("a, rho, eta0, max_iter, reason", [
+        ([0.0, 0.0], [-1.0], -1.0, 200, "no_sign_change"),
+        ([-2.0, 2.0], [-1.0], -1.0, 3, "budget"),
+        ([2.0, 1.0], [2e-10], 0.0, 200, "residual"),
+    ], ids=["no_sign_change", "budget", "residual"])
+    def test_failure_reason(self, a, rho, eta0, max_iter, reason):
+        # the cause of a failure is readable without parsing the message
+        h = PartitionedHamiltonian.from_chain(TridiagonalChain(a, rho))
+        with pytest.raises(NonConvergence) as exc:
+            self_consistent_solve(h, eta0, n=1, max_iter=max_iter)
+        assert exc.value.reason == reason
+
     @pytest.mark.parametrize("seed, n", [(3, 4), (8, 2), (15, 2), (24, 4),
                                          (42, 1), (42, 3)])
     def test_steep_levels_converge(self, seed, n):
