@@ -58,6 +58,9 @@ class MalformedPair(DomainError):
 class ChainBreakdown(DomainError):
     """Chain expansion terminated early: some rho_k is numerically zero,
     so the tail decouples and only a prefix of the chain is identifiable.
+    ``reconstruct`` counts rho_k as zero when |rho_k| < DROP_TOL w^2, with
+    w the half-span of the probe energies, or when G + E is exactly of
+    lower type.
 
     ``recovered_prefix`` holds the entries recovered before breakdown.
     """

@@ -9,22 +9,24 @@ that reproduces the outcome, which grows by about one digit per level
 
 1.  *Rational fit.*  G(E) = d0(E)/d1(E) with deg d0 = K+1, deg d1 = K and
     leading coefficients (-1)^deg (the determinant convention for trailing
-    blocks of S - E), written in a rescaled energy t = (E - center)/h.
-    Since lead(d0) = -E lead(d1), the shifted function u = G + E = n0/d1
-    with n0 = d0 + E d1 is rational of type (K, K), and the 2K+1 samples
-    fix it.  A Thiele continued fraction finds it in O(K^2) operations:
-    inverse differences of u over the sorted probes, taken in E itself so
-    that exact samples give exact differences, with the node of the
-    largest denominator pivoted in at each step; the fraction, evaluated
-    backwards, gives n0 and d1.  When every denominator of a step
-    vanishes, u is of lower type (k, k) because rho_k = 0: the fit
-    deflates to that type and the chain it expands to is reported as the
-    prefix of a :class:`ChainBreakdown`.
+    blocks of S - E), written in tau = E - center, center the midpoint of
+    the probes.  Since lead(d0) = -E lead(d1), the shifted function
+    u = G + E = n0/d1 with n0 = d0 + E d1 is rational of type (K, K), and
+    the 2K+1 samples fix it.  A Thiele continued fraction finds it in
+    O(K^2) operations: inverse differences of u over the sorted probes,
+    taken in E itself so that exact samples give exact differences, with
+    the node of the largest denominator pivoted in at each step; the
+    fraction, evaluated backwards, gives n0 and d1.  When every
+    denominator of a step vanishes, u is of lower type (k, k) because
+    rho_k = 0: the fit deflates to that type and the chain it expands to
+    is reported as the prefix of a :class:`ChainBreakdown`.
 
 2.  *Expansion.*  The trailing determinants obey the three-term recursion
-    d_k = (a_k - E) d_{k+1} - rho_k d_{k+2}, so repeated polynomial
-    division of d_k by d_{k+1} peels off one (a_k, rho_k) pair per step:
-    the quotient fixes a_k and the remainder is -rho_k d_{k+2}.
+    d_k = (a_k - E) d_{k+1} - rho_k d_{k+2}, read backwards in tau as
+    d_k + tau d_{k+1} = (a_k - center) d_{k+1} - rho_k d_{k+2}: one
+    coefficient of the left side gives a_k and the rest of it is
+    -rho_k d_{k+2}, one (a_k, rho_k) pair per level.  Level k breaks down
+    when |rho_k| < DROP_TOL w^2, with w the half-span of the probes.
 
 The K = 1 case admits the closed-form change of variables
 (x1, x2, y1) = (-a0 - a1, a0 a1 - rho0, a1), inverted exactly.
@@ -205,9 +207,10 @@ def _working_context(K):
 
 def _thiele_pair(E, G, K):
     """The pair (d0, d1) through the samples, as ascending coefficient
-    lists in t = (E - center)/h, from the Thiele continued fraction of the
-    type-(K, K) function u = G + E = n0/d1; returns (center, h, d0, d1).
-    Runs at the current decimal context's precision.
+    lists in tau = E - center with leading coefficients exactly (-1)^deg,
+    from the Thiele continued fraction of the type-(K, K) function
+    u = G + E = n0/d1; returns (center, d0, d1), center the midpoint of
+    the probes.  Runs at the current decimal context's precision.
 
     The inverse differences phi_k(x_i) = (x_i - x_{k-1}) /
     (phi_{k-1}(x_i) - phi_{k-1}(x_{k-1})) difference the energies
@@ -219,7 +222,6 @@ def _thiele_pair(E, G, K):
     denominator of a step vanishes, or when d1 comes out of degree below
     K."""
     center = (max(E) + min(E)) / 2
-    h = max((max(E) - min(E)) / 2, Decimal(1))
     x, v = map(list, zip(*sorted((e, g + e) for e, g in zip(E, G))))
     eps = Decimal(1).scaleb(1 - getcontext().prec)
     for k in range(1, 2 * K + 1):
@@ -236,9 +238,9 @@ def _thiele_pair(E, G, K):
                  for xi, d, m in zip(x[k:], den, mag)]
 
     # u = phi_0 + (E - x_0)/(phi_1 + (E - x_1)/(... + (E - x_{2K-1})/phi_2K))
-    # = p/q, evaluated backwards in tau = E - center = h t, where
-    # E - x_k = tau + (center - x_k); the degree of q grows by one every
-    # second step and p never outgrows tau q
+    # = p/q, evaluated backwards in tau, where E - x_k = tau + (center -
+    # x_k); the degree of q grows by one every second step and p never
+    # outgrows tau q
     zero = Decimal(0)
     p, q = [v[-1]], [Decimal(1)]
     for k in range(2 * K - 1, -1, -1):
@@ -246,26 +248,13 @@ def _thiele_pair(E, G, K):
         p, q = [vk * pi + s * qi + qm for pi, qi, qm in
                 zip(p + [zero] * (len(q) + 1 - len(p)), q + [zero],
                     [zero] + q)], p
-    # to t and to lead(d1) = (-1)^K h^K, the determinant convention in t
-    scale = [(-1) ** K / q[K]]
-    for _ in range(K):
-        scale.append(scale[-1] * h)
-    d1 = [c * qi for c, qi in zip(scale, q[:K])] + [(-1) ** K * h ** K]
-    n0 = [c * pi for c, pi in zip(scale, p)]
-    # d0 = n0 - E d1 with E = center + h t
-    d0 = [n0[k] - center * d1[k] - (h * d1[k - 1] if k else 0)
-          for k in range(K + 1)] + [-h * d1[K]]
-    return center, h, d0, d1
-
-
-def _polydiv(num, den):
-    num = list(num)
-    q = [Decimal(0)] * (len(num) - len(den) + 1)
-    for i in range(len(num) - len(den), -1, -1):
-        q[i] = num[i + len(den) - 1] / den[-1]
-        for j in range(len(den)):
-            num[i + j] -= q[i] * den[j]
-    return q, num[:len(den) - 1]
+    # to lead(d1) = (-1)^K, the determinant convention, and from
+    # n0 = d0 + E d1 to d0, with E = center + tau
+    c = (-1) ** K / q[K]
+    d1 = [c * qi for qi in q[:K]] + [Decimal((-1) ** K)]
+    d0 = [c * pi - center * di - dm
+          for pi, di, dm in zip(p, d1, [zero] + d1)] + [-d1[K]]
+    return center, d0, d1
 
 
 def _polyval(coef, t):
@@ -276,43 +265,45 @@ def _polyval(coef, t):
     return acc
 
 
-def _cascade(d0, d1, center, h, K, drop_tol):
-    """Division cascade on a Decimal pair in t = (E - center)/h at the
-    current context's precision; only the recovered a_k, rho_k are
-    rounded.  ``drop_tol`` is a Decimal.
+def _cascade(d0, d1, center, K, rho_tol):
+    """The recursion d_k + tau d_{k+1} = (a_k - center) d_{k+1} -
+    rho_k d_{k+2} run backwards on a Decimal pair in tau = E - center, at
+    the current context's precision; only the recovered a_k, rho_k are
+    rounded.  With d_{k+1} of degree m and leading coefficient (-1)^m,
+    a_k - center is (-1)^m times the degree-m coefficient of the left
+    side, and the rest of it is -rho_k d_{k+2}.
 
-    Raises :class:`MalformedPair` when an entry of the chain, or of the
-    prefix a :class:`ChainBreakdown` would carry, rounds to a non-finite
+    Returns (chain, smallest |rho_k|, its level), with level None at
+    K = 0.  The cascade stops at the first level where |rho_k| <
+    ``rho_tol``, a Decimal, and the chain is then the prefix before it.
+    Raises :class:`MalformedPair` when an entry rounds to a non-finite
     float64."""
     cur, nxt = d0, d1
     a_list, rho_list = [], []
-    breakdown = None
-    coef_scale = max(max(abs(x) for x in cur), max(abs(x) for x in nxt))
+    low, level = _INF, None
     for k in range(K + 1):
-        q, r = _polydiv(cur, nxt)
-        a_list.append(float(q[0] + center))
+        m = K - k
+        sign, shifted = (-1) ** m, [0] + nxt  # shifted = tau d_{k+1}
+        c = sign * (cur[m] + shifted[m])
+        a_list.append(float(c + center))
         if k == K:
             break
-        ed = len(nxt) - 2
-        coef_scale = max([coef_scale] + [abs(x) for x in r])
-        r_lead = r[ed]
-        if abs(r_lead) < drop_tol * coef_scale:
-            breakdown = k
+        rem = [ci + si - c * ni for ci, si, ni in zip(cur, shifted, nxt[:m])]
+        rho = sign * rem[-1]
+        if abs(rho) < low:
+            low, level = abs(rho), k
+        if low < rho_tol:
             break
-        rho_k = -r_lead / ((-1) ** ed * h ** ed)
-        rho_list.append(float(rho_k))
-        cur, nxt = nxt, [ri / (-rho_k) for ri in r]
+        rho_list.append(float(rho))
+        cur, nxt = nxt, [r / -rho for r in rem]
     if not np.isfinite(a_list + rho_list).all():
         raise MalformedPair("expansion produced a non-finite chain entry")
-    chain = TridiagonalChain(np.array(a_list), np.array(rho_list))
-    if breakdown is not None:
-        raise ChainBreakdown(chain, level=breakdown)
-    return chain
+    return TridiagonalChain(np.array(a_list), np.array(rho_list)), low, level
 
 
 def _expand_extended(E, G, K):
-    """Thiele fit plus division cascade of the sample arrays ``E``, ``G``
-    (as checked by :func:`_sample_arrays`), carried out in extended precision
+    """Thiele fit plus recursion of the sample arrays ``E``, ``G`` (as
+    checked by :func:`_sample_arrays`), carried out in extended precision
     (stdlib ``decimal`` at 40 + 2K significant digits, see
     :func:`_working_context`).
 
@@ -326,36 +317,42 @@ def _expand_extended(E, G, K):
     k = K-1, ..., 0 from the first 2k+1 samples.  If that fit reproduces
     every sample, rho_k = 0 and the chain it expands to is raised as the
     prefix of a :class:`ChainBreakdown` at level k; otherwise no chain
-    interpolates the samples (:class:`SampleDegeneracy`).  Inputs and
-    outputs are ordinary floats: Decimal(float) is exact and
-    float(Decimal) correctly rounded.
+    interpolates the samples (:class:`SampleDegeneracy`).  So is the
+    chain before the first level with |rho_k| < DROP_TOL w^2, w the
+    half-span of the probes.  One debug line gives the precision and the
+    breakdown margin: the smallest |rho_k| / (DROP_TOL w^2), with its
+    level.  Inputs and outputs are ordinary floats: Decimal(float) is
+    exact and float(Decimal) correctly rounded.
     """
     ctx = _working_context(K)
     with localcontext(ctx):
         drop_tol = Decimal(DROP_TOL)
         E = [Decimal(e) for e in E.tolist()]
         G = [Decimal(g) for g in G.tolist()]
+        rho_tol = drop_tol * ((max(E) - min(E)) / 2) ** 2
         for k in range(K, -1, -1):  # k = 0 takes no differences, never fails
             try:
-                center, h, d0, d1 = _thiele_pair(E[:2 * k + 1],
-                                                 G[:2 * k + 1], k)
+                center, d0, d1 = _thiele_pair(E[:2 * k + 1], G[:2 * k + 1], k)
                 break
             except ZeroDivisionError:
                 pass
-        if k == K:
-            log.debug("reconstruct: K=%d at %d digits", K, ctx.prec)
-            return _cascade(d0, d1, center, h, K, drop_tol)
-        log.debug("reconstruct: K=%d at %d digits, fit deflated to level %d",
-                  K, ctx.prec, k)
-        for e, g in zip(E, G):
-            t = (e - center) / h
-            p0, p1 = _polyval(d0, t), g * _polyval(d1, t)
-            if abs(p0 - p1) > drop_tol * (abs(p0) + abs(p1)):
-                raise SampleDegeneracy(
-                    f"no chain fits the samples (type-({k}, {k}) fit "
-                    f"misses G({float(e)}))")
-        raise ChainBreakdown(_cascade(d0, d1, center, h, k, drop_tol),
-                             level=k)
+        note = ""
+        if k < K:
+            note = f", fit deflated to level {k}"
+            for e, g in zip(E, G):
+                p0, p1 = _polyval(d0, e - center), g * _polyval(d1, e - center)
+                if abs(p0 - p1) > drop_tol * (abs(p0) + abs(p1)):
+                    raise SampleDegeneracy(
+                        f"no chain fits the samples (type-({k}, {k}) fit "
+                        f"misses G({float(e)}))")
+        chain, low, level = _cascade(d0, d1, center, k, rho_tol)
+        if level is not None:
+            note += f", margin {float(low / rho_tol):.1e} at level {level}"
+        log.debug("reconstruct: K=%d at %d digits%s", K, ctx.prec, note)
+        broken = level if low < rho_tol else k
+        if broken < K:
+            raise ChainBreakdown(chain, level=broken)
+        return chain
 
 
 def reconstruct(samples, K, holdout=()):

@@ -253,8 +253,7 @@ def _cascade(d0, d1):
     with localcontext(Context(prec=60)):
         return inverse._cascade([Decimal(x) for x in d0],
                                 [Decimal(x) for x in d1], Decimal(0),
-                                Decimal(1), len(d1) - 1,
-                                Decimal(inverse.DROP_TOL))
+                                len(d1) - 1, Decimal(inverse.DROP_TOL))[0]
 
 
 class TestExpansion:
@@ -282,10 +281,12 @@ class TestExpansion:
             # deep K (hence the extended-precision path inside reconstruct)
             assert _max_rel_err(got, chain) < 1e-5
 
-    def test_breakdown_reports_prefix(self):
+    @pytest.mark.parametrize("rho_1", [0.0, 1e-13, 1e-11])
+    def test_breakdown_reports_prefix(self, rho_1):
         # rho_1 = 0 decouples the last level: G is reducible and the cascade
-        # must stop after recovering (a_0, a_1, rho_0)
-        chain = TridiagonalChain([1.0, -0.5, 2.0], [1.5, 0.0])
+        # must stop after recovering (a_0, a_1, rho_0); so must a rho_1
+        # below DROP_TOL times the squared half-span of the probes
+        chain = TridiagonalChain([1.0, -0.5, 2.0], [1.5, rho_1])
         probes = choose_probe_energies(5, probe_window(chain),
                                        real_poles(chain), 0.1)
         with pytest.raises(ChainBreakdown) as exc:
@@ -408,11 +409,13 @@ class TestReconstruct:
         with pytest.raises(SampleDegeneracy):
             reconstruct(PAPER_SAMPLES, 1, holdout=[good, bad])
 
-    @pytest.mark.parametrize("s", [1e10, 1e50, 1e100, 1e150])
+    @pytest.mark.parametrize("s", [1e-150, 1e-50, 1e-6, 1e10, 1e50, 1e100,
+                                   1e150])
     def test_paper_chain_at_scale(self, s):
         # the vanishing test of the inverse differences is relative to
         # their size, so it does not mistake them for rounding noise when
-        # G is large
+        # G is large; the breakdown threshold scales with the probes, so
+        # rho_0 = -s^2 is not mistaken for zero when s is small
         _assert_scaled_paper_chain(
             reconstruct(_scaled_paper_samples(s), 1).chain, s)
 
@@ -461,6 +464,28 @@ class TestReconstruct:
             rep = reconstruct(samples_from_chain(chain, probes), K)
             assert _max_rel_err(rep.chain, chain) <= 1e-7
             assert rep.hermitizable == tuple(r >= 0 for r in chain.rho)
+
+    @pytest.mark.parametrize("rho_sign", ["positive", "mixed"])
+    def test_deep_sweep(self, rho_sign):
+        # K = 11..16 on roundtrip probes: no chain breaks down, each chain
+        # returned reproduces its own samples, and positive chains up to
+        # K = 14 stay accurate (worst measured error 3.6e-6)
+        for K in range(11, 17):
+            for s in range(10):
+                seed = 1000 * K + s
+                samples = _roundtrip_samples(K, seed, rho_sign)
+                try:
+                    got = reconstruct(samples, K).chain
+                except ChainBreakdown as exc:
+                    pytest.fail(f"K={K}, seed {seed}: {exc}")
+                E = np.array([x.energy for x in samples])
+                G = np.array([x.g_value for x in samples])
+                assert np.all(np.abs(g_function(got, E) - G)
+                              <= 1e-12 * np.maximum(np.abs(G), 1.0))
+                if rho_sign == "positive" and K <= 14:
+                    chain = random_chain(K, np.random.default_rng(seed),
+                                         rho_sign)
+                    assert _max_rel_err(got, chain) <= 1e-5
 
     def test_probe_set_independence(self):
         rng = np.random.default_rng(13)
@@ -608,6 +633,8 @@ class TestExtendedPrecision:
         cases.append((2, DEFLATING_SAMPLES))
         ref = [_outcome_bytes(samples, K) for K, samples in cases]
         assert ref[-1][:2] == ("ChainBreakdown", 1)
+        # every roundtrip case runs its full cascade
+        assert all(r[0] != "ChainBreakdown" for r in ref[:-1])
         rule = inverse._working_context
         for prec in (lambda K: rule(K).prec - 20, lambda K: 42 + 10 * K):
             def at(K, prec=prec):
@@ -619,9 +646,10 @@ class TestExtendedPrecision:
                     for K, samples in cases] == ref
 
     @pytest.mark.parametrize("samples, K, line", [
-        (_roundtrip_samples(5, 501), 5, "reconstruct: K=5 at 50 digits"),
-        (DEFLATING_SAMPLES, 2,
-         "reconstruct: K=2 at 44 digits, fit deflated to level 1"),
+        (_roundtrip_samples(5, 501), 5,
+         "reconstruct: K=5 at 50 digits, margin 3.9e+08 at level 0"),
+        (DEFLATING_SAMPLES, 2, "reconstruct: K=2 at 44 digits, "
+         "fit deflated to level 1, margin 2.0e+09 at level 0"),
     ], ids=["returns", "deflated"])
     def test_debug_line(self, caplog, samples, K, line):
         with caplog.at_level(logging.DEBUG, logger="effham"), \

@@ -19,11 +19,14 @@ Self-consistent digest: every level of ``solve_op`` over
 raised one ``[type name, str(exc), trace as float hex]``.
 
 Each digest is the sha256 of the concatenated ``json.dumps`` of one such
-list per op or per level.
+list per op or per level.  Each line is flushed as it is printed; when the
+reader of the output goes away (``| head -1``), the tool stops there and
+exits 0 without a traceback.
 """
 
 import hashlib
 import json
+import os
 import sys
 from collections import Counter
 from pathlib import Path
@@ -64,7 +67,7 @@ def main(argv):
     # types they build and, once imported, its inverse, instances and
     # spectral modules
     import effham as api
-    print(f"effham from {Path(api.__file__).parent}")
+    print(f"effham from {Path(api.__file__).parent}", flush=True)
 
     digest, counts = hashlib.sha256(), Counter()
     for seed in RECON_SEEDS:
@@ -73,7 +76,8 @@ def main(argv):
                 entry = _recon_entry(api, wl, inst)
                 counts[entry[0]] += 1
                 digest.update(json.dumps(entry).encode())
-    print("reconstruction ", digest.hexdigest(), dict(sorted(counts.items())))
+    print("reconstruction ", digest.hexdigest(), dict(sorted(counts.items())),
+          flush=True)
 
     digest, counts = hashlib.sha256(), Counter()
     for seed in SOLVE_SEEDS:
@@ -82,8 +86,17 @@ def main(argv):
                 entry = _level_entry(level)
                 counts[entry[0] if isinstance(level, Exception) else "ok"] += 1
                 digest.update(json.dumps(entry).encode())
-    print("self-consistent", digest.hexdigest(), dict(sorted(counts.items())))
+    print("self-consistent", digest.hexdigest(), dict(sorted(counts.items())),
+          flush=True)
 
 
 if __name__ == "__main__":
-    main(sys.argv)
+    try:
+        main(sys.argv)
+    except BrokenPipeError:
+        # the reader stopped early; point stdout at devnull so that the
+        # interpreter's final flush of what is still buffered writes
+        # nowhere instead of failing again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
