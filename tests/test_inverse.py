@@ -281,11 +281,8 @@ class TestExpansion:
             # deep K (hence the extended-precision path inside reconstruct)
             assert _max_rel_err(got, chain) < 1e-5
 
-    @pytest.mark.parametrize("rho_1", [0.0, 1e-13, 1e-11])
-    def test_breakdown_reports_prefix(self, rho_1):
-        # rho_1 = 0 decouples the last level: G is reducible and the cascade
-        # must stop after recovering (a_0, a_1, rho_0); so must a rho_1
-        # below DROP_TOL times the squared half-span of the probes
+    @staticmethod
+    def _assert_breakdown_at_level_1(rho_1):
         chain = TridiagonalChain([1.0, -0.5, 2.0], [1.5, rho_1])
         probes = choose_probe_energies(5, probe_window(chain),
                                        real_poles(chain), 0.1)
@@ -295,6 +292,17 @@ class TestExpansion:
         prefix = exc.value.recovered_prefix
         np.testing.assert_allclose(prefix.a, [1.0, -0.5], atol=1e-6)
         np.testing.assert_allclose(prefix.rho, [1.5], atol=1e-6)
+
+    def test_breakdown_reports_prefix(self):
+        # rho_1 = 0 decouples the last level: G is reducible and the cascade
+        # must stop after recovering (a_0, a_1, rho_0)
+        self._assert_breakdown_at_level_1(0.0)
+
+    @pytest.mark.parametrize("rho_1", [1e-13, 1e-11])
+    def test_breakdown_below_drop_tol_reports_prefix(self, rho_1):
+        # so must a rho_1 below DROP_TOL times the squared half-span of the
+        # probes
+        self._assert_breakdown_at_level_1(rho_1)
 
 
 class TestLoewnerStep:
