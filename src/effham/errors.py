@@ -46,13 +46,14 @@ class NearSingularBlock(DomainError):
 class SampleDegeneracy(DomainError):
     """The samples determine no chain: duplicate or non-finite energies or
     values, or samples that no G = d0/d1 of a chain of length <= K + 1
-    interpolates."""
+    interpolates, such as samples through which G + E grows like E."""
 
 
 class MalformedPair(DomainError):
     """The expansion of the fitted G = d0/d1 is finite in extended
     precision, but a chain entry is not finite after rounding to
-    float64."""
+    float64, or a nonzero rho_k underflows to zero, which would read as a
+    decoupled level and hide its sign."""
 
 
 class ChainBreakdown(DomainError):

@@ -17,9 +17,9 @@ that reproduces the outcome, which grows by about one digit per level
     taken in E itself so that exact samples give exact differences, with
     the node of the largest denominator pivoted in at each step; the
     fraction, evaluated backwards, gives n0 and d1.  When every
-    denominator of a step vanishes, u is of lower type (k, k) because
-    rho_k = 0: the fit deflates to that type and the chain it expands to
-    is reported as the prefix of a :class:`ChainBreakdown`.
+    denominator of a step vanishes, the fraction ends: u is of lower type
+    (k, k) because rho_k = 0, and the chain it expands to, if it meets
+    every sample, is the prefix of a :class:`ChainBreakdown`.
 
 2.  *Expansion.*  The trailing determinants obey the three-term recursion
     d_k = (a_k - E) d_{k+1} - rho_k d_{k+2}, read backwards in tau as
@@ -169,7 +169,7 @@ def k1_closed_form(samples):
     condition test depends on the scale of the samples; the chain is
     scaled back as a -> sigma a, rho -> sigma^2 rho.  Raises
     :class:`MalformedPair` when an entry overflows float64 on the way
-    back."""
+    back, or a nonzero rho_0 underflows to zero."""
     if len(samples) != 3:
         raise ValueError("K = 1 closed form needs exactly 3 samples")
     E, G = _sample_arrays(samples)
@@ -184,8 +184,8 @@ def k1_closed_form(samples):
     unit = k1_invert(K1Variables(x1=x1, x2=x2, y1=y1))
     with np.errstate(over="ignore"):
         a, rho = np.ldexp(unit.a, e), np.ldexp(unit.rho, 2 * e)
-    if not np.isfinite(np.concatenate([a, rho])).all():
-        raise MalformedPair("K = 1 chain entry overflows float64")
+    if not np.isfinite([*a, *rho]).all() or rho[0] == 0 != unit.rho[0]:
+        raise MalformedPair("K = 1 chain entry over- or underflows float64")
     return TridiagonalChain(a, rho)
 
 
@@ -205,12 +205,13 @@ def _working_context(K):
                    traps=[InvalidOperation, DivisionByZero, Overflow])
 
 
-def _thiele_pair(E, G, K):
-    """The pair (d0, d1) through the samples, as ascending coefficient
-    lists in tau = E - center with leading coefficients exactly (-1)^deg,
-    from the Thiele continued fraction of the type-(K, K) function
-    u = G + E = n0/d1; returns (center, d0, d1), center the midpoint of
-    the probes.  Runs at the current decimal context's precision.
+def _thiele_pair(E, G):
+    """The pair (d0, d1) of lowest type through the samples, as ascending
+    coefficient lists in tau = E - center with leading coefficients
+    exactly (-1)^deg, from the Thiele continued fraction of u = G + E =
+    n0/d1; returns (k, center, d0, d1), with (k, k) the type of u and
+    center the midpoint of the probes.  Runs at the current decimal
+    context's precision.
 
     The inverse differences phi_k(x_i) = (x_i - x_{k-1}) /
     (phi_{k-1}(x_i) - phi_{k-1}(x_{k-1})) difference the energies
@@ -218,51 +219,53 @@ def _thiele_pair(E, G, K):
     is at most eps |phi_{k-1}(x_{k-1})|, with eps the spacing of the
     working precision at 1.  At each step the node with the largest
     denominator becomes x_k; a vanishing one makes phi_k(x_i) infinite,
-    and so phi_{k+1}(x_i) zero.  Raises ZeroDivisionError when every
-    denominator of a step vanishes, or when d1 comes out of degree below
-    K."""
-    center = (max(E) + min(E)) / 2
+    and so phi_{k+1}(x_i) zero.  The fraction ends before a step whose
+    denominators all vanish, as the phi before it is constant on the
+    nodes left: after phi_{2k}, u = p/q is of type (k, k).  Raises
+    :class:`SampleDegeneracy` if u grows like E, as no chain's does:
+    after an odd term, or when |q_k| w^k <= eps max_j |q_j| w^j, w the
+    half-span of the probes."""
+    center, w = (max(E) + min(E)) / 2, (max(E) - min(E)) / 2
     x, v = map(list, zip(*sorted((e, g + e) for e, g in zip(E, G))))
     eps = Decimal(1).scaleb(1 - getcontext().prec)
-    for k in range(1, 2 * K + 1):
+    n = len(x) - 1  # the fraction ends at phi_n
+    for k in range(1, n + 1):
         xp, vp = x[k - 1], v[k - 1]
         tol = eps * abs(vp)
         den = [vi - vp for vi in v[k:]]
         mag = [abs(d) for d in den]
         j = mag.index(max(mag))
         if mag[j] <= tol:
-            raise ZeroDivisionError("inverse differences vanish")
+            n = k - 1
+            break
         x[k], x[k + j] = x[k + j], x[k]
         den[0], den[j], mag[0], mag[j] = den[j], den[0], mag[j], mag[0]
         v[k:] = [(xi - xp) / d if m > tol else _INF
                  for xi, d, m in zip(x[k:], den, mag)]
 
-    # u = phi_0 + (E - x_0)/(phi_1 + (E - x_1)/(... + (E - x_{2K-1})/phi_2K))
-    # = p/q, evaluated backwards in tau, where E - x_k = tau + (center -
-    # x_k); the degree of q grows by one every second step and p never
+    # u = phi_0 + (E - x_0)/(phi_1 + (E - x_1)/(... + (E - x_{n-1})/phi_n))
+    # = p/q, evaluated backwards in tau, where E - x_i = tau + (center -
+    # x_i); the degree of q grows by one every second step and p never
     # outgrows tau q
     zero = Decimal(0)
-    p, q = [v[-1]], [Decimal(1)]
-    for k in range(2 * K - 1, -1, -1):
-        s, vk = center - x[k], v[k]
-        p, q = [vk * pi + s * qi + qm for pi, qi, qm in
+    p, q = [v[n]], [Decimal(1)]
+    for i in range(n - 1, -1, -1):
+        s, vi = center - x[i], v[i]
+        p, q = [vi * pi + s * qi + qm for pi, qi, qm in
                 zip(p + [zero] * (len(q) + 1 - len(p)), q + [zero],
                     [zero] + q)], p
-    # to lead(d1) = (-1)^K, the determinant convention, and from
+    k = n // 2
+    if n % 2 or k and abs(q[k]) * w ** k <= eps * max(
+            abs(qj) * w ** j for j, qj in enumerate(q)):
+        raise SampleDegeneracy("no chain fits the samples (G + E grows "
+                               "like E)")
+    # to lead(d1) = (-1)^k, the determinant convention, and from
     # n0 = d0 + E d1 to d0, with E = center + tau
-    c = (-1) ** K / q[K]
-    d1 = [c * qi for qi in q[:K]] + [Decimal((-1) ** K)]
+    c = (-1) ** k / q[k]
+    d1 = [c * qi for qi in q[:k]] + [Decimal((-1) ** k)]
     d0 = [c * pi - center * di - dm
-          for pi, di, dm in zip(p, d1, [zero] + d1)] + [-d1[K]]
-    return center, d0, d1
-
-
-def _polyval(coef, t):
-    """Horner evaluation of an ascending coefficient list."""
-    acc = Decimal(0)
-    for c in reversed(coef):
-        acc = acc * t + c
-    return acc
+          for pi, di, dm in zip(p, d1, [zero] + d1)] + [-d1[k]]
+    return k, center, d0, d1
 
 
 def _cascade(d0, d1, center, K, rho_tol):
@@ -277,7 +280,7 @@ def _cascade(d0, d1, center, K, rho_tol):
     K = 0.  The cascade stops at the first level where |rho_k| <
     ``rho_tol``, a Decimal, and the chain is then the prefix before it.
     Raises :class:`MalformedPair` when an entry rounds to a non-finite
-    float64."""
+    float64, or a rho_k, nonzero since |rho_k| >= ``rho_tol``, to zero."""
     cur, nxt = d0, d1
     a_list, rho_list = [], []
     low, level = _INF, None
@@ -296,15 +299,14 @@ def _cascade(d0, d1, center, K, rho_tol):
             break
         rho_list.append(float(rho))
         cur, nxt = nxt, [r / -rho for r in rem]
-    if not np.isfinite(a_list + rho_list).all():
-        raise MalformedPair("expansion produced a non-finite chain entry")
+    if 0.0 in rho_list or not np.isfinite(a_list + rho_list).all():
+        raise MalformedPair("a chain entry over- or underflows float64")
     return TridiagonalChain(np.array(a_list), np.array(rho_list)), low, level
 
 
 def _expand_extended(E, G, K):
     """Thiele fit plus recursion of the sample arrays ``E``, ``G`` (as
-    checked by :func:`_sample_arrays`), carried out in extended precision
-    (stdlib ``decimal`` at 40 + 2K significant digits, see
+    checked by :func:`_sample_arrays`) in extended precision (see
     :func:`_working_context`).
 
     The coefficient problem is ill-conditioned (condition numbers beyond
@@ -312,17 +314,16 @@ def _expand_extended(E, G, K):
     itself is well-conditioned when probes bracket the poles, so the
     intermediate polynomial pair must never be rounded to float64.
 
-    A step of the type-(K, K) fit whose inverse differences all vanish
-    means G + E is exactly of lower type, so the fit is redone at
-    k = K-1, ..., 0 from the first 2k+1 samples.  If that fit reproduces
-    every sample, rho_k = 0 and the chain it expands to is raised as the
-    prefix of a :class:`ChainBreakdown` at level k; otherwise no chain
-    interpolates the samples (:class:`SampleDegeneracy`).  So is the
-    chain before the first level with |rho_k| < DROP_TOL w^2, w the
-    half-span of the probes.  One debug line gives the precision and the
-    breakdown margin: the smallest |rho_k| / (DROP_TOL w^2), with its
-    level.  Inputs and outputs are ordinary floats: Decimal(float) is
-    exact and float(Decimal) correctly rounded.
+    The chain before the first level with |rho_k| < DROP_TOL w^2, w the
+    half-span of the probes, is the prefix of a :class:`ChainBreakdown`
+    at that level.  So is the chain of a fit of lower type (k, k), where
+    rho_k = 0, if it reproduces every sample to DROP_TOL; it need not, as
+    the fraction can put a common zero of n0 and d1 on one of its nodes,
+    and then no chain fits (:class:`SampleDegeneracy`).  One debug line
+    gives the precision and the breakdown margin: the smallest
+    |rho_k| / (DROP_TOL w^2), with its level.  Inputs and outputs are
+    ordinary floats: Decimal(float) is exact and float(Decimal) correctly
+    rounded.
     """
     ctx = _working_context(K)
     with localcontext(ctx):
@@ -330,22 +331,20 @@ def _expand_extended(E, G, K):
         E = [Decimal(e) for e in E.tolist()]
         G = [Decimal(g) for g in G.tolist()]
         rho_tol = drop_tol * ((max(E) - min(E)) / 2) ** 2
-        for k in range(K, -1, -1):  # k = 0 takes no differences, never fails
-            try:
-                center, d0, d1 = _thiele_pair(E[:2 * k + 1], G[:2 * k + 1], k)
-                break
-            except ZeroDivisionError:
-                pass
+        k, center, d0, d1 = _thiele_pair(E, G)
+        chain, low, level = _cascade(d0, d1, center, k, rho_tol)
         note = ""
         if k < K:
             note = f", fit deflated to level {k}"
             for e, g in zip(E, G):
-                p0, p1 = _polyval(d0, e - center), g * _polyval(d1, e - center)
-                if abs(p0 - p1) > drop_tol * (abs(p0) + abs(p1)):
-                    raise SampleDegeneracy(
-                        f"no chain fits the samples (type-({k}, {k}) fit "
-                        f"misses G({float(e)}))")
-        chain, low, level = _cascade(d0, d1, center, k, rho_tol)
+                # the chain's determinants D_0, D_1 at e, G(e) = D_0/D_1
+                p0, p1 = Decimal(1), Decimal(0)
+                for a, r in zip(chain.a.tolist()[::-1],
+                                [0.0] + chain.rho.tolist()[::-1]):
+                    p0, p1 = (Decimal(a) - e) * p0 - Decimal(r) * p1, p0
+                if abs(p0 - g * p1) > drop_tol * (abs(p0) + abs(g * p1)):
+                    raise SampleDegeneracy("no chain fits the samples: the "
+                                           f"fit misses G({float(e)})")
         if level is not None:
             note += f", margin {float(low / rho_tol):.1e} at level {level}"
         log.debug("reconstruct: K=%d at %d digits%s", K, ctx.prec, note)

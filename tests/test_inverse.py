@@ -200,6 +200,13 @@ class TestK1:
         with pytest.raises(MalformedPair):
             k1_closed_form(_scaled_paper_samples(1e155))
 
+    @pytest.mark.parametrize("s", [1e-170, 1e-300])
+    def test_closed_form_underflow_is_malformed(self, s):
+        # rho_0 = -s^2 is below the smallest subnormal: a -0.0 would flag
+        # the chain as Hermitian
+        with pytest.raises(MalformedPair):
+            k1_closed_form(_scaled_paper_samples(s))
+
     def test_closed_form_needs_three(self):
         with pytest.raises(ValueError):
             k1_closed_form(PAPER_SAMPLES[:2])
@@ -361,13 +368,33 @@ class TestLoewnerStep:
     @pytest.mark.parametrize("g, energies", [
         (lambda e: 1.0 - 2.0 * e, (0.0, 1.0, 3.0)),
         (lambda e: 5.0, (-2.0, -0.5, 0.25, 1.5, 4.0)),
-    ], ids=["1-2E", "constant"])
+        # G + E = -E + 1/(E - 1) grows like E; the fitted d1 has a leading
+        # coefficient of relative size 3e-44
+        (lambda e: -2.0 * e + 1.0 / (e - 1.0), (0.0, 2.0, 3.0, 5.0, -1.0)),
+        # G + E = 0 at all probes but -4: the fraction of type (0, 0) puts
+        # a common zero of n0 and d1 on -4
+        (lambda e: (2.5 if e == -4.0 else 0.0) - e,
+         (0.5, -4.0, -1.5, 2.0, -2.5)),
+    ], ids=["1-2E", "constant", "-2E+1/(E-1)", "one-probe-off"])
     def test_samples_no_chain_fits(self, g, energies):
         # G + E is of lower type, but no chain has this G: the deflated fit
         # misses samples
         samples = [GSample(e, g(e)) for e in energies]
         with pytest.raises(SampleDegeneracy):
             reconstruct(samples, len(energies) // 2)
+
+    def test_deflation_uses_every_sample(self):
+        # G = -0.5 - E - 1.5/(E + 3), a_0 = -0.5, a_1 = -3, rho_0 = -1.5 and
+        # rho_1 = 0, at 9 probes: the fraction through all of them ends at
+        # type (1, 1) whatever their order
+        energies = [0.5, 0.0, -3.5, 2.5, -1.0, -2.0, -4.0, 3.0, -1.5]
+        samples = [GSample(e, -0.5 - e - 1.5 / (e + 3.0)) for e in energies]
+        for order in (samples, samples[::-1]):
+            with pytest.raises(ChainBreakdown) as exc:
+                reconstruct(order, 4)
+            assert exc.value.level == 1
+            assert exc.value.recovered_prefix.a.tolist() == [-0.5, -3.0]
+            assert exc.value.recovered_prefix.rho.tolist() == [-1.5]
 
 
 class TestThieleFit:
@@ -393,6 +420,27 @@ class TestThieleFit:
         samples = _roundtrip_samples(K, seed, sign)
         got = _outcome(lambda s, k: reconstruct(s, k).chain, samples, K)
         assert got == _outcome(_monomial_reconstruct, samples, K)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), K=st.integers(0, 4), linear=st.booleans())
+    def test_small_dyadic_samples(self, data, K, linear):
+        # exact data hit every exit of the fit: lower type, growth like E,
+        # vanishing and infinite inverse differences; each one must end in
+        # a report or a domain error, the same for either sample order
+        half = st.integers(-8, 8).map(lambda i: i / 2)
+        energies = data.draw(st.lists(half, min_size=2 * K + 1,
+                                      max_size=2 * K + 1, unique=True))
+        if linear:
+            c, m = data.draw(half), data.draw(half)
+            values = [c - m * e for e in energies]
+        else:
+            values = data.draw(st.lists(half, min_size=2 * K + 1,
+                                        max_size=2 * K + 1))
+        samples = [GSample(e, g) for e, g in zip(energies, values)]
+        got = _outcome_bytes(samples, K)
+        assert isinstance(got[0], bytes) or got[0] in (
+            "ChainBreakdown", "SampleDegeneracy", "MalformedPair")
+        assert _outcome_bytes(samples[::-1], K) == got
 
 
 class TestReconstruct:
@@ -426,6 +474,13 @@ class TestReconstruct:
         # rho_0 = -s^2 is not mistaken for zero when s is small
         _assert_scaled_paper_chain(
             reconstruct(_scaled_paper_samples(s), 1).chain, s)
+
+    @pytest.mark.parametrize("s", [1e-170, 1e-300])
+    def test_underflowing_rho_is_malformed(self, s):
+        # rho_0 = -s^2 is below the smallest subnormal: a -0.0 would flag
+        # the chain as Hermitian (s = 1e-160 gives a subnormal and returns)
+        with pytest.raises(MalformedPair):
+            reconstruct(_scaled_paper_samples(s), 1)
 
     def test_k0_overflow_is_malformed(self):
         # a_0 = G + E = 3e308 is exact in extended precision, inf in float64
