@@ -6,8 +6,7 @@ from .errors import (ChainBreakdown, DomainError, EffHamError,
                      NearSingularBlock, NonConvergence, NotSymmetrizable,
                      PoleProximity, SampleDegeneracy)
 from .forward import (continued_fraction, effective_hamiltonian, g_function,
-                      g_function_dense_oracle, resolvent_factored,
-                      ufl_factorize)
+                      g_function_dense_oracle, ufl_factorize)
 from .inverse import (K1Variables, ReconstructionReport,
                       choose_probe_energies, k1_closed_form, k1_invert,
                       k1_variables_from_chain, reconstruct,
@@ -15,7 +14,7 @@ from .inverse import (K1Variables, ReconstructionReport,
 from .model import (FactoredChain, GSample, PartitionedHamiltonian,
                     TridiagonalChain, assemble_dense, refactorize)
 from .spectral import (SelfConsistentResult, eigenvalues_dense,
-                       secular_function, self_consistent_solve)
+                       self_consistent_solve)
 from .toys import (M2ToyInput, TwoLevelInput, m2_g_closed_form, m2_paradox,
                    two_level_reconstruct)
 

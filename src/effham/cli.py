@@ -42,7 +42,9 @@ def _read_json(path):
 
 
 def _emit(payload, output_path):
-    text = json.dumps(payload, indent=2)
+    # NaN and Infinity are not JSON; refuse them (a ValueError) rather than
+    # print what a strict parser rejects
+    text = json.dumps(payload, indent=2, allow_nan=False)
     if output_path:
         with open(output_path, "w") as fh:
             fh.write(text + "\n")
@@ -113,6 +115,8 @@ def _roundtrip_once(K, seed, rho_sign, margin):
 
 
 def cmd_roundtrip(args):
+    if args.trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
     rho_sign = "mixed" if args.negative_rho else "positive"
     worst = 0.0
     for i in range(args.trials):

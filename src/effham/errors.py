@@ -61,7 +61,9 @@ class ChainBreakdown(DomainError):
     so the tail decouples and only a prefix of the chain is identifiable.
     ``reconstruct`` counts rho_k as zero when |rho_k| < DROP_TOL w^2, with
     w the half-span of the probe energies, or when G + E is exactly of
-    lower type.
+    lower type.  Either way the chain recovered before the breakdown
+    reproduces every sample to DROP_TOL (else the samples are a
+    :class:`SampleDegeneracy`).
 
     ``recovered_prefix`` holds the entries recovered before breakdown.
     """

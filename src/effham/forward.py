@@ -1,6 +1,6 @@
 """Forward direction: continued-fraction pivots, the UFL factorization of
-the excluded-space block, its factorized resolvent, the scalar element
-G(E) and the full effective Hamiltonian, plus a dense brute-force oracle.
+the excluded-space block, the scalar element G(E) and the full effective
+Hamiltonian, plus a dense brute-force oracle.
 
 The excluded-space block QHQ is the *tail* of the chain (indices 1..K of
 the stored arrays); the downward recursion
@@ -11,13 +11,12 @@ produces the reciprocal pivots, and G(E) extends it one level to k = 0:
 
     G(E) = a_0 - E - rho_0 f_1(E)  =  1 / f_0(E).
 
-:func:`continued_fraction` keeps every f_k together with the alpha/beta
-products that :func:`ufl_factorize` and :func:`resolvent_factored` need,
-in any off-diagonal gauge.  :func:`g_function` needs only f_1 in the
-stored unit-subdiagonal gauge, so it runs the same recursion without
-that state: on Python floats for a single energy, and as one numpy pass
-over all energies for an array.  Both forms do the same operations in
-the same order, so they agree bit for bit.
+:func:`continued_fraction` keeps every f_k, as :func:`ufl_factorize`
+needs, in any off-diagonal gauge.  :func:`g_function` needs only f_1 in
+the stored unit-subdiagonal gauge, so it runs the same recursion without
+keeping the others: on Python floats for a single energy, and as one
+numpy pass over all energies for an array.  Both forms do the same
+operations in the same order, so they agree bit for bit.
 """
 
 from dataclasses import dataclass
@@ -29,11 +28,9 @@ from .model import (FactoredChain, PartitionedHamiltonian, TridiagonalChain,
                     _freeze, refactorize)
 
 __all__ = [
-    "ContinuedFractionState",
     "UFLFactors",
     "continued_fraction",
     "ufl_factorize",
-    "resolvent_factored",
     "g_function",
     "effective_hamiltonian",
     "g_function_dense_oracle",
@@ -41,17 +38,6 @@ __all__ = [
 
 PIVOT_TOL = 1e-12  # relative to the local scale of each pivot
 ORACLE_COND_LIMIT = 1e12  # of E - QHQ in the dense oracle
-
-
-@dataclass(frozen=True)
-class ContinuedFractionState:
-    """Reciprocal pivots f_1..f_{K+1} (last entry exactly 0) together with
-    the inverse-factor products alpha_{k+1} = -b_k f_{k+1} (k = 1..K,
-    the last is 0 by construction) and beta_j = -c_j f_j (j = 2..K)."""
-
-    f: np.ndarray
-    alpha: np.ndarray
-    beta: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -80,7 +66,8 @@ def _as_factored_tail(tail):
 
 def continued_fraction(tail, E):
     """Run the downward pivot recursion over a factored tail (entries
-    a_1..a_K with off-diagonal factors b_k, c_{k+1}).
+    a_1..a_K with off-diagonal factors b_k, c_{k+1}); returns the
+    read-only reciprocal pivots f_1..f_{K+1}, the last exactly 0.
 
     Raises :class:`PoleProximity` when a pivot falls below
     ``PIVOT_TOL * (|a_k| + |E| + |coupling| + 1)``: E is at or near an
@@ -97,43 +84,19 @@ def continued_fraction(tail, E):
         if abs(pivot) < PIVOT_TOL * scale:
             raise PoleProximity(k)
         f[k - 1] = 1.0 / pivot
-    alpha = np.zeros(K)
-    alpha[:K - 1] = -b * f[1:K]
-    beta = -c * f[1:K]
-    return ContinuedFractionState(_freeze(f), _freeze(alpha), _freeze(beta))
+    return _freeze(f)
 
 
 def ufl_factorize(tail, E):
     """Factor Q(H - E)Q = U F L; U unit upper bidiagonal, F diagonal with
     entries 1/f_k, L unit lower bidiagonal."""
     tail = _as_factored_tail(tail)
-    state = continued_fraction(tail, E)
-    f = state.f
+    f = continued_fraction(tail, E)
     K = tail.K + 1
     u_super = tail.b * f[1:K]
     f_diag = 1.0 / f[:K]
     l_sub = f[1:K] * tail.c
     return UFLFactors(_freeze(u_super), _freeze(f_diag), _freeze(l_sub))
-
-
-def resolvent_factored(tail, E):
-    """[Q(H - E)Q]^{-1} as the explicit product L^{-1} F^{-1} U^{-1} built
-    from the cumulative alpha/beta products.
-
-    Note the sign convention: callers evaluating Q/(E - QHQ) negate.
-    """
-    tail = _as_factored_tail(tail)
-    state = continued_fraction(tail, E)
-    K = tail.K + 1
-    alpha, beta, f = state.alpha, state.beta, state.f
-    u_inv = np.eye(K)
-    l_inv = np.eye(K)
-    for i in range(K - 1):
-        # u_inv[i, j] = alpha_{i+2} ... alpha_{j+1} and
-        # l_inv[j, i] = beta_{i+2} ... beta_{j+1} for j > i
-        u_inv[i, i + 1:] = np.cumprod(alpha[i:K - 1])
-        l_inv[i + 1:, i] = np.cumprod(beta[i:])
-    return l_inv @ np.diag(f[:K]) @ u_inv
 
 
 def g_function(chain, E):

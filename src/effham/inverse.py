@@ -18,8 +18,7 @@ that reproduces the outcome, which grows by about one digit per level
     the node of the largest denominator pivoted in at each step; the
     fraction, evaluated backwards, gives n0 and d1.  When every
     denominator of a step vanishes, the fraction ends: u is of lower type
-    (k, k) because rho_k = 0, and the chain it expands to, if it meets
-    every sample, is the prefix of a :class:`ChainBreakdown`.
+    (k, k) because rho_k = 0.
 
 2.  *Expansion.*  The trailing determinants obey the three-term recursion
     d_k = (a_k - E) d_{k+1} - rho_k d_{k+2}, read backwards in tau as
@@ -27,6 +26,8 @@ that reproduces the outcome, which grows by about one digit per level
     coefficient of the left side gives a_k and the rest of it is
     -rho_k d_{k+2}, one (a_k, rho_k) pair per level.  Level k breaks down
     when |rho_k| < DROP_TOL w^2, with w the half-span of the probes.
+    However level k breaks down, the chain recovered before it, if it
+    meets every sample, is the prefix of a :class:`ChainBreakdown`.
 
 The K = 1 case admits the closed-form change of variables
 (x1, x2, y1) = (-a0 - a1, a0 a1 - rho0, a1), inverted exactly.
@@ -315,11 +316,11 @@ def _expand_extended(E, G, K):
     intermediate polynomial pair must never be rounded to float64.
 
     The chain before the first level with |rho_k| < DROP_TOL w^2, w the
-    half-span of the probes, is the prefix of a :class:`ChainBreakdown`
-    at that level.  So is the chain of a fit of lower type (k, k), where
-    rho_k = 0, if it reproduces every sample to DROP_TOL; it need not, as
-    the fraction can put a common zero of n0 and d1 on one of its nodes,
-    and then no chain fits (:class:`SampleDegeneracy`).  One debug line
+    half-span of the probes, or of a fit of lower type (k, k), where
+    rho_k = 0, is the prefix of a :class:`ChainBreakdown` at that level
+    if it reproduces every sample to DROP_TOL.  It need not, as the
+    fraction can put a common zero of n0 and d1 on one of its nodes, and
+    then no chain fits (:class:`SampleDegeneracy`).  One debug line
     gives the precision and the breakdown margin: the smallest
     |rho_k| / (DROP_TOL w^2), with its level.  Inputs and outputs are
     ordinary floats: Decimal(float) is exact and float(Decimal) correctly
@@ -336,6 +337,11 @@ def _expand_extended(E, G, K):
         note = ""
         if k < K:
             note = f", fit deflated to level {k}"
+        if level is not None:
+            note += f", margin {float(low / rho_tol):.1e} at level {level}"
+        log.debug("reconstruct: K=%d at %d digits%s", K, ctx.prec, note)
+        broken = level if low < rho_tol else k
+        if broken < K:
             for e, g in zip(E, G):
                 # the chain's determinants D_0, D_1 at e, G(e) = D_0/D_1
                 p0, p1 = Decimal(1), Decimal(0)
@@ -345,11 +351,6 @@ def _expand_extended(E, G, K):
                 if abs(p0 - g * p1) > drop_tol * (abs(p0) + abs(g * p1)):
                     raise SampleDegeneracy("no chain fits the samples: the "
                                            f"fit misses G({float(e)})")
-        if level is not None:
-            note += f", margin {float(low / rho_tol):.1e} at level {level}"
-        log.debug("reconstruct: K=%d at %d digits%s", K, ctx.prec, note)
-        broken = level if low < rho_tol else k
-        if broken < K:
             raise ChainBreakdown(chain, level=broken)
         return chain
 

@@ -27,7 +27,6 @@ from .model import assemble_dense
 __all__ = [
     "SelfConsistentResult",
     "eigenvalues_dense",
-    "secular_function",
     "self_consistent_solve",
     "embed_full_space",
     "full_space_residual",
@@ -41,6 +40,8 @@ POLE_OFFSET = 1e-10
 # interior probes of an interval whose ends give r the same sign, when r
 # may be non-monotone
 INTERIOR_SAMPLES = 8
+# H_eff evaluations one self-consistent solve may make
+MAX_EVALS = 200
 
 
 @dataclass(frozen=True)
@@ -68,13 +69,6 @@ def eigenvalues_dense(m):
     return _sorted_eig(m, vectors=False)[0]
 
 
-def secular_function(h, E):
-    """det(H_eff(E) - E * I); its real zeros away from poles of G are
-    exactly the eigenvalues of the assembled full-space matrix."""
-    M = h.M
-    return float(np.linalg.det(effective_hamiltonian(h, E) - E * np.eye(M)))
-
-
 def _sorted_eig(m, vectors=True):
     """Eigenvalues of m, with right eigenvectors as columns when
     ``vectors`` (else None), in the order of :func:`eigenvalues_dense`."""
@@ -91,7 +85,7 @@ def _sorted_eig(m, vectors=True):
     return w[order], None if v is None else v[:, order]
 
 
-def self_consistent_solve(h, eta0, n, max_iter=200):
+def self_consistent_solve(h, eta0, n):
     """The n-th (1-based) self-consistent level: a root of
     r_n(eta) = Re E^(n)(eta) - eta, where E^(n) is the n-th eigenvalue of
     H_eff(eta) in the order of :func:`eigenvalues_dense`.
@@ -114,7 +108,7 @@ def self_consistent_solve(h, eta0, n, max_iter=200):
 
     Anderson-Bjorck regula falsi then shrinks the bracket until r_n = 0
     or it is a few ulps wide, and the end with the smaller |r_n| is the
-    energy.  ``max_iter`` bounds the number of H_eff evaluations.
+    energy.  ``MAX_EVALS`` bounds the number of H_eff evaluations.
 
     Raises :class:`NonConvergence` when no sign change is found in either
     direction (e.g. the levels of a quasi-Hermitian block are complex),
@@ -123,16 +117,19 @@ def self_consistent_solve(h, eta0, n, max_iter=200):
     H_eff (``reason`` "no_sign_change", "budget" or "residual"); the
     evaluated energies are attached as ``trace``.
     :class:`PoleProximity` propagates when eta0 itself sits on a pole.
+    A non-finite eta0 or an n outside 1..M is a ``ValueError``.
     """
     if not 1 <= n <= h.M:
         raise ValueError(f"level index n={n} outside 1..{h.M}")
+    if not math.isfinite(eta0):
+        raise ValueError(f"start energy eta0={eta0} is not finite")
     trace = []
 
     def r(x):
-        if len(trace) == max_iter:
+        if len(trace) == MAX_EVALS:
             raise NonConvergence(
                 trace, "budget",
-                f"budget of {max_iter} H_eff evaluations exhausted")
+                f"budget of {MAX_EVALS} H_eff evaluations exhausted")
         trace.append(x)
         try:
             w = np.linalg.eigvals(effective_hamiltonian(h, x))

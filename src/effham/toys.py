@@ -82,16 +82,17 @@ def _m2_levels(inp, chain):
     return np.sort(np.linalg.eigvals(assemble_dense(h)).real)
 
 
-def m2_paradox(inp, chain, wrong_probe=None, wrong_factor=1.25):
+def m2_paradox(inp, chain, wrong_factor=1.25):
     """Compare a 'lucky' and a 'wrong' guess of the input function for the
     M = 2, K = 1 reconstruction.
 
     The original 3x3 is assembled from ``inp`` (A, B, C) and ``chain``
     (a0, a1, rho0).  Sampling the closed-form B*C/(A - E) exactly at the
     three eigenvalues of the original recovers an isospectral 3x3 (in fact
-    the original chain).  Replacing the third sample by a guessed value at
-    a non-eigenvalue probe pins the two measured levels but leaves the
-    third eigenvalue uncontrolled.
+    the original chain).  Replacing the third sample by a guessed value,
+    ``wrong_factor`` times the true one, at the midpoint of the two lowest
+    levels pins those two measured levels but leaves the third eigenvalue
+    uncontrolled.
 
     Returns a dict of intermediate values for display and assertions.
     """
@@ -101,8 +102,7 @@ def m2_paradox(inp, chain, wrong_probe=None, wrong_factor=1.25):
     lucky_chain = k1_closed_form(lucky_samples)
     lucky_levels = _m2_levels(inp, lucky_chain)
 
-    if wrong_probe is None:
-        wrong_probe = 0.5 * (levels[0] + levels[1])
+    wrong_probe = 0.5 * (levels[0] + levels[1])
     wrong_samples = lucky_samples[:2] + [GSample(
         wrong_probe, wrong_factor * m2_g_closed_form(inp, wrong_probe))]
     wrong_chain = k1_closed_form(wrong_samples)

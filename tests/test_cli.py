@@ -55,6 +55,24 @@ class TestGfun:
         assert len(json.loads(dest.read_text())["samples"]) == 3
 
 
+class TestStrictJson:
+    @pytest.mark.parametrize("args", [["gfun", "--energies", "0,nan,inf"],
+                                      ["project", "--energy", "nan"]],
+                             ids=["gfun", "project"])
+    def test_non_finite_output_exits_1(self, paper_file, tmp_path, capsys,
+                                       args):
+        # NaN and Infinity are not JSON: nothing is printed or written
+        assert main(args + ["--input", paper_file]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("effham: ValueError: Out of range "
+                                       "float values are not JSON")
+        dest = tmp_path / "out.json"
+        assert main(args + ["--input", paper_file,
+                            "--output", str(dest)]) == 1
+        assert not dest.exists()
+
+
 class TestSpectrum:
     def test_dense(self, paper_file, capsys):
         assert main(["spectrum", "--input", paper_file]) == 0
@@ -81,6 +99,15 @@ class TestSpectrum:
         assert main(["spectrum", "--input", paper_file, "--self-consistent",
                      "--fp-tol", "1e-10"]) == 1
         assert "unrecognized arguments: --fp-tol" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("eta0", ["nan", "inf", "-inf"])
+    def test_self_consistent_non_finite_eta0_exits_1(self, paper_file,
+                                                     capsys, eta0):
+        assert main(["spectrum", "--input", paper_file, "--self-consistent",
+                     f"--eta0={eta0}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("effham: ValueError: start energy")
 
 
 class TestMalformedHamiltonian:
@@ -140,6 +167,14 @@ class TestRoundtripCommand:
                      "--trials", "3"]) == 0
         out = capsys.readouterr().out
         assert "max_err" in out and "ok" in out
+
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_no_trials_exits_1(self, capsys, trials):
+        # a roundtrip over no trials tests nothing and must not pass
+        assert main(["roundtrip", "--K", "2", f"--trials={trials}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("effham: ValueError: --trials")
 
 
 class TestDemo:

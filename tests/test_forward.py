@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from effham.errors import NearSingularBlock, PoleProximity
 from effham.forward import (continued_fraction, effective_hamiltonian,
                             g_function, g_function_dense_oracle,
-                            resolvent_factored, ufl_factorize)
+                            ufl_factorize)
 from effham.instances import random_chain
 from effham.model import (PartitionedHamiltonian, TridiagonalChain,
                           refactorize)
@@ -21,33 +21,12 @@ def _bits(x):
     return np.asarray(x, dtype=float).tobytes()
 
 
-def _resolvent_loops(tail, E):
-    """Reference for ``resolvent_factored``: the explicit products
-    accumulated one factor at a time."""
-    state = continued_fraction(tail, E)
-    K = tail.K + 1
-    alpha, beta, f = state.alpha, state.beta, state.f
-    u_inv = np.eye(K)
-    for i in range(K):
-        prod = 1.0
-        for j in range(i + 1, K):
-            prod *= alpha[j - 1]
-            u_inv[i, j] = prod
-    l_inv = np.eye(K)
-    for j in range(K):
-        prod = 1.0
-        for i in range(j + 1, K):
-            prod *= beta[i - 1]
-            l_inv[i, j] = prod
-    return l_inv @ np.diag(f[:K]) @ u_inv
-
-
 def _g_reference(chain, E):
-    """G(E) through the full continued-fraction state of the tail."""
+    """G(E) through the full continued-fraction pivots of the tail."""
     if chain.K == 0:
         return chain.a[0] - E
     return chain.a[0] - E - chain.rho[0] * continued_fraction(
-        chain.tail(), E).f[0]
+        chain.tail(), E)[0]
 
 
 def _outcome(fn, *args):
@@ -61,9 +40,10 @@ def _outcome(fn, *args):
 
 class TestContinuedFraction:
     def test_single_level(self):
-        state = continued_fraction(_tail([2.0], []), 0.0)
-        assert state.f[-1] == 0.0
-        assert state.f[0] == 0.5
+        f = continued_fraction(_tail([2.0], []), 0.0)
+        assert f[-1] == 0.0
+        assert f[0] == 0.5
+        assert not f.flags.writeable
 
     def test_exact_pivot_breakdown(self):
         # a = (1, 1), rho = 1 at E = 0: f_2 = 1, pivot a_1 - 1 = 0
@@ -73,17 +53,16 @@ class TestContinuedFraction:
 
     def test_two_levels_vs_dense(self):
         # f_1 must equal the (1,1) entry of the dense inverse of QHQ - E
-        state = continued_fraction(_tail([2.0, 3.0], [1.0]), 0.0)
-        assert state.f[1] == pytest.approx(1.0 / 3.0, rel=1e-15)
+        f = continued_fraction(_tail([2.0, 3.0], [1.0]), 0.0)
+        assert f[1] == pytest.approx(1.0 / 3.0, rel=1e-15)
         block = np.array([[2.0, 1.0], [1.0, 3.0]])
-        np.testing.assert_allclose(state.f[0],
+        np.testing.assert_allclose(f[0],
                                    np.linalg.inv(block)[0, 0], rtol=1e-14)
 
     def test_pivot_identity(self):
         rng = np.random.default_rng(0)
         tail = refactorize(random_chain(5, rng), "unit_subdiagonal")
-        state = continued_fraction(tail, 17.3)  # well outside the spectrum
-        f = state.f
+        f = continued_fraction(tail, 17.3)  # well outside the spectrum
         for k in range(tail.K + 1):
             coupling = tail.b[k] * f[k + 1] * tail.c[k] if k < tail.K else 0.0
             assert f[k] * (tail.a[k] - 17.3 - coupling) == pytest.approx(1.0)
@@ -125,45 +104,6 @@ class TestUFL:
         np.testing.assert_allclose(sym.f_diag, uni.f_diag, rtol=1e-12)
 
 
-class TestResolvent:
-    def test_scalar(self):
-        np.testing.assert_allclose(resolvent_factored(_tail([2.0], []), 0.0),
-                                   [[0.5]])
-
-    def test_k2_inverse(self):
-        got = resolvent_factored(_tail([2.0, 3.0], [1.0]), 0.0)
-        np.testing.assert_allclose(got, [[0.6, -0.2], [-0.2, 0.4]],
-                                   rtol=1e-14)
-
-    def test_matches_dense_lu(self):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            K = int(rng.integers(2, 9))
-            tail = refactorize(random_chain(K - 1, rng, "mixed"),
-                               "unit_subdiagonal")
-            dense = tail.to_dense()
-            E = float(np.abs(dense).sum() + 1.0)
-            got = resolvent_factored(tail, E)
-            ref = np.linalg.inv(dense - E * np.eye(K))
-            np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-14)
-
-    def test_bitwise_against_product_loops(self):
-        rng = np.random.default_rng(7)
-        for _ in range(100):
-            K = int(rng.integers(1, 13))
-            pos = random_chain(K - 1, rng, "positive")
-            mixed = random_chain(K - 1, rng, "mixed")
-            E = float(rng.uniform(-8.0, 8.0))
-            for tail in (refactorize(pos, "unit_subdiagonal"),
-                         refactorize(pos, "symmetric"),
-                         refactorize(mixed, "unit_subdiagonal")):
-                try:
-                    ref = _resolvent_loops(tail, E)
-                except PoleProximity:
-                    continue
-                assert _bits(resolvent_factored(tail, E)) == _bits(ref)
-
-
 class TestGFunction:
     def test_paper_values(self, paper_chain):
         assert g_function(paper_chain, 0.0) == pytest.approx(-1.5, rel=1e-15)
@@ -203,7 +143,7 @@ class TestGFunction:
         chain = random_chain(7, rng, "mixed")
         E = float(np.abs(chain.to_dense()).sum())
         tail = refactorize(chain.tail(), "unit_subdiagonal")
-        f = continued_fraction(tail, E).f
+        f = continued_fraction(tail, E)
         dense = chain.tail().to_dense() - E * np.eye(chain.K)
         for k in range(1, chain.K + 1):
             d_k = np.linalg.det(dense[k - 1:, k - 1:])

@@ -375,10 +375,14 @@ class TestLoewnerStep:
         # a common zero of n0 and d1 on -4
         (lambda e: (2.5 if e == -4.0 else 0.0) - e,
          (0.5, -4.0, -1.5, 2.0, -2.5)),
-    ], ids=["1-2E", "constant", "-2E+1/(E-1)", "one-probe-off"])
+        # the cascade meets rho_0 = 0 exactly, and its prefix a = (4) has
+        # G(1) = 3, not 0
+        (lambda e: {1.0: 0.0, -1.5: 5.5, 1.5: 2.5}[e], (1.0, -1.5, 1.5)),
+    ], ids=["1-2E", "constant", "-2E+1/(E-1)", "one-probe-off",
+            "prefix-misses-sample"])
     def test_samples_no_chain_fits(self, g, energies):
-        # G + E is of lower type, but no chain has this G: the deflated fit
-        # misses samples
+        # no chain has this G: the prefix before the breakdown misses
+        # samples
         samples = [GSample(e, g(e)) for e in energies]
         with pytest.raises(SampleDegeneracy):
             reconstruct(samples, len(energies) // 2)

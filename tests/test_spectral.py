@@ -5,13 +5,12 @@ from hypothesis import strategies as st
 
 from effham import spectral
 from effham.errors import NonConvergence, PoleProximity
-from effham.forward import effective_hamiltonian, g_function
+from effham.forward import effective_hamiltonian
 from effham.instances import random_hamiltonian, real_poles
 from effham.model import (PartitionedHamiltonian, TridiagonalChain,
                           assemble_dense)
 from effham.spectral import (eigenvalues_dense, embed_full_space,
-                             full_space_residual, secular_function,
-                             self_consistent_solve)
+                             full_space_residual, self_consistent_solve)
 
 ROOT3 = np.sqrt(3.0)
 
@@ -42,26 +41,6 @@ class TestEigenvaluesDense:
                                    rtol=1e-12, atol=1e-12)
 
 
-class TestSecularFunction:
-    def test_m1_is_g(self, paper_hamiltonian, paper_chain):
-        # det is a scalar here: H_eff(E) - E = G(E)
-        for E in (0.0, 1.0, 3.0):
-            assert secular_function(paper_hamiltonian, E) == pytest.approx(
-                g_function(paper_chain, E), rel=1e-14)
-
-    def test_zero_at_true_eigenvalues(self, paper_hamiltonian):
-        for E in (-ROOT3, ROOT3):
-            assert abs(secular_function(paper_hamiltonian, E)) < 1e-12
-
-    def test_m2_expansion(self, m2_hamiltonian):
-        # det(H_eff(E) - E) = (1 - E)(G(E) + E - E) - 6 with this block
-        chain = m2_hamiltonian.chain
-        for E in (-0.4, 0.25, 2.0):
-            expected = (1.0 - E) * g_function(chain, E) - 6.0
-            assert secular_function(m2_hamiltonian, E) == pytest.approx(
-                expected, rel=1e-12)
-
-
 class TestSelfConsistent:
     def test_paper_ground_level(self, paper_hamiltonian):
         res = self_consistent_solve(paper_hamiltonian, eta0=-1.0, n=1)
@@ -77,6 +56,14 @@ class TestSelfConsistent:
     def test_bad_level_index(self, m2_hamiltonian):
         with pytest.raises(ValueError):
             self_consistent_solve(m2_hamiltonian, 0.0, n=3)
+
+    @pytest.mark.parametrize("eta0", [np.nan, np.inf, -np.inf])
+    def test_non_finite_start_rejected(self, m2_hamiltonian, monkeypatch,
+                                       eta0):
+        # a usage error, raised before H_eff is evaluated at all
+        monkeypatch.setattr(spectral, "effective_hamiltonian", None)
+        with pytest.raises(ValueError, match="not finite"):
+            self_consistent_solve(m2_hamiltonian, eta0, n=1)
 
     def test_isospectral_random(self):
         rng = np.random.default_rng(7)
@@ -119,9 +106,10 @@ class TestSelfConsistent:
             self_consistent_solve(h, eta0=-1.0, n=1)
         assert exc.value.trace[0] == -1.0
 
-    def test_budget_exhausted(self, paper_hamiltonian):
+    def test_budget_exhausted(self, paper_hamiltonian, monkeypatch):
+        monkeypatch.setattr(spectral, "MAX_EVALS", 3)
         with pytest.raises(NonConvergence, match="budget of 3") as exc:
-            self_consistent_solve(paper_hamiltonian, -1.0, n=1, max_iter=3)
+            self_consistent_solve(paper_hamiltonian, -1.0, n=1)
         assert len(exc.value.trace) == 3
 
     def test_residual_check_failure(self):
@@ -132,16 +120,18 @@ class TestSelfConsistent:
         with pytest.raises(NonConvergence, match="residual check failed"):
             self_consistent_solve(h, eta0=0.0, n=1)
 
-    @pytest.mark.parametrize("a, rho, eta0, max_iter, reason", [
+    @pytest.mark.parametrize("a, rho, eta0, max_evals, reason", [
         ([0.0, 0.0], [-1.0], -1.0, 200, "no_sign_change"),
         ([-2.0, 2.0], [-1.0], -1.0, 3, "budget"),
         ([2.0, 1.0], [2e-10], 0.0, 200, "residual"),
     ], ids=["no_sign_change", "budget", "residual"])
-    def test_failure_reason(self, a, rho, eta0, max_iter, reason):
+    def test_failure_reason(self, a, rho, eta0, max_evals, reason,
+                            monkeypatch):
         # the cause of a failure is readable without parsing the message
+        monkeypatch.setattr(spectral, "MAX_EVALS", max_evals)
         h = PartitionedHamiltonian.from_chain(TridiagonalChain(a, rho))
         with pytest.raises(NonConvergence) as exc:
-            self_consistent_solve(h, eta0, n=1, max_iter=max_iter)
+            self_consistent_solve(h, eta0, n=1)
         assert exc.value.reason == reason
 
     @pytest.mark.parametrize("seed, n", [(3, 4), (8, 2), (15, 2), (24, 4),

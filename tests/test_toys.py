@@ -91,17 +91,13 @@ class TestParadox:
 
     def test_wrong_guess_pins_measured_levels_only(self, setup):
         inp, chain = setup
-        out = m2_paradox(inp, chain)
-        # the two sampled eigenvalues survive in the wrong reconstruction
-        for target in out["original_levels"][:2]:
-            assert np.min(np.abs(out["wrong_levels"] - target)) < 1e-8
-        # ...but the third one moves
-        third = out["original_levels"][2]
-        assert np.min(np.abs(out["wrong_levels"] - third)) > 1e-3
-
-    def test_wrong_probe_override(self, setup):
-        inp, chain = setup
-        out = m2_paradox(inp, chain, wrong_probe=4.0, wrong_factor=2.0)
-        assert out["wrong_probe"] == 4.0
-        for target in out["original_levels"][:2]:
-            assert np.min(np.abs(out["wrong_levels"] - target)) < 1e-8
+        for wrong_factor in (1.25, 2.0):
+            out = m2_paradox(inp, chain, wrong_factor=wrong_factor)
+            levels = out["original_levels"]
+            assert out["wrong_probe"] == 0.5 * (levels[0] + levels[1])
+            # the two sampled eigenvalues survive in the wrong
+            # reconstruction
+            for target in levels[:2]:
+                assert np.min(np.abs(out["wrong_levels"] - target)) < 1e-8
+            # ...but the third one moves
+            assert np.min(np.abs(out["wrong_levels"] - levels[2])) > 1e-3
