@@ -9,8 +9,7 @@ from .forward import (continued_fraction, effective_hamiltonian, g_function,
                       g_function_dense_oracle, ufl_factorize)
 from .inverse import (K1Variables, ReconstructionReport,
                       choose_probe_energies, k1_closed_form, k1_invert,
-                      k1_variables_from_chain, reconstruct,
-                      samples_from_chain)
+                      reconstruct, samples_from_chain)
 from .model import (FactoredChain, GSample, PartitionedHamiltonian,
                     TridiagonalChain, assemble_dense, refactorize)
 from .spectral import (SelfConsistentResult, eigenvalues_dense,

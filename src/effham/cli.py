@@ -115,6 +115,8 @@ def _roundtrip_once(K, seed, rho_sign, margin):
 
 
 def cmd_roundtrip(args):
+    if args.K < 0:
+        raise ValueError(f"--K must be at least 0, got {args.K}")
     if args.trials < 1:
         raise ValueError(f"--trials must be at least 1, got {args.trials}")
     rho_sign = "mixed" if args.negative_rho else "positive"

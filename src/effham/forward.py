@@ -14,11 +14,12 @@ produces the reciprocal pivots, and G(E) extends it one level to k = 0:
 :func:`continued_fraction` keeps every f_k, as :func:`ufl_factorize`
 needs, in any off-diagonal gauge.  :func:`g_function` needs only f_1 in
 the stored unit-subdiagonal gauge, so it runs the same recursion without
-keeping the others: on Python floats for a single energy, and as one
-numpy pass over all energies for an array.  Both forms do the same
-operations in the same order, so they agree bit for bit.
+keeping the others, in one loop whose arithmetic is the same for a
+single energy (Python floats) and for an array of energies (one numpy
+pass over all of them): the two agree bit for bit.
 """
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,8 +71,10 @@ def continued_fraction(tail, E):
     read-only reciprocal pivots f_1..f_{K+1}, the last exactly 0.
 
     Raises :class:`PoleProximity` when a pivot falls below
-    ``PIVOT_TOL * (|a_k| + |E| + |coupling| + 1)``: E is at or near an
-    eigenvalue of a trailing block of QHQ.
+    ``PIVOT_TOL * (|a_k| + |E| + |coupling|)``: E is at or near an
+    eigenvalue of a trailing block of QHQ.  The rule is relative at every
+    scale of the chain; the smallest normal float64 added to the scale
+    makes an exactly zero pivot fail it even when the scale is zero.
     """
     tail = _as_factored_tail(tail)
     K = tail.K + 1  # number of tail levels a_1..a_K
@@ -80,7 +83,7 @@ def continued_fraction(tail, E):
     for k in range(K, 0, -1):
         coupling = b[k - 1] * f[k] * c[k - 1] if k < K else 0.0
         pivot = a[k - 1] - E - coupling
-        scale = abs(a[k - 1]) + abs(E) + abs(coupling) + 1.0
+        scale = abs(a[k - 1]) + abs(E) + abs(coupling) + sys.float_info.min
         if abs(pivot) < PIVOT_TOL * scale:
             raise PoleProximity(k)
         f[k - 1] = 1.0 / pivot
@@ -103,47 +106,38 @@ def g_function(chain, E):
     """The energy-dependent element G(E) = a_0 - E - rho_0 f_1(E).
 
     ``E`` is a single energy (returns a float) or an array of energies
-    (returns an array of the same shape, one numpy pass over the levels).
-    For a K = 0 chain this is just a_0 - E.
+    (returns an array of the same shape).  One loop serves both: Python's
+    ``abs``, ``-``, ``*`` and ``/`` do the same float64 operations on a
+    float and, elementwise, on an array, so each entry of an array result
+    is bitwise the float result at that energy.  For a K = 0 chain this is
+    just a_0 - E.
 
     Raises :class:`PoleProximity` under the pivot rule of
     :func:`continued_fraction`.  For an array, the error is the one a loop
-    of scalar calls over the energies in order would raise first: once a
-    pivot vanishes, the energies are replayed in order through the scalar
+    of float calls over the energies in order would raise first: once a
+    pivot vanishes, the energies are replayed in order through the float
     form.  A non-finite energy is not a pole; it propagates NaN or
     infinity.
     """
     if type(E) is not float:
         E = np.asarray(E, dtype=float)
-        if E.ndim:
-            return _g_array(chain, E)
-        E = float(E)
+        if not E.ndim:
+            E = float(E)
     a, rho = chain.a.tolist(), chain.rho.tolist()
+    tiny = sys.float_info.min
+    absE = abs(E)
     f = 0.0  # f_{k+1}; f_{K+1} = 0
     for k in range(len(a) - 1, 0, -1):
         coupling = rho[k] * f if k < len(rho) else 0.0
         pivot = a[k] - E - coupling
-        scale = abs(a[k]) + abs(E) + abs(coupling) + 1.0
-        if abs(pivot) < PIVOT_TOL * scale:
-            raise PoleProximity(k)
-        f = 1.0 / pivot
-    return a[0] - E - rho[0] * f if rho else a[0] - E
-
-
-def _g_array(chain, E):
-    """:func:`g_function` over an array of energies.  Once a pivot vanishes,
-    the scalar form, which does the same operations, replays the energies
-    in order and raises the error of the first offending one."""
-    a, rho = chain.a.tolist(), chain.rho.tolist()
-    f = 0.0
-    absE = np.abs(E)
-    for k in range(len(a) - 1, 0, -1):
-        coupling = rho[k] * f if k < len(rho) else 0.0
-        pivot = a[k] - E - coupling
-        scale = abs(a[k]) + absE + np.abs(coupling) + 1.0
-        if (np.abs(pivot) < PIVOT_TOL * scale).any():
-            for e in E.ravel().tolist():
-                g_function(chain, e)
+        scale = abs(a[k]) + absE + abs(coupling) + tiny
+        bad = abs(pivot) < PIVOT_TOL * scale
+        if bad is not False:  # a float E gives a bool, an array an array
+            if bad is True:
+                raise PoleProximity(k)
+            if bad.any():
+                for e in E.ravel().tolist():
+                    g_function(chain, e)
         f = 1.0 / pivot
     return a[0] - E - rho[0] * f if rho else a[0] - E
 

@@ -52,7 +52,6 @@ __all__ = [
     "choose_probe_energies",
     "k1_closed_form",
     "k1_invert",
-    "k1_variables_from_chain",
     "reconstruct",
     "samples_from_chain",
 ]
@@ -83,7 +82,9 @@ class ReconstructionReport:
 def choose_probe_energies(count, window, forbidden=(), margin=0.0):
     """``count`` distinct Chebyshev-node probe energies inside
     ``window = (lo, hi)``, each at distance >= ``margin`` from every
-    forbidden value.  Deterministic given its inputs.
+    forbidden value.  Deterministic given its inputs.  ``ValueError``
+    unless the window has positive width, ``count`` >= 1 and ``margin`` is
+    finite and >= 0.
 
     Probes as close as the margin allows to the forbidden values (the
     poles of G) carry the most information about the deep chain levels,
@@ -95,6 +96,8 @@ def choose_probe_energies(count, window, forbidden=(), margin=0.0):
         raise ValueError("window must have positive width")
     if count < 1:
         raise ValueError("count must be >= 1")
+    if not 0.0 <= margin < np.inf:
+        raise ValueError(f"margin must be finite and >= 0, got {margin}")
     forbidden = np.sort(np.asarray(list(forbidden), dtype=float))
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     # dense enough that interior node spacing is below the margin
@@ -131,12 +134,6 @@ def _select_probes(nodes, forbidden, count):
         picks = np.round(np.linspace(0, len(free) - 1, need)).astype(int)
         chosen.extend(free[picks])
     return np.sort(np.array(chosen))
-
-
-def k1_variables_from_chain(chain):
-    a0, a1 = chain.a
-    rho0 = chain.rho[0]
-    return K1Variables(x1=-a0 - a1, x2=a0 * a1 - rho0, y1=a1)
 
 
 def k1_invert(var):

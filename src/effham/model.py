@@ -96,10 +96,6 @@ class TridiagonalChain:
             m += np.diag(self.rho, 1) + np.diag(np.ones(n - 1), -1)
         return m
 
-    def shifted(self, s):
-        """Chain with every diagonal entry shifted by ``s``."""
-        return TridiagonalChain(self.a + s, self.rho)
-
 
 @dataclass(frozen=True)
 class FactoredChain:

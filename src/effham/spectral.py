@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EigSolverFailure, NonConvergence, PoleProximity
-from .forward import effective_hamiltonian
+from .forward import continued_fraction, effective_hamiltonian
 from .instances import real_poles
 from .model import assemble_dense
 
@@ -266,17 +266,17 @@ def embed_full_space(h, energy, phi):
     returning the concatenated full-space vector (phi, Q psi).
 
     With the doorway form, Q H phi has a single nonzero entry phi_M in its
-    first slot (the unit subdiagonal coupling).
+    first slot (the unit subdiagonal coupling), and the first column of
+    (QHQ - E)^{-1} is (f_1, -f_1 f_2, f_1 f_2 f_3, ...) in the pivots of
+    :func:`continued_fraction`, so Q psi_k = phi_M prod_{j<=k} (-f_j).
+    Raises :class:`PoleProximity` under its pivot rule.
     """
     chain = h.chain
     phi = np.asarray(phi, dtype=float)
     if chain.K == 0:
         return phi.copy()
-    block = chain.tail().to_dense() - energy * np.eye(chain.K)
-    rhs = np.zeros(chain.K)
-    rhs[0] = phi[-1]
-    q_part = -np.linalg.solve(block, rhs)
-    return np.concatenate([phi, q_part])
+    f = continued_fraction(chain.tail(), energy)
+    return np.concatenate([phi, phi[-1] * np.cumprod(-f[:chain.K])])
 
 
 def full_space_residual(h, result):

@@ -3,6 +3,7 @@ two-level reconstruction and the M = 2 closed-form G with its
 lucky-versus-wrong input demonstration.
 """
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,7 +71,8 @@ def two_level_reconstruct(inp):
 def m2_g_closed_form(inp, E):
     """The unique optimal input function for the M = 2 toy: B*C/(A - E).
     Raises :class:`PoleProximity` under the pivot rule of G."""
-    if abs(inp.A - E) < PIVOT_TOL * (abs(inp.A) + abs(E) + 1.0):
+    if abs(inp.A - E) < PIVOT_TOL * (abs(inp.A) + abs(E)
+                                     + sys.float_info.min):
         raise PoleProximity(1, f"E = {E} at the pole A = {inp.A}")
     return inp.B * inp.C / (inp.A - E)
 

@@ -48,6 +48,10 @@ class TestGfun:
         got = [(s["E"], s["G"]) for s in out["samples"]]
         assert got == [(0.0, -1.5), (1.0, -2.0), (3.0, -6.0)]
 
+    def test_bad_energy_list_exits_1(self, paper_file, capsys):
+        assert main(["gfun", "--input", paper_file, "--energies", "0,x"]) == 1
+        assert "bad energy list '0,x'" in capsys.readouterr().err
+
     def test_output_file(self, paper_file, tmp_path):
         dest = tmp_path / "samples.json"
         assert main(["gfun", "--input", paper_file, "--energies", "0,1,3",
@@ -80,6 +84,15 @@ class TestSpectrum:
         vals = sorted(float(x) for x in lines)
         np.testing.assert_allclose(vals, [-np.sqrt(3), np.sqrt(3)],
                                    rtol=1e-12)
+
+    def test_dense_complex_pair(self, tmp_path, capsys):
+        # a = (0, 0), rho = -1: levels +-i
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps(hamiltonian_to_dict(
+            PartitionedHamiltonian.from_chain(
+                TridiagonalChain([0.0, 0.0], [-1.0])))))
+        assert main(["spectrum", "--input", str(path)]) == 0
+        assert capsys.readouterr().out == "+0 -1j\n+0 +1j\n"
 
     def test_self_consistent(self, paper_file, capsys):
         assert main(["spectrum", "--input", paper_file, "--self-consistent",
@@ -168,6 +181,25 @@ class TestRoundtripCommand:
         out = capsys.readouterr().out
         assert "max_err" in out and "ok" in out
 
+    def test_k0(self, capsys):
+        assert main(["roundtrip", "--K", "0"]) == 0
+        assert "ok" in capsys.readouterr().out
+
+    def test_negative_k_exits_1(self, capsys):
+        assert main(["roundtrip", "--K=-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("effham: ValueError: --K must be at least 0, "
+                                "got -1\n")
+
+    @pytest.mark.parametrize("margin", ["nan", "-1", "inf"])
+    def test_bad_margin_exits_1(self, capsys, margin):
+        assert main(["roundtrip", "--K", "2", f"--margin={margin}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "effham: ValueError: margin must be finite and >= 0")
+
     @pytest.mark.parametrize("trials", ["0", "-1"])
     def test_no_trials_exits_1(self, capsys, trials):
         # a roundtrip over no trials tests nothing and must not pass
@@ -182,6 +214,12 @@ class TestDemo:
         assert main(["demo", "two-level", "--X", "2", "--a", "1"]) == 0
         out = capsys.readouterr().out
         assert "rho = X^2 - a^2 = 3.0" in out
+
+    def test_two_level_quasi_hermitian(self, capsys):
+        assert main(["demo", "two-level", "--X", "1", "--a", "3"]) == 0
+        out = capsys.readouterr().out
+        assert "rho = X^2 - a^2 = -8.0" in out
+        assert out.endswith("rho < 0: quasi-Hermitian regime (a^2 > X^2)\n")
 
     def test_m2_paradox(self, capsys):
         assert main(["demo", "m2-paradox"]) == 0

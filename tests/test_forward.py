@@ -59,6 +59,10 @@ class TestContinuedFraction:
         np.testing.assert_allclose(f[0],
                                    np.linalg.inv(block)[0, 0], rtol=1e-14)
 
+    def test_rejects_non_chain(self):
+        with pytest.raises(TypeError, match="expected a chain, got list"):
+            continued_fraction([2.0], 0.0)
+
     def test_pivot_identity(self):
         rng = np.random.default_rng(0)
         tail = refactorize(random_chain(5, rng), "unit_subdiagonal")
@@ -118,6 +122,32 @@ class TestGFunction:
     def test_k0(self):
         assert g_function(TridiagonalChain([4.0], []), 1.0) == 3.0
 
+    @pytest.mark.parametrize("s", [1e-11, 1e-13, 1e-50, 1e-150])
+    def test_pivot_rule_is_relative(self, s):
+        # the paper chain at energy scale s, a = (-2s, 2s), rho = -s^2: G
+        # scales with s at any s, and E = a_1 is still a pole
+        chain = TridiagonalChain([-2.0 * s, 2.0 * s], [-s * s])
+        assert g_function(chain, 0.0) / s == pytest.approx(-1.5, rel=1e-15)
+        np.testing.assert_allclose(g_function(chain, np.array([0.0, s])) / s,
+                                   [-1.5, -2.0], rtol=1e-15)
+        assert continued_fraction(chain.tail(), 0.0)[0] * s == pytest.approx(
+            0.5, rel=1e-15)
+        for fn in (g_function, _g_reference):
+            with pytest.raises(PoleProximity) as exc:
+                fn(chain, 2.0 * s)
+            assert exc.value.level == 1
+
+    def test_zero_pivot_at_zero_scale(self):
+        # a_1 = E = 0 and no coupling below: the scale of the pivot is 0,
+        # and the pivot, exactly 0, still fails the rule
+        chain = TridiagonalChain([1.0, 0.0], [1.0])
+        for E in (0.0, np.array([1.0, 0.0])):
+            with pytest.raises(PoleProximity) as exc:
+                g_function(chain, E)
+            assert exc.value.level == 1
+        with pytest.raises(PoleProximity):
+            continued_fraction(chain.tail(), 0.0)
+
     def test_oracle_agreement(self, paper_chain):
         for E in (0.0, 0.5, 1.0, 3.0, -2.7):
             got = g_function(paper_chain, E)
@@ -154,7 +184,8 @@ class TestGFunction:
         rng = np.random.default_rng(6)
         chain = random_chain(4, rng)
         for s in (-2.5, 1.0, 7.75):
-            assert g_function(chain.shifted(s), 1.25 + s) == pytest.approx(
+            shifted = TridiagonalChain(chain.a + s, chain.rho)
+            assert g_function(shifted, 1.25 + s) == pytest.approx(
                 g_function(chain, 1.25), rel=1e-12)
 
     def test_array_shapes_and_k0(self, paper_chain):
@@ -200,6 +231,9 @@ class TestGFunction:
         poles = [r for r in ref if isinstance(r, tuple)]
         got = _outcome(g_function, chain, np.array(E))
         assert got == (poles[0] if poles else b"".join(ref))
+
+    def test_oracle_k0(self):
+        assert g_function_dense_oracle(TridiagonalChain([4.0], []), 1.0) == 3.0
 
     def test_oracle_near_singular_guard(self):
         # tail [[2, 1], [1, 3]] has an eigenvalue at (5 + sqrt(5))/2

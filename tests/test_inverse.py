@@ -22,8 +22,7 @@ from effham.errors import (ChainBreakdown, DomainError, InfeasibleSampling,
 from effham.forward import g_function
 from effham.instances import probe_window, random_chain, real_poles
 from effham.inverse import (K1Variables, choose_probe_energies, k1_closed_form,
-                            k1_invert, k1_variables_from_chain, reconstruct,
-                            samples_from_chain)
+                            k1_invert, reconstruct, samples_from_chain)
 from effham.model import GSample, TridiagonalChain
 
 PAPER_SAMPLES = [GSample(0.0, -1.5), GSample(1.0, -2.0), GSample(3.0, -6.0)]
@@ -150,6 +149,21 @@ class TestProbeSelection:
         with pytest.raises(ValueError):
             choose_probe_energies(3, (1.0, 1.0))
 
+    def test_no_probes(self):
+        with pytest.raises(ValueError, match="count"):
+            choose_probe_energies(0, (-1.0, 1.0))
+
+    @pytest.mark.parametrize("margin", [np.nan, -1.0, np.inf])
+    def test_bad_margin(self, margin):
+        with pytest.raises(ValueError, match="margin must be finite"):
+            choose_probe_energies(3, (-1.0, 1.0), [0.0], margin)
+
+    def test_more_poles_than_brackets(self):
+        # two probes bracket the first pole; the others get none
+        probes = choose_probe_energies(2, (-3.0, 3.0), [-1.0, 0.0, 1.0], 0.1)
+        assert len(probes) == 2
+        assert probes[0] < -1.0 < probes[1] < 0.0
+
 
 class TestLinearize:
     """The sample contract of the rational fit inside ``reconstruct``."""
@@ -179,7 +193,9 @@ class TestK1:
         rng = np.random.default_rng(8)
         for _ in range(30):
             chain = random_chain(1, rng, "mixed")
-            back = k1_invert(k1_variables_from_chain(chain))
+            (a0, a1), (rho0,) = chain.a, chain.rho
+            back = k1_invert(K1Variables(x1=-a0 - a1, x2=a0 * a1 - rho0,
+                                         y1=a1))
             np.testing.assert_allclose(back.a, chain.a, rtol=1e-13)
             np.testing.assert_allclose(back.rho, chain.rho, rtol=1e-12)
 
@@ -479,6 +495,20 @@ class TestReconstruct:
         _assert_scaled_paper_chain(
             reconstruct(_scaled_paper_samples(s), 1).chain, s)
 
+    @pytest.mark.parametrize("s", [1e-11, 1e-50, 1e-150])
+    @pytest.mark.parametrize("K", [1, 5, 10])
+    def test_roundtrip_at_small_scale(self, K, s):
+        # the roundtrip cycle of the CLI with the chain, window pad and
+        # margin scaled by s: G stays relative at every scale
+        base = random_chain(K, np.random.default_rng(1000 * K))
+        chain = TridiagonalChain(base.a * s, base.rho * (s * s))
+        probes = choose_probe_energies(2 * K + 1,
+                                       probe_window(chain, pad=0.5 * s),
+                                       real_poles(chain), 0.05 * s)
+        got = reconstruct(samples_from_chain(chain, probes), K).chain
+        scaled = TridiagonalChain(got.a / s, got.rho / (s * s))
+        assert _max_rel_err(scaled, base) <= (1e-13 if s >= 1e-50 else 1e-8)
+
     @pytest.mark.parametrize("s", [1e-170, 1e-300])
     def test_underflowing_rho_is_malformed(self, s):
         # rho_0 = -s^2 is below the smallest subnormal: a -0.0 would flag
@@ -568,7 +598,7 @@ class TestReconstruct:
     def test_shift_equivariance(self):
         rng = np.random.default_rng(14)
         chain = random_chain(4, rng, "positive")
-        shifted = chain.shifted(5.0)
+        shifted = TridiagonalChain(chain.a + 5.0, chain.rho)
         probes = choose_probe_energies(9, probe_window(chain, pad=0.5),
                                        real_poles(chain), 0.05)
         rep0 = reconstruct(samples_from_chain(chain, probes), 4)

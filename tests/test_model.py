@@ -57,6 +57,15 @@ class TestValidation:
         with pytest.raises(ValueError, match="1-D"):
             FactoredChain([[1.0, 2.0]], [], [])
 
+    def test_non_square_model_block(self):
+        with pytest.raises(ValueError, match="non-empty square"):
+            PartitionedHamiltonian(np.zeros((2, 3)),
+                                   TridiagonalChain([1.0], []))
+
+    def test_k0_chain_has_no_tail(self):
+        with pytest.raises(ValueError, match="no tail"):
+            TridiagonalChain([1.0], []).tail()
+
 
 class TestAssemble:
     def test_paper_2x2(self, paper_hamiltonian):
@@ -131,6 +140,10 @@ class TestRefactorize:
         for style in ("symmetric", "unit_subdiagonal"):
             fc = refactorize(chain, style)
             np.testing.assert_allclose(fc.b * fc.c, chain.rho, rtol=1e-15)
+
+    def test_unknown_style(self):
+        with pytest.raises(ValueError, match="unknown refactorization"):
+            refactorize(TridiagonalChain([0.0, 0.0], [1.0]), "lower")
 
     def test_factored_chain_shape_check(self):
         with pytest.raises(ValueError):

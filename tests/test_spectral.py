@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from effham import spectral
-from effham.errors import NonConvergence, PoleProximity
+from effham.errors import EigSolverFailure, NonConvergence, PoleProximity
 from effham.forward import effective_hamiltonian
 from effham.instances import random_hamiltonian, real_poles
 from effham.model import (PartitionedHamiltonian, TridiagonalChain,
@@ -28,6 +28,11 @@ class TestEigenvaluesDense:
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):
             eigenvalues_dense(np.zeros((2, 3)))
+
+    def test_solver_failure(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "eigvals", _no_eig)
+        with pytest.raises(EigSolverFailure, match="no convergence"):
+            eigenvalues_dense(np.eye(2))
 
     def test_large_matrix_sorted(self):
         # no size cap: N = 80 comes back complete and in sorted order
@@ -105,6 +110,11 @@ class TestSelfConsistent:
         with pytest.raises(NonConvergence, match="no sign change") as exc:
             self_consistent_solve(h, eta0=-1.0, n=1)
         assert exc.value.trace[0] == -1.0
+
+    def test_solver_failure(self, paper_hamiltonian, monkeypatch):
+        monkeypatch.setattr(np.linalg, "eigvals", _no_eig)
+        with pytest.raises(EigSolverFailure, match="no convergence"):
+            self_consistent_solve(paper_hamiltonian, eta0=-1.0, n=1)
 
     def test_budget_exhausted(self, paper_hamiltonian, monkeypatch):
         monkeypatch.setattr(spectral, "MAX_EVALS", 3)
@@ -203,6 +213,24 @@ class TestSelfConsistent:
         assert full_space_residual(m2_hamiltonian, res) < 1e-7
 
 
+def _no_eig(m):
+    raise np.linalg.LinAlgError("no convergence")
+
+
+def _spy_inside(monkeypatch):
+    """Record every (pole, side, outcome) of the scan's pole-adjacent
+    interval ends."""
+    inside = spectral._inside
+    calls = []
+
+    def spy(r, pole, side, limit):
+        out = inside(r, pole, side, limit)
+        calls.append((pole, side, out))
+        return out
+    monkeypatch.setattr(spectral, "_inside", spy)
+    return calls
+
+
 def _assert_dense_level(h, res):
     w = eigenvalues_dense(assemble_dense(h))
     assert np.min(np.abs(w[w.imag == 0].real - res.energy)) <= 1e-12
@@ -252,6 +280,45 @@ class TestScanEdges:
         _assert_dense_level(h, res)
         assert res.energy == pytest.approx(ROOT3, abs=1e-12)
 
+    def test_start_beyond_the_bound(self):
+        # levels +-i, so no scan finds a sign change; the scan back up from
+        # eta0 = 100 starts past the bound 1 + ||H||_inf = 2 and has no
+        # interval to visit
+        h = PartitionedHamiltonian.from_chain(
+            TridiagonalChain([0.0, 0.0], [-1.0]))
+        with pytest.raises(NonConvergence) as exc:
+            self_consistent_solve(h, eta0=100.0, n=1)
+        assert exc.value.reason == "no_sign_change"
+        assert max(exc.value.trace) == 100.0
+
+    def test_interval_narrower_than_two_offsets(self, monkeypatch):
+        # poles at +-7.5e-11, 1.5e-10 apart: the interval between them is
+        # narrower than the two pole offsets of 1e-10, so it has a far end
+        # but no near end
+        h = PartitionedHamiltonian.from_chain(
+            TridiagonalChain([0.7, 7.5e-11, -7.5e-11], [1e-10, 1e-24]))
+        calls = _spy_inside(monkeypatch)
+        res = self_consistent_solve(h, eta0=-1.2e-10, n=1)
+        _assert_dense_level(h, res)
+        lower = real_poles(h.chain)[0]
+        assert (lower, 1.0, None) in calls
+
+    def test_near_end_past_a_light_pole(self, monkeypatch):
+        # rho_1 = 1e-22 gives the pole near 0 a weight of 1e-22, and the
+        # rest of G vanishes there, so a level sits about 7e-12 to each
+        # side of it, inside the pole offset: r has the sign of the far
+        # end at the near end of the interval above it
+        h = PartitionedHamiltonian.from_chain(
+            TridiagonalChain([1.0, 1.0, 0.0], [1.0, 1e-22]))
+        calls = _spy_inside(monkeypatch)
+        res = self_consistent_solve(h, eta0=-0.5, n=1)
+        _assert_dense_level(h, res)
+        (near,) = [out for pole, side, out in calls
+                   if side == 1.0 and abs(pole) < 1e-12]
+        (far,) = [out for pole, side, out in calls
+                  if side == -1.0 and abs(pole - 1.0) < 1e-12]
+        assert near[1] < 0 and far[1] < 0
+
     def test_interior_sample_on_a_pole_is_skipped(self, monkeypatch,
                                                   paper_hamiltonian):
         # from eta0 = 3 the scan probes the interval below the pole at 2 at
@@ -282,6 +349,25 @@ class TestEmbedding:
     def test_k0_passthrough(self):
         h = PartitionedHamiltonian.from_chain(TridiagonalChain([4.0], []))
         np.testing.assert_array_equal(embed_full_space(h, 4.0, [1.0]), [1.0])
+
+    def test_matches_dense_solve(self):
+        # Q psi = -phi_M (QHQ - E)^{-1} e_1, read off the pivots
+        rng = np.random.default_rng(17)
+        for K in range(1, 15):
+            h = random_hamiltonian(2, K, rng, "mixed")
+            energy = float(rng.uniform(-3.0, 3.0))
+            phi = rng.uniform(-1.0, 1.0, 2)
+            block = h.chain.tail().to_dense() - energy * np.eye(K)
+            ref = -np.linalg.solve(block, phi[-1] * np.eye(K)[0])
+            got = embed_full_space(h, energy, phi)
+            np.testing.assert_array_equal(got[:2], phi)
+            np.testing.assert_allclose(got[2:], ref, rtol=1e-9,
+                                       atol=1e-12 * np.max(np.abs(ref)))
+
+    def test_pole_raises(self, paper_hamiltonian):
+        # E = a_1 = 2 is the eigenvalue of QHQ
+        with pytest.raises(PoleProximity):
+            embed_full_space(paper_hamiltonian, 2.0, [1.0])
 
     def test_embedded_vector_is_eigenvector(self, paper_hamiltonian):
         res = self_consistent_solve(paper_hamiltonian, eta0=-1.0, n=1)

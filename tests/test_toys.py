@@ -60,6 +60,13 @@ class TestM2ClosedForm:
         with pytest.raises(PoleProximity):
             m2_g_closed_form(M2ToyInput(A=1.0, B=2.0, C=3.0), 1.0)
 
+    @pytest.mark.parametrize("s", [1e-13, 1e-150])
+    def test_pole_guard_is_relative(self, s):
+        inp = M2ToyInput(A=s, B=s, C=s)
+        assert m2_g_closed_form(inp, 0.0) == s
+        with pytest.raises(PoleProximity):
+            m2_g_closed_form(inp, s)
+
     def test_pole_of_g_is_level_1(self, paper_chain):
         # the same convention as the continued fraction: level 1 is a pole
         # of G itself (the paper chain's G has its pole at a_1 = 2)
