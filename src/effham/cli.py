@@ -82,7 +82,7 @@ def cmd_spectrum(args):
         lo, hi = res.bracket
         print(f"bracket [{lo:+.17g}, {hi:+.17g}]")
         print(f"converged level {res.level_index}: E = {res.energy:+.15g} "
-              f"({res.iterations} H_eff evaluations, "
+              f"({res.iterations} evaluations, "
               f"residual {res.residual:.3e})")
     else:
         for w in eigenvalues_dense(assemble_dense(h)):

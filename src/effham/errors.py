@@ -83,10 +83,11 @@ class InfeasibleSampling(DomainError):
 class NonConvergence(DomainError):
     """The self-consistent solve found no level.  ``reason`` names the
     cause for a machine: ``"no_sign_change"`` (no sign change of
-    E^(n)(eta) - eta to bracket one), ``"budget"`` (the budget of H_eff
-    evaluations ran out) or ``"residual"`` (the level found fails the
-    residual check); the message names it for a person.  ``trace`` holds
-    the energies evaluated before giving up."""
+    E^(n)(eta) - eta to bracket one, or no level of the branch asked
+    for), ``"budget"`` (the budget of evaluations ran out) or
+    ``"residual"`` (the level found fails the residual check, or lies
+    within rounding of a pole of G); the message names it for a person.
+    ``trace`` holds the energies evaluated before giving up."""
 
     def __init__(self, trace, reason, msg):
         self.trace = list(trace)

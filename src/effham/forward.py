@@ -16,7 +16,9 @@ needs, in any off-diagonal gauge.  :func:`g_function` needs only f_1 in
 the stored unit-subdiagonal gauge, so it runs the same recursion without
 keeping the others, in one loop whose arithmetic is the same for a
 single energy (Python floats) and for an array of energies (one numpy
-pass over all of them): the two agree bit for bit.
+pass over all of them): the two agree bit for bit.  ``_g_slope`` runs the
+same recursion at one energy with dG/dE carried along, for the Newton
+steps of the self-consistent solve.
 """
 
 import sys
@@ -140,6 +142,32 @@ def g_function(chain, E):
                     g_function(chain, e)
         f = 1.0 / pivot
     return a[0] - E - rho[0] * f if rho else a[0] - E
+
+
+def _g_slope(chain, E):
+    """(G(E), dG/dE) at a single energy: the recurrence of
+    :func:`g_function` with the energy derivative carried along,
+
+        f_k' = f_k^2 (1 + rho_k f_{k+1}'),   G' = -1 - rho_0 f_1'.
+
+    G is bitwise that of :func:`g_function`, and the pivot rule is the
+    same, so :class:`PoleProximity` fires at the same energies."""
+    a, rho = chain.a.tolist(), chain.rho.tolist()
+    tiny = sys.float_info.min
+    absE = abs(E)
+    f = df = 0.0  # f_{k+1} and its slope; f_{K+1} = 0
+    for k in range(len(a) - 1, 0, -1):
+        r = rho[k] if k < len(rho) else 0.0
+        coupling = r * f
+        pivot = a[k] - E - coupling
+        scale = abs(a[k]) + absE + abs(coupling) + tiny
+        if abs(pivot) < PIVOT_TOL * scale:
+            raise PoleProximity(k)
+        f = 1.0 / pivot
+        df = f * f * (1.0 + r * df)
+    if not rho:
+        return a[0] - E, -1.0
+    return a[0] - E - rho[0] * f, -1.0 - rho[0] * df
 
 
 def effective_hamiltonian(h, E):

@@ -7,20 +7,30 @@ energies at the self-consistent points eta = E, the real roots of
     r_n(eta) = Re E^(n)(eta) - eta,
 
 where E^(n)(eta) is the n-th eigenvalue of H_eff(eta).  r_n is continuous
-between consecutive real poles of G.  For a symmetric model block and
-rho_k >= 0 it is also strictly decreasing there, so a sign change across
-a pole-free interval brackets exactly one level.
-:func:`self_consistent_solve` scans those intervals outward from a start
-energy and closes the first bracket by Anderson-Bjorck regula falsi.
+between consecutive real poles of G.
+
+For a symmetric model block and rho_k >= 0 the levels are the roots of the
+doorway's scalar secular function D(E) = G(E) + sum_i y_i^2 / (E - d_i),
+which strictly decreases between its poles, the eigenvalues d_i of the
+other model states and the poles of G: each pole-free interval holds one
+level, whose branch n follows from Haynsworth inertia.
+:func:`self_consistent_solve` looks the level up, solves D = 0 by Newton
+steps costing O(K + M) each, and confirms and finishes it on r_n.
+Otherwise it scans the pole-free intervals of G outward from a start
+energy for a sign change of r_n and closes the first bracket by
+Anderson-Bjorck regula falsi.
 """
 
+import bisect
+import logging
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EigSolverFailure, NonConvergence, PoleProximity
-from .forward import continued_fraction, effective_hamiltonian
+from .forward import _g_slope, continued_fraction, effective_hamiltonian
 from .instances import real_poles
 from .model import assemble_dense
 
@@ -40,15 +50,18 @@ POLE_OFFSET = 1e-10
 # interior probes of an interval whose ends give r the same sign, when r
 # may be non-monotone
 INTERIOR_SAMPLES = 8
-# H_eff evaluations one self-consistent solve may make
+# evaluations (of r_n or D) one self-consistent solve may make
 MAX_EVALS = 200
+
+log = logging.getLogger("effham")
 
 
 @dataclass(frozen=True)
 class SelfConsistentResult:
     """A converged level.  ``bracket`` is the final (lo, hi) around
-    ``energy``; ``trace`` lists every energy at which H_eff was evaluated,
-    in order, starting with eta0, and ``iterations`` is its length."""
+    ``energy``; ``trace`` lists every energy at which r_n or the secular
+    function D was evaluated, in order, starting with eta0, and
+    ``iterations`` is its length."""
 
     level_index: int
     energy: float
@@ -90,32 +103,38 @@ def self_consistent_solve(h, eta0, n):
     r_n(eta) = Re E^(n)(eta) - eta, where E^(n) is the n-th eigenvalue of
     H_eff(eta) in the order of :func:`eigenvalues_dense`.
 
-    Which root (eta0, n) selects: the real poles of G cut the axis into
-    pole-free intervals.  Each end next to a pole sits ``POLE_OFFSET``
-    (relative) inside it, moved further in while the pivot test of G
-    still fires; the outermost ends lie at +-(1 + ||H||_inf), beyond every
-    level.  Starting at eta0, the intervals are visited in the direction
-    of sign r_n(eta0), which is where r_n pushes eta; the first one is
-    [eta0, next end].  The bracket is the first interval whose ends give
-    r_n opposite signs.  When r_n may be non-monotone (a non-symmetric
-    block or some rho_k < 0), an interval without that sign change is
-    also probed at ``INTERIOR_SAMPLES`` equally spaced points, in scan
-    order, and the first sign change met is the bracket.  A scan that
-    finds none is repeated in the opposite direction.  In the Hermitian
-    case (symmetric block, rho_k >= 0) r_n is strictly decreasing in each
-    interval, so the level is the only root of the first interval, in
-    scan order, that holds one.
+    Which root (eta0, n) selects: the first root of r_n met going from
+    eta0 in the direction of sign r_n(eta0), which is where r_n pushes
+    eta; failing that, the first one met in the opposite direction.
 
-    Anderson-Bjorck regula falsi then shrinks the bracket until r_n = 0
-    or it is a few ulps wide, and the end with the smaller |r_n| is the
-    energy.  ``MAX_EVALS`` bounds the number of H_eff evaluations.
+    Hermitian case (symmetric block, every rho_k >= 0): the levels are the
+    roots of the doorway's secular function D, each located and given its
+    branch n before any is solved for, so the rule is a lookup; the root
+    selected is found by Newton steps on D and finished in r_n terms (see
+    :func:`_secular_solve`).  ``trace`` lists the energies where D or r_n
+    was evaluated.
 
-    Raises :class:`NonConvergence` when no sign change is found in either
-    direction (e.g. the levels of a quasi-Hermitian block are complex),
-    when the evaluation budget runs out, or when the eigenvector of the
-    energy found leaves a residual above ``RES_TOL`` times the scale of
-    H_eff (``reason`` "no_sign_change", "budget" or "residual"); the
-    evaluated energies are attached as ``trace``.
+    Otherwise r_n may be non-monotone.  The real poles of G cut the axis
+    into pole-free intervals.  Each end next to a pole sits
+    ``POLE_OFFSET`` (relative) inside it, moved further in while the pivot
+    test of G still fires; the outermost ends lie at +-(1 + ||H||_inf),
+    beyond every level.  Starting at eta0, the intervals are visited in
+    the direction of sign r_n(eta0); the first one is [eta0, next end].
+    An interval whose ends give r_n the same sign is also probed at
+    ``INTERIOR_SAMPLES`` equally spaced points, in scan order, and the
+    first sign change met is the bracket.  A scan that finds none is
+    repeated in the opposite direction.  Anderson-Bjorck regula falsi then
+    shrinks the bracket until r_n = 0 or it is a few ulps wide, and the end
+    with the smaller |r_n| is the energy.  ``trace`` lists the energies
+    where r_n was evaluated.
+
+    Either way ``trace`` starts with eta0, and ``MAX_EVALS`` bounds its
+    length.  Raises :class:`NonConvergence` when no level is found in
+    either direction (e.g. the levels of a quasi-Hermitian block are
+    complex), when the evaluation budget runs out, or when the eigenvector
+    of the energy found leaves a residual above ``RES_TOL`` times the
+    scale of H_eff (``reason`` "no_sign_change", "budget" or "residual");
+    the evaluated energies are attached as ``trace``.
     :class:`PoleProximity` propagates when eta0 itself sits on a pole.
     A non-finite eta0 or an n outside 1..M is a ``ValueError``.
     """
@@ -126,11 +145,7 @@ def self_consistent_solve(h, eta0, n):
     trace = []
 
     def r(x):
-        if len(trace) == MAX_EVALS:
-            raise NonConvergence(
-                trace, "budget",
-                f"budget of {MAX_EVALS} H_eff evaluations exhausted")
-        trace.append(x)
+        _record(trace, x)
         try:
             w = np.linalg.eigvals(effective_hamiltonian(h, x))
         except np.linalg.LinAlgError as exc:
@@ -138,24 +153,11 @@ def self_consistent_solve(h, eta0, n):
         # Re E^(n): real parts lead the order of eigenvalues_dense
         return float(np.sort(w.real)[n - 1]) - x
 
-    eta = float(eta0)
-    r0 = r(eta)
-    bracket = (eta, eta)
-    if r0 != 0.0:
-        poles = real_poles(h.chain)
-        bound = 1.0 + float(np.max(np.abs(assemble_dense(h)).sum(axis=1)))
-        monotone = (bool(np.all(h.chain.rho >= 0))
-                    and np.array_equal(h.p_block, h.p_block.T))
-        d = 1.0 if r0 > 0 else -1.0
-        ends = (_scan(r, eta, r0, d, poles, bound, monotone)
-                or _scan(r, eta, r0, -d, poles, bound, monotone))
-        if ends is None:
-            raise NonConvergence(
-                trace, "no_sign_change", f"no sign change of r_{n} found in "
-                f"either direction from eta0 = {eta:.17g}")
-        (lo, r_lo), (hi, r_hi) = sorted(_anderson_bjorck(r, *ends))
-        eta = lo if abs(r_lo) <= abs(r_hi) else hi
-        bracket = (lo, hi)
+    if (np.all(h.chain.rho >= 0)
+            and np.array_equal(h.p_block, h.p_block.T)):
+        eta, bracket = _secular_solve(h, float(eta0), n, trace, r)
+    else:
+        eta, bracket = _scan_solve(h, float(eta0), n, trace, r)
 
     heff = effective_hamiltonian(h, eta)
     w, v = _sorted_eig(heff)
@@ -172,12 +174,249 @@ def self_consistent_solve(h, eta0, n):
                                 residual=residual)
 
 
-def _scan(r, eta0, r0, d, poles, bound, monotone):
+def _record(trace, x):
+    """Append an evaluation energy to ``trace``, within ``MAX_EVALS``."""
+    if len(trace) == MAX_EVALS:
+        raise NonConvergence(trace, "budget",
+                             f"budget of {MAX_EVALS} evaluations exhausted")
+    trace.append(x)
+
+
+def _secular_solve(h, eta0, n, trace, r):
+    """(energy, bracket) of the level of branch n that the rule of
+    :func:`self_consistent_solve` selects, for a symmetric block and every
+    rho_k >= 0.
+
+    Let (d_i, q_i) be the eigenpairs of the block without the doorway row
+    and column, y_i = q_i . (doorway column), and t the poles of G: the
+    eigenvalues of the symmetric form of the tail (sqrt(rho_k) off the
+    diagonal) down to its first rho_k = 0, past which G sees nothing.
+    The Schur complement of the other model states in H_eff(E) - E is the
+    doorway's secular function
+
+        D(E) = G(E) + sum_i y_i^2 / (E - d_i),
+
+    whose poles are the t and the d_i with y_i != 0 (Bunch, Nielsen &
+    Sorensen 1978).  D strictly decreases between them, so each pole-free
+    interval holds exactly one root, a level.  By Haynsworth inertia
+    H_eff(E) - E has #{d_i < E} + [D(E) < 0] negative eigenvalues, so a
+    root E of D is a root of r_n with n = 1 + #{d_i < E}, and D(eta0)
+    gives sign r_n(eta0).  Deflation: a d_i with y_i = 0 is a level, not a
+    pole, and so is each repeat of a d_i, unless it coincides with a t,
+    where H_eff is not defined.
+
+    Widths and bounds come from S, the symmetric form of the whole matrix
+    (not from the unit-subdiagonal one, whose entries are 1 at any scale):
+    scale is the largest entry of S, and the outermost intervals end at
+    +-2 (M + 2) scale, beyond every level by Gershgorin's theorem.  The
+    root of D selected is found by :func:`_newton` to within
+    ulp(max(|E|, scale)) and finished in r_n terms by :func:`_polish`; the
+    end of its bracket with the smaller |r_n| is the level.  An r_n that
+    does not confirm the bracket before the nearest poles of G, or a pole
+    met on the way, means the level lies within rounding of a pole:
+    :class:`NonConvergence` ("residual").
+    """
+    block, chain = h.p_block, h.chain
+    off = np.sqrt(chain.rho)
+    zero = np.flatnonzero(chain.rho == 0)
+    seen = int(zero[0]) if len(zero) else chain.K
+    try:
+        d, q = np.linalg.eigh(block[:-1, :-1])
+        t = np.linalg.eigvalsh(np.diag(chain.a[1:seen + 1])
+                               + np.diag(off[1:seen], 1)
+                               + np.diag(off[1:seen], -1)) if seen else off[:0]
+    except np.linalg.LinAlgError as exc:
+        raise EigSolverFailure(str(exc)) from exc
+    d = d.tolist()
+    weights = ((q.T @ block[:-1, -1]) ** 2).tolist()
+    terms = [(di, wi) for di, wi in zip(d, weights) if wi != 0.0]
+    t = set(t.tolist())
+    poles = sorted(t.union(di for di, _ in terms))
+    free = [di for di, wi in zip(d, weights) if wi == 0.0 and di not in t]
+    scale = float(max(np.abs(block).max(), np.abs(chain.a).max(),
+                      off.max(initial=0.0)))
+    outer = 2.0 * (h.M + 2) * scale + sys.float_info.min
+    known = {}  # energy -> (D, D') of every evaluation of D
+
+    def D(x):
+        _record(trace, x)
+        g, dg = _g_slope(chain, x)
+        for di, wi in terms:
+            u = 1.0 / (x - di)
+            g += wi * u
+            dg -= wi * u * u
+        known[x] = g, dg
+        return g, dg
+
+    # the levels of branch n, ascending: (lo, hi, root, interval), either
+    # the open bracket of the root of D in the interval between two poles
+    # or an exact level lo = hi
+    levels = []
+    ends = [-math.inf, *poles, math.inf]
+    for p_lo, p_hi in zip(ends, ends[1:]):
+        base = bisect.bisect_right(d, p_lo)
+        inner = [v for v in free if p_lo < v < p_hi]
+        if base < n <= base + 1 + len(inner):
+            # the interval's levels: the free d_i and the root, sorted
+            s = sum(D(v)[0] > 0 for v in inner)  # free d_i below the root
+            j = n - base - 1
+            if j == s:
+                levels.append((inner[s - 1] if s else max(p_lo, -outer),
+                               inner[s] if s < len(inner) else
+                               min(p_hi, outer), True, (p_lo, p_hi)))
+            else:
+                v = inner[j if j < s else j - 1]
+                levels.append((v, v, False, (p_lo, p_hi)))
+        # a repeated d_i on a pole is a level per repeat, unless it is a t
+        first, last = bisect.bisect_left(d, p_hi), bisect.bisect_right(d, p_hi)
+        if first + 1 < n <= last and p_hi not in t:
+            levels.append((p_hi, p_hi, False, (p_hi, p_hi)))
+
+    if eta0 in poles:
+        # r_n gives the direction; on a pole of G it raises PoleProximity
+        ahead = 1.0 if r(eta0) >= 0 else -1.0
+    else:
+        d0 = D(eta0)[0]
+        below = bisect.bisect_left(d, eta0) + (d0 < 0)
+        # n in (below, below + zeros] makes eta0 itself the level, ahead
+        ahead = -1.0 if n <= below else 1.0
+        for i, (lo, hi, root, interval) in enumerate(levels):
+            if root and lo < eta0 < hi:
+                lo, hi = (eta0, hi) if d0 > 0 else (lo, eta0) if d0 < 0 \
+                    else (eta0, eta0)
+                levels[i] = lo, hi, root, interval
+
+    above = [level for level in levels if level[0] >= eta0]
+    below = [level for level in reversed(levels) if level[1] <= eta0]
+    order = above + below if ahead > 0 else below + above
+    if not order:
+        raise NonConvergence(trace, "no_sign_change",
+                             f"no level of branch {n} found")
+    lo, hi, root, interval = order[0]
+    if not root:
+        n_d = len(trace)
+        eta, bracket = lo, (lo, lo)
+    else:
+        x = _newton(D, lo, hi, interval, scale, known)
+        n_d = len(trace)
+        # r_n is continuous up to the poles of G next to x
+        cuts = sorted(t)
+        i = bisect.bisect_right(cuts, x)
+        limits = (cuts[i - 1] if i else -outer,
+                  cuts[i] if i < len(cuts) else outer)
+        try:
+            ends = _polish(r, x, scale, limits)
+        except PoleProximity:
+            ends = None
+        if ends is None:
+            raise NonConvergence(
+                trace, "residual", f"residual check failed: r_{n} does not "
+                f"confirm the level at {x:.17g}, within rounding of a pole "
+                f"of G")
+        (lo, r_lo), (hi, r_hi) = ends
+        eta, bracket = (lo if abs(r_lo) <= abs(r_hi) else hi), (lo, hi)
+    log.debug("self_consistent_solve: level %d at %.17g in branch interval "
+              "(%.17g, %.17g), %d D and %d r_n evaluations", n, eta,
+              *interval, n_d, len(trace) - n_d)
+    return eta, bracket
+
+
+def _newton(D, a, b, poles, scale, known):
+    """A root of D in (a, b), where D(a) > 0 > D(b), to within
+    ulp(max(|x|, scale)).  Newton steps on F = D (E - p_lo)(p_hi - E), for
+    the bounding poles (p_lo, p_hi) = ``poles`` (an infinite one drops
+    out): F is smooth where D has those poles.  The steps start from an end
+    of the bracket where D is ``known``, else from its middle.  A step that
+    would leave the bracket, or is more than half the step before last
+    (the rule of rtsafe in Numerical Recipes), is a bisection instead."""
+    p_lo, p_hi = poles
+    x = a if a in known else b if b in known else 0.5 * (a + b)
+    before = last = b - a
+    while True:
+        w = math.ulp(max(abs(x), scale))
+        if b - a <= 2.0 * w:
+            return 0.5 * (a + b)
+        try:
+            value, slope = known.get(x) or D(x)
+        except PoleProximity:
+            # within the pivot tolerance of a pole of G, where no root can
+            # be checked: cut that end of the bracket off at x
+            if x - a < b - x:
+                a = x
+            else:
+                b = x
+            x = 0.5 * (a + b)
+            continue
+        if value == 0.0:
+            return x
+        if value > 0:
+            a = x
+        else:
+            b = x
+        # F / F' written with D and D' alone, free of the poles
+        denom = slope + value * (1.0 / (x - p_lo) - 1.0 / (p_hi - x))
+        step = -value / denom if denom < 0 else math.inf
+        if abs(step) <= w:
+            return x + step
+        if not (a < x + step < b and abs(step) <= 0.5 * before):
+            step = 0.5 * (a + b) - x
+        before, last = last, abs(step)
+        x += step
+
+
+def _polish(r, x, scale, limits):
+    """Ends (lo, r(lo)), (hi, r(hi)) with r(lo) >= 0 >= r(hi), for r
+    decreasing through a root near x.  x is one end; the other steps from
+    it, by w = ulp(max(|x|, scale)) and then doubling, in the direction
+    sign r(x) until r changes sign.  The bracket is then bisected until its
+    ends are adjacent floats or at most w apart.  None when an end would
+    leave the open interval ``limits``."""
+    near = x, r(x)
+    far = near
+    step = math.ulp(max(abs(x), scale))
+    side = 1.0 if near[1] > 0 else -1.0
+    while side * far[1] > 0:
+        y = x + side * step
+        if not limits[0] < y < limits[1]:
+            return None
+        near, far = far, (y, r(y))
+        step *= 2.0
+    (lo, r_lo), (hi, r_hi) = sorted([near, far])
+    while r_lo != 0.0 and r_hi != 0.0 and hi - lo > math.ulp(
+            max(-lo, hi, scale)):
+        mid = 0.5 * (lo + hi)
+        r_mid = r(mid)
+        if r_mid >= 0:
+            lo, r_lo = mid, r_mid
+        else:
+            hi, r_hi = mid, r_mid
+    return (lo, r_lo), (hi, r_hi)
+
+
+def _scan_solve(h, eta, n, trace, r):
+    """(energy, bracket) by the scan and regula falsi of
+    :func:`self_consistent_solve`, for r_n that may be non-monotone."""
+    r0 = r(eta)
+    if r0 == 0.0:
+        return eta, (eta, eta)
+    poles = real_poles(h.chain)
+    bound = 1.0 + float(np.max(np.abs(assemble_dense(h)).sum(axis=1)))
+    d = 1.0 if r0 > 0 else -1.0
+    ends = (_scan(r, eta, r0, d, poles, bound)
+            or _scan(r, eta, r0, -d, poles, bound))
+    if ends is None:
+        raise NonConvergence(
+            trace, "no_sign_change", f"no sign change of r_{n} found in "
+            f"either direction from eta0 = {eta:.17g}")
+    (lo, r_lo), (hi, r_hi) = sorted(_anderson_bjorck(r, *ends))
+    return (lo if abs(r_lo) <= abs(r_hi) else hi), (lo, hi)
+
+
+def _scan(r, eta0, r0, d, poles, bound):
     """Visit the pole-free intervals from eta0 in direction d (+-1); return
     the first bracket as ((x, r(x)), (y, r(y))) with r(x) r(y) <= 0, or
-    None.  Each interval's far end is evaluated first: where r is
-    monotone, a far end with the sign of d settles that the interval holds
-    no root, and its near end is never evaluated."""
+    None.  Each interval's far end is evaluated first, then its near end;
+    ends with the same sign are followed by the interior probes."""
     cuts = [eta0] + [float(p) for p in poles[::int(d)] if d * (p - eta0) > 0]
     for i, x in enumerate(cuts):
         if i + 1 < len(cuts):
@@ -186,15 +425,13 @@ def _scan(r, eta0, r0, d, poles, bound, monotone):
             far = (d * bound, r(d * bound))
         else:
             far = None
-        if far is None or (monotone and d * far[1] > 0):
+        if far is None:
             continue
         near = (eta0, r0) if i == 0 else _inside(r, x, d, far[0])
         if near is None:
             continue
         if near[1] * far[1] <= 0:
             return near, far
-        if monotone:
-            continue
         prev = near
         for j in range(1, INTERIOR_SAMPLES + 1):
             t = near[0] + (far[0] - near[0]) * j / (INTERIOR_SAMPLES + 1)

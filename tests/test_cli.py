@@ -99,6 +99,8 @@ class TestSpectrum:
                      "--eta0", "-1", "--level", "1"]) == 0
         out = capsys.readouterr().out
         assert "converged level 1" in out
+        n_evals = out.count("\neval ") + out.startswith("eval ")
+        assert f"({n_evals} evaluations, residual " in out
         energy = float(out.split("E = ")[1].split()[0])
         assert energy == pytest.approx(-np.sqrt(3), abs=1e-9)
 

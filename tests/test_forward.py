@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from effham.errors import NearSingularBlock, PoleProximity
-from effham.forward import (continued_fraction, effective_hamiltonian,
-                            g_function, g_function_dense_oracle,
-                            ufl_factorize)
+from effham.forward import (_g_slope, continued_fraction,
+                            effective_hamiltonian, g_function,
+                            g_function_dense_oracle, ufl_factorize)
 from effham.instances import random_chain
 from effham.model import (PartitionedHamiltonian, TridiagonalChain,
                           refactorize)
@@ -240,6 +240,51 @@ class TestGFunction:
         chain = TridiagonalChain([-2.0, 2.0, 3.0], [1.0, 1.0])
         with pytest.raises((NearSingularBlock, PoleProximity)):
             g_function_dense_oracle(chain, (5.0 + np.sqrt(5.0)) / 2.0)
+
+
+def _g_complex(chain, E):
+    """G at a complex energy: the recurrence of g_function in complex
+    arithmetic, without its pivot test."""
+    a, rho = chain.a.tolist(), chain.rho.tolist()
+    f = 0.0
+    for k in range(len(a) - 1, 0, -1):
+        coupling = rho[k] * f if k < len(rho) else 0.0
+        f = 1.0 / (a[k] - E - coupling)
+    return a[0] - E - rho[0] * f if rho else a[0] - E
+
+
+class TestGSlope:
+    @pytest.mark.parametrize("sign", ["positive", "mixed"])
+    def test_complex_step(self, sign):
+        # Im G(E + ih) / h at h = 1e-30 is dG/dE exact to rounding
+        rng = np.random.default_rng(31)
+        worst = 0.0
+        for K in range(21):
+            chain = random_chain(K, rng, sign)
+            for E in rng.uniform(-8.0, 8.0, 10).tolist():
+                g, slope = _g_slope(chain, E)
+                assert _bits(g) == _bits(g_function(chain, E))
+                ref = _g_complex(chain, complex(E, 1e-30)).imag / 1e-30
+                worst = max(worst, abs(slope - ref) / abs(ref))
+        assert worst <= 1e-13  # 2.7e-15 measured
+
+    @pytest.mark.parametrize("sign", ["positive", "mixed"])
+    def test_pole_proximity_as_g_function(self, sign):
+        # on and next to the eigenvalues of every trailing block, where the
+        # pivot test fires or nearly does, both raise at the same level or
+        # both return the same G
+        rng = np.random.default_rng(32)
+        raised = 0
+        for K in range(1, 9):
+            chain = random_chain(K, rng, sign)
+            for k in range(1, K + 1):
+                block = TridiagonalChain(chain.a[k:], chain.rho[k:])
+                for p in np.linalg.eigvals(block.to_dense()).real.tolist():
+                    for E in (p, p * (1 + 1e-13), p * (1 + 1e-11)):
+                        got = _outcome(lambda: _g_slope(chain, E)[0])
+                        assert got == _outcome(g_function, chain, E)
+                        raised += isinstance(got, tuple)
+        assert raised >= 100
 
 
 class TestEffectiveHamiltonian:

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -102,6 +104,14 @@ class TestSelfConsistent:
         assert res.trace[0] == eta0
         assert res.iterations == len(res.trace)
         assert res.bracket[0] <= res.energy <= res.bracket[1]
+
+    def test_start_on_a_level(self):
+        # a triangular block: r_2(2) = 0 exactly, and the scan never starts
+        h = PartitionedHamiltonian(np.array([[1.0, 1.0], [0.0, 2.0]]),
+                                   TridiagonalChain([2.0], []))
+        res = self_consistent_solve(h, 2.0, 2)
+        assert (res.energy, res.bracket, res.trace) == (2.0, (2.0, 2.0),
+                                                        (2.0,))
 
     def test_no_real_level(self):
         # levels +-i: r = -1/eta - eta never changes sign
@@ -252,6 +262,212 @@ def _pole_once(monkeypatch, where):
     return hits
 
 
+def _symmetric_form(h):
+    """The whole matrix with sqrt(rho_k) on both off-diagonals (rho_k >= 0),
+    similar to the assembled one."""
+    dense = assemble_dense(h)
+    for k, rho in enumerate(h.chain.rho):
+        i = h.M - 1 + k
+        dense[i, i + 1] = dense[i + 1, i] = np.sqrt(rho)
+    return dense
+
+
+def _rule_level(h, eta0, n):
+    """The level that (eta0, n) selects, by brute force: a dense level lam
+    belongs to branch n when the n-th eigenvalue of H_eff(lam) is lam, and
+    the rule takes the nearest level of branch n from eta0 in the direction
+    of sign r_n(eta0), else the nearest in the other direction; None when
+    branch n has no level.  PoleProximity propagates from eta0."""
+    form = _symmetric_form(h)
+    tol = 1e-9 * np.max(np.abs(form))
+
+    def e_n(x):
+        return np.sort(np.linalg.eigvals(effective_hamiltonian(h, x)).real)
+
+    r0 = e_n(eta0)[n - 1] - eta0
+    mine = []
+    for lam in np.linalg.eigvalsh(form):
+        try:
+            if abs(e_n(lam)[n - 1] - lam) <= tol:
+                mine.append(lam)
+        except PoleProximity:  # a level on a pole of G is no root of r_n
+            continue
+    if abs(r0) <= tol and any(abs(lam - eta0) <= tol for lam in mine):
+        return eta0
+    for side in ((1, -1) if r0 > 0 else (-1, 1)):
+        ahead = [lam for lam in mine if side * (lam - eta0) > 0]
+        if ahead:
+            return min(ahead, key=lambda lam: abs(lam - eta0))
+    return None
+
+
+def _check_rule(h, eta0s, tol=1e-13):
+    """Every (eta0, n) returns the level of the rule, within tol times the
+    largest entry of the symmetric form, or raises as the rule does."""
+    scale = np.max(np.abs(_symmetric_form(h)))
+    for eta0 in eta0s:
+        for n in range(1, h.M + 1):
+            try:
+                want = _rule_level(h, eta0, n)
+            except PoleProximity:
+                with pytest.raises(PoleProximity):
+                    self_consistent_solve(h, eta0, n)
+                continue
+            if want is None:
+                with pytest.raises(NonConvergence) as exc:
+                    self_consistent_solve(h, eta0, n)
+                assert exc.value.reason == "no_sign_change"
+                continue
+            res = self_consistent_solve(h, eta0, n)
+            assert abs(res.energy - want) <= tol * scale, (eta0, n)
+            lo, hi = res.bracket
+            assert lo <= res.energy <= hi
+
+
+class TestSecular:
+    """The Hermitian path: levels as the roots of the doorway's secular
+    function D, checked against the dense spectrum."""
+
+    @pytest.mark.parametrize("s", [1e-100, 1e-13, 1e-6, 1e10, 1e100])
+    def test_scale(self, s):
+        # every bound and width scales with the matrix: block and a by s,
+        # rho by s^2, and every level comes back within 1e-14 s
+        h0 = random_hamiltonian(3, 4, np.random.default_rng(6))
+        h = PartitionedHamiltonian(
+            s * h0.p_block, TridiagonalChain(s * h0.chain.a,
+                                             s * s * h0.chain.rho))
+        levels = np.linalg.eigvalsh(_symmetric_form(h))
+        found = set()
+        for eta0 in (-8.0, -1.0, 0.0, 1.0, 8.0):
+            for n in (1, 2, 3):
+                res = self_consistent_solve(h, s * eta0, n)
+                err = np.abs(levels - res.energy)
+                assert err.min() <= 1e-14 * s
+                found.add(int(np.argmin(err)))
+        assert len(found) >= 5
+
+    def test_random_sweep(self):
+        rng = np.random.default_rng(23)
+        for _ in range(25):
+            h = random_hamiltonian(int(rng.integers(1, 5)),
+                                   int(rng.integers(0, 7)), rng)
+            _check_rule(h, rng.uniform(-9.0, 9.0, 4))
+
+    def test_zero_coupling_is_a_level(self):
+        # y = (0, 1): the eigenvalue 1 of the other model states is a level
+        # of branch 1 or 2, inside the interval below the pole at 2
+        block = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 1.0],
+                          [0.0, 1.0, 0.5]])
+        h = PartitionedHamiltonian(block, TridiagonalChain([0.5, -1.0],
+                                                           [0.6]))
+        assert 1.0 in np.round(np.linalg.eigvalsh(_symmetric_form(h)), 12)
+        _check_rule(h, np.linspace(-4.0, 4.0, 17) + 0.01)
+        res = self_consistent_solve(h, 1.0, 2)
+        assert res.energy == 1.0 and res.bracket == (1.0, 1.0)
+
+    def test_tail_level_g_does_not_see(self):
+        # rho_1 = 0: the tail eigenvalue 3 is a level of H but no pole of
+        # G and no root of any r_n; eta0 = 3 is on a pole of the pivots
+        h = PartitionedHamiltonian(np.array([[1.0, 0.5], [0.5, 0.0]]),
+                                   TridiagonalChain([0.0, 1.0, 3.0],
+                                                    [1.0, 0.0]))
+        assert 3.0 in np.linalg.eigvalsh(_symmetric_form(h))
+        _check_rule(h, [-4.0, -0.5, 0.9, 1.1, 2.0, 2.9, 3.5, 6.0])
+        with pytest.raises(PoleProximity):
+            self_consistent_solve(h, 3.0, 1)
+
+    def test_coincident_model_and_tail_pole(self):
+        # the other model state and the tail both sit at 0.7: one merged
+        # pole, and the level on it is no root of r_n
+        h = PartitionedHamiltonian(np.array([[0.7, 0.4], [0.4, -0.3]]),
+                                   TridiagonalChain([-0.3, 0.7], [0.25]))
+        assert np.min(np.abs(np.linalg.eigvalsh(_symmetric_form(h))
+                             - 0.7)) < 1e-15
+        _check_rule(h, [-3.0, -0.3, 0.5, 0.69, 0.71, 1.0, 3.0])
+
+    def test_repeated_model_eigenvalue(self):
+        # the other model states have the double eigenvalue 1: one pole
+        # and, on it, a level of branch 2
+        block = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0],
+                          [1.0, 1.0, 0.2]])
+        h = PartitionedHamiltonian(block, TridiagonalChain([0.2, 2.5],
+                                                           [0.8]))
+        _check_rule(h, [-3.0, 0.5, 0.99, 1.01, 2.0, 2.6, 5.0])
+        res = self_consistent_solve(h, 0.5, 2)
+        assert res.energy == 1.0
+
+    def test_repeated_model_eigenvalue_on_a_tail_pole(self):
+        # the double eigenvalue 1 is also a pole of G: branch 2 has no level
+        block = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0],
+                          [1.0, 1.0, 0.2]])
+        h = PartitionedHamiltonian(block, TridiagonalChain([0.2, 1.0],
+                                                           [0.8]))
+        _check_rule(h, [-3.0, 0.0, 3.0])
+        with pytest.raises(NonConvergence, match="no level of branch 2"):
+            self_consistent_solve(h, 0.0, 2)
+
+    def test_start_on_the_level(self):
+        # D(eta0) = 0: the bracket closes on eta0, and r_1(eta0) = 0 too
+        h = PartitionedHamiltonian.from_chain(TridiagonalChain([4.0], []))
+        res = self_consistent_solve(h, 4.0, 1)
+        assert (res.energy, res.bracket, res.trace) == (4.0, (4.0, 4.0),
+                                                        (4.0, 4.0))
+
+    def test_level_within_pivot_tolerance(self):
+        # the level sits 1.6e-12 below the pole at 1, inside the pivot
+        # tolerance of G: neither D nor r_1 can be evaluated next to it
+        h = PartitionedHamiltonian.from_chain(TridiagonalChain([2.0, 1.0],
+                                                               [1e-13]))
+        with pytest.raises(NonConvergence, match="within rounding of a "
+                           "pole of G") as exc:
+            self_consistent_solve(h, 0.0, 1)
+        assert exc.value.reason == "residual"
+
+    @pytest.mark.parametrize("M, K", [(1, 3), (3, 0)])
+    def test_single_model_state_or_no_tail(self, M, K):
+        h = random_hamiltonian(M, K, np.random.default_rng(11))
+        _check_rule(h, [-9.0, -2.0, 0.0, 2.0, 9.0])
+
+    def test_start_on_a_pole(self):
+        # on a pole of G the start raises; on a pole of D that is no pole
+        # of G, r_n itself gives the direction
+        h = PartitionedHamiltonian(np.array([[1.0, 0.5], [0.5, 0.0]]),
+                                   TridiagonalChain([0.0, 2.0], [1.0]))
+        with pytest.raises(PoleProximity):
+            self_consistent_solve(h, 2.0, 1)
+        _check_rule(h, [1.0])
+        assert self_consistent_solve(h, 1.0, 1).trace[0] == 1.0
+
+    def test_polish_stays_between_poles_of_g(self):
+        # the far end steps w, 2w, 4w, ... from x while r keeps its sign
+        # and gives up at the limits; the bracket is then bisected to w
+        def r(x):
+            return 0.3 - x
+        (lo, r_lo), (hi, r_hi) = spectral._polish(r, 0.0, 1.0, (-1.0, 1.0))
+        assert r_lo >= 0 >= r_hi and 0 < hi - lo <= np.spacing(1.0)
+        assert spectral._polish(r, 0.0, 1.0, (-1.0, 0.25)) is None
+
+    def test_eigh_failure(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "eigh", _no_eig)
+        with pytest.raises(EigSolverFailure, match="no convergence"):
+            self_consistent_solve(random_hamiltonian(
+                2, 2, np.random.default_rng(1)), 0.0, 1)
+
+    def test_debug_line(self, caplog):
+        h = PartitionedHamiltonian.from_chain(TridiagonalChain([0.0, 2.0],
+                                                               [1.0]))
+        with caplog.at_level(logging.DEBUG, logger="effham"):
+            res = self_consistent_solve(h, -3.0, 1)
+        (line,) = [r.getMessage() for r in caplog.records
+                   if r.name == "effham"]
+        n_d = line.split("), ")[1].split(" D")[0]
+        assert line.startswith("self_consistent_solve: level 1 at "
+                               f"{res.energy:.17g} in branch interval "
+                               "(-inf, 2), ")
+        assert line.endswith(f" D and {res.iterations - int(n_d)} r_n "
+                             "evaluations")
+
+
 class TestScanEdges:
     """Branches of the bracket scan that levels of random Hamiltonians do
     not reach."""
@@ -291,33 +507,44 @@ class TestScanEdges:
         assert exc.value.reason == "no_sign_change"
         assert max(exc.value.trace) == 100.0
 
-    def test_interval_narrower_than_two_offsets(self, monkeypatch):
-        # poles at +-7.5e-11, 1.5e-10 apart: the interval between them is
-        # narrower than the two pole offsets of 1e-10, so it has a far end
-        # but no near end
+    def test_interval_narrower_than_two_offsets(self):
+        # poles at +-7.5e-11, 1.5e-10 apart, narrower than two pole offsets
+        # of 1e-10.  Hermitian, so no scan: the first level above eta0,
+        # 1.3e-13 below the lower pole, is the one returned (a scan
+        # skipped it and the next one and returned 0.7)
         h = PartitionedHamiltonian.from_chain(
             TridiagonalChain([0.7, 7.5e-11, -7.5e-11], [1e-10, 1e-24]))
-        calls = _spy_inside(monkeypatch)
+        levels = np.linalg.eigvalsh(_symmetric_form(h))
+        assert levels[0] < real_poles(h.chain)[0] < levels[1]
+        assert _rule_level(h, -1.2e-10, 1) == levels[0]
         res = self_consistent_solve(h, eta0=-1.2e-10, n=1)
-        _assert_dense_level(h, res)
-        lower = real_poles(h.chain)[0]
-        assert (lower, 1.0, None) in calls
+        assert abs(res.energy - levels[0]) <= np.spacing(0.7)
 
-    def test_near_end_past_a_light_pole(self, monkeypatch):
+    def test_near_end_past_a_light_pole(self):
         # rho_1 = 1e-22 gives the pole near 0 a weight of 1e-22, and the
-        # rest of G vanishes there, so a level sits about 7e-12 to each
-        # side of it, inside the pole offset: r has the sign of the far
-        # end at the near end of the interval above it
+        # rest of G vanishes there, so a level sits about 7.07e-12 to each
+        # side of it, inside the pole offset of a scan; the first level
+        # above eta0 is the one below the pole (a scan returned 2.0)
         h = PartitionedHamiltonian.from_chain(
             TridiagonalChain([1.0, 1.0, 0.0], [1.0, 1e-22]))
-        calls = _spy_inside(monkeypatch)
+        levels = np.linalg.eigvalsh(_symmetric_form(h))
+        assert levels[0] == pytest.approx(-np.sqrt(5e-23), rel=1e-6)
+        assert _rule_level(h, -0.5, 1) == levels[0]
         res = self_consistent_solve(h, eta0=-0.5, n=1)
+        assert abs(res.energy - levels[0]) <= np.spacing(1.0)
+
+    def test_near_end_missing_quasi_hermitian(self, monkeypatch):
+        # rho_0 < 0 keeps the scan; between the poles at +-7.5e-11 the
+        # interval has a far end but no near end, and the first interval,
+        # [eta0, upper pole], has no far end
+        h = PartitionedHamiltonian.from_chain(
+            TridiagonalChain([0.7, 7.5e-11, -7.5e-11], [-1e-10, 1e-24]))
+        calls = _spy_inside(monkeypatch)
+        res = self_consistent_solve(h, eta0=1.2e-10, n=1)
         _assert_dense_level(h, res)
-        (near,) = [out for pole, side, out in calls
-                   if side == 1.0 and abs(pole) < 1e-12]
-        (far,) = [out for pole, side, out in calls
-                  if side == -1.0 and abs(pole - 1.0) < 1e-12]
-        assert near[1] < 0 and far[1] < 0
+        upper = real_poles(h.chain)[1]
+        assert (upper, 1.0, None) in calls
+        assert (upper, -1.0, None) in calls
 
     def test_interior_sample_on_a_pole_is_skipped(self, monkeypatch,
                                                   paper_hamiltonian):
