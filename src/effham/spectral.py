@@ -277,9 +277,10 @@ def _secular_solve(h, eta0, n, trace, r):
         ahead = 1.0 if r(eta0) >= 0 else -1.0
     else:
         d0 = D(eta0)[0]
-        below = bisect.bisect_left(d, eta0) + (d0 < 0)
-        # n in (below, below + zeros] makes eta0 itself the level, ahead
-        ahead = -1.0 if n <= below else 1.0
+        # eigenvalues of H_eff(eta0) below eta0; a level of branch n at
+        # eta0 itself is found ahead, at distance 0
+        n_below = bisect.bisect_left(d, eta0) + (d0 < 0)
+        ahead = -1.0 if n <= n_below else 1.0
         for i, (lo, hi, root, interval) in enumerate(levels):
             if root and lo < eta0 < hi:
                 lo, hi = (eta0, hi) if d0 > 0 else (lo, eta0) if d0 < 0 \
