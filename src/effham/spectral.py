@@ -24,7 +24,6 @@ Anderson-Bjorck regula falsi.
 import bisect
 import logging
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -233,9 +232,10 @@ def _secular_solve(h, eta0, n, trace, r):
     t = set(t.tolist())
     poles = sorted(t.union(di for di, _ in terms))
     free = [di for di, wi in zip(d, weights) if wi == 0.0 and di not in t]
+    # a zero matrix has no scale of its own; 1 stands in
     scale = float(max(np.abs(block).max(), np.abs(chain.a).max(),
-                      off.max(initial=0.0)))
-    outer = 2.0 * (h.M + 2) * scale + sys.float_info.min
+                      off.max(initial=0.0))) or 1.0
+    outer = 2.0 * (h.M + 2) * scale
     known = {}  # energy -> (D, D') of every evaluation of D
 
     def D(x):
@@ -258,7 +258,8 @@ def _secular_solve(h, eta0, n, trace, r):
         inner = [v for v in free if p_lo < v < p_hi]
         if base < n <= base + 1 + len(inner):
             # the interval's levels: the free d_i and the root, sorted
-            s = sum(D(v)[0] > 0 for v in inner)  # free d_i below the root
+            s = sum(_off_pivot(D, v, 1.0, math.ulp(max(abs(v), scale)))[1][0]
+                    > 0 for v in inner)  # free d_i below the root
             j = n - base - 1
             if j == s:
                 levels.append((inner[s - 1] if s else max(p_lo, -outer),
@@ -294,42 +295,38 @@ def _secular_solve(h, eta0, n, trace, r):
         raise NonConvergence(trace, "no_sign_change",
                              f"no level of branch {n} found")
     lo, hi, root, interval = order[0]
-    if not root:
-        n_d = len(trace)
-        eta, bracket = lo, (lo, lo)
-    else:
-        x = _newton(D, lo, hi, interval, scale, known)
-        n_d = len(trace)
-        # r_n is continuous up to the poles of G next to x
-        cuts = sorted(t)
-        i = bisect.bisect_right(cuts, x)
-        limits = (cuts[i - 1] if i else -outer,
-                  cuts[i] if i < len(cuts) else outer)
-        try:
-            ends = _polish(r, x, scale, limits)
-        except PoleProximity:
-            ends = None
-        if ends is None:
-            raise NonConvergence(
-                trace, "residual", f"residual check failed: r_{n} does not "
-                f"confirm the level at {x:.17g}, within rounding of a pole "
-                f"of G")
-        (lo, r_lo), (hi, r_hi) = ends
-        eta, bracket = (lo if abs(r_lo) <= abs(r_hi) else hi), (lo, hi)
+    x = _newton(D, lo, hi, interval, scale, known, bool(t)) if root else lo
+    n_d = len(trace)
+    # r_n is continuous up to the poles of G next to x
+    cuts = sorted(t)
+    i = bisect.bisect_right(cuts, x)
+    ends = _polish(r, x, scale, (cuts[i - 1] if i else -outer,
+                                 cuts[i] if i < len(cuts) else outer))
+    if ends is None:
+        raise NonConvergence(
+            trace, "residual", f"residual check failed: r_{n} does not "
+            f"confirm the level at {x:.17g}, within rounding of a pole of G")
+    (lo, r_lo), (hi, r_hi) = ends
+    eta = lo if abs(r_lo) <= abs(r_hi) else hi
     log.debug("self_consistent_solve: level %d at %.17g in branch interval "
               "(%.17g, %.17g), %d D and %d r_n evaluations", n, eta,
               *interval, n_d, len(trace) - n_d)
-    return eta, bracket
+    return eta, (lo, hi)
 
 
-def _newton(D, a, b, poles, scale, known):
+def _newton(D, a, b, poles, scale, known, g_has_poles):
     """A root of D in (a, b), where D(a) > 0 > D(b), to within
     ulp(max(|x|, scale)).  Newton steps on F = D (E - p_lo)(p_hi - E), for
     the bounding poles (p_lo, p_hi) = ``poles`` (an infinite one drops
     out): F is smooth where D has those poles.  The steps start from an end
     of the bracket where D is ``known``, else from its middle.  A step that
     would leave the bracket, or is more than half the step before last
-    (the rule of rtsafe in Numerical Recipes), is a bisection instead."""
+    (the rule of rtsafe in Numerical Recipes), is a bisection instead.
+    Where the pivot test of G fires at level 1 and ``g_has_poles``, next to
+    a pole of G and so to an end of (a, b), the bracket is cut there: no
+    root that close to a pole can be checked.  Where it fires otherwise,
+    at an eigenvalue of a trailing block that is no pole of D, the point
+    moves off it."""
     p_lo, p_hi = poles
     x = a if a in known else b if b in known else 0.5 * (a + b)
     before = last = b - a
@@ -339,15 +336,15 @@ def _newton(D, a, b, poles, scale, known):
             return 0.5 * (a + b)
         try:
             value, slope = known.get(x) or D(x)
-        except PoleProximity:
-            # within the pivot tolerance of a pole of G, where no root can
-            # be checked: cut that end of the bracket off at x
-            if x - a < b - x:
-                a = x
-            else:
-                b = x
-            x = 0.5 * (a + b)
-            continue
+        except PoleProximity as exc:
+            inward = 1.0 if x - a < b - x else -1.0
+            if exc.level == 1 and g_has_poles:  # a pole of G ends (a, b)
+                a, b = (x, b) if inward > 0 else (a, x)
+                x = 0.5 * (a + b)
+                continue
+            x, (value, slope) = _off_pivot(D, x, inward, w)
+            if not a < x < b:
+                return 0.5 * (a + b)
         if value == 0.0:
             return x
         if value > 0:
@@ -370,28 +367,47 @@ def _polish(r, x, scale, limits):
     decreasing through a root near x.  x is one end; the other steps from
     it, by w = ulp(max(|x|, scale)) and then doubling, in the direction
     sign r(x) until r changes sign.  The bracket is then bisected until its
-    ends are adjacent floats or at most w apart.  None when an end would
-    leave the open interval ``limits``."""
-    near = x, r(x)
-    far = near
-    step = math.ulp(max(abs(x), scale))
+    ends are adjacent floats or at most w apart.  An end on a pivot
+    breakdown of G moves on by :func:`_off_pivot`; a midpoint on one ends
+    the bisection.  None when an end would leave the open interval
+    ``limits``."""
+    w = math.ulp(max(abs(x), scale))
+    inward = 1.0 if x - limits[0] < limits[1] - x else -1.0
+    near = far = _off_pivot(r, x, inward, w)
+    x = near[0]
     side = 1.0 if near[1] > 0 else -1.0
-    while side * far[1] > 0:
-        y = x + side * step
-        if not limits[0] < y < limits[1]:
+    step = w
+    while side * far[1] > 0 or not limits[0] < far[0] < limits[1]:
+        if not limits[0] < far[0] < limits[1]:
             return None
-        near, far = far, (y, r(y))
+        near, far = far, _off_pivot(r, x + side * step, side, w)
         step *= 2.0
     (lo, r_lo), (hi, r_hi) = sorted([near, far])
     while r_lo != 0.0 and r_hi != 0.0 and hi - lo > math.ulp(
             max(-lo, hi, scale)):
         mid = 0.5 * (lo + hi)
-        r_mid = r(mid)
+        try:
+            r_mid = r(mid)
+        except PoleProximity:
+            break
         if r_mid >= 0:
             lo, r_lo = mid, r_mid
         else:
             hi, r_hi = mid, r_mid
     return (lo, r_lo), (hi, r_hi)
+
+
+def _off_pivot(f, x, side, step):
+    """(y, f(y)) at the first of y = x, x + side step, x + 2 side step,
+    x + 4 side step, ... where the pivot test of G does not fire: off an
+    energy where a trailing block of the tail has an eigenvalue."""
+    y = x
+    while True:
+        try:
+            return y, f(y)
+        except PoleProximity:
+            y = x + side * step
+            step *= 2.0
 
 
 def _scan_solve(h, eta, n, trace, r):

@@ -394,7 +394,7 @@ class TestSecular:
                                                            [0.8]))
         _check_rule(h, [-3.0, 0.5, 0.99, 1.01, 2.0, 2.6, 5.0])
         res = self_consistent_solve(h, 0.5, 2)
-        assert res.energy == 1.0
+        assert res.energy == pytest.approx(1.0, abs=1e-15)
 
     def test_repeated_model_eigenvalue_on_a_tail_pole(self):
         # the double eigenvalue 1 is also a pole of G: branch 2 has no level
@@ -422,6 +422,29 @@ class TestSecular:
                            "pole of G") as exc:
             self_consistent_solve(h, 0.0, 1)
         assert exc.value.reason == "residual"
+
+    @pytest.mark.parametrize("block, a, rho, eta0, n, j", [
+        ([[2.0, 0.0], [0.0, 0.0]], [0.0, -2.0, 1.0, 0.0, 1.0],
+         [1.0, 0.0, 1.0, 2.0], -3.0, 2, 4),
+        ([[-2.0, -3.0], [-3.0, -1.0]], [-1.0, -1.0, -1.0], [2.0, 1.0],
+         -4.5, 2, 2),
+        ([[-2.0]], [0.0, -1.0, 0.0], [1.0, 1.0], -0.75, 1, 1),
+        ([[0.0]], [0.0, 0.0], [0.0], 4.5, 1, 1),
+        ([[4.0, 0.0], [0.0, 0.0]], [0.0, -1.0], [0.0], -6.0, 1, 1),
+        ([[0.0]], [0.0, -2.0, -1.0, -2.0], [0.0, 1.0, 2.0], 1.0, 1, 2),
+    ], ids=["free-level", "midpoint", "level", "zero-matrix", "rho0-zero",
+            "rho0-zero-tail"])
+    def test_pivot_breakdown_off_the_poles(self, block, a, rho, eta0, n,
+                                           j):
+        # G's pivot test also fires where a trailing block of the tail has
+        # an eigenvalue that is no pole of D: at a free level, a Newton
+        # midpoint, the level itself.  The solve steps off such points
+        # and still returns the rule's level, the j-th dense one, to the
+        # width of the breakdown
+        h = PartitionedHamiltonian(np.array(block), TridiagonalChain(a, rho))
+        res = self_consistent_solve(h, eta0, n)
+        level = np.linalg.eigvalsh(_symmetric_form(h))[j]
+        assert abs(res.energy - level) <= 2e-12
 
     @pytest.mark.parametrize("M, K", [(1, 3), (3, 0)])
     def test_single_model_state_or_no_tail(self, M, K):
