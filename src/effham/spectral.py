@@ -209,11 +209,11 @@ def _secular_solve(h, eta0, n, trace, r):
     scale is the largest entry of S, and the outermost intervals end at
     +-2 (M + 2) scale, beyond every level by Gershgorin's theorem.  The
     root of D selected is found by :func:`_newton` to within
-    ulp(max(|E|, scale)) and finished in r_n terms by :func:`_polish`; the
-    end of its bracket with the smaller |r_n| is the level.  An r_n that
-    does not confirm the bracket before the nearest poles of G, or a pole
-    met on the way, means the level lies within rounding of a pole:
-    :class:`NonConvergence` ("residual").
+    ulp(max(|E|, scale)); it, or the free level selected, is finished in
+    r_n terms by :func:`_polish`, and the end of its bracket with the
+    smaller |r_n| is the level.  An r_n that does not confirm the bracket
+    before the nearest poles of G means the level lies within rounding of
+    a pole: :class:`NonConvergence` ("residual").
     """
     block, chain = h.p_block, h.chain
     off = np.sqrt(chain.rho)
@@ -374,14 +374,12 @@ def _polish(r, x, scale, limits):
     w = math.ulp(max(abs(x), scale))
     inward = 1.0 if x - limits[0] < limits[1] - x else -1.0
     near = far = _off_pivot(r, x, inward, w)
-    x = near[0]
-    side = 1.0 if near[1] > 0 else -1.0
-    step = w
-    while side * far[1] > 0 or not limits[0] < far[0] < limits[1]:
-        if not limits[0] < far[0] < limits[1]:
-            return None
-        near, far = far, _off_pivot(r, x + side * step, side, w)
+    start, side, step = near[0], 1.0 if near[1] > 0 else -1.0, w
+    while side * far[1] > 0 and limits[0] < far[0] < limits[1]:
+        near, far = far, _off_pivot(r, start + side * step, side, w)
         step *= 2.0
+    if not limits[0] < far[0] < limits[1]:
+        return None
     (lo, r_lo), (hi, r_hi) = sorted([near, far])
     while r_lo != 0.0 and r_hi != 0.0 and hi - lo > math.ulp(
             max(-lo, hi, scale)):
