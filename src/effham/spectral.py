@@ -15,15 +15,19 @@ which strictly decreases between its poles, the eigenvalues d_i of the
 other model states and the poles of G: each pole-free interval holds one
 level, whose branch n follows from Haynsworth inertia.
 :func:`self_consistent_solve` looks the level up, solves D = 0 by Newton
-steps costing O(K + M) each, and confirms and finishes it on r_n.
-Otherwise it scans the pole-free intervals of G outward from a start
-energy for a sign change of r_n and closes the first bracket by
-Anderson-Bjorck regula falsi.
+steps costing O(K + M) each, and confirms and finishes it on r_n.  The
+work that does not depend on n (the Hermitian test, the eigensolves of the
+block and the tail, the table of pole intervals) runs once per Hamiltonian
+object and is reused while that object is the latest one solved, so a
+Hamiltonian must not be mutated once solved.  Otherwise it scans the
+pole-free intervals of G outward from a start energy for a sign change of
+r_n and closes the first bracket by Anderson-Bjorck regula falsi.
 """
 
 import bisect
 import logging
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,8 +77,9 @@ class SelfConsistentResult:
 
 def eigenvalues_dense(m):
     """All eigenvalues of a dense matrix, sorted by real part then
-    imaginary part; eigenvalues with negligible imaginary part are
-    collapsed onto the real axis."""
+    imaginary part; eigenvalues whose imaginary part is at most
+    ``IMAG_COLLAPSE`` times the largest |entry| are collapsed onto the
+    real axis."""
     m = np.atleast_2d(np.asarray(m, dtype=float))
     if m.shape[0] != m.shape[1]:
         raise ValueError("matrix must be square")
@@ -91,7 +96,8 @@ def _sorted_eig(m, vectors=True):
             w, v = np.linalg.eigvals(m), None
     except np.linalg.LinAlgError as exc:
         raise EigSolverFailure(str(exc)) from exc
-    scale = max(1.0, float(np.max(np.abs(m))))
+    # relative to the matrix alone: a zero matrix collapses exact zeros only
+    scale = float(np.max(np.abs(m)))
     w = np.where(np.abs(w.imag) <= IMAG_COLLAPSE * scale, w.real, w)
     order = np.lexsort((w.imag, w.real))
     return w[order], None if v is None else v[:, order]
@@ -136,6 +142,11 @@ def self_consistent_solve(h, eta0, n):
     the evaluated energies are attached as ``trace``.
     :class:`PoleProximity` propagates when eta0 itself sits on a pole.
     A non-finite eta0 or an n outside 1..M is a ``ValueError``.
+
+    The Hermitian test and the level-independent setup of the Hermitian
+    case (see :func:`_doorway`) run once per Hamiltonian object and are
+    reused while ``h`` is the latest Hamiltonian solved, so ``h`` must not
+    be mutated between calls.
     """
     if not 1 <= n <= h.M:
         raise ValueError(f"level index n={n} outside 1..{h.M}")
@@ -152,9 +163,10 @@ def self_consistent_solve(h, eta0, n):
         # Re E^(n): real parts lead the order of eigenvalues_dense
         return float(np.sort(w.real)[n - 1]) - x
 
-    if (np.all(h.chain.rho >= 0)
-            and np.array_equal(h.p_block, h.p_block.T)):
-        eta, bracket = _secular_solve(h, float(eta0), n, trace, r)
+    door = _doorway(h)
+    if door is not None:
+        eta, bracket = _secular_solve(door, h.chain, float(eta0), n, trace,
+                                      r)
     else:
         eta, bracket = _scan_solve(h, float(eta0), n, trace, r)
 
@@ -181,10 +193,89 @@ def _record(trace, x):
     trace.append(x)
 
 
-def _secular_solve(h, eta0, n, trace, r):
+@dataclass(frozen=True)
+class _Doorway:
+    """The part of the secular solve of one Hamiltonian that does not
+    depend on the level n (see :func:`_secular_solve`).
+
+    ``d`` are the eigenvalues of the block without the doorway row and
+    column, ascending; ``terms`` the pairs (d_i, y_i^2) with y_i != 0;
+    ``t`` the poles of G and ``cuts`` the same sorted; ``poles`` the poles
+    of D, sorted.  ``intervals`` has one entry (p_lo, p_hi, base, inner,
+    first, last) per pole-free interval of D, with base = #{d_i <= p_lo},
+    ``inner`` the free d_i inside it (those with y_i = 0 that are no pole
+    of G), and first, last the bisect_left and bisect_right counts of p_hi
+    in ``d``."""
+
+    d: tuple
+    terms: tuple
+    t: frozenset
+    cuts: tuple
+    poles: tuple
+    scale: float
+    outer: float
+    intervals: tuple
+
+
+# (weak reference to the latest Hamiltonian solved, its _Doorway or None);
+# one tuple, replaced whole, so every thread reads a consistent pair and a
+# race between threads costs at most a recomputation
+_latest = None
+
+
+def _doorway(h):
+    """The :class:`_Doorway` of ``h``, or None unless its block is
+    symmetric and every rho_k >= 0.  Computed once per Hamiltonian object
+    and kept for the latest one asked for, by identity and without keeping
+    it alive; a failed eigensolve keeps nothing."""
+    global _latest
+    latest = _latest
+    if latest is not None and latest[0]() is h:
+        return latest[1]
+    door = None
+    if np.all(h.chain.rho >= 0) and np.array_equal(h.p_block, h.p_block.T):
+        door = _doorway_setup(h)
+    _latest = weakref.ref(h), door
+    return door
+
+
+def _doorway_setup(h):
+    """The :class:`_Doorway` of a Hamiltonian with a symmetric block and
+    every rho_k >= 0."""
+    block, chain = h.p_block, h.chain
+    off = np.sqrt(chain.rho)
+    zero = np.flatnonzero(chain.rho == 0)
+    seen = int(zero[0]) if len(zero) else chain.K
+    try:
+        d, q = np.linalg.eigh(block[:-1, :-1])
+        t = np.linalg.eigvalsh(np.diag(chain.a[1:seen + 1])
+                               + np.diag(off[1:seen], 1)
+                               + np.diag(off[1:seen], -1)) if seen else off[:0]
+    except np.linalg.LinAlgError as exc:
+        raise EigSolverFailure(str(exc)) from exc
+    d = tuple(d.tolist())
+    weights = ((q.T @ block[:-1, -1]) ** 2).tolist()
+    terms = tuple((di, wi) for di, wi in zip(d, weights) if wi != 0.0)
+    t = frozenset(t.tolist())
+    poles = tuple(sorted(t.union(di for di, _ in terms)))
+    free = tuple(di for di, wi in zip(d, weights) if wi == 0.0 and di not in t)
+    # a zero matrix has no scale of its own; 1 stands in
+    scale = float(max(np.abs(block).max(), np.abs(chain.a).max(),
+                      off.max(initial=0.0))) or 1.0
+    ends = [-math.inf, *poles, math.inf]
+    intervals = tuple(
+        (p_lo, p_hi, bisect.bisect_right(d, p_lo),
+         tuple(v for v in free if p_lo < v < p_hi),
+         bisect.bisect_left(d, p_hi), bisect.bisect_right(d, p_hi))
+        for p_lo, p_hi in zip(ends, ends[1:]))
+    return _Doorway(d, terms, t, tuple(sorted(t)), poles, scale,
+                    2.0 * (h.M + 2) * scale, intervals)
+
+
+def _secular_solve(door, chain, eta0, n, trace, r):
     """(energy, bracket) of the level of branch n that the rule of
     :func:`self_consistent_solve` selects, for a symmetric block and every
-    rho_k >= 0.
+    rho_k >= 0, from the Hamiltonian's :class:`_Doorway` and its chain.
 
     Let (d_i, q_i) be the eigenpairs of the block without the doorway row
     and column, y_i = q_i . (doorway column), and t the poles of G: the
@@ -215,27 +306,8 @@ def _secular_solve(h, eta0, n, trace, r):
     before the nearest poles of G means the level lies within rounding of
     a pole: :class:`NonConvergence` ("residual").
     """
-    block, chain = h.p_block, h.chain
-    off = np.sqrt(chain.rho)
-    zero = np.flatnonzero(chain.rho == 0)
-    seen = int(zero[0]) if len(zero) else chain.K
-    try:
-        d, q = np.linalg.eigh(block[:-1, :-1])
-        t = np.linalg.eigvalsh(np.diag(chain.a[1:seen + 1])
-                               + np.diag(off[1:seen], 1)
-                               + np.diag(off[1:seen], -1)) if seen else off[:0]
-    except np.linalg.LinAlgError as exc:
-        raise EigSolverFailure(str(exc)) from exc
-    d = d.tolist()
-    weights = ((q.T @ block[:-1, -1]) ** 2).tolist()
-    terms = [(di, wi) for di, wi in zip(d, weights) if wi != 0.0]
-    t = set(t.tolist())
-    poles = sorted(t.union(di for di, _ in terms))
-    free = [di for di, wi in zip(d, weights) if wi == 0.0 and di not in t]
-    # a zero matrix has no scale of its own; 1 stands in
-    scale = float(max(np.abs(block).max(), np.abs(chain.a).max(),
-                      off.max(initial=0.0))) or 1.0
-    outer = 2.0 * (h.M + 2) * scale
+    d, terms, t, scale, outer = (door.d, door.terms, door.t, door.scale,
+                                 door.outer)
     known = {}  # energy -> (D, D') of every evaluation of D
 
     def D(x):
@@ -252,10 +324,7 @@ def _secular_solve(h, eta0, n, trace, r):
     # the open bracket of the root of D in the interval between two poles
     # or an exact level lo = hi
     levels = []
-    ends = [-math.inf, *poles, math.inf]
-    for p_lo, p_hi in zip(ends, ends[1:]):
-        base = bisect.bisect_right(d, p_lo)
-        inner = [v for v in free if p_lo < v < p_hi]
+    for p_lo, p_hi, base, inner, first, last in door.intervals:
         if base < n <= base + 1 + len(inner):
             # the interval's levels: the free d_i and the root, sorted
             s = sum(_off_pivot(D, v, 1.0, math.ulp(max(abs(v), scale)))[1][0]
@@ -269,11 +338,10 @@ def _secular_solve(h, eta0, n, trace, r):
                 v = inner[j if j < s else j - 1]
                 levels.append((v, v, False, (p_lo, p_hi)))
         # a repeated d_i on a pole is a level per repeat, unless it is a t
-        first, last = bisect.bisect_left(d, p_hi), bisect.bisect_right(d, p_hi)
         if first + 1 < n <= last and p_hi not in t:
             levels.append((p_hi, p_hi, False, (p_hi, p_hi)))
 
-    if eta0 in poles:
+    if eta0 in door.poles:
         # r_n gives the direction; on a pole of G it raises PoleProximity
         ahead = 1.0 if r(eta0) >= 0 else -1.0
     else:
@@ -298,7 +366,7 @@ def _secular_solve(h, eta0, n, trace, r):
     x = _newton(D, lo, hi, interval, scale, known, bool(t)) if root else lo
     n_d = len(trace)
     # r_n is continuous up to the poles of G next to x
-    cuts = sorted(t)
+    cuts = door.cuts
     i = bisect.bisect_right(cuts, x)
     ends = _polish(r, x, scale, (cuts[i - 1] if i else -outer,
                                  cuts[i] if i < len(cuts) else outer))

@@ -94,6 +94,14 @@ class TestSpectrum:
         assert main(["spectrum", "--input", str(path)]) == 0
         assert capsys.readouterr().out == "+0 -1j\n+0 +1j\n"
 
+    def test_dense_complex_pair_small_scale(self, tmp_path, capsys):
+        # a 2 x 2 block with levels +-1e-11 i and no tail
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps(hamiltonian_to_dict(PartitionedHamiltonian(
+            [[0.0, -1e-11], [1e-11, 0.0]], TridiagonalChain([0.0])))))
+        assert main(["spectrum", "--input", str(path)]) == 0
+        assert capsys.readouterr().out == "+0 -1e-11j\n+0 +1e-11j\n"
+
     def test_self_consistent(self, paper_file, capsys):
         assert main(["spectrum", "--input", paper_file, "--self-consistent",
                      "--eta0", "-1", "--level", "1"]) == 0

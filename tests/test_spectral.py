@@ -1,4 +1,8 @@
+import gc
 import logging
+import sys
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -6,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from effham import spectral
-from effham.errors import EigSolverFailure, NonConvergence, PoleProximity
+from effham.errors import (DomainError, EigSolverFailure, NonConvergence,
+                           PoleProximity)
 from effham.forward import effective_hamiltonian
 from effham.instances import random_hamiltonian, real_poles
 from effham.model import (PartitionedHamiltonian, TridiagonalChain,
@@ -26,6 +31,20 @@ class TestEigenvaluesDense:
         w = eigenvalues_dense([[0.0, -1.0], [1.0, 0.0]])
         assert w[0] == pytest.approx(-1j)
         assert w[1] == pytest.approx(1j)
+
+    @pytest.mark.parametrize("s", [1.0, 1e-11, 1e-100])
+    def test_collapse_relative_to_scale(self, s):
+        # +-s i stays a pair at any scale; an imaginary part 1e-12 of the
+        # matrix's own scale collapses at any scale
+        w = eigenvalues_dense(s * np.array([[0.0, -1.0], [1.0, 0.0]]))
+        np.testing.assert_array_equal(w, [-s * 1j, s * 1j])
+        w = eigenvalues_dense([[0.0, -1e-24 * s], [s, 0.0]])
+        np.testing.assert_array_equal(w, [0.0, 0.0])
+
+    def test_zero_matrix_collapses_exact_zeros(self):
+        w = eigenvalues_dense(np.zeros((2, 2)))
+        np.testing.assert_array_equal(w, [0.0, 0.0])
+        assert not np.iscomplexobj(w)
 
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):
@@ -489,6 +508,109 @@ class TestSecular:
                                "(-inf, 2), ")
         assert line.endswith(f" D and {res.iterations - int(n_d)} r_n "
                              "evaluations")
+
+
+def _outcome(h, eta0, n):
+    """Every bit of a solve's result, or of the DomainError it raised."""
+    try:
+        res = self_consistent_solve(h, eta0, n)
+    except DomainError as exc:
+        return (type(exc).__name__, str(exc),
+                tuple(float(x).hex() for x in getattr(exc, "trace", ())))
+    return (res.level_index, res.energy.hex(),
+            tuple(x.hex() for x in res.bracket), res.iterations,
+            tuple(x.hex() for x in res.trace), res.residual.hex(),
+            res.eigvec_model.tobytes())
+
+
+def _assert_dense_outcome(h, out):
+    """A returned level of :func:`_outcome` that lies on the dense
+    spectrum of h."""
+    assert isinstance(out[0], int), out[:2]
+    w = eigenvalues_dense(assemble_dense(h)).real
+    assert np.min(np.abs(w - float.fromhex(out[1]))) <= 1e-12
+
+
+def _copy(h):
+    """A Hamiltonian equal to h in value but not in identity."""
+    return PartitionedHamiltonian(h.p_block, TridiagonalChain(h.chain.a,
+                                                              h.chain.rho))
+
+
+def _spy_eigensolvers(monkeypatch):
+    """Count the calls of np.linalg.eigh and eigvalsh by name."""
+    calls = {"eigh": 0, "eigvalsh": 0}
+    for name in calls:
+        def spy(*args, _f=getattr(np.linalg, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, spy)
+    return calls
+
+
+class TestDoorwayReuse:
+    """The level-independent setup of the Hermitian path runs once per
+    Hamiltonian object, and reusing it changes no bit of any result."""
+
+    def test_setup_once_per_hamiltonian(self, monkeypatch):
+        h = random_hamiltonian(4, 8, np.random.default_rng(3))
+        cold = [_outcome(_copy(h), -5.0, n) for n in range(1, 5)]
+        calls = _spy_eigensolvers(monkeypatch)
+        warm = [_outcome(h, -5.0, n) for n in range(1, 5)]
+        assert calls == {"eigh": 1, "eigvalsh": 1}
+        assert warm == cold
+        assert all(isinstance(out[0], int) for out in warm)
+        # equal in value is not the same Hamiltonian
+        assert _outcome(_copy(h), -5.0, 2) == cold[1]
+        assert calls == {"eigh": 2, "eigvalsh": 2}
+
+    def test_non_hermitian_in_between(self):
+        h = random_hamiltonian(4, 8, np.random.default_rng(4))
+        mixed = random_hamiltonian(4, 8, np.random.default_rng(5), "mixed")
+        assert np.any(mixed.chain.rho < 0)
+        cold = [_outcome(_copy(h), 0.0, n) for n in (1, 2)]
+        got = [_outcome(h, 0.0, 1)]
+        _outcome(mixed, 0.0, 1)
+        got.append(_outcome(h, 0.0, 2))
+        assert got == cold
+        for out in got:
+            _assert_dense_outcome(h, out)
+
+    def test_threads_match_serial(self):
+        hs = [random_hamiltonian(4, 8, np.random.default_rng(s))
+              for s in (6, 7)]
+        jobs = [(h, n) for n in range(1, 5) for h in hs] * 4
+        serial = [_outcome(_copy(h), -5.0, n) for h, n in jobs]
+        for (h, _), out in zip(jobs, serial):
+            _assert_dense_outcome(h, out)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                futures = [pool.submit(_outcome, h, -5.0, n) for h, n in jobs]
+                threaded = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial
+
+    def test_setup_does_not_keep_the_hamiltonian_alive(self):
+        h = random_hamiltonian(3, 4, np.random.default_rng(8))
+        self_consistent_solve(h, 0.0, 1)
+        ref = weakref.ref(h)
+        del h
+        gc.collect()
+        assert ref() is None
+
+    def test_failed_setup_caches_nothing(self, monkeypatch):
+        h = random_hamiltonian(3, 4, np.random.default_rng(9))
+        cold = _outcome(_copy(h), 0.0, 1)
+        monkeypatch.setattr(np.linalg, "eigh", _no_eig)
+        with pytest.raises(EigSolverFailure, match="no convergence"):
+            self_consistent_solve(h, 0.0, 1)
+        monkeypatch.undo()
+        calls = _spy_eigensolvers(monkeypatch)
+        assert _outcome(h, 0.0, 1) == cold
+        assert calls == {"eigh": 1, "eigvalsh": 1}
 
 
 class TestScanEdges:
