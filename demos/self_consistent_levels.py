@@ -3,13 +3,14 @@
 A doorway-form matrix with an M = 2 model space is projected down to a
 2x2 H_eff(E) whose corner element carries all the energy dependence.
 The physical levels are the self-consistent points E = E^(n)(E).  This
-model block is not symmetric, so the solver scans the pole-free intervals
-of G for a sign change of E^(n)(eta) - eta and closes that bracket by
-regula falsi; the energies it evaluated are printed for one level, and the
-result is checked against the dense spectrum of the assembled matrix.
-With the block made symmetric, the level is a root of the doorway's
-scalar secular function, found by Newton steps and finished on
-E^(n)(eta) - eta; the demo prints how many evaluations that took.
+model block is not symmetric, so the solver looks the level up among the
+real eigenvalues of the dense matrix, evaluating H_eff once per level it
+visits, and brackets it on E^(n)(eta) - eta; the energies it evaluated are
+printed for one level, and the result is checked against the dense
+spectrum of the assembled matrix.  With the block made symmetric, the
+level is a root of the doorway's scalar secular function, found by Newton
+steps and finished on E^(n)(eta) - eta; the demo prints how many
+evaluations that took.
 
 Run:  python3 demos/self_consistent_levels.py
 """

@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import toys
-from .errors import DomainError
+from .errors import DomainError, NonConvergence
 from .forward import effective_hamiltonian, g_function
 from .instances import probe_window, random_chain, real_poles
 from .inverse import choose_probe_energies, reconstruct, samples_from_chain
@@ -229,7 +229,11 @@ def main(argv=None):
         os.close(devnull)
         return 0
     except DomainError as exc:
-        print(f"effham: {type(exc).__name__}: {exc}", file=sys.stderr)
+        detail = ""
+        if isinstance(exc, NonConvergence):
+            detail = f" (reason {exc.reason}, {len(exc.trace)} evaluations)"
+        print(f"effham: {type(exc).__name__}: {exc}{detail}",
+              file=sys.stderr)
         return 2
     except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
         print(f"effham: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -82,12 +82,15 @@ class InfeasibleSampling(DomainError):
 
 class NonConvergence(DomainError):
     """The self-consistent solve found no level.  ``reason`` names the
-    cause for a machine: ``"no_sign_change"`` (no sign change of
-    E^(n)(eta) - eta to bracket one, or no level of the branch asked
-    for), ``"budget"`` (the budget of evaluations ran out) or
-    ``"residual"`` (the level found fails the residual check, or lies
-    within rounding of a pole of G); the message names it for a person.
-    ``trace`` holds the energies evaluated before giving up."""
+    cause for a machine: ``"no_sign_change"`` (the branch asked for has no
+    level: no real level of the matrix is the n-th eigenvalue of H_eff at
+    itself, so no sign change of E^(n)(eta) - eta marks one),
+    ``"budget"`` (the budget of evaluations ran out) or ``"residual"``
+    (E^(n)(eta) - eta does not change sign at the level selected, as at a
+    level within rounding of a pole of G, or the level fails the residual
+    check); the message names it for a person.  ``trace`` holds the
+    energies evaluated before giving up.  ``effham spectrum`` prints the
+    reason and the number of evaluations."""
 
     def __init__(self, trace, reason, msg):
         self.trace = list(trace)

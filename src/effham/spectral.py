@@ -7,21 +7,16 @@ energies at the self-consistent points eta = E, the real roots of
     r_n(eta) = Re E^(n)(eta) - eta,
 
 where E^(n)(eta) is the n-th eigenvalue of H_eff(eta).  r_n is continuous
-between consecutive real poles of G.
-
-For a symmetric model block and rho_k >= 0 the levels are the roots of the
-doorway's scalar secular function D(E) = G(E) + sum_i y_i^2 / (E - d_i),
-which strictly decreases between its poles, the eigenvalues d_i of the
-other model states and the poles of G: each pole-free interval holds one
-level, whose branch n follows from Haynsworth inertia.
-:func:`self_consistent_solve` looks the level up, solves D = 0 by Newton
-steps costing O(K + M) each, and confirms and finishes it on r_n.  The
-work that does not depend on n (the Hermitian test, the eigensolves of the
-block and the tail, the table of pole intervals) runs once per Hamiltonian
-object and is reused while that object is the latest one solved, so a
-Hamiltonian must not be mutated once solved.  Otherwise it scans the
-pole-free intervals of G outward from a start energy for a sign change of
-r_n and closes the first bracket by Anderson-Bjorck regula falsi.
+between consecutive real poles of G.  Each real level of the matrix that G
+sees is a root of one r_n, its branch n, so :func:`self_consistent_solve`
+looks the levels of branch n up, takes one by a single rule and finishes
+it on r_n.  For a symmetric model block and rho_k >= 0 the levels are the
+roots of the doorway's secular function D(E) = G(E) + sum_i y_i^2/(E - d_i),
+one per pole-free interval of D, with branches from Haynsworth inertia,
+solved by Newton steps costing O(K + M) each; the work that does not
+depend on n runs once per Hamiltonian object, which must therefore not be
+mutated once solved.  Otherwise the levels are the real eigenvalues of the
+dense matrix, each given its branch by one evaluation of H_eff.
 """
 
 import bisect
@@ -34,7 +29,6 @@ import numpy as np
 
 from .errors import EigSolverFailure, NonConvergence, PoleProximity
 from .forward import _g_slope, continued_fraction, effective_hamiltonian
-from .instances import real_poles
 from .model import assemble_dense
 
 __all__ = [
@@ -48,12 +42,7 @@ __all__ = [
 IMAG_COLLAPSE = 1e-10
 # largest accepted eigenvector residual of a level, relative to |H_eff|
 RES_TOL = 1e-8
-# a pole-adjacent interval end sits this far (relative) inside its pole
-POLE_OFFSET = 1e-10
-# interior probes of an interval whose ends give r the same sign, when r
-# may be non-monotone
-INTERIOR_SAMPLES = 8
-# evaluations (of r_n or D) one self-consistent solve may make
+# evaluations (of r_n, H_eff or D) one self-consistent solve may make
 MAX_EVALS = 200
 
 log = logging.getLogger("effham")
@@ -62,8 +51,8 @@ log = logging.getLogger("effham")
 @dataclass(frozen=True)
 class SelfConsistentResult:
     """A converged level.  ``bracket`` is the final (lo, hi) around
-    ``energy``; ``trace`` lists every energy at which r_n or the secular
-    function D was evaluated, in order, starting with eta0, and
+    ``energy``; ``trace`` lists every energy at which r_n, H_eff or the
+    secular function D was evaluated, in order, starting with eta0, and
     ``iterations`` is its length."""
 
     level_index: int
@@ -108,45 +97,33 @@ def self_consistent_solve(h, eta0, n):
     r_n(eta) = Re E^(n)(eta) - eta, where E^(n) is the n-th eigenvalue of
     H_eff(eta) in the order of :func:`eigenvalues_dense`.
 
-    Which root (eta0, n) selects: the first root of r_n met going from
-    eta0 in the direction of sign r_n(eta0), which is where r_n pushes
-    eta; failing that, the first one met in the opposite direction.
+    The levels of branch n are the real eigenvalues lam of the matrix that
+    G sees (cut at its first rho_k = 0) that are the n-th eigenvalue of
+    H_eff(lam); one on a pole of G, where H_eff is undefined, is none.
+    (eta0, n) selects the first one met going from eta0 in the direction
+    of sign r_n(eta0), where r_n pushes eta, else the first one met in the
+    opposite direction; eta0 itself when r_n(eta0) = 0.  It is finished on
+    r_n between the poles of G next to it by :func:`_polish`, and the end
+    of that bracket with the smaller |r_n| is the energy.  For a symmetric
+    block and every rho_k >= 0 the levels are located as the roots of the
+    doorway's secular function D and solved for by Newton steps on D (see
+    :func:`_secular_solve`), else they are the real eigenvalues of the
+    dense matrix (see :func:`_dense_solve`).
 
-    Hermitian case (symmetric block, every rho_k >= 0): the levels are the
-    roots of the doorway's secular function D, each located and given its
-    branch n before any is solved for, so the rule is a lookup; the root
-    selected is found by Newton steps on D and finished in r_n terms (see
-    :func:`_secular_solve`).  ``trace`` lists the energies where D or r_n
-    was evaluated.
-
-    Otherwise r_n may be non-monotone.  The real poles of G cut the axis
-    into pole-free intervals.  Each end next to a pole sits
-    ``POLE_OFFSET`` (relative) inside it, moved further in while the pivot
-    test of G still fires; the outermost ends lie at +-(1 + ||H||_inf),
-    beyond every level.  Starting at eta0, the intervals are visited in
-    the direction of sign r_n(eta0); the first one is [eta0, next end].
-    An interval whose ends give r_n the same sign is also probed at
-    ``INTERIOR_SAMPLES`` equally spaced points, in scan order, and the
-    first sign change met is the bracket.  A scan that finds none is
-    repeated in the opposite direction.  Anderson-Bjorck regula falsi then
-    shrinks the bracket until r_n = 0 or it is a few ulps wide, and the end
-    with the smaller |r_n| is the energy.  ``trace`` lists the energies
-    where r_n was evaluated.
-
-    Either way ``trace`` starts with eta0, and ``MAX_EVALS`` bounds its
-    length.  Raises :class:`NonConvergence` when no level is found in
-    either direction (e.g. the levels of a quasi-Hermitian block are
-    complex), when the evaluation budget runs out, or when the eigenvector
-    of the energy found leaves a residual above ``RES_TOL`` times the
-    scale of H_eff (``reason`` "no_sign_change", "budget" or "residual");
-    the evaluated energies are attached as ``trace``.
+    ``trace`` lists the energies where D, H_eff or r_n was evaluated, in
+    order, starting with eta0, and ``MAX_EVALS`` bounds its length.
+    Raises :class:`NonConvergence` when branch n has no level (e.g. the
+    levels of a quasi-Hermitian block are complex), when the evaluation
+    budget runs out, or when r_n does not confirm the level selected or
+    its eigenvector leaves a residual above ``RES_TOL`` times the scale of
+    H_eff (``reason`` "no_sign_change", "budget" or "residual"); the
+    evaluated energies are attached as ``trace``.
     :class:`PoleProximity` propagates when eta0 itself sits on a pole.
-    A non-finite eta0 or an n outside 1..M is a ``ValueError``.
-
-    The Hermitian test and the level-independent setup of the Hermitian
-    case (see :func:`_doorway`) run once per Hamiltonian object and are
-    reused while ``h`` is the latest Hamiltonian solved, so ``h`` must not
-    be mutated between calls.
+    A non-finite eta0 or an n outside 1..M is a ``ValueError``.  The
+    Hermitian test and the level-independent setup of the Hermitian case
+    (see :func:`_doorway`) run once per Hamiltonian object and are reused
+    while ``h`` is the latest Hamiltonian solved, so ``h`` must not be
+    mutated between calls.
     """
     if not 1 <= n <= h.M:
         raise ValueError(f"level index n={n} outside 1..{h.M}")
@@ -164,11 +141,22 @@ def self_consistent_solve(h, eta0, n):
         return float(np.sort(w.real)[n - 1]) - x
 
     door = _doorway(h)
-    if door is not None:
-        eta, bracket = _secular_solve(door, h.chain, float(eta0), n, trace,
-                                      r)
-    else:
-        eta, bracket = _scan_solve(h, float(eta0), n, trace, r)
+    x, scale, limits, interval = (
+        _dense_solve(h, float(eta0), n, trace, r) if door is None
+        else _secular_solve(door, h.chain, float(eta0), n, trace, r))
+    n_find = len(trace)
+    ends = ((x, 0.0),) * 2 if limits is None else _polish(
+        r, x, scale, limits, decreasing=door is not None)
+    if ends is None:
+        raise NonConvergence(
+            trace, "residual", f"residual check failed: r_{n} does not "
+            f"confirm the level at {x:.17g}, within rounding of a pole of G")
+    (lo, r_lo), (hi, r_hi) = ends
+    eta, bracket = lo if abs(r_lo) <= abs(r_hi) else hi, (lo, hi)
+    log.debug("self_consistent_solve: level %d at %.17g in branch interval "
+              "(%.17g, %.17g), %d %s and %d r_n evaluations", n, eta,
+              *interval, n_find, "H_eff" if door is None else "D",
+              len(trace) - n_find)
 
     heff = effective_hamiltonian(h, eta)
     w, v = _sorted_eig(heff)
@@ -191,6 +179,27 @@ def _record(trace, x):
         raise NonConvergence(trace, "budget",
                              f"budget of {MAX_EVALS} evaluations exhausted")
     trace.append(x)
+
+
+def _balanced_form(h):
+    """The assembled matrix of h cut at its first rho_k = 0, past which G
+    sees nothing, in the balanced gauge: sign(rho_k) sqrt|rho_k| above the
+    diagonal and sqrt|rho_k| below.  It is similar to that cut of
+    :func:`~effham.model.assemble_dense` but has entries at the chain's
+    own scale.  Its block from row M on has the poles of G as
+    eigenvalues."""
+    M, chain = h.M, h.chain
+    zero = np.flatnonzero(chain.rho == 0)
+    seen = int(zero[0]) if len(zero) else chain.K
+    rho, N = chain.rho[:seen], M + seen
+    root = np.sqrt(np.abs(rho))
+    form = np.zeros((N, N))
+    form[:M, :M] = h.p_block
+    flat = form.reshape(-1)  # a view: entry (i, j) is flat[i N + j]
+    flat[M * (N + 1)::N + 1] = chain.a[1:seen + 1]
+    flat[(M - 1) * (N + 1) + 1::N + 1] = np.copysign(root, rho)
+    flat[M * (N + 1) - 1::N + 1] = root
+    return form
 
 
 @dataclass(frozen=True)
@@ -244,13 +253,10 @@ def _doorway_setup(h):
     every rho_k >= 0."""
     block, chain = h.p_block, h.chain
     off = np.sqrt(chain.rho)
-    zero = np.flatnonzero(chain.rho == 0)
-    seen = int(zero[0]) if len(zero) else chain.K
+    tail = _balanced_form(h)[h.M:, h.M:]
     try:
         d, q = np.linalg.eigh(block[:-1, :-1])
-        t = np.linalg.eigvalsh(np.diag(chain.a[1:seen + 1])
-                               + np.diag(off[1:seen], 1)
-                               + np.diag(off[1:seen], -1)) if seen else off[:0]
+        t = np.linalg.eigvalsh(tail) if len(tail) else off[:0]
     except np.linalg.LinAlgError as exc:
         raise EigSolverFailure(str(exc)) from exc
     d = tuple(d.tolist())
@@ -273,14 +279,15 @@ def _doorway_setup(h):
 
 
 def _secular_solve(door, chain, eta0, n, trace, r):
-    """(energy, bracket) of the level of branch n that the rule of
-    :func:`self_consistent_solve` selects, for a symmetric block and every
-    rho_k >= 0, from the Hamiltonian's :class:`_Doorway` and its chain.
+    """(x, scale, limits, interval) for the level x of branch n that the
+    rule of :func:`self_consistent_solve` selects, for a symmetric block
+    and every rho_k >= 0, from the Hamiltonian's :class:`_Doorway` and its
+    chain: x is to be finished on r_n within the open interval ``limits``,
+    and ``interval`` is the pole-free interval of D that holds it.
 
     Let (d_i, q_i) be the eigenpairs of the block without the doorway row
-    and column, y_i = q_i . (doorway column), and t the poles of G: the
-    eigenvalues of the symmetric form of the tail (sqrt(rho_k) off the
-    diagonal) down to its first rho_k = 0, past which G sees nothing.
+    and column, y_i = q_i . (doorway column), and t the poles of G, the
+    eigenvalues of the tail of :func:`_balanced_form`, symmetric here.
     The Schur complement of the other model states in H_eff(E) - E is the
     doorway's secular function
 
@@ -295,16 +302,11 @@ def _secular_solve(door, chain, eta0, n, trace, r):
     pole, and so is each repeat of a d_i, unless it coincides with a t,
     where H_eff is not defined.
 
-    Widths and bounds come from S, the symmetric form of the whole matrix
-    (not from the unit-subdiagonal one, whose entries are 1 at any scale):
-    scale is the largest entry of S, and the outermost intervals end at
-    +-2 (M + 2) scale, beyond every level by Gershgorin's theorem.  The
-    root of D selected is found by :func:`_newton` to within
-    ulp(max(|E|, scale)); it, or the free level selected, is finished in
-    r_n terms by :func:`_polish`, and the end of its bracket with the
-    smaller |r_n| is the level.  An r_n that does not confirm the bracket
-    before the nearest poles of G means the level lies within rounding of
-    a pole: :class:`NonConvergence` ("residual").
+    Widths and bounds come from S, the symmetric form of the whole matrix:
+    scale is its largest entry, and the outermost intervals end at
+    +-2 (M + 2) scale, beyond every level by Gershgorin's theorem.
+    :func:`_newton` finds the root of D selected to within
+    ulp(max(|E|, scale)); ``limits`` are the poles of G next to x.
     """
     d, terms, t, scale, outer = (door.d, door.terms, door.t, door.scale,
                                  door.outer)
@@ -364,22 +366,11 @@ def _secular_solve(door, chain, eta0, n, trace, r):
                              f"no level of branch {n} found")
     lo, hi, root, interval = order[0]
     x = _newton(D, lo, hi, interval, scale, known, bool(t)) if root else lo
-    n_d = len(trace)
     # r_n is continuous up to the poles of G next to x
     cuts = door.cuts
     i = bisect.bisect_right(cuts, x)
-    ends = _polish(r, x, scale, (cuts[i - 1] if i else -outer,
-                                 cuts[i] if i < len(cuts) else outer))
-    if ends is None:
-        raise NonConvergence(
-            trace, "residual", f"residual check failed: r_{n} does not "
-            f"confirm the level at {x:.17g}, within rounding of a pole of G")
-    (lo, r_lo), (hi, r_hi) = ends
-    eta = lo if abs(r_lo) <= abs(r_hi) else hi
-    log.debug("self_consistent_solve: level %d at %.17g in branch interval "
-              "(%.17g, %.17g), %d D and %d r_n evaluations", n, eta,
-              *interval, n_d, len(trace) - n_d)
-    return eta, (lo, hi)
+    return x, scale, (cuts[i - 1] if i else -outer,
+                      cuts[i] if i < len(cuts) else outer), interval
 
 
 def _newton(D, a, b, poles, scale, known, g_has_poles):
@@ -430,24 +421,88 @@ def _newton(D, a, b, poles, scale, known, g_has_poles):
         x += step
 
 
-def _polish(r, x, scale, limits):
-    """Ends (lo, r(lo)), (hi, r(hi)) with r(lo) >= 0 >= r(hi), for r
-    decreasing through a root near x.  x is one end; the other steps from
-    it, by w = ulp(max(|x|, scale)) and then doubling, in the direction
-    sign r(x) until r changes sign.  The bracket is then bisected until its
-    ends are adjacent floats or at most w apart.  An end on a pivot
-    breakdown of G moves on by :func:`_off_pivot`; a midpoint on one ends
-    the bisection.  None when an end would leave the open interval
-    ``limits``."""
+def _dense_solve(h, eta0, n, trace, r):
+    """(x, scale, limits, interval) as :func:`_secular_solve` gives them,
+    for a block that is not symmetric or some rho_k < 0, where r_n need
+    not be monotone; limits is None when r_n(eta0) = 0 and x = eta0.
+
+    The levels are the real eigenvalues of :func:`_balanced_form`, whose
+    largest entry is scale, and the poles of G those of its tail.  They
+    are visited in the order of the rule, one evaluation of H_eff each:
+    lam has branch m when the m-th eigenvalue of H_eff(lam), in the order
+    of :func:`eigenvalues_dense`, is the one nearest lam.  One on a pole
+    of G (G's pivot breaks down at level 1) is passed over; one where a
+    deeper pivot does is stepped off by :func:`_off_pivot`.  ``limits``
+    stop halfway to the levels next to x, as every root of r_n is a
+    level."""
+    r0 = r(eta0)
+    form = _balanced_form(h)
+    scale = float(np.max(np.abs(form))) or 1.0
+    outer = 2.0 * (h.M + 2) * scale
+
+    def real(m):  # ascending
+        w = _sorted_eig(m, vectors=False)[0]
+        return w[w.imag == 0].real.tolist()
+
+    def heff_eigs(x):
+        _record(trace, x)
+        return _sorted_eig(effective_hamiltonian(h, x), vectors=False)[0]
+
+    levels = real(form)
+    lam, halfway = eta0, (-outer, outer)
+    if r0 != 0.0:
+        ahead = 1.0 if r0 > 0 else -1.0
+        for j in sorted(range(len(levels)),
+                        key=lambda j: (ahead * (levels[j] - eta0) < 0,
+                                       abs(levels[j] - eta0))):
+            lam = levels[j]
+            try:
+                w = heff_eigs(lam)
+            except PoleProximity as exc:
+                if exc.level == 1:
+                    continue
+                lam, w = _off_pivot(heff_eigs, lam, 1.0,
+                                    math.ulp(max(abs(lam), scale)))
+            if np.argmin(np.abs(w - lam)) == n - 1:
+                break
+        else:
+            raise NonConvergence(
+                trace, "no_sign_change", f"no sign change of r_{n} found: "
+                f"no real level of the dense matrix is in branch {n}")
+        halfway = (0.5 * (levels[j - 1] + levels[j]) if j else -outer,
+                   0.5 * (levels[j] + levels[j + 1]) if j + 1 < len(levels)
+                   else outer)
+    cuts = real(form[h.M:, h.M:]) if len(form) > h.M else []
+    i = bisect.bisect_right(cuts, lam)
+    interval = (cuts[i - 1] if i else -math.inf,
+                cuts[i] if i < len(cuts) else math.inf)
+    return lam, scale, None if r0 == 0.0 else (
+        max(interval[0], halfway[0]), min(interval[1], halfway[1])), interval
+
+
+def _polish(r, x, scale, limits, decreasing=True):
+    """Ends (lo, r(lo)), (hi, r(hi)) with r(lo) r(hi) <= 0, next to a root
+    of r near x.  x is one end; the other steps from it, by
+    w = ulp(max(|x|, scale)) and then doubling, until r changes sign: in
+    the direction sign r(x) when r is ``decreasing`` through the root,
+    else to that side and the other in turn.  The bracket is then bisected
+    until its ends are adjacent floats or at most w apart.  An end on a
+    pivot breakdown of G moves on by :func:`_off_pivot`; a midpoint on one
+    ends the bisection.  None when every stepping end would leave the open
+    interval ``limits`` first."""
     w = math.ulp(max(abs(x), scale))
     inward = 1.0 if x - limits[0] < limits[1] - x else -1.0
-    near = far = _off_pivot(r, x, inward, w)
-    start, side, step = near[0], 1.0 if near[1] > 0 else -1.0, w
-    while side * far[1] > 0 and limits[0] < far[0] < limits[1]:
-        near, far = far, _off_pivot(r, start + side * step, side, w)
-        step *= 2.0
-    if not limits[0] < far[0] < limits[1]:
-        return None
+    start = near = far = _off_pivot(r, x, inward, w)
+    sign = 1.0 if start[1] > 0 else -1.0
+    # one walk per side: (side, its next step, its last end of r's sign)
+    walks = [(sign, w, start)] + ([] if decreasing else [(-sign, w, start)])
+    while sign * far[1] > 0 or not limits[0] < far[0] < limits[1]:
+        if not walks:
+            return None
+        side, step, near = walks.pop(0)
+        far = _off_pivot(r, start[0] + side * step, side, w)
+        if limits[0] < far[0] < limits[1]:
+            walks.append((side, 2.0 * step, far))
     (lo, r_lo), (hi, r_hi) = sorted([near, far])
     while r_lo != 0.0 and r_hi != 0.0 and hi - lo > math.ulp(
             max(-lo, hi, scale)):
@@ -456,7 +511,7 @@ def _polish(r, x, scale, limits):
             r_mid = r(mid)
         except PoleProximity:
             break
-        if r_mid >= 0:
+        if (r_mid >= 0) == (r_lo > 0):
             lo, r_lo = mid, r_mid
         else:
             hi, r_hi = mid, r_mid
@@ -474,111 +529,6 @@ def _off_pivot(f, x, side, step):
         except PoleProximity:
             y = x + side * step
             step *= 2.0
-
-
-def _scan_solve(h, eta, n, trace, r):
-    """(energy, bracket) by the scan and regula falsi of
-    :func:`self_consistent_solve`, for r_n that may be non-monotone."""
-    r0 = r(eta)
-    if r0 == 0.0:
-        return eta, (eta, eta)
-    poles = real_poles(h.chain)
-    bound = 1.0 + float(np.max(np.abs(assemble_dense(h)).sum(axis=1)))
-    d = 1.0 if r0 > 0 else -1.0
-    ends = (_scan(r, eta, r0, d, poles, bound)
-            or _scan(r, eta, r0, -d, poles, bound))
-    if ends is None:
-        raise NonConvergence(
-            trace, "no_sign_change", f"no sign change of r_{n} found in "
-            f"either direction from eta0 = {eta:.17g}")
-    (lo, r_lo), (hi, r_hi) = sorted(_anderson_bjorck(r, *ends))
-    return (lo if abs(r_lo) <= abs(r_hi) else hi), (lo, hi)
-
-
-def _scan(r, eta0, r0, d, poles, bound):
-    """Visit the pole-free intervals from eta0 in direction d (+-1); return
-    the first bracket as ((x, r(x)), (y, r(y))) with r(x) r(y) <= 0, or
-    None.  Each interval's far end is evaluated first, then its near end;
-    ends with the same sign are followed by the interior probes."""
-    cuts = [eta0] + [float(p) for p in poles[::int(d)] if d * (p - eta0) > 0]
-    for i, x in enumerate(cuts):
-        if i + 1 < len(cuts):
-            far = _inside(r, cuts[i + 1], -d, x)
-        elif d * (d * bound - x) > 0:
-            far = (d * bound, r(d * bound))
-        else:
-            far = None
-        if far is None:
-            continue
-        near = (eta0, r0) if i == 0 else _inside(r, x, d, far[0])
-        if near is None:
-            continue
-        if near[1] * far[1] <= 0:
-            return near, far
-        prev = near
-        for j in range(1, INTERIOR_SAMPLES + 1):
-            t = near[0] + (far[0] - near[0]) * j / (INTERIOR_SAMPLES + 1)
-            try:
-                cur = (t, r(t))
-            except PoleProximity:
-                continue
-            if prev[1] * cur[1] <= 0:
-                return prev, cur
-            prev = cur
-    return None
-
-
-def _inside(r, pole, side, limit):
-    """(x, r(x)) at x = pole + side * POLE_OFFSET * max(1, |pole|), the
-    offset growing while x still trips the pivot test; None once x would
-    pass ``limit``."""
-    off = POLE_OFFSET * max(1.0, abs(pole))
-    while True:
-        x = pole + side * off
-        if side * (limit - x) <= 0:
-            return None
-        try:
-            return x, r(x)
-        except PoleProximity:
-            off *= 16.0
-
-
-def _anderson_bjorck(r, a, b):
-    """Shrink the bracket a = (x, r(x)), b = (y, r(y)) until r vanishes at
-    an end or the ends are a few ulps (of max(1, |x|)) apart; return both
-    ends with their true values of r.  Anderson & Bjorck, BIT 13 (1973)
-    253, with a bisection step whenever six steps have not halved the
-    bracket, which regula falsi fails to do next to a pole of r."""
-    (xa, ra), (xb, rb) = a, b
-    fa = ra  # the weighted value regula falsi works with at the fixed end
-    widths = [abs(xb - xa)] * 6
-    while ra != 0.0 and rb != 0.0:
-        # r carries rounding of order ulp(max(1, |H|)); below unit scale
-        # its sign near the root is noise, so the width goal stops at ulp(1)
-        tol = 2.0 * math.ulp(max(abs(xa), abs(xb), 1.0))
-        if widths[-1] <= 2.0 * tol:
-            break
-        if widths[-1] > 0.5 * widths[-6]:
-            xc = 0.5 * (xa + xb)
-        else:
-            # keep at least tol off both ends: once one end sits on the
-            # root to rounding, the secant step stalls there, and the
-            # forced step closes the bracket onto it
-            xc = xb - rb * (xb - xa) / (rb - fa)
-            xc = min(max(xc, min(xa, xb) + tol), max(xa, xb) - tol)
-        try:
-            rc = r(xc)
-        except PoleProximity:
-            xc = 0.5 * (xa + xb)
-            rc = r(xc)
-        if rc * rb < 0:
-            xa, ra, fa = xb, rb, rb
-        else:
-            m = 1.0 - rc / rb
-            fa *= m if m > 0 else 0.5
-        xb, rb = xc, rc
-        widths.append(abs(xb - xa))
-    return (xa, ra), (xb, rb)
 
 
 def embed_full_space(h, energy, phi):

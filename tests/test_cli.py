@@ -123,6 +123,20 @@ class TestSpectrum:
                      "--fp-tol", "1e-10"]) == 1
         assert "unrecognized arguments: --fp-tol" in capsys.readouterr().err
 
+    def test_self_consistent_failure_reason(self, tmp_path, capsys):
+        # levels +-i: no level of branch 1, found after one evaluation
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps(hamiltonian_to_dict(
+            PartitionedHamiltonian.from_chain(
+                TridiagonalChain([0.0, 0.0], [-1.0])))))
+        assert main(["spectrum", "--input", str(path), "--self-consistent",
+                     "--eta0", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("effham: NonConvergence: no sign change")
+        assert line.endswith(" (reason no_sign_change, 1 evaluations)")
+
     @pytest.mark.parametrize("eta0", ["nan", "inf", "-inf"])
     def test_self_consistent_non_finite_eta0_exits_1(self, paper_file,
                                                      capsys, eta0):

@@ -146,10 +146,10 @@ class TestSelfConsistent:
             self_consistent_solve(paper_hamiltonian, eta0=-1.0, n=1)
 
     def test_budget_exhausted(self, paper_hamiltonian, monkeypatch):
-        monkeypatch.setattr(spectral, "MAX_EVALS", 3)
-        with pytest.raises(NonConvergence, match="budget of 3") as exc:
+        monkeypatch.setattr(spectral, "MAX_EVALS", 2)
+        with pytest.raises(NonConvergence, match="budget of 2") as exc:
             self_consistent_solve(paper_hamiltonian, -1.0, n=1)
-        assert len(exc.value.trace) == 3
+        assert len(exc.value.trace) == 2
 
     def test_residual_check_failure(self):
         # a level 2e-10 below the pole at 1, where r' ~ 5e9: one float step
@@ -161,7 +161,7 @@ class TestSelfConsistent:
 
     @pytest.mark.parametrize("a, rho, eta0, max_evals, reason", [
         ([0.0, 0.0], [-1.0], -1.0, 200, "no_sign_change"),
-        ([-2.0, 2.0], [-1.0], -1.0, 3, "budget"),
+        ([-2.0, 2.0], [-1.0], -1.0, 2, "budget"),
         ([2.0, 1.0], [2e-10], 0.0, 200, "residual"),
     ], ids=["no_sign_change", "budget", "residual"])
     def test_failure_reason(self, a, rho, eta0, max_evals, reason,
@@ -246,20 +246,6 @@ def _no_eig(m):
     raise np.linalg.LinAlgError("no convergence")
 
 
-def _spy_inside(monkeypatch):
-    """Record every (pole, side, outcome) of the scan's pole-adjacent
-    interval ends."""
-    inside = spectral._inside
-    calls = []
-
-    def spy(r, pole, side, limit):
-        out = inside(r, pole, side, limit)
-        calls.append((pole, side, out))
-        return out
-    monkeypatch.setattr(spectral, "_inside", spy)
-    return calls
-
-
 def _assert_dense_level(h, res):
     w = eigenvalues_dense(assemble_dense(h))
     assert np.min(np.abs(w[w.imag == 0].real - res.energy)) <= 1e-12
@@ -281,14 +267,22 @@ def _pole_once(monkeypatch, where):
     return hits
 
 
-def _symmetric_form(h):
-    """The whole matrix with sqrt(rho_k) on both off-diagonals (rho_k >= 0),
-    similar to the assembled one."""
+def _balanced_form(h):
+    """The whole matrix with sign(rho_k) sqrt|rho_k| above the diagonal and
+    sqrt|rho_k| below, similar to the assembled one; symmetric when every
+    rho_k >= 0 and the block is symmetric."""
     dense = assemble_dense(h)
     for k, rho in enumerate(h.chain.rho):
         i = h.M - 1 + k
-        dense[i, i + 1] = dense[i + 1, i] = np.sqrt(rho)
+        dense[i + 1, i] = np.sqrt(abs(rho))
+        dense[i, i + 1] = np.sign(rho) * dense[i + 1, i]
     return dense
+
+
+def _scaled(h, s):
+    """h with every energy scaled by s: block and a by s, rho by s^2."""
+    return PartitionedHamiltonian(s * h.p_block, TridiagonalChain(
+        s * h.chain.a, s * s * h.chain.rho))
 
 
 def _rule_level(h, eta0, n):
@@ -297,7 +291,7 @@ def _rule_level(h, eta0, n):
     the rule takes the nearest level of branch n from eta0 in the direction
     of sign r_n(eta0), else the nearest in the other direction; None when
     branch n has no level.  PoleProximity propagates from eta0."""
-    form = _symmetric_form(h)
+    form = _balanced_form(h)
     tol = 1e-9 * np.max(np.abs(form))
 
     def e_n(x):
@@ -323,7 +317,7 @@ def _rule_level(h, eta0, n):
 def _check_rule(h, eta0s, tol=1e-13):
     """Every (eta0, n) returns the level of the rule, within tol times the
     largest entry of the symmetric form, or raises as the rule does."""
-    scale = np.max(np.abs(_symmetric_form(h)))
+    scale = np.max(np.abs(_balanced_form(h)))
     for eta0 in eta0s:
         for n in range(1, h.M + 1):
             try:
@@ -351,11 +345,8 @@ class TestSecular:
     def test_scale(self, s):
         # every bound and width scales with the matrix: block and a by s,
         # rho by s^2, and every level comes back within 1e-14 s
-        h0 = random_hamiltonian(3, 4, np.random.default_rng(6))
-        h = PartitionedHamiltonian(
-            s * h0.p_block, TridiagonalChain(s * h0.chain.a,
-                                             s * s * h0.chain.rho))
-        levels = np.linalg.eigvalsh(_symmetric_form(h))
+        h = _scaled(random_hamiltonian(3, 4, np.random.default_rng(6)), s)
+        levels = np.linalg.eigvalsh(_balanced_form(h))
         found = set()
         for eta0 in (-8.0, -1.0, 0.0, 1.0, 8.0):
             for n in (1, 2, 3):
@@ -379,7 +370,7 @@ class TestSecular:
                           [0.0, 1.0, 0.5]])
         h = PartitionedHamiltonian(block, TridiagonalChain([0.5, -1.0],
                                                            [0.6]))
-        assert 1.0 in np.round(np.linalg.eigvalsh(_symmetric_form(h)), 12)
+        assert 1.0 in np.round(np.linalg.eigvalsh(_balanced_form(h)), 12)
         _check_rule(h, np.linspace(-4.0, 4.0, 17) + 0.01)
         res = self_consistent_solve(h, 1.0, 2)
         assert res.energy == 1.0 and res.bracket == (1.0, 1.0)
@@ -390,7 +381,7 @@ class TestSecular:
         h = PartitionedHamiltonian(np.array([[1.0, 0.5], [0.5, 0.0]]),
                                    TridiagonalChain([0.0, 1.0, 3.0],
                                                     [1.0, 0.0]))
-        assert 3.0 in np.linalg.eigvalsh(_symmetric_form(h))
+        assert 3.0 in np.linalg.eigvalsh(_balanced_form(h))
         _check_rule(h, [-4.0, -0.5, 0.9, 1.1, 2.0, 2.9, 3.5, 6.0])
         with pytest.raises(PoleProximity):
             self_consistent_solve(h, 3.0, 1)
@@ -400,7 +391,7 @@ class TestSecular:
         # pole, and the level on it is no root of r_n
         h = PartitionedHamiltonian(np.array([[0.7, 0.4], [0.4, -0.3]]),
                                    TridiagonalChain([-0.3, 0.7], [0.25]))
-        assert np.min(np.abs(np.linalg.eigvalsh(_symmetric_form(h))
+        assert np.min(np.abs(np.linalg.eigvalsh(_balanced_form(h))
                              - 0.7)) < 1e-15
         _check_rule(h, [-3.0, -0.3, 0.5, 0.69, 0.71, 1.0, 3.0])
 
@@ -462,7 +453,7 @@ class TestSecular:
         # width of the breakdown
         h = PartitionedHamiltonian(np.array(block), TridiagonalChain(a, rho))
         res = self_consistent_solve(h, eta0, n)
-        level = np.linalg.eigvalsh(_symmetric_form(h))[j]
+        level = np.linalg.eigvalsh(_balanced_form(h))[j]
         assert abs(res.energy - level) <= 2e-12
 
     @pytest.mark.parametrize("M, K", [(1, 3), (3, 0)])
@@ -508,6 +499,116 @@ class TestSecular:
                                "(-inf, 2), ")
         assert line.endswith(f" D and {res.iterations - int(n_d)} r_n "
                              "evaluations")
+
+
+def _branches(h):
+    """{n: the real levels lam of h of branch n}, by brute force: the n-th
+    eigenvalue of H_eff(lam) in the order of eigenvalues_dense is the one
+    nearest lam; a level on a pole of G is in no branch."""
+    w = np.linalg.eigvals(_balanced_form(h))
+    out = {}
+    for lam in np.sort(w[w.imag == 0].real):
+        try:
+            e = eigenvalues_dense(effective_hamiltonian(h, lam))
+        except PoleProximity:
+            continue
+        out.setdefault(int(np.argmin(np.abs(e - lam))) + 1, []).append(lam)
+    return out
+
+
+class TestDense:
+    """The quasi-Hermitian path (some rho_k < 0 or a non-symmetric block):
+    levels looked up on the dense spectrum, checked against it."""
+
+    @pytest.mark.parametrize("s", [1e-100, 1e-13, 1e-6, 1e10, 1e100])
+    def test_scale(self, s):
+        # as TestSecular.test_scale, with rho of mixed signs: every level
+        # comes back within 1e-14 s, and each of the three real ones is met
+        h = _scaled(random_hamiltonian(3, 4, np.random.default_rng(6),
+                                       "mixed"), s)
+        w = np.linalg.eigvals(_balanced_form(h))
+        levels = w[w.imag == 0].real
+        assert len(levels) == 3
+        found = set()
+        for eta0 in (-8.0, -1.0, 0.0, 1.0, 8.0):
+            for n in (1, 2, 3):
+                res = self_consistent_solve(h, s * eta0, n)
+                err = np.abs(levels - res.energy)
+                assert err.min() <= 1e-14 * s
+                found.add(int(np.argmin(err)))
+        assert found == {0, 1, 2}
+
+    @pytest.mark.parametrize("K, floor", [(4, 76), (8, 78), (16, 80)])
+    def test_mixed_sweep(self, K, floor):
+        # levels 1..4 from eta0 = 0 of 20 mixed-sign Hamiltonians: each
+        # level returned is the dense level of the rule, and a branch
+        # without a dense level is the only cause of no_sign_change
+        returned = 0
+        for seed in range(20):
+            h = random_hamiltonian(4, K, np.random.default_rng(1000 * K
+                                                               + seed),
+                                   "mixed")
+            scale = np.max(np.abs(_balanced_form(h)))
+            branches = _branches(h)
+            for n in range(1, 5):
+                mine = branches.get(n, [])
+                try:
+                    res = self_consistent_solve(h, 0.0, n)
+                except NonConvergence as exc:
+                    assert exc.reason != "no_sign_change" or not mine
+                    continue
+                r0 = eigenvalues_dense(effective_hamiltonian(h, 0.0))[n - 1]
+                ahead = [lam for lam in mine if np.sign(r0.real) * lam >= 0]
+                want = min(ahead or mine, key=abs)
+                assert abs(res.energy - want) <= 1e-12 * scale, (seed, n)
+                returned += 1
+        assert returned >= floor
+
+    def test_level_on_a_pole_is_passed_over(self):
+        # rho_0 < 0 puts a level 1e-13 above the pole at 1, inside the
+        # pivot tolerance of G, where H_eff is not defined: it is no root
+        # of r_1, and the next level up, 2 - 1e-13, is the one returned
+        h = PartitionedHamiltonian.from_chain(TridiagonalChain([2.0, 1.0],
+                                                               [-1e-13]))
+        res = self_consistent_solve(h, 0.0, 1)
+        _assert_dense_level(h, res)
+        assert res.energy == pytest.approx(2.0 - 1e-13, abs=1e-15)
+
+    @pytest.mark.parametrize("seed, n", [(3, 2), (16, 1)])
+    def test_finish_stays_at_the_level_selected(self, seed, n):
+        # the rule's level lies within rounding of a pole of G, so r_n does
+        # not confirm it; stepping out from it, the finish stops halfway to
+        # the next level instead of returning that one
+        h = random_hamiltonian(4, 64, np.random.default_rng(64000 + seed),
+                               "mixed")
+        with pytest.raises(NonConvergence) as exc:
+            self_consistent_solve(h, 0.0, n)
+        assert exc.value.reason == "residual"
+        lam = float(str(exc.value).split(" at ")[1].split(",")[0])
+        assert np.min(np.abs(np.array(_branches(h)[n]) - lam)) <= 1e-12
+
+    def test_debug_line(self, caplog, paper_hamiltonian):
+        with caplog.at_level(logging.DEBUG, logger="effham"):
+            res = self_consistent_solve(paper_hamiltonian, -1.0, 1)
+        (line,) = [r.getMessage() for r in caplog.records
+                   if r.name == "effham"]
+        n_find = line.split("), ")[1].split(" H_eff")[0]
+        assert line.startswith("self_consistent_solve: level 1 at "
+                               f"{res.energy:.17g} in branch interval "
+                               "(-inf, 2), ")
+        assert line.endswith(f" H_eff and {res.iterations - int(n_find)} "
+                             "r_n evaluations")
+
+    def test_finish_steps_to_either_side(self):
+        # r increases through the root 0.3: the far end finds the sign
+        # change on the side away from sign r(x)
+        def r(x):
+            return x - 0.3
+        (lo, r_lo), (hi, r_hi) = spectral._polish(r, 0.0, 1.0, (-1.0, 1.0),
+                                                  decreasing=False)
+        assert r_lo <= 0 <= r_hi and 0 < hi - lo <= np.spacing(1.0)
+        assert spectral._polish(r, 0.0, 1.0, (-1.0, 0.25),
+                                decreasing=False) is None
 
 
 def _outcome(h, eta0, n):
@@ -614,27 +715,22 @@ class TestDoorwayReuse:
 
 
 class TestScanEdges:
-    """Branches of the bracket scan that levels of random Hamiltonians do
-    not reach."""
+    """Inputs at the edges of the visit of the levels in the rule's order
+    and of the finish on r_n, which levels of random Hamiltonians do not
+    reach."""
 
     @pytest.mark.parametrize("eta0", [-3.0, 3.0])
     def test_double_pole(self, eta0):
         # the tail [[1, -1], [1, -1]] is a Jordan block, so G has a double
-        # pole at 0 where the pivot vanishes quadratically: the offsets off
-        # the pole still trip the pivot test and grow by 16 until one does
-        # not.  eig lists the pole twice, and from below the empty interval
-        # between the copies is skipped.
+        # pole at 0 where the pivot vanishes quadratically
         h = PartitionedHamiltonian.from_chain(
             TridiagonalChain([0.0, 1.0, -1.0], [1.0, -1.0]))
         res = self_consistent_solve(h, eta0, n=1)
         _assert_dense_level(h, res)
-        offsets = np.abs(res.trace[1:6])
-        np.testing.assert_allclose(offsets[1:] / offsets[:-1], 16.0,
-                                   rtol=1e-6)
 
     def test_coincident_poles(self):
-        # rho_1 = 0 and a_1 = a_2: the pole at 2 is listed twice, and the
-        # empty interval between the copies yields no bracket end
+        # rho_1 = 0 and a_1 = a_2: the tail level behind rho_1 = 0 is no
+        # pole of G and no level of any branch
         h = PartitionedHamiltonian.from_chain(
             TridiagonalChain([-2.0, 2.0, 2.0], [-1.0, 0.0]))
         res = self_consistent_solve(h, eta0=3.0, n=1)
@@ -659,7 +755,7 @@ class TestScanEdges:
         # skipped it and the next one and returned 0.7)
         h = PartitionedHamiltonian.from_chain(
             TridiagonalChain([0.7, 7.5e-11, -7.5e-11], [1e-10, 1e-24]))
-        levels = np.linalg.eigvalsh(_symmetric_form(h))
+        levels = np.linalg.eigvalsh(_balanced_form(h))
         assert levels[0] < real_poles(h.chain)[0] < levels[1]
         assert _rule_level(h, -1.2e-10, 1) == levels[0]
         res = self_consistent_solve(h, eta0=-1.2e-10, n=1)
@@ -672,30 +768,25 @@ class TestScanEdges:
         # above eta0 is the one below the pole (a scan returned 2.0)
         h = PartitionedHamiltonian.from_chain(
             TridiagonalChain([1.0, 1.0, 0.0], [1.0, 1e-22]))
-        levels = np.linalg.eigvalsh(_symmetric_form(h))
+        levels = np.linalg.eigvalsh(_balanced_form(h))
         assert levels[0] == pytest.approx(-np.sqrt(5e-23), rel=1e-6)
         assert _rule_level(h, -0.5, 1) == levels[0]
         res = self_consistent_solve(h, eta0=-0.5, n=1)
         assert abs(res.energy - levels[0]) <= np.spacing(1.0)
 
-    def test_near_end_missing_quasi_hermitian(self, monkeypatch):
-        # rho_0 < 0 keeps the scan; between the poles at +-7.5e-11 the
-        # interval has a far end but no near end, and the first interval,
-        # [eta0, upper pole], has no far end
+    def test_near_end_missing_quasi_hermitian(self):
+        # rho_0 < 0: two poles of G 1.5e-10 apart at +-7.5e-11, with
+        # levels next to them
         h = PartitionedHamiltonian.from_chain(
             TridiagonalChain([0.7, 7.5e-11, -7.5e-11], [-1e-10, 1e-24]))
-        calls = _spy_inside(monkeypatch)
         res = self_consistent_solve(h, eta0=1.2e-10, n=1)
         _assert_dense_level(h, res)
-        upper = real_poles(h.chain)[1]
-        assert (upper, 1.0, None) in calls
-        assert (upper, -1.0, None) in calls
 
     def test_interior_sample_on_a_pole_is_skipped(self, monkeypatch,
                                                   paper_hamiltonian):
-        # from eta0 = 3 the scan probes the interval below the pole at 2 at
-        # interior points (rho_0 < 0, so r may be non-monotone); the first
-        # of them below sqrt(3) is made to sit on a pole
+        # from eta0 = 3 the first level looked up is sqrt(3), below the
+        # pole at 2; the first evaluation in (0, sqrt(3)) is made to sit
+        # on a pole of a deeper level of the chain
         hits = _pole_once(monkeypatch, lambda x: 0.0 < x < ROOT3)
         res = self_consistent_solve(paper_hamiltonian, eta0=3.0, n=1)
         assert len(hits) == 1
@@ -704,17 +795,14 @@ class TestScanEdges:
 
     def test_regula_falsi_step_on_a_pole_bisects(self, monkeypatch,
                                                  paper_hamiltonian):
-        # from eta0 = -1 the bracket is [-4, -1]; its first step bisects
-        # to -2.5, and the secant step after it is made to sit on a pole
+        # from eta0 = -1 the first evaluation in (-4, -1) other than -2.5
+        # is made to sit on a pole of a deeper level of the chain
         hits = _pole_once(monkeypatch,
                           lambda x: -4.0 < x < -1.0 and x != -2.5)
         res = self_consistent_solve(paper_hamiltonian, eta0=-1.0, n=1)
         assert len(hits) == 1
         _assert_dense_level(paper_hamiltonian, res)
         assert res.energy == pytest.approx(-ROOT3, abs=1e-12)
-        i = res.trace.index(hits[0])
-        assert res.trace[i + 1] in {0.5 * (x + y) for x in res.trace[:i]
-                                    for y in res.trace[:i]}
 
 
 class TestEmbedding:

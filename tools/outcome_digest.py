@@ -64,9 +64,10 @@ def main(argv):
     import workloads as wl
 
     # the package is the api object of the op functions: it exports the
-    # types they build and, once imported, its inverse, instances and
-    # spectral modules
+    # types they build, and its instances, inverse and spectral modules
+    # are attributes of it once imported here
     import effham as api
+    from effham import instances, inverse, spectral  # noqa: F401
     print(f"effham from {Path(api.__file__).parent}", flush=True)
 
     digest, counts = hashlib.sha256(), Counter()
