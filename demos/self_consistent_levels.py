@@ -5,12 +5,12 @@ A doorway-form matrix with an M = 2 model space is projected down to a
 The physical levels are the self-consistent points E = E^(n)(E).  This
 model block is not symmetric, so the solver looks the level up among the
 real eigenvalues of the dense matrix, evaluating H_eff once per level it
-visits, and brackets it on E^(n)(eta) - eta; the energies it evaluated are
-printed for one level, and the result is checked against the dense
-spectrum of the assembled matrix.  With the block made symmetric, the
-level is a root of the doorway's scalar secular function, found by Newton
-steps and finished on E^(n)(eta) - eta; the demo prints how many
-evaluations that took.
+visits, and brackets it on E^(n)(eta) - eta; the energies it evaluated,
+each once, are printed in full precision for one level, and the result is
+checked against the dense spectrum of the assembled matrix.  With the
+block made symmetric, the level is a root of the doorway's scalar secular
+function, found by Newton steps and finished on E^(n)(eta) - eta; the demo
+prints how many evaluations that took.
 
 Run:  python3 demos/self_consistent_levels.py
 """
@@ -41,7 +41,7 @@ def main():
           "(energies evaluated):")
     res = self_consistent_solve(h, eta0=-3.0, n=1)
     for i, eta in enumerate(res.trace):
-        print(f"  eval {i:2d}: eta = {eta:+.12g}")
+        print(f"  eval {i:2d}: eta = {eta:+.17g}")
     lo, hi = res.bracket
     print(f"final bracket [{lo:+.17g}, {hi:+.17g}]")
     print(f"converged: E = {res.energy:+.12g} "

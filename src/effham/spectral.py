@@ -13,10 +13,12 @@ looks the levels of branch n up, takes one by a single rule and finishes
 it on r_n.  For a symmetric model block and rho_k >= 0 the levels are the
 roots of the doorway's secular function D(E) = G(E) + sum_i y_i^2/(E - d_i),
 one per pole-free interval of D, with branches from Haynsworth inertia,
-solved by Newton steps costing O(K + M) each; the work that does not
-depend on n runs once per Hamiltonian object, which must therefore not be
-mutated once solved.  Otherwise the levels are the real eigenvalues of the
-dense matrix, each given its branch by one evaluation of H_eff.
+solved by Newton steps costing O(K + M) each.  Otherwise the levels are
+the real eigenvalues of the dense matrix, each given its branch by one
+evaluation of H_eff.  On both paths the work that does not depend on n
+runs once per Hamiltonian object, which must therefore not be mutated once
+solved, and within one solve H_eff is evaluated and eigensolved once per
+energy: r_n, the branch test and the final eigenvector check share it.
 """
 
 import bisect
@@ -51,9 +53,9 @@ log = logging.getLogger("effham")
 @dataclass(frozen=True)
 class SelfConsistentResult:
     """A converged level.  ``bracket`` is the final (lo, hi) around
-    ``energy``; ``trace`` lists every energy at which r_n, H_eff or the
-    secular function D was evaluated, in order, starting with eta0, and
-    ``iterations`` is its length."""
+    ``energy``; ``trace`` lists every energy at which H_eff (for r_n or
+    a branch) or the secular function D was evaluated, in order, starting
+    with eta0, and ``iterations`` is its length."""
 
     level_index: int
     energy: float
@@ -72,19 +74,22 @@ def eigenvalues_dense(m):
     m = np.atleast_2d(np.asarray(m, dtype=float))
     if m.shape[0] != m.shape[1]:
         raise ValueError("matrix must be square")
-    return _sorted_eig(m, vectors=False)[0]
+    return _sort_eig(m, *_eig(m, vectors=False))[0]
 
 
-def _sorted_eig(m, vectors=True):
-    """Eigenvalues of m, with right eigenvectors as columns when
-    ``vectors`` (else None), in the order of :func:`eigenvalues_dense`."""
+def _eig(m, vectors=True):
+    """(w, v): the eigenvalues of m, unsorted, with right eigenvectors as
+    columns when ``vectors`` (else None)."""
     try:
-        if vectors:
-            w, v = np.linalg.eig(m)
-        else:
-            w, v = np.linalg.eigvals(m), None
+        return np.linalg.eig(m) if vectors else (np.linalg.eigvals(m), None)
     except np.linalg.LinAlgError as exc:
         raise EigSolverFailure(str(exc)) from exc
+
+
+def _sort_eig(m, w, v=None):
+    """The eigenvalues w of m and their eigenvectors v (or None), as
+    :func:`_eig` gives them, collapsed and ordered as by
+    :func:`eigenvalues_dense`."""
     # relative to the matrix alone: a zero matrix collapses exact zeros only
     scale = float(np.max(np.abs(m)))
     w = np.where(np.abs(w.imag) <= IMAG_COLLAPSE * scale, w.real, w)
@@ -110,8 +115,12 @@ def self_consistent_solve(h, eta0, n):
     :func:`_secular_solve`), else they are the real eigenvalues of the
     dense matrix (see :func:`_dense_solve`).
 
-    ``trace`` lists the energies where D, H_eff or r_n was evaluated, in
-    order, starting with eta0, and ``MAX_EVALS`` bounds its length.
+    ``trace`` lists the energies where D or H_eff (for r_n or the branch
+    test) was evaluated, in order, starting with eta0, and ``MAX_EVALS``
+    bounds its length.  H_eff is evaluated once per energy where it is
+    defined, and its eigensolve there serves every later need: the
+    eigenvector and residual of the level come from the one made when r_n
+    was evaluated at it.
     Raises :class:`NonConvergence` when branch n has no level (e.g. the
     levels of a quasi-Hermitian block are complex), when the evaluation
     budget runs out, or when r_n does not confirm the level selected or
@@ -120,33 +129,39 @@ def self_consistent_solve(h, eta0, n):
     evaluated energies are attached as ``trace``.
     :class:`PoleProximity` propagates when eta0 itself sits on a pole.
     A non-finite eta0 or an n outside 1..M is a ``ValueError``.  The
-    Hermitian test and the level-independent setup of the Hermitian case
-    (see :func:`_doorway`) run once per Hamiltonian object and are reused
-    while ``h`` is the latest Hamiltonian solved, so ``h`` must not be
-    mutated between calls.
+    Hermitian test and the level-independent setup of either case (see
+    :func:`_setup`) run once per Hamiltonian object and are reused while
+    ``h`` is the latest Hamiltonian solved, so ``h`` must not be mutated
+    between calls.
     """
     if not 1 <= n <= h.M:
         raise ValueError(f"level index n={n} outside 1..{h.M}")
     if not math.isfinite(eta0):
         raise ValueError(f"start energy eta0={eta0} is not finite")
-    trace = []
+    trace, known = [], {}  # energy -> (H_eff, w, v) of its eigensolve
+
+    def evaluate(x):
+        """H_eff(x) and its eigenpairs from :func:`_eig`, unsorted; each
+        energy is evaluated, and recorded in ``trace``, once."""
+        if x not in known:
+            _record(trace, x)
+            heff = effective_hamiltonian(h, x)
+            known[x] = (heff, *_eig(heff))
+        return known[x]
 
     def r(x):
-        _record(trace, x)
-        try:
-            w = np.linalg.eigvals(effective_hamiltonian(h, x))
-        except np.linalg.LinAlgError as exc:
-            raise EigSolverFailure(str(exc)) from exc
         # Re E^(n): real parts lead the order of eigenvalues_dense
-        return float(np.sort(w.real)[n - 1]) - x
+        return float(np.sort(evaluate(x)[1].real)[n - 1]) - x
 
-    door = _doorway(h)
+    setup = _setup(h)
+    hermitian = isinstance(setup, _Doorway)
     x, scale, limits, interval = (
-        _dense_solve(h, float(eta0), n, trace, r) if door is None
-        else _secular_solve(door, h.chain, float(eta0), n, trace, r))
+        _secular_solve(setup, h.chain, float(eta0), n, trace, r) if hermitian
+        else _dense_solve(setup, float(eta0), n, trace, r,
+                          lambda x: _sort_eig(*evaluate(x)[:2])[0]))
     n_find = len(trace)
     ends = ((x, 0.0),) * 2 if limits is None else _polish(
-        r, x, scale, limits, decreasing=door is not None)
+        r, x, scale, limits, decreasing=hermitian)
     if ends is None:
         raise NonConvergence(
             trace, "residual", f"residual check failed: r_{n} does not "
@@ -155,11 +170,12 @@ def self_consistent_solve(h, eta0, n):
     eta, bracket = lo if abs(r_lo) <= abs(r_hi) else hi, (lo, hi)
     log.debug("self_consistent_solve: level %d at %.17g in branch interval "
               "(%.17g, %.17g), %d %s and %d r_n evaluations", n, eta,
-              *interval, n_find, "H_eff" if door is None else "D",
+              *interval, n_find, "D" if hermitian else "H_eff",
               len(trace) - n_find)
 
-    heff = effective_hamiltonian(h, eta)
-    w, v = _sorted_eig(heff)
+    # r_n was evaluated at eta, so its eigensolve is known
+    heff, w, v = known[eta]
+    v = _sort_eig(heff, w, v)[1]
     vec = np.real_if_close(v[:, n - 1], tol=1e6)
     residual = float(np.linalg.norm((heff - eta * np.eye(h.M)) @ vec))
     scale = max(1.0, float(np.max(np.abs(heff))))
@@ -226,26 +242,44 @@ class _Doorway:
     intervals: tuple
 
 
-# (weak reference to the latest Hamiltonian solved, its _Doorway or None);
-# one tuple, replaced whole, so every thread reads a consistent pair and a
-# race between threads costs at most a recomputation
+@dataclass(frozen=True)
+class _Dense:
+    """The part of the dense solve of one Hamiltonian that does not depend
+    on the level n (see :func:`_dense_solve`).
+
+    ``levels`` are the real eigenvalues of :func:`_balanced_form`,
+    ascending, and ``cuts`` those of its tail from row M on, the real
+    poles of G; ``scale`` is the form's largest entry (1 for a zero form)
+    and ``outer`` = 2 (M + 2) scale."""
+
+    levels: tuple
+    cuts: tuple
+    scale: float
+    outer: float
+
+
+# (weak reference to the latest Hamiltonian solved, its _Doorway or
+# _Dense); one tuple, replaced whole, so every thread reads a consistent
+# pair and a race between threads costs at most a recomputation
 _latest = None
 
 
-def _doorway(h):
-    """The :class:`_Doorway` of ``h``, or None unless its block is
-    symmetric and every rho_k >= 0.  Computed once per Hamiltonian object
-    and kept for the latest one asked for, by identity and without keeping
-    it alive; a failed eigensolve keeps nothing."""
+def _setup(h):
+    """The level-independent part of the solve of ``h``: its
+    :class:`_Doorway` when its block is symmetric and every rho_k >= 0,
+    else its :class:`_Dense`.  Computed once per Hamiltonian object and
+    kept for the latest one asked for, by identity and without keeping it
+    alive; a failed eigensolve keeps nothing."""
     global _latest
     latest = _latest
     if latest is not None and latest[0]() is h:
         return latest[1]
-    door = None
     if np.all(h.chain.rho >= 0) and np.array_equal(h.p_block, h.p_block.T):
-        door = _doorway_setup(h)
-    _latest = weakref.ref(h), door
-    return door
+        setup = _doorway_setup(h)
+    else:
+        setup = _dense_setup(h)
+    _latest = weakref.ref(h), setup
+    return setup
 
 
 def _doorway_setup(h):
@@ -421,34 +455,38 @@ def _newton(D, a, b, poles, scale, known, g_has_poles):
         x += step
 
 
-def _dense_solve(h, eta0, n, trace, r):
+def _dense_setup(h):
+    """The :class:`_Dense` of a Hamiltonian whose block is not symmetric
+    or that has some rho_k < 0."""
+    form = _balanced_form(h)
+    scale = float(np.max(np.abs(form))) or 1.0
+
+    def real(m):  # ascending
+        w = _sort_eig(m, *_eig(m, vectors=False))[0]
+        return tuple(w[w.imag == 0].real.tolist())
+
+    return _Dense(real(form), real(form[h.M:, h.M:]) if len(form) > h.M
+                  else (), scale, 2.0 * (h.M + 2) * scale)
+
+
+def _dense_solve(dense, eta0, n, trace, r, spectrum):
     """(x, scale, limits, interval) as :func:`_secular_solve` gives them,
     for a block that is not symmetric or some rho_k < 0, where r_n need
-    not be monotone; limits is None when r_n(eta0) = 0 and x = eta0.
+    not be monotone, from the Hamiltonian's :class:`_Dense`; limits is
+    None when r_n(eta0) = 0 and x = eta0.  ``spectrum(x)`` is the
+    eigenvalues of H_eff(x) in the order of :func:`eigenvalues_dense`,
+    from the same evaluation as r(x).
 
     The levels are the real eigenvalues of :func:`_balanced_form`, whose
     largest entry is scale, and the poles of G those of its tail.  They
     are visited in the order of the rule, one evaluation of H_eff each:
-    lam has branch m when the m-th eigenvalue of H_eff(lam), in the order
-    of :func:`eigenvalues_dense`, is the one nearest lam.  One on a pole
-    of G (G's pivot breaks down at level 1) is passed over; one where a
-    deeper pivot does is stepped off by :func:`_off_pivot`.  ``limits``
-    stop halfway to the levels next to x, as every root of r_n is a
-    level."""
+    lam has branch m when the m-th eigenvalue of H_eff(lam) is the one
+    nearest lam.  One on a pole of G (G's pivot breaks down at level 1)
+    is passed over; one where a deeper pivot does is stepped off by
+    :func:`_off_pivot`.  ``limits`` stop halfway to the levels next to x,
+    as every root of r_n is a level."""
     r0 = r(eta0)
-    form = _balanced_form(h)
-    scale = float(np.max(np.abs(form))) or 1.0
-    outer = 2.0 * (h.M + 2) * scale
-
-    def real(m):  # ascending
-        w = _sorted_eig(m, vectors=False)[0]
-        return w[w.imag == 0].real.tolist()
-
-    def heff_eigs(x):
-        _record(trace, x)
-        return _sorted_eig(effective_hamiltonian(h, x), vectors=False)[0]
-
-    levels = real(form)
+    levels, scale, outer = dense.levels, dense.scale, dense.outer
     lam, halfway = eta0, (-outer, outer)
     if r0 != 0.0:
         ahead = 1.0 if r0 > 0 else -1.0
@@ -457,11 +495,11 @@ def _dense_solve(h, eta0, n, trace, r):
                                        abs(levels[j] - eta0))):
             lam = levels[j]
             try:
-                w = heff_eigs(lam)
+                w = spectrum(lam)
             except PoleProximity as exc:
                 if exc.level == 1:
                     continue
-                lam, w = _off_pivot(heff_eigs, lam, 1.0,
+                lam, w = _off_pivot(spectrum, lam, 1.0,
                                     math.ulp(max(abs(lam), scale)))
             if np.argmin(np.abs(w - lam)) == n - 1:
                 break
@@ -472,7 +510,7 @@ def _dense_solve(h, eta0, n, trace, r):
         halfway = (0.5 * (levels[j - 1] + levels[j]) if j else -outer,
                    0.5 * (levels[j] + levels[j + 1]) if j + 1 < len(levels)
                    else outer)
-    cuts = real(form[h.M:, h.M:]) if len(form) > h.M else []
+    cuts = dense.cuts
     i = bisect.bisect_right(cuts, lam)
     interval = (cuts[i - 1] if i else -math.inf,
                 cuts[i] if i < len(cuts) else math.inf)

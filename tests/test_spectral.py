@@ -55,6 +55,26 @@ class TestEigenvaluesDense:
         with pytest.raises(EigSolverFailure, match="no convergence"):
             eigenvalues_dense(np.eye(2))
 
+    @pytest.mark.parametrize("symmetric", [True, False],
+                             ids=["symmetric", "general"])
+    def test_eig_and_eigvals_agree_bitwise(self, symmetric):
+        # r_n and the branch test read eigenvalues from np.linalg.eig,
+        # whose eigenvectors the final check reuses, while
+        # eigenvalues_dense, which defines their order, calls
+        # np.linalg.eigvals: both must give the same bits
+        rng = np.random.default_rng(18)
+        pairs = 0
+        for order in range(1, 7):
+            for _ in range(300):
+                m = rng.standard_normal((order, order))
+                if symmetric:
+                    m = m + m.T
+                w = np.linalg.eigvals(m)
+                got = np.linalg.eig(m)[0]
+                assert (got.dtype, got.tobytes()) == (w.dtype, w.tobytes())
+                pairs += np.iscomplexobj(w)
+        assert (pairs == 0) == symmetric
+
     def test_large_matrix_sorted(self):
         # no size cap: N = 80 comes back complete and in sorted order
         rng = np.random.default_rng(15)
@@ -146,10 +166,10 @@ class TestSelfConsistent:
             self_consistent_solve(paper_hamiltonian, eta0=-1.0, n=1)
 
     def test_budget_exhausted(self, paper_hamiltonian, monkeypatch):
-        monkeypatch.setattr(spectral, "MAX_EVALS", 2)
-        with pytest.raises(NonConvergence, match="budget of 2") as exc:
+        monkeypatch.setattr(spectral, "MAX_EVALS", 1)
+        with pytest.raises(NonConvergence, match="budget of 1") as exc:
             self_consistent_solve(paper_hamiltonian, -1.0, n=1)
-        assert len(exc.value.trace) == 2
+        assert len(exc.value.trace) == 1
 
     def test_residual_check_failure(self):
         # a level 2e-10 below the pole at 1, where r' ~ 5e9: one float step
@@ -161,7 +181,7 @@ class TestSelfConsistent:
 
     @pytest.mark.parametrize("a, rho, eta0, max_evals, reason", [
         ([0.0, 0.0], [-1.0], -1.0, 200, "no_sign_change"),
-        ([-2.0, 2.0], [-1.0], -1.0, 2, "budget"),
+        ([-2.0, 2.0], [-1.0], -1.0, 1, "budget"),
         ([2.0, 1.0], [2e-10], 0.0, 200, "residual"),
     ], ids=["no_sign_change", "budget", "residual"])
     def test_failure_reason(self, a, rho, eta0, max_evals, reason,
@@ -236,6 +256,23 @@ class TestSelfConsistent:
             return np.sort(np.linalg.eigvals(
                 effective_hamiltonian(h, x)).real)[n - 1] - x
         assert r(lo) * r(hi) <= 0
+
+    def test_one_eigensolve_per_energy(self, monkeypatch, caplog):
+        # every r_n evaluation is one H_eff and one eig, at an energy of
+        # its own, and the final check reuses the one at the level
+        h = random_hamiltonian(4, 8, np.random.default_rng(3))
+        energies, eig = _spy_heff_and_eig(monkeypatch)
+        for n in range(1, 5):
+            energies.clear()
+            eig.clear()
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="effham"):
+                res = self_consistent_solve(h, -5.0, n)
+            (line,) = [r.getMessage() for r in caplog.records
+                       if r.name == "effham"]
+            n_r = int(line.split(" and ")[-1].split(" r_n")[0])
+            assert len(energies) == len(set(energies)) == len(eig) == n_r
+            assert res.energy in energies
 
     def test_full_space_residual(self, m2_hamiltonian):
         res = self_consistent_solve(m2_hamiltonian, eta0=-3.0, n=1)
@@ -564,6 +601,26 @@ class TestDense:
                 returned += 1
         assert returned >= floor
 
+    @pytest.mark.parametrize("K", [4, 8])
+    def test_trace_lists_each_energy_once(self, K, monkeypatch):
+        # each energy in the trace is one H_eff evaluation and one eig,
+        # the level's included, and none is evaluated twice
+        energies, eig = _spy_heff_and_eig(monkeypatch)
+        for seed in range(20):
+            h = random_hamiltonian(4, K, np.random.default_rng(1000 * K
+                                                               + seed),
+                                   "mixed")
+            for n in range(1, 5):
+                energies.clear()
+                eig.clear()
+                try:
+                    trace = self_consistent_solve(h, 0.0, n).trace
+                except NonConvergence as exc:
+                    trace = tuple(exc.trace)
+                assert len(set(trace)) == len(trace), (seed, n)
+                assert energies == list(trace)
+                assert len(eig) == len(trace)
+
     def test_level_on_a_pole_is_passed_over(self):
         # rho_0 < 0 puts a level 1e-13 above the pole at 1, inside the
         # pivot tolerance of G, where H_eff is not defined: it is no root
@@ -638,9 +695,27 @@ def _copy(h):
                                                               h.chain.rho))
 
 
-def _spy_eigensolvers(monkeypatch):
-    """Count the calls of np.linalg.eigh and eigvalsh by name."""
-    calls = {"eigh": 0, "eigvalsh": 0}
+def _spy_heff_and_eig(monkeypatch):
+    """Record the energies of spectral.effective_hamiltonian's calls and
+    the matrices of np.linalg.eig's, in two lists, which are returned."""
+    energies, matrices = [], []
+    heff, eig = spectral.effective_hamiltonian, np.linalg.eig
+
+    def spy_heff(h, x):
+        energies.append(x)
+        return heff(h, x)
+
+    def spy_eig(m):
+        matrices.append(m)
+        return eig(m)
+    monkeypatch.setattr(spectral, "effective_hamiltonian", spy_heff)
+    monkeypatch.setattr(np.linalg, "eig", spy_eig)
+    return energies, matrices
+
+
+def _spy_eigensolvers(monkeypatch, names=("eigh", "eigvalsh")):
+    """Count the calls of the np.linalg functions ``names`` by name."""
+    calls = dict.fromkeys(names, 0)
     for name in calls:
         def spy(*args, _f=getattr(np.linalg, name), _name=name, **kwargs):
             calls[_name] += 1
@@ -712,6 +787,61 @@ class TestDoorwayReuse:
         calls = _spy_eigensolvers(monkeypatch)
         assert _outcome(h, 0.0, 1) == cold
         assert calls == {"eigh": 1, "eigvalsh": 1}
+
+
+class TestDenseReuse:
+    """The level-independent setup of the quasi-Hermitian path, the real
+    spectra of the balanced form and of its tail, runs once per
+    Hamiltonian object, and reusing it changes no bit of any result."""
+
+    def test_setup_once_per_hamiltonian(self, monkeypatch):
+        h = random_hamiltonian(4, 8, np.random.default_rng(5), "mixed")
+        cold = [_outcome(_copy(h), 0.0, n) for n in range(1, 5)]
+        for out in cold:
+            _assert_dense_outcome(h, out)
+        calls = _spy_eigensolvers(monkeypatch, ("eigvals",))
+        warm = [_outcome(h, 0.0, n) for n in range(1, 5)]
+        assert calls == {"eigvals": 2}
+        assert warm == cold
+        # equal in value is not the same Hamiltonian
+        assert _outcome(_copy(h), 0.0, 2) == cold[1]
+        assert calls == {"eigvals": 4}
+
+    def test_threads_match_serial(self):
+        hs = [random_hamiltonian(4, 8, np.random.default_rng(s), "mixed")
+              for s in (6, 7)]
+        jobs = [(h, n) for n in range(1, 5) for h in hs] * 4
+        serial = [_outcome(_copy(h), 0.0, n) for h, n in jobs]
+        for (h, _), out in zip(jobs, serial):
+            _assert_dense_outcome(h, out)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                futures = [pool.submit(_outcome, h, 0.0, n) for h, n in jobs]
+                threaded = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial
+
+    def test_setup_does_not_keep_the_hamiltonian_alive(self):
+        h = random_hamiltonian(3, 4, np.random.default_rng(8), "mixed")
+        self_consistent_solve(h, 0.0, 1)
+        ref = weakref.ref(h)
+        del h
+        gc.collect()
+        assert ref() is None
+
+    def test_failed_setup_caches_nothing(self, monkeypatch):
+        h = random_hamiltonian(4, 8, np.random.default_rng(9), "mixed")
+        cold = _outcome(_copy(h), 0.0, 1)
+        monkeypatch.setattr(np.linalg, "eigvals", _no_eig)
+        with pytest.raises(EigSolverFailure, match="no convergence"):
+            self_consistent_solve(h, 0.0, 1)
+        monkeypatch.undo()
+        calls = _spy_eigensolvers(monkeypatch, ("eigvals",))
+        assert _outcome(h, 0.0, 1) == cold
+        assert calls == {"eigvals": 2}
 
 
 class TestScanEdges:

@@ -4,9 +4,10 @@ self-consistent ops, for checking that a change keeps every result.
     python3 tools/outcome_digest.py [CHECKOUT]
 
 runs the effham under ``CHECKOUT/src`` (default: this checkout) on the
-inputs of ``perfbench/workloads.py`` in this checkout, and prints the two
-digests with the verdict counts behind them.  Two commits do the same work
-when both digests agree.
+inputs of ``perfbench/workloads.py`` in this checkout and on a seeded
+quasi-Hermitian sweep, and prints the three digests with the verdict
+counts behind them.  Two commits do the same work when all three digests
+agree.
 
 Reconstruction digest: ``recon_op`` over seeds 1, 2, 5 and 7777 in that
 order, ``recon_deep`` before ``recon_holdout`` (2000 ops).  A returned op
@@ -17,6 +18,11 @@ Self-consistent digest: every level of ``solve_op`` over
 ``self_consistent`` seeds 1, then 7777.  A returned level contributes
 ``[energy, [lo, hi], trace, residual, eigvec_model]`` as float hex, a
 raised one ``[type name, str(exc), trace as float hex]``.
+
+Quasi-Hermitian digest: levels 1..4 from eta0 = 0 of
+``random_hamiltonian(4, K, default_rng(1000 K + s), "mixed")`` for
+K = 4, 8, 16 and s = 0..19 (240 levels), which all take the dense path,
+with the entries of the self-consistent digest.
 
 Each digest is the sha256 of the concatenated ``json.dumps`` of one such
 list per op or per level.  Each line is flushed as it is printed; when the
@@ -31,9 +37,12 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 RECON_SEEDS = (1, 2, 5, 7777)
 SOLVE_SEEDS = (1, 7777)
+MIXED_K = (4, 8, 16)
 
 
 def _hex(xs):
@@ -58,6 +67,30 @@ def _level_entry(level):
             level.residual.hex(), _hex(level.eigvec_model.tolist())]
 
 
+def _level_digest(levels):
+    """(sha256 hex digest, verdict counts) of self-consistent levels, each
+    a result or the DomainError raised."""
+    digest, counts = hashlib.sha256(), Counter()
+    for level in levels:
+        entry = _level_entry(level)
+        counts[entry[0] if isinstance(level, Exception) else "ok"] += 1
+        digest.update(json.dumps(entry).encode())
+    return digest.hexdigest(), dict(sorted(counts.items()))
+
+
+def _mixed_levels(api):
+    """The levels of the quasi-Hermitian sweep, in digest order."""
+    for K in MIXED_K:
+        for s in range(20):
+            h = api.instances.random_hamiltonian(
+                4, K, np.random.default_rng(1000 * K + s), "mixed")
+            for n in range(1, 5):
+                try:
+                    yield api.spectral.self_consistent_solve(h, 0.0, n)
+                except api.DomainError as exc:
+                    yield exc
+
+
 def main(argv):
     checkout = Path(argv[1]).resolve() if len(argv) > 1 else ROOT
     sys.path[:0] = [str(checkout / "src"), str(ROOT / "perfbench")]
@@ -80,15 +113,11 @@ def main(argv):
     print("reconstruction ", digest.hexdigest(), dict(sorted(counts.items())),
           flush=True)
 
-    digest, counts = hashlib.sha256(), Counter()
-    for seed in SOLVE_SEEDS:
-        for inst in wl.make_inputs("self_consistent", seed):
-            for level in wl.solve_op(api, *wl.to_program(api, inst)):
-                entry = _level_entry(level)
-                counts[entry[0] if isinstance(level, Exception) else "ok"] += 1
-                digest.update(json.dumps(entry).encode())
-    print("self-consistent", digest.hexdigest(), dict(sorted(counts.items())),
-          flush=True)
+    print("self-consistent", *_level_digest(
+        level for seed in SOLVE_SEEDS
+        for inst in wl.make_inputs("self_consistent", seed)
+        for level in wl.solve_op(api, *wl.to_program(api, inst))), flush=True)
+    print("quasi-Hermitian", *_level_digest(_mixed_levels(api)), flush=True)
 
 
 if __name__ == "__main__":
