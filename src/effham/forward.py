@@ -18,7 +18,9 @@ keeping the others, in one loop whose arithmetic is the same for a
 single energy (Python floats) and for an array of energies (one numpy
 pass over all of them): the two agree bit for bit.  ``_g_slope`` runs the
 same recursion at one energy with dG/dE carried along, for the Newton
-steps of the self-consistent solve.
+steps of the self-consistent solve.  Both start it at the first
+rho_k = 0, if any: f_k is then 1 / (a_k - E) whatever lies deeper, so G
+sees nothing past it.
 """
 
 import sys
@@ -104,6 +106,12 @@ def ufl_factorize(tail, E):
     return UFLFactors(_freeze(u_super), _freeze(f_diag), _freeze(l_sub))
 
 
+def _seen(rho):
+    """How many couplings of the list ``rho`` G sees: those before the
+    first rho_k = 0, which decouples the rest, else all, in one scan."""
+    return rho.index(0.0) if 0.0 in rho else len(rho)
+
+
 def g_function(chain, E):
     """The energy-dependent element G(E) = a_0 - E - rho_0 f_1(E).
 
@@ -111,15 +119,17 @@ def g_function(chain, E):
     (returns an array of the same shape).  One loop serves both: Python's
     ``abs``, ``-``, ``*`` and ``/`` do the same float64 operations on a
     float and, elementwise, on an array, so each entry of an array result
-    is bitwise the float result at that energy.  For a K = 0 chain this is
-    just a_0 - E.
+    is bitwise the float result at that energy.  For a K = 0 chain, or
+    rho_0 = 0, this is just a_0 - E.
 
-    Raises :class:`PoleProximity` under the pivot rule of
-    :func:`continued_fraction`.  For an array, the error is the one a loop
-    of float calls over the energies in order would raise first: once a
-    pivot vanishes, the energies are replayed in order through the float
-    form.  A non-finite energy is not a pole; it propagates NaN or
-    infinity.
+    The recursion starts at the first rho_k = 0, so G is that of the
+    chain cut there, bit for bit, and the levels past the cut are no
+    poles.  Raises :class:`PoleProximity` under the pivot rule of
+    :func:`continued_fraction` on that cut chain; level 1 is a pole of G.
+    For an array, the error is the one a loop of float calls over the
+    energies in order would raise first: once a pivot vanishes, the
+    energies are replayed in order through the float form.  A non-finite
+    energy is not a pole; it propagates NaN or infinity.
     """
     if type(E) is not float:
         E = np.asarray(E, dtype=float)
@@ -129,7 +139,7 @@ def g_function(chain, E):
     tiny = sys.float_info.min
     absE = abs(E)
     f = 0.0  # f_{k+1}; f_{K+1} = 0
-    for k in range(len(a) - 1, 0, -1):
+    for k in range(_seen(rho), 0, -1):
         coupling = rho[k] * f if k < len(rho) else 0.0
         pivot = a[k] - E - coupling
         scale = abs(a[k]) + absE + abs(coupling) + tiny
@@ -150,13 +160,14 @@ def _g_slope(chain, E):
 
         f_k' = f_k^2 (1 + rho_k f_{k+1}'),   G' = -1 - rho_0 f_1'.
 
-    G is bitwise that of :func:`g_function`, and the pivot rule is the
-    same, so :class:`PoleProximity` fires at the same energies."""
+    It starts at the first rho_k = 0 as :func:`g_function` does, G is
+    bitwise that of :func:`g_function`, and the pivot rule is the same, so
+    :class:`PoleProximity` fires at the same energies and levels."""
     a, rho = chain.a.tolist(), chain.rho.tolist()
     tiny = sys.float_info.min
     absE = abs(E)
     f = df = 0.0  # f_{k+1} and its slope; f_{K+1} = 0
-    for k in range(len(a) - 1, 0, -1):
+    for k in range(_seen(rho), 0, -1):
         r = rho[k] if k < len(rho) else 0.0
         coupling = r * f
         pivot = a[k] - E - coupling

@@ -8,17 +8,19 @@ energies at the self-consistent points eta = E, the real roots of
 
 where E^(n)(eta) is the n-th eigenvalue of H_eff(eta).  r_n is continuous
 between consecutive real poles of G.  Each real level of the matrix that G
-sees is a root of one r_n, its branch n, so :func:`self_consistent_solve`
-looks the levels of branch n up, takes one by a single rule and finishes
-it on r_n.  For a symmetric model block and rho_k >= 0 the levels are the
-roots of the doorway's secular function D(E) = G(E) + sum_i y_i^2/(E - d_i),
-one per pole-free interval of D, with branches from Haynsworth inertia,
-solved by Newton steps costing O(K + M) each.  Otherwise the levels are
-the real eigenvalues of the dense matrix, each given its branch by one
-evaluation of H_eff.  On both paths the work that does not depend on n
-runs once per Hamiltonian object, which must therefore not be mutated once
-solved, and within one solve H_eff is evaluated and eigensolved once per
-energy: r_n, the branch test and the final eigenvector check share it.
+sees is a root of one r_n, its branch n (a level of multiplicity m, of m
+of them), so :func:`self_consistent_solve` looks the levels of branch n
+up, takes one by a single rule and finishes it on r_n.  For a generic
+Hermitian doorway the levels are the roots of the doorway's secular
+function D(E) = G(E) + sum_i y_i^2/(E - d_i), one per pole-free interval
+of D, with branches from Haynsworth inertia, solved by Newton steps
+costing O(K + M) each.  Otherwise the levels are the real eigenvalues of
+the dense matrix, given their branches by Haynsworth inertia when it is
+Hermitian, else each by one evaluation of H_eff.  On both paths the work
+that does not depend on n runs once per Hamiltonian object, which must
+therefore not be mutated once solved, and within one solve H_eff is
+evaluated and eigensolved once per energy: r_n, the branch test and the
+final eigenvector check share it.
 """
 
 import bisect
@@ -30,7 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EigSolverFailure, NonConvergence, PoleProximity
-from .forward import _g_slope, continued_fraction, effective_hamiltonian
+from .forward import (_g_slope, _seen, continued_fraction,
+                      effective_hamiltonian)
 from .model import assemble_dense
 
 __all__ = [
@@ -104,16 +107,20 @@ def self_consistent_solve(h, eta0, n):
 
     The levels of branch n are the real eigenvalues lam of the matrix that
     G sees (cut at its first rho_k = 0) that are the n-th eigenvalue of
-    H_eff(lam); one on a pole of G, where H_eff is undefined, is none.
+    H_eff(lam), a multiple one in each branch it fills; one on a pole of
+    G, where H_eff is undefined, is none.
     (eta0, n) selects the first one met going from eta0 in the direction
     of sign r_n(eta0), where r_n pushes eta, else the first one met in the
     opposite direction; eta0 itself when r_n(eta0) = 0.  It is finished on
     r_n between the poles of G next to it by :func:`_polish`, and the end
-    of that bracket with the smaller |r_n| is the energy.  For a symmetric
-    block and every rho_k >= 0 the levels are located as the roots of the
-    doorway's secular function D and solved for by Newton steps on D (see
-    :func:`_secular_solve`), else they are the real eigenvalues of the
-    dense matrix (see :func:`_dense_solve`).
+    of that bracket with the smaller |r_n| is the energy.  For a generic
+    Hermitian doorway (a symmetric block, every rho_k >= 0, and the
+    eigenvalues d_i of the other model states distinct, each coupled to
+    the doorway and none on a pole of G) the levels are located as the
+    roots of the doorway's secular function D and solved for by Newton
+    steps on D (see :func:`_secular_solve`).  For every other input,
+    degenerate Hermitian doorways included, they are the real eigenvalues
+    of the dense matrix (see :func:`_dense_solve`).
 
     ``trace`` lists the energies where D or H_eff (for r_n or the branch
     test) was evaluated, in order, starting with eta0, and ``MAX_EVALS``
@@ -127,12 +134,12 @@ def self_consistent_solve(h, eta0, n):
     its eigenvector leaves a residual above ``RES_TOL`` times the scale of
     H_eff (``reason`` "no_sign_change", "budget" or "residual"); the
     evaluated energies are attached as ``trace``.
-    :class:`PoleProximity` propagates when eta0 itself sits on a pole.
-    A non-finite eta0 or an n outside 1..M is a ``ValueError``.  The
-    Hermitian test and the level-independent setup of either case (see
-    :func:`_setup`) run once per Hamiltonian object and are reused while
-    ``h`` is the latest Hamiltonian solved, so ``h`` must not be mutated
-    between calls.
+    :class:`PoleProximity` propagates when eta0 itself sits on a pole of
+    G.  A non-finite eta0 or an n outside 1..M is a ``ValueError``.  The
+    choice of path and the level-independent setup (see :func:`_setup`)
+    run once per Hamiltonian object and are reused while ``h`` is the
+    latest Hamiltonian solved, so ``h`` must not be mutated between
+    calls.
     """
     if not 1 <= n <= h.M:
         raise ValueError(f"level index n={n} outside 1..{h.M}")
@@ -154,14 +161,22 @@ def self_consistent_solve(h, eta0, n):
         return float(np.sort(evaluate(x)[1].real)[n - 1]) - x
 
     setup = _setup(h)
-    hermitian = isinstance(setup, _Doorway)
-    x, scale, limits, interval = (
-        _secular_solve(setup, h.chain, float(eta0), n, trace, r) if hermitian
-        else _dense_solve(setup, float(eta0), n, trace, r,
-                          lambda x: _sort_eig(*evaluate(x)[:2])[0]))
+    if setup.door is not None:
+        x = _secular_solve(setup, h.chain, float(eta0), n, trace, r)
+        halfway = (-setup.outer, setup.outer)
+    else:
+        x, halfway = _dense_solve(setup, float(eta0), n, trace, r,
+                                  lambda x: _sort_eig(*evaluate(x)[:2])[0])
     n_find = len(trace)
-    ends = ((x, 0.0),) * 2 if limits is None else _polish(
-        r, x, scale, limits, decreasing=hermitian)
+    # r_n is continuous between the poles of G next to x
+    cuts = setup.cuts
+    i = bisect.bisect_right(cuts, x)
+    interval = (cuts[i - 1] if i else -math.inf,
+                cuts[i] if i < len(cuts) else math.inf)
+    ends = ((x, 0.0),) * 2 if halfway is None else _polish(
+        r, x, setup.scale, (max(interval[0], halfway[0]),
+                            min(interval[1], halfway[1])),
+        decreasing=setup.hermitian)
     if ends is None:
         raise NonConvergence(
             trace, "residual", f"residual check failed: r_{n} does not "
@@ -170,7 +185,7 @@ def self_consistent_solve(h, eta0, n):
     eta, bracket = lo if abs(r_lo) <= abs(r_hi) else hi, (lo, hi)
     log.debug("self_consistent_solve: level %d at %.17g in branch interval "
               "(%.17g, %.17g), %d %s and %d r_n evaluations", n, eta,
-              *interval, n_find, "D" if hermitian else "H_eff",
+              *interval, n_find, "H_eff" if setup.door is None else "D",
               len(trace) - n_find)
 
     # r_n was evaluated at eta, so its eigensolve is known
@@ -205,8 +220,7 @@ def _balanced_form(h):
     own scale.  Its block from row M on has the poles of G as
     eigenvalues."""
     M, chain = h.M, h.chain
-    zero = np.flatnonzero(chain.rho == 0)
-    seen = int(zero[0]) if len(zero) else chain.K
+    seen = _seen(chain.rho.tolist())
     rho, N = chain.rho[:seen], M + seen
     root = np.sqrt(np.abs(rho))
     form = np.zeros((N, N))
@@ -219,105 +233,111 @@ def _balanced_form(h):
 
 
 @dataclass(frozen=True)
-class _Doorway:
-    """The part of the secular solve of one Hamiltonian that does not
-    depend on the level n (see :func:`_secular_solve`).
+class _Setup:
+    """The part of the solve of one Hamiltonian that does not depend on
+    the level n.
 
-    ``d`` are the eigenvalues of the block without the doorway row and
-    column, ascending; ``terms`` the pairs (d_i, y_i^2) with y_i != 0;
-    ``t`` the poles of G and ``cuts`` the same sorted; ``poles`` the poles
-    of D, sorted.  ``intervals`` has one entry (p_lo, p_hi, base, inner,
-    first, last) per pole-free interval of D, with base = #{d_i <= p_lo},
-    ``inner`` the free d_i inside it (those with y_i = 0 that are no pole
-    of G), and first, last the bisect_left and bisect_right counts of p_hi
-    in ``d``."""
+    ``cuts`` are the real poles of G, ascending: the real eigenvalues of
+    the tail of :func:`_balanced_form` from row M on.  ``scale`` is the
+    form's largest entry (1 for a zero form) and ``outer`` = 2 (M + 2)
+    scale, beyond every level.  ``hermitian`` says the form is symmetric
+    (a symmetric block and every rho_k >= 0).  ``door`` is the
+    :class:`_Doorway` of a generic Hermitian doorway, for
+    :func:`_secular_solve`, and ``levels`` None; else ``door`` is None
+    and ``levels`` are the form's real eigenvalues, ascending, for
+    :func:`_dense_solve` (by :func:`_real_eigenvalues`)."""
 
-    d: tuple
-    terms: tuple
-    t: frozenset
     cuts: tuple
-    poles: tuple
     scale: float
     outer: float
-    intervals: tuple
+    hermitian: bool
+    door: object
+    levels: tuple
 
 
 @dataclass(frozen=True)
-class _Dense:
-    """The part of the dense solve of one Hamiltonian that does not depend
-    on the level n (see :func:`_dense_solve`).
+class _Doorway:
+    """The level-independent part of the secular solve (see
+    :func:`_secular_solve`).
 
-    ``levels`` are the real eigenvalues of :func:`_balanced_form`,
-    ascending, and ``cuts`` those of its tail from row M on, the real
-    poles of G; ``scale`` is the form's largest entry (1 for a zero form)
-    and ``outer`` = 2 (M + 2) scale."""
+    ``d`` are the eigenvalues of the block without the doorway row and
+    column, ascending and distinct; ``terms`` the pairs (d_i, y_i^2), every
+    y_i != 0; ``poles`` the poles of D, the d_i and the poles of G, none
+    shared, sorted.  ``intervals`` has one entry (p_lo, p_hi, base) per
+    pole-free interval of D, with base = #{d_i <= p_lo}."""
 
-    levels: tuple
-    cuts: tuple
-    scale: float
-    outer: float
+    d: tuple
+    terms: tuple
+    poles: tuple
+    intervals: tuple
 
 
-# (weak reference to the latest Hamiltonian solved, its _Doorway or
-# _Dense); one tuple, replaced whole, so every thread reads a consistent
-# pair and a race between threads costs at most a recomputation
+# (weak reference to the latest Hamiltonian solved, its _Setup); one
+# tuple, replaced whole, so every thread reads a consistent pair and a
+# race between threads costs at most a recomputation
 _latest = None
 
 
 def _setup(h):
-    """The level-independent part of the solve of ``h``: its
-    :class:`_Doorway` when its block is symmetric and every rho_k >= 0,
-    else its :class:`_Dense`.  Computed once per Hamiltonian object and
-    kept for the latest one asked for, by identity and without keeping it
-    alive; a failed eigensolve keeps nothing."""
+    """The :class:`_Setup` of ``h``, with a :class:`_Doorway` when its
+    block is symmetric, every rho_k >= 0 and :func:`_doorway` finds it
+    generic.  Computed once per Hamiltonian object and kept for the latest
+    one asked for, by identity and without keeping it alive; a failed
+    eigensolve keeps nothing."""
     global _latest
     latest = _latest
     if latest is not None and latest[0]() is h:
         return latest[1]
-    if np.all(h.chain.rho >= 0) and np.array_equal(h.p_block, h.p_block.T):
-        setup = _doorway_setup(h)
-    else:
-        setup = _dense_setup(h)
+    form = _balanced_form(h)
+    hermitian = bool(np.all(h.chain.rho >= 0)
+                     and np.array_equal(h.p_block, h.p_block.T))
+    cuts = _real_eigenvalues(form[h.M:, h.M:], hermitian)
+    scale = float(np.max(np.abs(form))) or 1.0
+    door = _doorway(h.p_block, cuts) if hermitian else None
+    setup = _Setup(cuts, scale, 2.0 * (h.M + 2) * scale, hermitian, door,
+                   None if door else _real_eigenvalues(form, hermitian))
     _latest = weakref.ref(h), setup
     return setup
 
 
-def _doorway_setup(h):
-    """The :class:`_Doorway` of a Hamiltonian with a symmetric block and
-    every rho_k >= 0."""
-    block, chain = h.p_block, h.chain
-    off = np.sqrt(chain.rho)
-    tail = _balanced_form(h)[h.M:, h.M:]
+def _real_eigenvalues(m, symmetric):
+    """The real eigenvalues of m, ascending: by ``eigvalsh`` when m is
+    ``symmetric``, else those of :func:`eigenvalues_dense`."""
+    if not len(m):
+        return ()
+    if symmetric:
+        try:
+            return tuple(np.linalg.eigvalsh(m).tolist())
+        except np.linalg.LinAlgError as exc:
+            raise EigSolverFailure(str(exc)) from exc
+    w = _sort_eig(m, *_eig(m, vectors=False))[0]
+    return tuple(w[w.imag == 0].real.tolist())
+
+
+def _doorway(block, cuts):
+    """The :class:`_Doorway` of a symmetric block with the poles of G
+    ``cuts``, or None when it is not generic: some y_i = 0, a repeated
+    d_i, or a d_i on a pole of G."""
     try:
         d, q = np.linalg.eigh(block[:-1, :-1])
-        t = np.linalg.eigvalsh(tail) if len(tail) else off[:0]
     except np.linalg.LinAlgError as exc:
         raise EigSolverFailure(str(exc)) from exc
     d = tuple(d.tolist())
     weights = ((q.T @ block[:-1, -1]) ** 2).tolist()
-    terms = tuple((di, wi) for di, wi in zip(d, weights) if wi != 0.0)
-    t = frozenset(t.tolist())
-    poles = tuple(sorted(t.union(di for di, _ in terms)))
-    free = tuple(di for di, wi in zip(d, weights) if wi == 0.0 and di not in t)
-    # a zero matrix has no scale of its own; 1 stands in
-    scale = float(max(np.abs(block).max(), np.abs(chain.a).max(),
-                      off.max(initial=0.0))) or 1.0
+    if 0.0 in weights or len(set(d)) < len(d) or not set(d).isdisjoint(cuts):
+        return None
+    poles = tuple(sorted({*cuts, *d}))
     ends = [-math.inf, *poles, math.inf]
-    intervals = tuple(
-        (p_lo, p_hi, bisect.bisect_right(d, p_lo),
-         tuple(v for v in free if p_lo < v < p_hi),
-         bisect.bisect_left(d, p_hi), bisect.bisect_right(d, p_hi))
-        for p_lo, p_hi in zip(ends, ends[1:]))
-    return _Doorway(d, terms, t, tuple(sorted(t)), poles, scale,
-                    2.0 * (h.M + 2) * scale, intervals)
+    return _Doorway(d, tuple(zip(d, weights)), poles, tuple(
+        (p_lo, p_hi, bisect.bisect_right(d, p_lo))
+        for p_lo, p_hi in zip(ends, ends[1:])))
 
 
-def _secular_solve(door, chain, eta0, n, trace, r):
-    """(x, scale, limits, interval) for the level x of branch n that the
-    rule of :func:`self_consistent_solve` selects, for a symmetric block
-    and every rho_k >= 0, from the Hamiltonian's :class:`_Doorway` and its
-    chain: x is to be finished on r_n within the open interval ``limits``,
-    and ``interval`` is the pole-free interval of D that holds it.
+def _secular_solve(setup, chain, eta0, n, trace, r):
+    """The level x of branch n that the rule of
+    :func:`self_consistent_solve` selects, for a generic Hermitian doorway,
+    from the Hamiltonian's :class:`_Setup` and its chain, to be finished
+    on r_n between the poles of G next to it.
 
     Let (d_i, q_i) be the eigenpairs of the block without the doorway row
     and column, y_i = q_i . (doorway column), and t the poles of G, the
@@ -327,56 +347,36 @@ def _secular_solve(door, chain, eta0, n, trace, r):
 
         D(E) = G(E) + sum_i y_i^2 / (E - d_i),
 
-    whose poles are the t and the d_i with y_i != 0 (Bunch, Nielsen &
-    Sorensen 1978).  D strictly decreases between them, so each pole-free
+    whose poles are the t and the d_i (Bunch, Nielsen & Sorensen 1978):
+    the doorway is generic, with every y_i != 0, the d_i distinct and none
+    a t.  D strictly decreases between its poles, so each pole-free
     interval holds exactly one root, a level.  By Haynsworth inertia
     H_eff(E) - E has #{d_i < E} + [D(E) < 0] negative eigenvalues, so a
     root E of D is a root of r_n with n = 1 + #{d_i < E}, and D(eta0)
-    gives sign r_n(eta0).  Deflation: a d_i with y_i = 0 is a level, not a
-    pole, and so is each repeat of a d_i, unless it coincides with a t,
-    where H_eff is not defined.
+    gives sign r_n(eta0).
 
-    Widths and bounds come from S, the symmetric form of the whole matrix:
-    scale is its largest entry, and the outermost intervals end at
-    +-2 (M + 2) scale, beyond every level by Gershgorin's theorem.
-    :func:`_newton` finds the root of D selected to within
-    ulp(max(|E|, scale)); ``limits`` are the poles of G next to x.
+    The outermost intervals end at +-outer, beyond every level by
+    Gershgorin's theorem.  :func:`_newton` finds the root of D selected to
+    within ulp(max(|E|, scale)).
     """
-    d, terms, t, scale, outer = (door.d, door.terms, door.t, door.scale,
-                                 door.outer)
+    door, scale, outer = setup.door, setup.scale, setup.outer
     known = {}  # energy -> (D, D') of every evaluation of D
 
     def D(x):
         _record(trace, x)
         g, dg = _g_slope(chain, x)
-        for di, wi in terms:
+        for di, wi in door.terms:
             u = 1.0 / (x - di)
             g += wi * u
             dg -= wi * u * u
         known[x] = g, dg
         return g, dg
 
-    # the levels of branch n, ascending: (lo, hi, root, interval), either
-    # the open bracket of the root of D in the interval between two poles
-    # or an exact level lo = hi
-    levels = []
-    for p_lo, p_hi, base, inner, first, last in door.intervals:
-        if base < n <= base + 1 + len(inner):
-            # the interval's levels: the free d_i and the root, sorted
-            s = sum(_off_pivot(D, v, 1.0, math.ulp(max(abs(v), scale)))[1][0]
-                    > 0 for v in inner)  # free d_i below the root
-            j = n - base - 1
-            if j == s:
-                levels.append((inner[s - 1] if s else max(p_lo, -outer),
-                               inner[s] if s < len(inner) else
-                               min(p_hi, outer), True, (p_lo, p_hi)))
-            else:
-                v = inner[j if j < s else j - 1]
-                levels.append((v, v, False, (p_lo, p_hi)))
-        # a repeated d_i on a pole is a level per repeat, unless it is a t
-        if first + 1 < n <= last and p_hi not in t:
-            levels.append((p_hi, p_hi, False, (p_hi, p_hi)))
-
+    # the levels of branch n, ascending: [lo, hi, interval], the open
+    # bracket of the root of D in each pole-free interval with n - 1 d_i
+    # below it
+    levels = [[max(p_lo, -outer), min(p_hi, outer), (p_lo, p_hi)]
+              for p_lo, p_hi, base in door.intervals if base == n - 1]
     if eta0 in door.poles:
         # r_n gives the direction; on a pole of G it raises PoleProximity
         ahead = 1.0 if r(eta0) >= 0 else -1.0
@@ -384,30 +384,23 @@ def _secular_solve(door, chain, eta0, n, trace, r):
         d0 = D(eta0)[0]
         # eigenvalues of H_eff(eta0) below eta0; a level of branch n at
         # eta0 itself is found ahead, at distance 0
-        n_below = bisect.bisect_left(d, eta0) + (d0 < 0)
+        n_below = bisect.bisect_left(door.d, eta0) + (d0 < 0)
         ahead = -1.0 if n <= n_below else 1.0
-        for i, (lo, hi, root, interval) in enumerate(levels):
-            if root and lo < eta0 < hi:
-                lo, hi = (eta0, hi) if d0 > 0 else (lo, eta0) if d0 < 0 \
-                    else (eta0, eta0)
-                levels[i] = lo, hi, root, interval
+        for level in levels:
+            if level[0] < eta0 < level[1]:
+                # the root lies above eta0 where D(eta0) > 0
+                if d0 >= 0:
+                    level[0] = eta0
+                if d0 <= 0:
+                    level[1] = eta0
 
     above = [level for level in levels if level[0] >= eta0]
     below = [level for level in reversed(levels) if level[1] <= eta0]
-    order = above + below if ahead > 0 else below + above
-    if not order:
-        raise NonConvergence(trace, "no_sign_change",
-                             f"no level of branch {n} found")
-    lo, hi, root, interval = order[0]
-    x = _newton(D, lo, hi, interval, scale, known, bool(t)) if root else lo
-    # r_n is continuous up to the poles of G next to x
-    cuts = door.cuts
-    i = bisect.bisect_right(cuts, x)
-    return x, scale, (cuts[i - 1] if i else -outer,
-                      cuts[i] if i < len(cuts) else outer), interval
+    lo, hi, interval = (above + below if ahead > 0 else below + above)[0]
+    return _newton(D, lo, hi, interval, scale, known)
 
 
-def _newton(D, a, b, poles, scale, known, g_has_poles):
+def _newton(D, a, b, poles, scale, known):
     """A root of D in (a, b), where D(a) > 0 > D(b), to within
     ulp(max(|x|, scale)).  Newton steps on F = D (E - p_lo)(p_hi - E), for
     the bounding poles (p_lo, p_hi) = ``poles`` (an infinite one drops
@@ -415,11 +408,10 @@ def _newton(D, a, b, poles, scale, known, g_has_poles):
     of the bracket where D is ``known``, else from its middle.  A step that
     would leave the bracket, or is more than half the step before last
     (the rule of rtsafe in Numerical Recipes), is a bisection instead.
-    Where the pivot test of G fires at level 1 and ``g_has_poles``, next to
-    a pole of G and so to an end of (a, b), the bracket is cut there: no
-    root that close to a pole can be checked.  Where it fires otherwise,
-    at an eigenvalue of a trailing block that is no pole of D, the point
-    moves off it."""
+    Where the pivot test of G fires at level 1, on a pole of G and so next
+    to an end of (a, b), the bracket is cut there: no root that close to a
+    pole can be checked.  Where it fires deeper, at an eigenvalue of a
+    trailing block that is no pole of D, the point moves off it."""
     p_lo, p_hi = poles
     x = a if a in known else b if b in known else 0.5 * (a + b)
     before = last = b - a
@@ -431,7 +423,7 @@ def _newton(D, a, b, poles, scale, known, g_has_poles):
             value, slope = known.get(x) or D(x)
         except PoleProximity as exc:
             inward = 1.0 if x - a < b - x else -1.0
-            if exc.level == 1 and g_has_poles:  # a pole of G ends (a, b)
+            if exc.level == 1:  # a pole of G ends (a, b)
                 a, b = (x, b) if inward > 0 else (a, x)
                 x = 0.5 * (a + b)
                 continue
@@ -455,67 +447,59 @@ def _newton(D, a, b, poles, scale, known, g_has_poles):
         x += step
 
 
-def _dense_setup(h):
-    """The :class:`_Dense` of a Hamiltonian whose block is not symmetric
-    or that has some rho_k < 0."""
-    form = _balanced_form(h)
-    scale = float(np.max(np.abs(form))) or 1.0
+def _dense_solve(setup, eta0, n, trace, r, spectrum):
+    """(x, halfway) for the level x of branch n that the rule of
+    :func:`self_consistent_solve` selects, for any input that is not a
+    generic Hermitian doorway, from its :class:`_Setup`: x is finished on
+    r_n within ``halfway``, None when x = eta0 and r_n(eta0) = 0.
+    ``spectrum(x)`` is the eigenvalues of H_eff(x), sorted, from the same
+    evaluation as r(x).
 
-    def real(m):  # ascending
-        w = _sort_eig(m, *_eig(m, vectors=False))[0]
-        return tuple(w[w.imag == 0].real.tolist())
-
-    return _Dense(real(form), real(form[h.M:, h.M:]) if len(form) > h.M
-                  else (), scale, 2.0 * (h.M + 2) * scale)
-
-
-def _dense_solve(dense, eta0, n, trace, r, spectrum):
-    """(x, scale, limits, interval) as :func:`_secular_solve` gives them,
-    for a block that is not symmetric or some rho_k < 0, where r_n need
-    not be monotone, from the Hamiltonian's :class:`_Dense`; limits is
-    None when r_n(eta0) = 0 and x = eta0.  ``spectrum(x)`` is the
-    eigenvalues of H_eff(x) in the order of :func:`eigenvalues_dense`,
-    from the same evaluation as r(x).
-
-    The levels are the real eigenvalues of :func:`_balanced_form`, whose
-    largest entry is scale, and the poles of G those of its tail.  They
-    are visited in the order of the rule, one evaluation of H_eff each:
-    lam has branch m when the m-th eigenvalue of H_eff(lam) is the one
-    nearest lam.  One on a pole of G (G's pivot breaks down at level 1)
-    is passed over; one where a deeper pivot does is stepped off by
-    :func:`_off_pivot`.  ``limits`` stop halfway to the levels next to x,
-    as every root of r_n is a level."""
+    The levels are the real eigenvalues of :func:`_balanced_form`,
+    visited in the order of the rule.  In a Hermitian form the j-th (from
+    0), lam, has branch j + 1 - #{poles of G below lam} by Haynsworth
+    inertia, so each copy of a multiple level fills its own branch, and
+    H_eff is evaluated only at those of branch n; r_n falls through its
+    one root between two poles of G, so halfway = (-outer, outer).
+    Otherwise each level lam is evaluated and has branch m when the m-th
+    eigenvalue of H_eff(lam) is the one nearest lam, and halfway stops
+    halfway to the levels next to x, as every root of r_n is a level.  A
+    level on a pole of G is passed over: G's pivot breaks down at level 1
+    there, or at a deeper one that :func:`_off_pivot` steps off past the
+    pole.  A level where only a deeper pivot breaks down is stepped off."""
     r0 = r(eta0)
-    levels, scale, outer = dense.levels, dense.scale, dense.outer
-    lam, halfway = eta0, (-outer, outer)
-    if r0 != 0.0:
-        ahead = 1.0 if r0 > 0 else -1.0
-        for j in sorted(range(len(levels)),
-                        key=lambda j: (ahead * (levels[j] - eta0) < 0,
-                                       abs(levels[j] - eta0))):
-            lam = levels[j]
-            try:
-                w = spectrum(lam)
-            except PoleProximity as exc:
-                if exc.level == 1:
-                    continue
-                lam, w = _off_pivot(spectrum, lam, 1.0,
-                                    math.ulp(max(abs(lam), scale)))
-            if np.argmin(np.abs(w - lam)) == n - 1:
-                break
-        else:
-            raise NonConvergence(
-                trace, "no_sign_change", f"no sign change of r_{n} found: "
-                f"no real level of the dense matrix is in branch {n}")
-        halfway = (0.5 * (levels[j - 1] + levels[j]) if j else -outer,
-                   0.5 * (levels[j] + levels[j + 1]) if j + 1 < len(levels)
-                   else outer)
-    cuts = dense.cuts
-    i = bisect.bisect_right(cuts, lam)
-    interval = (cuts[i - 1] if i else -math.inf,
-                cuts[i] if i < len(cuts) else math.inf)
-    return lam, scale, None if r0 == 0.0 else (
-        max(interval[0], halfway[0]), min(interval[1], halfway[1])), interval
+    if r0 == 0.0:
+        return eta0, None
+    levels, outer = setup.levels, setup.outer
+    ahead = 1.0 if r0 > 0 else -1.0
+    for j in sorted(range(len(levels)),
+                    key=lambda j: (ahead * (levels[j] - eta0) < 0,
+                                   abs(levels[j] - eta0))):
+        lam = levels[j]
+        if (setup.hermitian
+                and j - bisect.bisect_left(setup.cuts, lam) != n - 1):
+            continue
+        try:
+            w = spectrum(lam)
+        except PoleProximity as exc:
+            if exc.level == 1:
+                continue
+            x, w = _off_pivot(spectrum, lam, 1.0,
+                              math.ulp(max(abs(lam), setup.scale)))
+            # lam is on a pole of G when one lies within the step off
+            i = bisect.bisect_left(setup.cuts, 2.0 * lam - x)
+            if i < len(setup.cuts) and setup.cuts[i] <= x:
+                continue
+            lam = x
+        if setup.hermitian:
+            return lam, (-outer, outer)
+        if np.argmin(np.abs(w - lam)) == n - 1:
+            return lam, (
+                0.5 * (levels[j - 1] + levels[j]) if j else -outer,
+                0.5 * (levels[j] + levels[j + 1]) if j + 1 < len(levels)
+                else outer)
+    raise NonConvergence(trace, "no_sign_change", f"no sign change of "
+                         f"r_{n} found: no level of branch {n}")
 
 
 def _polish(r, x, scale, limits, decreasing=True):

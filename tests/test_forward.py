@@ -115,9 +115,28 @@ class TestGFunction:
         assert g_function(paper_chain, 1.0) == pytest.approx(-2.0, rel=1e-15)
 
     def test_decoupled_chain(self):
+        # rho_0 = 0: G sees none of the tail, so the tail's eigenvalues 2
+        # and 3 are no poles of G
         chain = TridiagonalChain([1.5, 2.0, 3.0], [0.0, 0.0])
-        for E in (-1.0, 0.0, 2.5):
+        for E in (-1.0, 0.0, 2.0, 2.5, 3.0):
             assert g_function(chain, E) == 1.5 - E
+            assert _g_slope(chain, E) == (1.5 - E, -1.0)
+        np.testing.assert_array_equal(
+            g_function(chain, np.array([2.0, 3.0])), [-0.5, -1.5])
+
+    def test_cut_at_the_first_zero_rho(self):
+        # rho_1 = 0: G is that of the chain cut there, bit for bit, and the
+        # eigenvalues 3 and 4 of the decoupled part are no poles of G;
+        # its pole at 2 is at level 1
+        chain = TridiagonalChain([1.0, 2.0, 3.0, 4.0], [0.5, 0.0, -5.0])
+        cut = TridiagonalChain([1.0, 2.0], [0.5])
+        for E in (-1.0, 0.5, 3.0, 4.0):
+            assert _bits(g_function(chain, E)) == _bits(g_function(cut, E))
+            assert _g_slope(chain, E) == _g_slope(cut, E)
+        for fn in (g_function, _g_slope):
+            with pytest.raises(PoleProximity) as exc:
+                fn(chain, 2.0)
+            assert exc.value.level == 1
 
     def test_k0(self):
         assert g_function(TridiagonalChain([4.0], []), 1.0) == 3.0

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from effham import spectral
 from effham.errors import (DomainError, EigSolverFailure, NonConvergence,
                            PoleProximity)
-from effham.forward import effective_hamiltonian
+from effham.forward import effective_hamiltonian, g_function
 from effham.instances import random_hamiltonian, real_poles
 from effham.model import (PartitionedHamiltonian, TridiagonalChain,
                           assemble_dense)
@@ -375,8 +375,10 @@ def _check_rule(h, eta0s, tol=1e-13):
 
 
 class TestSecular:
-    """The Hermitian path: levels as the roots of the doorway's secular
-    function D, checked against the dense spectrum."""
+    """Hermitian inputs, checked against the dense spectrum: a generic
+    doorway's levels are the roots of its secular function D, and a
+    degenerate doorway (a y_i = 0, a repeated d_i or a d_i on a pole of
+    G) takes the dense path."""
 
     @pytest.mark.parametrize("s", [1e-100, 1e-13, 1e-6, 1e10, 1e100])
     def test_scale(self, s):
@@ -400,6 +402,37 @@ class TestSecular:
                                    int(rng.integers(0, 7)), rng)
             _check_rule(h, rng.uniform(-9.0, 9.0, 4))
 
+    @pytest.mark.parametrize("variant, K, floor, on_rule", [
+        ("decoupled", 8, 80, 80), ("decoupled", 16, 79, 78),
+        ("rho_zero", 8, 80, 80), ("rho_zero", 16, 80, 80)])
+    def test_degenerate_sweep(self, variant, K, floor, on_rule):
+        # levels 1..4 from eta0 = 0 of 20 Hamiltonians, with model state
+        # 0 decoupled (a y_i = 0: the dense path) or rho_{K/2} = 0 (G sees
+        # half the chain): at least a measured number return, and of
+        # those at least a measured number are the rule's level
+        returned = hits = 0
+        for seed in range(20):
+            h = random_hamiltonian(4, K, np.random.default_rng(1000 * K
+                                                               + seed))
+            block, rho = np.array(h.p_block), np.array(h.chain.rho)
+            if variant == "decoupled":
+                block[0, 1:] = block[1:, 0] = 0.0
+            else:
+                rho[K // 2] = 0.0
+            h = PartitionedHamiltonian(block, TridiagonalChain(h.chain.a,
+                                                               rho))
+            scale = np.max(np.abs(_balanced_form(h)))
+            for n in range(1, 5):
+                try:
+                    res = self_consistent_solve(h, 0.0, n)
+                except NonConvergence:
+                    continue
+                returned += 1
+                want = _rule_level(h, 0.0, n)
+                hits += want is not None and abs(res.energy - want) <= (
+                    1e-12 * scale)
+        assert returned >= floor and hits >= on_rule
+
     def test_zero_coupling_is_a_level(self):
         # y = (0, 1): the eigenvalue 1 of the other model states is a level
         # of branch 1 or 2, inside the interval below the pole at 2
@@ -414,14 +447,15 @@ class TestSecular:
 
     def test_tail_level_g_does_not_see(self):
         # rho_1 = 0: the tail eigenvalue 3 is a level of H but no pole of
-        # G and no root of any r_n; eta0 = 3 is on a pole of the pivots
+        # G and no root of any r_n; G is defined at eta0 = 3, so the start
+        # there finds the rule's level
         h = PartitionedHamiltonian(np.array([[1.0, 0.5], [0.5, 0.0]]),
                                    TridiagonalChain([0.0, 1.0, 3.0],
                                                     [1.0, 0.0]))
         assert 3.0 in np.linalg.eigvalsh(_balanced_form(h))
         _check_rule(h, [-4.0, -0.5, 0.9, 1.1, 2.0, 2.9, 3.5, 6.0])
-        with pytest.raises(PoleProximity):
-            self_consistent_solve(h, 3.0, 1)
+        assert self_consistent_solve(h, 3.0, 1).energy == pytest.approx(
+            _rule_level(h, 3.0, 1), abs=1e-15)
 
     def test_coincident_model_and_tail_pole(self):
         # the other model state and the tail both sit at 0.7: one merged
@@ -452,6 +486,39 @@ class TestSecular:
         _check_rule(h, [-3.0, 0.0, 3.0])
         with pytest.raises(NonConvergence, match="no level of branch 2"):
             self_consistent_solve(h, 0.0, 2)
+
+    def test_two_uncoupled_states_at_one_energy(self):
+        # H_eff(1) has the eigenvalues -1/3, 1, 1: the double level 1 is
+        # the level of branch 2 and of branch 3
+        h = PartitionedHamiltonian(np.diag([1.0, 1.0, 0.2]),
+                                   TridiagonalChain([0.2, 2.5], [0.8]))
+        _check_rule(h, [-3.0, 0.0, 0.5, 1.5, 3.0])
+        for n in (2, 3):
+            assert self_consistent_solve(h, 0.0, n).energy == 1.0
+
+    def test_level_on_a_pole_behind_a_deeper_pivot(self):
+        # the uncoupled model state and a pole of G are both at -1, where
+        # G's pivot breaks down first at level 3 (a_3 = -1): the level -1
+        # is in no branch
+        h = PartitionedHamiltonian(np.diag([-1.0, 0.5]), TridiagonalChain(
+            [0.5, -1.0, 0.3, -1.0], [0.7, 1.0, 1.0]))
+        with pytest.raises(PoleProximity) as exc:
+            g_function(h.chain, -1.0)
+        assert exc.value.level == 3
+        _check_rule(h, [-3.0, -1.5, -0.5, 0.0, 2.0])
+
+    @pytest.mark.parametrize("y", [(0.0, 0.0, 0.0), (1.0, 1.0, 1.0),
+                                   (0.3, -0.7, 1.1)])
+    def test_triple_model_eigenvalue(self, y):
+        # the other model states have the triple eigenvalue 1, coupled to
+        # the doorway by y: 1 is a level of multiplicity 3 when y = 0, else
+        # 2, and each copy is the level of its own branch
+        block = np.eye(4)
+        block[3, :3] = block[:3, 3] = y
+        block[3, 3] = 0.2
+        h = PartitionedHamiltonian(block, TridiagonalChain([0.2, 2.5, -1.0],
+                                                           [0.8, 0.5]))
+        _check_rule(h, [-3.0, 0.0, 0.5, 1.5, 3.0])
 
     def test_start_on_the_level(self):
         # D(eta0) = 0: the bracket closes on eta0, and r_1(eta0) = 0 too
@@ -484,10 +551,12 @@ class TestSecular:
     def test_pivot_breakdown_off_the_poles(self, block, a, rho, eta0, n,
                                            j):
         # G's pivot test also fires where a trailing block of the tail has
-        # an eigenvalue that is no pole of D: at a free level, a Newton
-        # midpoint, the level itself.  The solve steps off such points
-        # and still returns the rule's level, the j-th dense one, to the
-        # width of the breakdown
+        # an eigenvalue that is no pole of D: at a level of a model state
+        # the doorway does not see (a degenerate doorway, on the dense
+        # path), a Newton midpoint, the level itself.  The solve steps off
+        # such points and still returns the rule's level, the j-th dense
+        # one, to the width of the breakdown.  With rho_0 = 0, G sees no
+        # tail and its test does not fire at all
         h = PartitionedHamiltonian(np.array(block), TridiagonalChain(a, rho))
         res = self_consistent_solve(h, eta0, n)
         level = np.linalg.eigvalsh(_balanced_form(h))[j]
@@ -630,6 +699,14 @@ class TestDense:
         res = self_consistent_solve(h, 0.0, 1)
         _assert_dense_level(h, res)
         assert res.energy == pytest.approx(2.0 - 1e-13, abs=1e-15)
+
+    @pytest.mark.parametrize("eta0", [4.5, -3.0])
+    def test_level_with_rho0_zero(self, eta0):
+        # rho_0 = 0: G = -E sees none of the tail, so 0 is a level of
+        # branch 1, although the tail from a_1 on has the eigenvalue 0 too
+        h = PartitionedHamiltonian([[0.0]], TridiagonalChain(
+            [0.0, -0.2, 5.0], [0.0, -1.0]))
+        assert self_consistent_solve(h, eta0, 1).energy == 0.0
 
     @pytest.mark.parametrize("seed, n", [(3, 2), (16, 1)])
     def test_finish_stays_at_the_level_selected(self, seed, n):

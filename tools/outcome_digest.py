@@ -4,10 +4,9 @@ self-consistent ops, for checking that a change keeps every result.
     python3 tools/outcome_digest.py [CHECKOUT]
 
 runs the effham under ``CHECKOUT/src`` (default: this checkout) on the
-inputs of ``perfbench/workloads.py`` in this checkout and on a seeded
-quasi-Hermitian sweep, and prints the three digests with the verdict
-counts behind them.  Two commits do the same work when all three digests
-agree.
+inputs of ``perfbench/workloads.py`` in this checkout and on two seeded
+sweeps, and prints the four digests with the verdict counts behind them.
+Two commits do the same work when all four digests agree.
 
 Reconstruction digest: ``recon_op`` over seeds 1, 2, 5 and 7777 in that
 order, ``recon_deep`` before ``recon_holdout`` (2000 ops).  A returned op
@@ -23,6 +22,14 @@ Quasi-Hermitian digest: levels 1..4 from eta0 = 0 of
 ``random_hamiltonian(4, K, default_rng(1000 K + s), "mixed")`` for
 K = 4, 8, 16 and s = 0..19 (240 levels), which all take the dense path,
 with the entries of the self-consistent digest.
+
+Degenerate Hermitian digest: the same for two variants of
+``random_hamiltonian(4, K, default_rng(1000 K + s))``, K = 4, 8, 16 and
+s = 0..19, first with model state 0 decoupled from the others, then with
+rho_{K//2} = 0 (480 levels).  The first takes the dense path, the second
+the secular path on the part of the chain that G sees.  This digest
+starts with the commit that sent degenerate Hermitian doorways to the
+dense path; earlier commits print it too, from their own paths.
 
 Each digest is the sha256 of the concatenated ``json.dumps`` of one such
 list per op or per level.  Each line is flushed as it is printed; when the
@@ -42,7 +49,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 RECON_SEEDS = (1, 2, 5, 7777)
 SOLVE_SEEDS = (1, 7777)
-MIXED_K = (4, 8, 16)
+SWEEP_K = (4, 8, 16)
 
 
 def _hex(xs):
@@ -78,17 +85,35 @@ def _level_digest(levels):
     return digest.hexdigest(), dict(sorted(counts.items()))
 
 
-def _mixed_levels(api):
-    """The levels of the quasi-Hermitian sweep, in digest order."""
-    for K in MIXED_K:
+def _sweep_levels(api, hamiltonians):
+    """Levels 1..4 from eta0 = 0 of each Hamiltonian, in digest order."""
+    for h in hamiltonians:
+        for n in range(1, 5):
+            try:
+                yield api.spectral.self_consistent_solve(h, 0.0, n)
+            except api.DomainError as exc:
+                yield exc
+
+
+def _sweep(api, sign):
+    """The Hamiltonians of the sweep with rho of ``sign``, in order."""
+    for K in SWEEP_K:
         for s in range(20):
-            h = api.instances.random_hamiltonian(
-                4, K, np.random.default_rng(1000 * K + s), "mixed")
-            for n in range(1, 5):
-                try:
-                    yield api.spectral.self_consistent_solve(h, 0.0, n)
-                except api.DomainError as exc:
-                    yield exc
+            yield api.instances.random_hamiltonian(
+                4, K, np.random.default_rng(1000 * K + s), sign)
+
+
+def _degenerate(api):
+    """The two degenerate variants of each Hamiltonian of the positive
+    sweep, in order: model state 0 decoupled, then rho_{K//2} = 0."""
+    for h in _sweep(api, "positive"):
+        block = np.array(h.p_block)
+        block[0, 1:] = block[1:, 0] = 0.0
+        yield api.PartitionedHamiltonian(block, h.chain)
+        rho = np.array(h.chain.rho)
+        rho[h.K // 2] = 0.0
+        yield api.PartitionedHamiltonian(
+            h.p_block, api.TridiagonalChain(h.chain.a, rho))
 
 
 def main(argv):
@@ -117,7 +142,10 @@ def main(argv):
         level for seed in SOLVE_SEEDS
         for inst in wl.make_inputs("self_consistent", seed)
         for level in wl.solve_op(api, *wl.to_program(api, inst))), flush=True)
-    print("quasi-Hermitian", *_level_digest(_mixed_levels(api)), flush=True)
+    print("quasi-Hermitian", *_level_digest(
+        _sweep_levels(api, _sweep(api, "mixed"))), flush=True)
+    print("degenerate Hermitian", *_level_digest(
+        _sweep_levels(api, _degenerate(api))), flush=True)
 
 
 if __name__ == "__main__":
