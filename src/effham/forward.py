@@ -16,11 +16,13 @@ needs, in any off-diagonal gauge.  :func:`g_function` needs only f_1 in
 the stored unit-subdiagonal gauge, so it runs the same recursion without
 keeping the others, in one loop whose arithmetic is the same for a
 single energy (Python floats) and for an array of energies (one numpy
-pass over all of them): the two agree bit for bit.  ``_g_slope`` runs the
-same recursion at one energy with dG/dE carried along, for the Newton
-steps of the self-consistent solve.  Both start it at the first
-rho_k = 0, if any: f_k is then 1 / (a_k - E) whatever lies deeper, so G
-sees nothing past it.
+pass over all of them): the two agree bit for bit.  ``_slope_recurrence``
+runs the same recursion at one energy with dG/dE carried along, for the
+Newton steps of the self-consistent solve, over the chain entries that
+``_cut`` takes from a chain: the solve computes those once per
+Hamiltonian and ``_g_slope`` once per call.  All start the recursion at
+the first rho_k = 0, if any: f_k is then 1 / (a_k - E) whatever lies
+deeper, so G sees nothing past it.
 """
 
 import sys
@@ -43,6 +45,7 @@ __all__ = [
 
 PIVOT_TOL = 1e-12  # relative to the local scale of each pivot
 ORACLE_COND_LIMIT = 1e12  # of E - QHQ in the dense oracle
+_TINY = sys.float_info.min
 
 
 @dataclass(frozen=True)
@@ -155,30 +158,47 @@ def g_function(chain, E):
 
 
 def _g_slope(chain, E):
-    """(G(E), dG/dE) at a single energy: the recurrence of
-    :func:`g_function` with the energy derivative carried along,
+    """(G(E), dG/dE) at a single energy: :func:`_slope_recurrence` on
+    the chain's :func:`_cut`."""
+    return _slope_recurrence(*_cut(chain), E)
+
+
+def _cut(chain):
+    """(a_0, rho_0, steps): the entries of ``chain`` that G sees, for
+    :func:`_slope_recurrence`.  ``steps`` are the tuples
+    (k, a_k, |a_k|, rho_k) for k from ``seen`` down to 1, where rho_seen
+    is the first rho_k = 0, else 0 past the end of the chain (as is rho_0
+    of a K = 0 chain): what the recurrence of :func:`g_function` reads of
+    the chain, in its order.  The self-consistent solve computes them once
+    per Hamiltonian."""
+    a, rho = chain.a.tolist(), chain.rho.tolist()
+    seen = _seen(rho)
+    rho = rho[:seen + 1] if seen < len(rho) else rho + [0.0]
+    return a[0], rho[0], tuple((k, a[k], abs(a[k]), rho[k])
+                               for k in range(seen, 0, -1))
+
+
+def _slope_recurrence(a0, rho0, steps, E):
+    """(G(E), dG/dE) at a single energy, for the chain entries of
+    :func:`_cut`: the recurrence of :func:`g_function` with the energy
+    derivative carried along,
 
         f_k' = f_k^2 (1 + rho_k f_{k+1}'),   G' = -1 - rho_0 f_1'.
 
-    It starts at the first rho_k = 0 as :func:`g_function` does, G is
-    bitwise that of :func:`g_function`, and the pivot rule is the same, so
-    :class:`PoleProximity` fires at the same energies and levels."""
-    a, rho = chain.a.tolist(), chain.rho.tolist()
-    tiny = sys.float_info.min
+    It makes the float operations of :func:`g_function`, in its order and
+    from the first rho_k = 0, so G is bitwise that of :func:`g_function`
+    and the pivot rule is the same: :class:`PoleProximity` fires at the
+    same energies and levels."""
     absE = abs(E)
     f = df = 0.0  # f_{k+1} and its slope; f_{K+1} = 0
-    for k in range(_seen(rho), 0, -1):
-        r = rho[k] if k < len(rho) else 0.0
+    for k, ak, abs_ak, r in steps:
         coupling = r * f
-        pivot = a[k] - E - coupling
-        scale = abs(a[k]) + absE + abs(coupling) + tiny
-        if abs(pivot) < PIVOT_TOL * scale:
+        pivot = ak - E - coupling
+        if abs(pivot) < PIVOT_TOL * (abs_ak + absE + abs(coupling) + _TINY):
             raise PoleProximity(k)
         f = 1.0 / pivot
         df = f * f * (1.0 + r * df)
-    if not rho:
-        return a[0] - E, -1.0
-    return a[0] - E - rho[0] * f, -1.0 - rho[0] * df
+    return a0 - E - rho0 * f, -1.0 - rho0 * df
 
 
 def effective_hamiltonian(h, E):

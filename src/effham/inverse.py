@@ -331,12 +331,11 @@ def _expand_extended(E, G, K):
         rho_tol = drop_tol * ((max(E) - min(E)) / 2) ** 2
         k, center, d0, d1 = _thiele_pair(E, G)
         chain, low, level = _cascade(d0, d1, center, k, rho_tol)
-        note = ""
-        if k < K:
-            note = f", fit deflated to level {k}"
-        if level is not None:
-            note += f", margin {float(low / rho_tol):.1e} at level {level}"
-        log.debug("reconstruct: K=%d at %d digits%s", K, ctx.prec, note)
+        if log.isEnabledFor(logging.DEBUG):
+            note = f", fit deflated to level {k}" if k < K else ""
+            if level is not None:
+                note += f", margin {float(low / rho_tol):.1e} at level {level}"
+            log.debug("reconstruct: K=%d at %d digits%s", K, ctx.prec, note)
         broken = level if low < rho_tol else k
         if broken < K:
             for e, g in zip(E, G):

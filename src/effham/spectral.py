@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EigSolverFailure, NonConvergence, PoleProximity
-from .forward import (_g_slope, _seen, continued_fraction,
+from .forward import (_cut, _slope_recurrence, continued_fraction,
                       effective_hamiltonian)
 from .model import assemble_dense
 
@@ -77,7 +77,7 @@ def eigenvalues_dense(m):
     m = np.atleast_2d(np.asarray(m, dtype=float))
     if m.shape[0] != m.shape[1]:
         raise ValueError("matrix must be square")
-    return _sort_eig(m, *_eig(m, vectors=False))[0]
+    return _sort_eig(m, _eig(m, vectors=False)[0])
 
 
 def _eig(m, vectors=True):
@@ -89,15 +89,13 @@ def _eig(m, vectors=True):
         raise EigSolverFailure(str(exc)) from exc
 
 
-def _sort_eig(m, w, v=None):
-    """The eigenvalues w of m and their eigenvectors v (or None), as
-    :func:`_eig` gives them, collapsed and ordered as by
-    :func:`eigenvalues_dense`."""
+def _sort_eig(m, w):
+    """The eigenvalues w of m, as :func:`_eig` gives them, collapsed and
+    ordered as by :func:`eigenvalues_dense`."""
     # relative to the matrix alone: a zero matrix collapses exact zeros only
     scale = float(np.max(np.abs(m)))
     w = np.where(np.abs(w.imag) <= IMAG_COLLAPSE * scale, w.real, w)
-    order = np.lexsort((w.imag, w.real))
-    return w[order], None if v is None else v[:, order]
+    return w[np.lexsort((w.imag, w.real))]
 
 
 def self_consistent_solve(h, eta0, n):
@@ -158,15 +156,15 @@ def self_consistent_solve(h, eta0, n):
 
     def r(x):
         # Re E^(n): real parts lead the order of eigenvalues_dense
-        return float(np.sort(evaluate(x)[1].real)[n - 1]) - x
+        return sorted(evaluate(x)[1].real.tolist())[n - 1] - x
 
     setup = _setup(h)
     if setup.door is not None:
-        x = _secular_solve(setup, h.chain, float(eta0), n, trace, r)
+        x = _secular_solve(setup, float(eta0), n, trace, r)
         halfway = (-setup.outer, setup.outer)
     else:
         x, halfway = _dense_solve(setup, float(eta0), n, trace, r,
-                                  lambda x: _sort_eig(*evaluate(x)[:2])[0])
+                                  lambda x: _sort_eig(*evaluate(x)[:2]))
     n_find = len(trace)
     # r_n is continuous between the poles of G next to x
     cuts = setup.cuts
@@ -189,11 +187,7 @@ def self_consistent_solve(h, eta0, n):
               len(trace) - n_find)
 
     # r_n was evaluated at eta, so its eigensolve is known
-    heff, w, v = known[eta]
-    v = _sort_eig(heff, w, v)[1]
-    vec = np.real_if_close(v[:, n - 1], tol=1e6)
-    residual = float(np.linalg.norm((heff - eta * np.eye(h.M)) @ vec))
-    scale = max(1.0, float(np.max(np.abs(heff))))
+    vec, residual, scale = _level_check(*known[eta], eta, n)
     if residual > RES_TOL * scale:
         raise NonConvergence(
             trace, "residual", f"residual check failed: level at "
@@ -204,6 +198,35 @@ def self_consistent_solve(h, eta0, n):
                                 residual=residual)
 
 
+def _level_check(heff, w, v, eta, n):
+    """(vec, residual, scale) of a level eta of branch n, from H_eff(eta)
+    and its eigenpairs (w, v) by :func:`_eig`: vec is the n-th eigenvector
+    in the order of :func:`eigenvalues_dense`, real where
+    ``np.real_if_close`` makes it so, residual the 2-norm of
+    (H_eff - eta) vec and scale max(1, max|H_eff|).  Only that column is
+    looked up and one max|H_eff| serves both the collapse and scale, and
+    the values are bitwise those of sorting all of v in the order of
+    :func:`_sort_eig` and taking ``np.linalg.norm``."""
+    top = float(abs(heff).max())
+    cut = IMAG_COLLAPSE * top
+    # the key of np.lexsort in _sort_eig: real part, then imaginary part,
+    # 0 when collapsed; both sorts are stable
+    keys = [(z.real, 0.0 if abs(z.imag) <= cut else z.imag)
+            for z in w.tolist()]
+    j = sorted(range(len(keys)), key=keys.__getitem__)[n - 1]
+    # a contiguous copy, as the column of a sorted v is
+    vec = np.real_if_close(v[:, j].copy(), tol=1e6)
+    shifted = heff.copy()
+    shifted.reshape(-1)[::len(heff) + 1] -= eta
+    x = shifted @ vec
+    # the squared 2-norm as np.linalg.norm takes it
+    if x.dtype.kind == "c":
+        square = x.real.dot(x.real) + x.imag.dot(x.imag)
+    else:
+        square = x.dot(x)
+    return vec, math.sqrt(square), max(1.0, top)
+
+
 def _record(trace, x):
     """Append an evaluation energy to ``trace``, within ``MAX_EVALS``."""
     if len(trace) == MAX_EVALS:
@@ -212,15 +235,15 @@ def _record(trace, x):
     trace.append(x)
 
 
-def _balanced_form(h):
-    """The assembled matrix of h cut at its first rho_k = 0, past which G
-    sees nothing, in the balanced gauge: sign(rho_k) sqrt|rho_k| above the
-    diagonal and sqrt|rho_k| below.  It is similar to that cut of
+def _balanced_form(h, seen):
+    """The assembled matrix of h cut before rho_seen, its first rho_k = 0
+    (after the whole chain when ``seen`` = K), past which G sees nothing,
+    in the balanced gauge: sign(rho_k) sqrt|rho_k| above the diagonal and
+    sqrt|rho_k| below.  It is similar to that cut of
     :func:`~effham.model.assemble_dense` but has entries at the chain's
     own scale.  Its block from row M on has the poles of G as
     eigenvalues."""
     M, chain = h.M, h.chain
-    seen = _seen(chain.rho.tolist())
     rho, N = chain.rho[:seen], M + seen
     root = np.sqrt(np.abs(rho))
     form = np.zeros((N, N))
@@ -235,8 +258,11 @@ def _balanced_form(h):
 @dataclass(frozen=True)
 class _Setup:
     """The part of the solve of one Hamiltonian that does not depend on
-    the level n.
+    the level n, computed once per Hamiltonian.
 
+    ``chain`` holds the entries of the chain that G sees, up to its first
+    rho_k = 0, as :func:`~effham.forward._cut` gives them, for the
+    evaluations of D by :func:`~effham.forward._slope_recurrence`.
     ``cuts`` are the real poles of G, ascending: the real eigenvalues of
     the tail of :func:`_balanced_form` from row M on.  ``scale`` is the
     form's largest entry (1 for a zero form) and ``outer`` = 2 (M + 2)
@@ -247,6 +273,7 @@ class _Setup:
     and ``levels`` are the form's real eigenvalues, ascending, for
     :func:`_dense_solve` (by :func:`_real_eigenvalues`)."""
 
+    chain: tuple
     cuts: tuple
     scale: float
     outer: float
@@ -258,18 +285,19 @@ class _Setup:
 @dataclass(frozen=True)
 class _Doorway:
     """The level-independent part of the secular solve (see
-    :func:`_secular_solve`).
+    :func:`_secular_solve`), computed once per Hamiltonian.
 
     ``d`` are the eigenvalues of the block without the doorway row and
     column, ascending and distinct; ``terms`` the pairs (d_i, y_i^2), every
     y_i != 0; ``poles`` the poles of D, the d_i and the poles of G, none
-    shared, sorted.  ``intervals`` has one entry (p_lo, p_hi, base) per
-    pole-free interval of D, with base = #{d_i <= p_lo}."""
+    shared, sorted.  ``branches[n - 1]`` lists the pole-free intervals
+    (p_lo, p_hi) of D, ascending, with n - 1 = #{d_i <= p_lo}: those that
+    hold a level of branch n."""
 
     d: tuple
     terms: tuple
     poles: tuple
-    intervals: tuple
+    branches: tuple
 
 
 # (weak reference to the latest Hamiltonian solved, its _Setup); one
@@ -288,14 +316,15 @@ def _setup(h):
     latest = _latest
     if latest is not None and latest[0]() is h:
         return latest[1]
-    form = _balanced_form(h)
-    hermitian = bool(np.all(h.chain.rho >= 0)
-                     and np.array_equal(h.p_block, h.p_block.T))
+    chain = _cut(h.chain)
+    form = _balanced_form(h, len(chain[2]))
+    block = h.p_block
+    hermitian = bool((h.chain.rho >= 0).all() and (block == block.T).all())
     cuts = _real_eigenvalues(form[h.M:, h.M:], hermitian)
-    scale = float(np.max(np.abs(form))) or 1.0
-    door = _doorway(h.p_block, cuts) if hermitian else None
-    setup = _Setup(cuts, scale, 2.0 * (h.M + 2) * scale, hermitian, door,
-                   None if door else _real_eigenvalues(form, hermitian))
+    scale = float(abs(form).max()) or 1.0
+    door = _doorway(block, cuts) if hermitian else None
+    setup = _Setup(chain, cuts, scale, 2.0 * (h.M + 2) * scale, hermitian,
+                   door, None if door else _real_eigenvalues(form, hermitian))
     _latest = weakref.ref(h), setup
     return setup
 
@@ -310,7 +339,7 @@ def _real_eigenvalues(m, symmetric):
             return tuple(np.linalg.eigvalsh(m).tolist())
         except np.linalg.LinAlgError as exc:
             raise EigSolverFailure(str(exc)) from exc
-    w = _sort_eig(m, *_eig(m, vectors=False))[0]
+    w = _sort_eig(m, _eig(m, vectors=False)[0])
     return tuple(w[w.imag == 0].real.tolist())
 
 
@@ -328,16 +357,21 @@ def _doorway(block, cuts):
         return None
     poles = tuple(sorted({*cuts, *d}))
     ends = [-math.inf, *poles, math.inf]
-    return _Doorway(d, tuple(zip(d, weights)), poles, tuple(
-        (p_lo, p_hi, bisect.bisect_right(d, p_lo))
-        for p_lo, p_hi in zip(ends, ends[1:])))
+    branches = [[] for _ in range(len(block))]
+    for p_lo, p_hi in zip(ends, ends[1:]):
+        branches[bisect.bisect_right(d, p_lo)].append((p_lo, p_hi))
+    return _Doorway(d, tuple(zip(d, weights)), poles,
+                    tuple(map(tuple, branches)))
 
 
-def _secular_solve(setup, chain, eta0, n, trace, r):
+def _secular_solve(setup, eta0, n, trace, r):
     """The level x of branch n that the rule of
     :func:`self_consistent_solve` selects, for a generic Hermitian doorway,
-    from the Hamiltonian's :class:`_Setup` and its chain, to be finished
-    on r_n between the poles of G next to it.
+    from the Hamiltonian's :class:`_Setup`, to be finished on r_n between
+    the poles of G next to it.  The setup holds all it needs of the
+    Hamiltonian: the doorway's terms and intervals and the chain entries
+    that G sees, so each evaluation of D is one run of the recurrence of
+    :func:`~effham.forward._slope_recurrence` plus the M - 1 terms.
 
     Let (d_i, q_i) be the eigenpairs of the block without the doorway row
     and column, y_i = q_i . (doorway column), and t the poles of G, the
@@ -360,11 +394,12 @@ def _secular_solve(setup, chain, eta0, n, trace, r):
     within ulp(max(|E|, scale)).
     """
     door, scale, outer = setup.door, setup.scale, setup.outer
+    a0, rho0, steps = setup.chain
     known = {}  # energy -> (D, D') of every evaluation of D
 
     def D(x):
         _record(trace, x)
-        g, dg = _g_slope(chain, x)
+        g, dg = _slope_recurrence(a0, rho0, steps, x)
         for di, wi in door.terms:
             u = 1.0 / (x - di)
             g += wi * u
@@ -376,7 +411,7 @@ def _secular_solve(setup, chain, eta0, n, trace, r):
     # bracket of the root of D in each pole-free interval with n - 1 d_i
     # below it
     levels = [[max(p_lo, -outer), min(p_hi, outer), (p_lo, p_hi)]
-              for p_lo, p_hi, base in door.intervals if base == n - 1]
+              for p_lo, p_hi in door.branches[n - 1]]
     if eta0 in door.poles:
         # r_n gives the direction; on a pole of G it raises PoleProximity
         ahead = 1.0 if r(eta0) >= 0 else -1.0

@@ -2,6 +2,7 @@ import gc
 import logging
 import sys
 import weakref
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -12,7 +13,8 @@ from hypothesis import strategies as st
 from effham import spectral
 from effham.errors import (DomainError, EigSolverFailure, NonConvergence,
                            PoleProximity)
-from effham.forward import effective_hamiltonian, g_function
+from effham.forward import (_g_slope, _slope_recurrence,
+                            effective_hamiltonian, g_function)
 from effham.instances import random_hamiltonian, real_poles
 from effham.model import (PartitionedHamiltonian, TridiagonalChain,
                           assemble_dense)
@@ -919,6 +921,172 @@ class TestDenseReuse:
         calls = _spy_eigensolvers(monkeypatch, ("eigvals",))
         assert _outcome(h, 0.0, 1) == cold
         assert calls == {"eigvals": 2}
+
+
+def _old_level_check(heff, w, v, eta, n):
+    """(eigvec_model, residual, vec) of a level by the formula that
+    sorted all of v: collapse and lexsort as in eigenvalues_dense, column
+    n - 1, np.real_if_close and np.linalg.norm."""
+    scale = float(np.max(np.abs(heff)))
+    w = np.where(np.abs(w.imag) <= spectral.IMAG_COLLAPSE * scale, w.real, w)
+    v = v[:, np.lexsort((w.imag, w.real))]
+    vec = np.real_if_close(v[:, n - 1], tol=1e6)
+    residual = float(np.linalg.norm((heff - eta * np.eye(len(heff))) @ vec))
+    return np.real(vec), residual, vec
+
+
+def _sweep(sign):
+    """random_hamiltonian(4, K, default_rng(1000 K + s), sign) for K = 4,
+    8, 16 and s = 0..19; for "nonsymmetric", those of positive rho with
+    the block, its corner aside, moved off symmetry, so that H_eff can
+    have complex pairs."""
+    for K in (4, 8, 16):
+        for s in range(20):
+            rng = np.random.default_rng(1000 * K + s)
+            h = random_hamiltonian(4, K, rng, "mixed" if sign == "mixed"
+                                   else "positive")
+            if sign == "nonsymmetric":
+                block = h.p_block + 0.8 * rng.uniform(-1.0, 1.0, (4, 4))
+                block[-1, -1] = h.p_block[-1, -1]
+                h = PartitionedHamiltonian(block, h.chain)
+            yield h
+
+
+class TestLevelCheck:
+    """The final check reads one column of the eigensolve at the level and
+    gives bitwise what sorting every column and np.linalg.norm gave."""
+
+    @pytest.mark.parametrize("sign", ["positive", "mixed", "nonsymmetric"])
+    def test_sweep_matches_old_formula(self, sign):
+        levels = complex_pairs = 0
+        for h in _sweep(sign):
+            for n in range(1, 5):
+                try:
+                    res = self_consistent_solve(h, 0.0, n)
+                except NonConvergence:
+                    continue
+                heff = effective_hamiltonian(h, res.energy)
+                w, v = np.linalg.eig(heff)
+                model, residual, _ = _old_level_check(heff, w, v,
+                                                      res.energy, n)
+                assert res.residual.hex() == residual.hex()
+                assert res.eigvec_model.dtype == model.dtype
+                assert res.eigvec_model.tobytes() == model.tobytes()
+                levels += 1
+                complex_pairs += np.iscomplexobj(w)
+        assert levels >= 230  # 237, 234 and 232 measured
+        if sign == "nonsymmetric":
+            # dense-path levels whose H_eff has a complex pair, so v is
+            # complex and the column is made real; 18 measured
+            assert complex_pairs >= 15
+
+    def test_complex_columns(self):
+        # columns left complex by np.real_if_close: a pair whose imaginary
+        # part collapses, tied on the real part (the stable order keeps
+        # the order of eig), and an uncollapsed pair of a random matrix
+        rng = np.random.default_rng(41)
+        tiny = np.array([[1.0, -1e-12, 0.0], [1e-12, 1.0, 0.0],
+                         [0.0, 0.0, -2.0]])
+        matrices = [tiny]
+        while len(matrices) < 6:
+            m = rng.uniform(-3.0, 3.0, (4, 4))
+            if np.iscomplexobj(np.linalg.eigvals(m)):
+                matrices.append(m)
+        complex_vectors = 0
+        for m in matrices:
+            w, v = np.linalg.eig(m)
+            assert np.iscomplexobj(w)
+            for n in range(1, len(m) + 1):
+                for eta in (float(np.sort(w.real)[n - 1]), 0.25):
+                    vec, residual, scale = spectral._level_check(m, w, v,
+                                                                 eta, n)
+                    _, old_residual, old_vec = _old_level_check(m, w, v,
+                                                                eta, n)
+                    assert residual.hex() == old_residual.hex()
+                    assert vec.dtype == old_vec.dtype
+                    assert vec.tobytes() == old_vec.tobytes()
+                    assert scale == max(1.0, float(np.max(np.abs(m))))
+                    complex_vectors += np.iscomplexobj(vec)
+        assert complex_vectors >= 10
+        # the collapsed pair passes the check: its residual is its
+        # imaginary part
+        vec, residual, _ = spectral._level_check(tiny, *np.linalg.eig(tiny),
+                                                 1.0, 2)
+        assert np.iscomplexobj(vec)
+        assert residual == pytest.approx(1e-12, rel=1e-3)
+
+
+def _g_slope_reference(chain, E):
+    """(G, dG/dE) by the recurrence over the stored arrays of the whole
+    chain, from its first rho_k = 0, with the pivot rule of g_function."""
+    a, rho = chain.a.tolist(), chain.rho.tolist()
+    f = df = 0.0
+    for k in range(rho.index(0.0) if 0.0 in rho else len(rho), 0, -1):
+        r = rho[k] if k < len(rho) else 0.0
+        pivot = a[k] - E - r * f
+        scale = abs(a[k]) + abs(E) + abs(r * f) + sys.float_info.min
+        if abs(pivot) < 1e-12 * scale:
+            raise PoleProximity(k)
+        f = 1.0 / pivot
+        df = f * f * (1.0 + r * df)
+    if not rho:
+        return a[0] - E, -1.0
+    return a[0] - E - rho[0] * f, -1.0 - rho[0] * df
+
+
+def _slope_outcome(fn, *args):
+    """The bits of (G, dG/dE), or the level of the PoleProximity raised."""
+    try:
+        return np.array(fn(*args)).tobytes()
+    except PoleProximity as exc:
+        return ("PoleProximity", exc.level)
+
+
+class TestSetupChain:
+    """The chain entries that the setup keeps, cut at the first rho_k = 0,
+    give the recurrence of D bitwise the G and dG/dE of _g_slope, with the
+    same PoleProximity."""
+
+    @pytest.mark.parametrize("zero", [None, 0, "middle", "last", "-0.0"])
+    def test_matches_g_slope(self, zero):
+        rng = np.random.default_rng(42)
+        raised = Counter()
+        # K = 0 has no rho_k to set to zero
+        for K in range(0 if zero is None else 1, 11):
+            h = random_hamiltonian(3, K, rng, "mixed" if K % 2 else
+                                   "positive")
+            rho, cut = np.array(h.chain.rho), K
+            if zero is not None:
+                cut = {0: 0, "middle": K // 2, "last": K - 1,
+                       "-0.0": K // 2}[zero]
+                rho[cut] = -0.0 if zero == "-0.0" else 0.0
+            chain = TridiagonalChain(h.chain.a, rho)
+            setup = spectral._setup(PartitionedHamiltonian(h.p_block, chain))
+            # the recurrence runs from the cut down to level 1
+            assert [step[0] for step in setup.chain[2]] == list(
+                range(cut, 0, -1))
+            energies = rng.uniform(-8.0, 8.0, 20).tolist()
+            # on and next to the eigenvalues of every trailing block,
+            # those past the cut included, which are no poles of G
+            for k in range(1, K + 1):
+                block = TridiagonalChain(chain.a[k:], rho[k:]).to_dense()
+                for p in np.linalg.eigvals(block).real.tolist():
+                    energies += [p, p * (1 + 1e-13), p * (1 + 1e-11)]
+            for E in energies:
+                got = _slope_outcome(_slope_recurrence, *setup.chain, E)
+                assert got == _slope_outcome(_g_slope, chain, E)
+                assert got == _slope_outcome(_g_slope_reference, chain, E)
+                if isinstance(got, tuple):
+                    raised[min(got[1], 2)] += 1
+                else:
+                    assert got[:8] == np.float64(g_function(chain,
+                                                            E)).tobytes()
+        if zero == 0:  # G = a_0 - E has no pole
+            assert not raised
+        else:
+            # a pole of G, at level 1, and a deeper trailing-block
+            # eigenvalue
+            assert raised[1] >= 5 and raised[2] >= 5
 
 
 class TestScanEdges:

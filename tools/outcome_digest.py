@@ -2,11 +2,18 @@
 self-consistent ops, for checking that a change keeps every result.
 
     python3 tools/outcome_digest.py [CHECKOUT]
+    python3 tools/outcome_digest.py CHECKOUT_A CHECKOUT_B
 
-runs the effham under ``CHECKOUT/src`` (default: this checkout) on the
-inputs of ``perfbench/workloads.py`` in this checkout and on two seeded
-sweeps, and prints the four digests with the verdict counts behind them.
-Two commits do the same work when all four digests agree.
+The first form runs the effham under ``CHECKOUT/src`` (default: this
+checkout) on the inputs of ``perfbench/workloads.py`` in this checkout and
+on two seeded sweeps, and prints the four digests with the verdict counts
+behind them.  Two commits do the same work when all four digests agree.
+
+The second form compares two checkouts: it runs the first form on each,
+in its own interpreter and on the same inputs, and prints for each digest
+whether it is ``equal`` or ``differs``, with the digest and counts of
+each side where they differ.  It exits 0 when all four agree, 1 when any
+differs and 2 when a run fails, so a bit-for-bit claim takes one command.
 
 Reconstruction digest: ``recon_op`` over seeds 1, 2, 5 and 7777 in that
 order, ``recon_deep`` before ``recon_holdout`` (2000 ops).  A returned op
@@ -40,6 +47,8 @@ exits 0 without a traceback.
 import hashlib
 import json
 import os
+import re
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -50,6 +59,8 @@ ROOT = Path(__file__).resolve().parent.parent
 RECON_SEEDS = (1, 2, 5, 7777)
 SOLVE_SEEDS = (1, 7777)
 SWEEP_K = (4, 8, 16)
+# a digest line: name, sha256 hex digest, verdict counts
+DIGEST_LINE = re.compile(r"(.+?) +([0-9a-f]{64} .*)")
 
 
 def _hex(xs):
@@ -116,7 +127,41 @@ def _degenerate(api):
             h.p_block, api.TridiagonalChain(h.chain.a, rho))
 
 
+def _digests(proc):
+    """{digest name: "digest counts"} from the output of a run of this
+    tool, in its order, or None when the run failed."""
+    out, err = proc.communicate()
+    if proc.returncode:
+        print(err, end="", file=sys.stderr, flush=True)
+        return None
+    lines = out.splitlines()
+    print(lines[0], flush=True)  # where that effham came from
+    return {m[1]: m[2] for m in map(DIGEST_LINE.match, lines[1:])}
+
+
+def compare(a, b):
+    """Run this tool on checkouts ``a`` and ``b`` side by side and print
+    whether each digest is equal; the exit status of the compare form."""
+    procs = [subprocess.Popen([sys.executable, __file__, str(c)],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              text=True) for c in (a, b)]
+    sides = [_digests(proc) for proc in procs]
+    if None in sides:
+        return 2
+    status = 0
+    for name in {**sides[0], **sides[1]}:
+        got = [side.get(name, "missing") for side in sides]
+        if got[0] == got[1]:
+            print(f"{name:20} equal   {got[0]}", flush=True)
+        else:
+            status = 1
+            print(f"{name:20} differs {got[0]} | {got[1]}", flush=True)
+    return status
+
+
 def main(argv):
+    if len(argv) == 3:
+        sys.exit(compare(*argv[1:]))
     checkout = Path(argv[1]).resolve() if len(argv) > 1 else ROOT
     sys.path[:0] = [str(checkout / "src"), str(ROOT / "perfbench")]
     import workloads as wl
