@@ -18,11 +18,12 @@ keeping the others, in one loop whose arithmetic is the same for a
 single energy (Python floats) and for an array of energies (one numpy
 pass over all of them): the two agree bit for bit.  ``_slope_recurrence``
 runs the same recursion at one energy with dG/dE carried along, for the
-Newton steps of the self-consistent solve, over the chain entries that
-``_cut`` takes from a chain: the solve computes those once per
-Hamiltonian and ``_g_slope`` once per call.  All start the recursion at
-the first rho_k = 0, if any: f_k is then 1 / (a_k - E) whatever lies
-deeper, so G sees nothing past it.
+Newton steps of the self-consistent solve.  Both run over the chain
+entries that ``_cut`` takes from a chain, in one scan per chain object,
+kept with the chain: every later evaluation of G, H_eff or the solve's
+setup on that chain reads them without scanning it again.  All start the
+recursion at the first rho_k = 0, if any: f_k is then 1 / (a_k - E)
+whatever lies deeper, so G sees nothing past it.
 """
 
 import sys
@@ -119,11 +120,12 @@ def g_function(chain, E):
     """The energy-dependent element G(E) = a_0 - E - rho_0 f_1(E).
 
     ``E`` is a single energy (returns a float) or an array of energies
-    (returns an array of the same shape).  One loop serves both: Python's
-    ``abs``, ``-``, ``*`` and ``/`` do the same float64 operations on a
-    float and, elementwise, on an array, so each entry of an array result
-    is bitwise the float result at that energy.  For a K = 0 chain, or
-    rho_0 = 0, this is just a_0 - E.
+    (returns an array of the same shape).  One loop over the steps of the
+    chain's :func:`_cut` serves both: Python's ``abs``, ``-``, ``*`` and
+    ``/`` do the same float64 operations on a float and, elementwise, on
+    an array, so each entry of an array result is bitwise the float result
+    at that energy.  For a K = 0 chain, or rho_0 = 0, this is just
+    a_0 - E.
 
     The recursion starts at the first rho_k = 0, so G is that of the
     chain cut there, bit for bit, and the levels past the cut are no
@@ -138,15 +140,13 @@ def g_function(chain, E):
         E = np.asarray(E, dtype=float)
         if not E.ndim:
             E = float(E)
-    a, rho = chain.a.tolist(), chain.rho.tolist()
-    tiny = sys.float_info.min
+    a0, rho0, steps = _cut(chain)
     absE = abs(E)
     f = 0.0  # f_{k+1}; f_{K+1} = 0
-    for k in range(_seen(rho), 0, -1):
-        coupling = rho[k] * f if k < len(rho) else 0.0
-        pivot = a[k] - E - coupling
-        scale = abs(a[k]) + absE + abs(coupling) + tiny
-        bad = abs(pivot) < PIVOT_TOL * scale
+    for k, ak, abs_ak, r in steps:
+        coupling = r * f
+        pivot = ak - E - coupling
+        bad = abs(pivot) < PIVOT_TOL * (abs_ak + absE + abs(coupling) + _TINY)
         if bad is not False:  # a float E gives a bool, an array an array
             if bad is True:
                 raise PoleProximity(k)
@@ -154,7 +154,7 @@ def g_function(chain, E):
                 for e in E.ravel().tolist():
                     g_function(chain, e)
         f = 1.0 / pivot
-    return a[0] - E - rho[0] * f if rho else a[0] - E
+    return a0 - E - rho0 * f
 
 
 def _g_slope(chain, E):
@@ -165,17 +165,25 @@ def _g_slope(chain, E):
 
 def _cut(chain):
     """(a_0, rho_0, steps): the entries of ``chain`` that G sees, for
-    :func:`_slope_recurrence`.  ``steps`` are the tuples
-    (k, a_k, |a_k|, rho_k) for k from ``seen`` down to 1, where rho_seen
-    is the first rho_k = 0, else 0 past the end of the chain (as is rho_0
-    of a K = 0 chain): what the recurrence of :func:`g_function` reads of
-    the chain, in its order.  The self-consistent solve computes them once
-    per Hamiltonian."""
-    a, rho = chain.a.tolist(), chain.rho.tolist()
-    seen = _seen(rho)
-    rho = rho[:seen + 1] if seen < len(rho) else rho + [0.0]
-    return a[0], rho[0], tuple((k, a[k], abs(a[k]), rho[k])
-                               for k in range(seen, 0, -1))
+    :func:`g_function` and :func:`_slope_recurrence`.  ``steps`` are the
+    tuples (k, a_k, |a_k|, rho_k) for k from ``seen`` down to 1, where
+    rho_seen is the first rho_k = 0, else 0 past the end of the chain (as
+    is rho_0 of a K = 0 chain): what the recurrence reads of the chain, in
+    its order.
+
+    They are computed once per chain object, in one scan, and kept in its
+    ``__dict__`` as ``functools.cached_property`` keeps a value: a chain
+    is a frozen dataclass whose arrays are read-only, so they cannot go
+    stale."""
+    cut = chain.__dict__.get("_cut")
+    if cut is None:
+        a, rho = chain.a.tolist(), chain.rho.tolist()
+        seen = _seen(rho)
+        rho = rho[:seen + 1] if seen < len(rho) else rho + [0.0]
+        cut = a[0], rho[0], tuple((k, a[k], abs(a[k]), rho[k])
+                                  for k in range(seen, 0, -1))
+        chain.__dict__["_cut"] = cut
+    return cut
 
 
 def _slope_recurrence(a0, rho0, steps, E):

@@ -18,9 +18,11 @@ costing O(K + M) each.  Otherwise the levels are the real eigenvalues of
 the dense matrix, given their branches by Haynsworth inertia when it is
 Hermitian, else each by one evaluation of H_eff.  On both paths the work
 that does not depend on n runs once per Hamiltonian object, which must
-therefore not be mutated once solved, and within one solve H_eff is
-evaluated and eigensolved once per energy: r_n, the branch test and the
-final eigenvector check share it.
+therefore not be mutated once solved, and on the secular path so does D at
+the start eta0 of a solve, for each eta0 in turn: the solves of levels
+1..M from one eta0 share it.  Within one solve H_eff is evaluated and
+eigensolved once per energy: r_n, the branch test and the final
+eigenvector check share it.
 """
 
 import bisect
@@ -58,7 +60,8 @@ class SelfConsistentResult:
     """A converged level.  ``bracket`` is the final (lo, hi) around
     ``energy``; ``trace`` lists every energy at which H_eff (for r_n or
     a branch) or the secular function D was evaluated, in order, starting
-    with eta0, and ``iterations`` is its length."""
+    with eta0, whose evaluation may be reused from an earlier solve, and
+    ``iterations`` is its length."""
 
     level_index: int
     energy: float
@@ -122,10 +125,12 @@ def self_consistent_solve(h, eta0, n):
 
     ``trace`` lists the energies where D or H_eff (for r_n or the branch
     test) was evaluated, in order, starting with eta0, and ``MAX_EVALS``
-    bounds its length.  H_eff is evaluated once per energy where it is
-    defined, and its eigensolve there serves every later need: the
-    eigenvector and residual of the level come from the one made when r_n
-    was evaluated at it.
+    bounds its length.  On the secular path, D(eta0) is kept with the
+    latest Hamiltonian solved and reused, bit for bit, by its next solve
+    from the same eta0, which still lists eta0 first.  H_eff is evaluated
+    once per energy where it is defined, and its eigensolve there serves
+    every later need: the eigenvector and residual of the level come from
+    the one made when r_n was evaluated at it.
     Raises :class:`NonConvergence` when branch n has no level (e.g. the
     levels of a quasi-Hermitian block are complex), when the evaluation
     budget runs out, or when r_n does not confirm the level selected or
@@ -143,6 +148,7 @@ def self_consistent_solve(h, eta0, n):
         raise ValueError(f"level index n={n} outside 1..{h.M}")
     if not math.isfinite(eta0):
         raise ValueError(f"start energy eta0={eta0} is not finite")
+    eta0 = float(eta0)
     trace, known = [], {}  # energy -> (H_eff, w, v) of its eigensolve
 
     def evaluate(x):
@@ -160,10 +166,10 @@ def self_consistent_solve(h, eta0, n):
 
     setup = _setup(h)
     if setup.door is not None:
-        x = _secular_solve(setup, float(eta0), n, trace, r)
+        x = _secular_solve(h, setup, eta0, n, trace, r)
         halfway = (-setup.outer, setup.outer)
     else:
-        x, halfway = _dense_solve(setup, float(eta0), n, trace, r,
+        x, halfway = _dense_solve(setup, eta0, n, trace, r,
                                   lambda x: _sort_eig(*evaluate(x)[:2]))
     n_find = len(trace)
     # r_n is continuous between the poles of G next to x
@@ -260,9 +266,10 @@ class _Setup:
     """The part of the solve of one Hamiltonian that does not depend on
     the level n, computed once per Hamiltonian.
 
-    ``chain`` holds the entries of the chain that G sees, up to its first
-    rho_k = 0, as :func:`~effham.forward._cut` gives them, for the
-    evaluations of D by :func:`~effham.forward._slope_recurrence`.
+    ``chain`` is the chain's :func:`~effham.forward._cut`, the entries
+    that G sees up to its first rho_k = 0, which the chain keeps for every
+    evaluation of G on it; here it serves the evaluations of D by
+    :func:`~effham.forward._slope_recurrence`.
     ``cuts`` are the real poles of G, ascending: the real eigenvalues of
     the tail of :func:`_balanced_form` from row M on.  ``scale`` is the
     form's largest entry (1 for a zero form) and ``outer`` = 2 (M + 2)
@@ -300,9 +307,11 @@ class _Doorway:
     branches: tuple
 
 
-# (weak reference to the latest Hamiltonian solved, its _Setup); one
-# tuple, replaced whole, so every thread reads a consistent pair and a
-# race between threads costs at most a recomputation
+# (weak reference to the latest Hamiltonian solved, its _Setup, and the
+# eta0.hex() and (D, D') of the start of its latest secular solve, or
+# None, None); one tuple, replaced whole, so every thread reads a
+# consistent entry and a race between threads costs at most a
+# recomputation
 _latest = None
 
 
@@ -325,8 +334,25 @@ def _setup(h):
     door = _doorway(block, cuts) if hermitian else None
     setup = _Setup(chain, cuts, scale, 2.0 * (h.M + 2) * scale, hermitian,
                    door, None if door else _real_eigenvalues(form, hermitian))
-    _latest = weakref.ref(h), setup
+    _latest = weakref.ref(h), setup, None, None
     return setup
+
+
+def _start(h, setup, eta0, D):
+    """``D(eta0)``, the first evaluation of a secular solve of h from
+    eta0, with h's :class:`_Setup`.  Its (D, D') is kept in ``_latest`` in
+    place of the one before, and while h is the latest Hamiltonian solved
+    the next solve from the same eta0, bit for bit (0.0 and -0.0 are two
+    starts), passes it to ``D(eta0, kept)``, which records eta0 without
+    evaluating.  An evaluation that raises keeps nothing, so it raises
+    again each time."""
+    global _latest
+    latest, key = _latest, eta0.hex()
+    if latest is not None and latest[0]() is h and latest[2] == key:
+        return D(eta0, latest[3])
+    d0 = D(eta0)
+    _latest = weakref.ref(h), setup, key, d0
+    return d0
 
 
 def _real_eigenvalues(m, symmetric):
@@ -364,14 +390,15 @@ def _doorway(block, cuts):
                     tuple(map(tuple, branches)))
 
 
-def _secular_solve(setup, eta0, n, trace, r):
+def _secular_solve(h, setup, eta0, n, trace, r):
     """The level x of branch n that the rule of
     :func:`self_consistent_solve` selects, for a generic Hermitian doorway,
     from the Hamiltonian's :class:`_Setup`, to be finished on r_n between
     the poles of G next to it.  The setup holds all it needs of the
     Hamiltonian: the doorway's terms and intervals and the chain entries
     that G sees, so each evaluation of D is one run of the recurrence of
-    :func:`~effham.forward._slope_recurrence` plus the M - 1 terms.
+    :func:`~effham.forward._slope_recurrence` plus the M - 1 terms, and
+    D(eta0) is shared by the solves of h from eta0 (see :func:`_start`).
 
     Let (d_i, q_i) be the eigenpairs of the block without the doorway row
     and column, y_i = q_i . (doorway column), and t the poles of G, the
@@ -397,15 +424,19 @@ def _secular_solve(setup, eta0, n, trace, r):
     a0, rho0, steps = setup.chain
     known = {}  # energy -> (D, D') of every evaluation of D
 
-    def D(x):
+    def D(x, kept=None):
+        """(D, D') at x, recorded in ``trace``; ``kept`` is that of an
+        earlier solve, for :func:`_start`."""
         _record(trace, x)
-        g, dg = _slope_recurrence(a0, rho0, steps, x)
-        for di, wi in door.terms:
-            u = 1.0 / (x - di)
-            g += wi * u
-            dg -= wi * u * u
-        known[x] = g, dg
-        return g, dg
+        if kept is None:
+            g, dg = _slope_recurrence(a0, rho0, steps, x)
+            for di, wi in door.terms:
+                u = 1.0 / (x - di)
+                g += wi * u
+                dg -= wi * u * u
+            kept = g, dg
+        known[x] = kept
+        return kept
 
     # the levels of branch n, ascending: [lo, hi, interval], the open
     # bracket of the root of D in each pole-free interval with n - 1 d_i
@@ -416,7 +447,7 @@ def _secular_solve(setup, eta0, n, trace, r):
         # r_n gives the direction; on a pole of G it raises PoleProximity
         ahead = 1.0 if r(eta0) >= 0 else -1.0
     else:
-        d0 = D(eta0)[0]
+        d0 = _start(h, setup, eta0, D)[0]
         # eigenvalues of H_eff(eta0) below eta0; a level of branch n at
         # eta0 itself is found ahead, at distance 0
         n_below = bisect.bisect_left(door.d, eta0) + (d0 < 0)

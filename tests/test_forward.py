@@ -1,13 +1,16 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from effham import forward, spectral
 from effham.errors import NearSingularBlock, PoleProximity
 from effham.forward import (_g_slope, continued_fraction,
                             effective_hamiltonian, g_function,
                             g_function_dense_oracle, ufl_factorize)
-from effham.instances import random_chain
+from effham.instances import random_chain, random_hamiltonian
 from effham.model import (PartitionedHamiltonian, TridiagonalChain,
                           refactorize)
 
@@ -259,6 +262,45 @@ class TestGFunction:
         chain = TridiagonalChain([-2.0, 2.0, 3.0], [1.0, 1.0])
         with pytest.raises((NearSingularBlock, PoleProximity)):
             g_function_dense_oracle(chain, (5.0 + np.sqrt(5.0)) / 2.0)
+
+
+class TestCut:
+    """Each chain object is scanned once, for the entries G sees, and
+    keeps them for every later evaluation on it."""
+
+    def test_one_scan_per_chain(self, monkeypatch):
+        scans = []
+        seen = forward._seen
+
+        def spy(rho):
+            scans.append(rho)
+            return seen(rho)
+        monkeypatch.setattr(forward, "_seen", spy)
+        h = random_hamiltonian(3, 6, np.random.default_rng(7))
+        chain = h.chain
+        g_function(chain, 0.25)
+        g_function(chain, np.array([-1.0, 0.25, 3.0]))
+        # a pole in an array replays the energies through the float form
+        with pytest.raises(PoleProximity) as exc:
+            g_function(chain, np.array([0.25, chain.a[-1]]))
+        assert exc.value.level == chain.K
+        _g_slope(chain, 0.5)
+        effective_hamiltonian(h, 0.75)
+        spectral._setup(h)
+        assert scans == [chain.rho.tolist()]
+        # equal in value is not the same chain
+        g_function(TridiagonalChain(chain.a, chain.rho), 0.25)
+        assert len(scans) == 2
+
+    def test_chain_cannot_change(self):
+        # what keeps the entries of a scan valid for the chain's life
+        chain = random_chain(4, np.random.default_rng(8))
+        g_function(chain, 0.25)
+        for name in ("a", "rho"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(chain, name)[0] = 1.0
+            with pytest.raises(FrozenInstanceError):
+                setattr(chain, name, np.ones(len(getattr(chain, name))))
 
 
 def _g_complex(chain, E):

@@ -803,6 +803,31 @@ def _spy_eigensolvers(monkeypatch, names=("eigh", "eigvalsh")):
     return calls
 
 
+def _spy_slope(monkeypatch):
+    """Record the energies of spectral._slope_recurrence's calls, one per
+    evaluation of D, in a list, which is returned."""
+    energies = []
+    slope = spectral._slope_recurrence
+
+    def spy(a0, rho0, steps, x):
+        energies.append(x)
+        return slope(a0, rho0, steps, x)
+    monkeypatch.setattr(spectral, "_slope_recurrence", spy)
+    return energies
+
+
+def _level_orders(h, eta0s, other):
+    """Sequences of (Hamiltonian, eta0, n) solves: levels 1..M of h from
+    eta0s[0] in order and in reverse, interleaved with a second start
+    eta0s[1], and interleaved with the same levels of ``other``."""
+    levels = range(1, h.M + 1)
+    e, f = eta0s
+    return {"in order": [(h, e, n) for n in levels],
+            "reverse": [(h, e, n) for n in reversed(levels)],
+            "two starts": [(h, x, n) for n in levels for x in (e, f)],
+            "other between": [(g, e, n) for n in levels for g in (h, other)]}
+
+
 class TestDoorwayReuse:
     """The level-independent setup of the Hermitian path runs once per
     Hamiltonian object, and reusing it changes no bit of any result."""
@@ -818,6 +843,48 @@ class TestDoorwayReuse:
         # equal in value is not the same Hamiltonian
         assert _outcome(_copy(h), -5.0, 2) == cold[1]
         assert calls == {"eigh": 2, "eigvalsh": 2}
+
+    @pytest.mark.parametrize("order, starts", [
+        ("in order", {-5.0: 1}), ("reverse", {-5.0: 1}),
+        ("two starts", {-5.0: 4, 0.0: 4}), ("other between", {-5.0: 4})])
+    def test_start_once_per_eta0(self, monkeypatch, order, starts):
+        # D(eta0) is evaluated once by the solves of h from one eta0 in a
+        # row, in any order of the levels; a solve from another eta0, or
+        # of another Hamiltonian, in between evaluates it again
+        h = random_hamiltonian(4, 8, np.random.default_rng(3))
+        other = random_hamiltonian(4, 8, np.random.default_rng(5), "mixed")
+        jobs = _level_orders(h, (-5.0, 0.0), other)[order]
+        cold = [_outcome(_copy(g), e, n) for g, e, n in jobs]
+        energies = _spy_slope(monkeypatch)
+        assert [_outcome(g, e, n) for g, e, n in jobs] == cold
+        assert {e: energies.count(e) for e in starts} == starts
+        for (g, e, _), out in zip(jobs, cold):
+            if g is h:
+                assert out[4][0] == e.hex()  # the trace starts at eta0
+                _assert_dense_outcome(h, out)
+
+    def test_signed_zero_starts(self, monkeypatch):
+        # 0.0 and -0.0 are two starts: each trace begins with its own
+        h = random_hamiltonian(4, 8, np.random.default_rng(3))
+        jobs = [(0.0, 1), (-0.0, 2), (-0.0, 3), (0.0, 4)]
+        cold = [_outcome(_copy(h), e, n) for e, n in jobs]
+        energies = _spy_slope(monkeypatch)
+        assert [_outcome(h, e, n) for e, n in jobs] == cold
+        assert [out[4][0] for out in cold] == [e.hex() for e, _ in jobs]
+        assert energies.count(0.0) == 3
+
+    def test_start_that_raises_is_not_kept(self, monkeypatch):
+        # at E = a_K the deepest pivot of G vanishes, off the poles of D:
+        # D(eta0) raises there, so each solve evaluates it and raises
+        h = random_hamiltonian(4, 8, np.random.default_rng(3))
+        eta0 = float(h.chain.a[-1])
+        assert eta0 not in spectral._setup(h).door.poles
+        energies = _spy_slope(monkeypatch)
+        for n in (1, 2, 1):
+            with pytest.raises(PoleProximity) as exc:
+                self_consistent_solve(h, eta0, n)
+            assert exc.value.level == h.K
+        assert energies == [eta0] * 3
 
     def test_non_hermitian_in_between(self):
         h = random_hamiltonian(4, 8, np.random.default_rng(4))
@@ -885,6 +952,25 @@ class TestDenseReuse:
         # equal in value is not the same Hamiltonian
         assert _outcome(_copy(h), 0.0, 2) == cold[1]
         assert calls == {"eigvals": 4}
+
+    @pytest.mark.parametrize("order", ["in order", "reverse", "two starts",
+                                       "other between"])
+    def test_start_evaluated_by_each_solve(self, monkeypatch, order):
+        # the dense path keeps no start: each solve lists eta0 first as
+        # one evaluation of H_eff of its own, and every order of the
+        # levels, starts and Hamiltonians gives the cold results
+        h = random_hamiltonian(4, 8, np.random.default_rng(5), "mixed")
+        other = random_hamiltonian(4, 8, np.random.default_rng(3))
+        jobs = _level_orders(h, (0.0, -5.0), other)[order]
+        cold = [_outcome(_copy(g), e, n) for g, e, n in jobs]
+        energies, _ = _spy_heff_and_eig(monkeypatch)
+        got = []
+        for g, e, n in jobs:
+            energies.clear()
+            got.append(_outcome(g, e, n))
+            if g is h:
+                assert energies[0] == e and energies.count(e) == 1
+        assert got == cold
 
     def test_threads_match_serial(self):
         hs = [random_hamiltonian(4, 8, np.random.default_rng(s), "mixed")
