@@ -20,8 +20,8 @@ pass over all of them): the two agree bit for bit.  ``_slope_recurrence``
 runs the same recursion at one energy with dG/dE carried along, for the
 Newton steps of the self-consistent solve.  Both run over the chain
 entries that ``_cut`` takes from a chain, in one scan per chain object,
-kept with the chain: every later evaluation of G, H_eff or the solve's
-setup on that chain reads them without scanning it again.  All start the
+kept in the chain's ``__dict__``: every later evaluation of G, H_eff or
+D on that chain reads them without scanning it again.  All start the
 recursion at the first rho_k = 0, if any: f_k is then 1 / (a_k - E)
 whatever lies deeper, so G sees nothing past it.
 """
@@ -157,12 +157,6 @@ def g_function(chain, E):
     return a0 - E - rho0 * f
 
 
-def _g_slope(chain, E):
-    """(G(E), dG/dE) at a single energy: :func:`_slope_recurrence` on
-    the chain's :func:`_cut`."""
-    return _slope_recurrence(*_cut(chain), E)
-
-
 def _cut(chain):
     """(a_0, rho_0, steps): the entries of ``chain`` that G sees, for
     :func:`g_function` and :func:`_slope_recurrence`.  ``steps`` are the
@@ -174,7 +168,9 @@ def _cut(chain):
     They are computed once per chain object, in one scan, and kept in its
     ``__dict__`` as ``functools.cached_property`` keeps a value: a chain
     is a frozen dataclass whose arrays are read-only, so they cannot go
-    stale."""
+    stale.  ``spectral`` keeps the level-independent setup of a solve on
+    its Hamiltonian in the same way, and the secular solve reads these
+    entries for D."""
     cut = chain.__dict__.get("_cut")
     if cut is None:
         a, rho = chain.a.tolist(), chain.rho.tolist()

@@ -17,18 +17,19 @@ of D, with branches from Haynsworth inertia, solved by Newton steps
 costing O(K + M) each.  Otherwise the levels are the real eigenvalues of
 the dense matrix, given their branches by Haynsworth inertia when it is
 Hermitian, else each by one evaluation of H_eff.  On both paths the work
-that does not depend on n runs once per Hamiltonian object, which must
-therefore not be mutated once solved, and on the secular path so does D at
-the start eta0 of a solve, for each eta0 in turn: the solves of levels
-1..M from one eta0 share it.  Within one solve H_eff is evaluated and
-eigensolved once per energy: r_n, the branch test and the final
-eigenvector check share it.
+that does not depend on n runs once per Hamiltonian object and is kept in
+its ``__dict__``, as ``forward._cut`` keeps a chain's entries in the
+chain's: a Hamiltonian is a frozen dataclass with a read-only block and a
+frozen chain, so what is kept cannot go stale.  On the secular path D at
+the start eta0 of a solve is kept there too, for the latest eta0: the
+solves of levels 1..M from one eta0 share it.  Within one solve H_eff is
+evaluated and eigensolved once per energy: r_n, the branch test and the
+final eigenvector check share it.
 """
 
 import bisect
 import logging
 import math
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,12 +126,14 @@ def self_consistent_solve(h, eta0, n):
 
     ``trace`` lists the energies where D or H_eff (for r_n or the branch
     test) was evaluated, in order, starting with eta0, and ``MAX_EVALS``
-    bounds its length.  On the secular path, D(eta0) is kept with the
-    latest Hamiltonian solved and reused, bit for bit, by its next solve
-    from the same eta0, which still lists eta0 first.  H_eff is evaluated
-    once per energy where it is defined, and its eigensolve there serves
-    every later need: the eigenvector and residual of the level come from
-    the one made when r_n was evaluated at it.
+    bounds its length.  Where G's pivot breaks down at eta0 deeper than
+    level 1, with no pole of G within rounding, the solve starts from the
+    first energy past it by :func:`_step_off` instead.  On the secular
+    path, D(eta0) is kept on ``h`` and reused, bit for bit, by its next
+    solve from the same eta0, which still lists eta0 first.  H_eff is
+    evaluated once per energy where it is defined, and its eigensolve
+    there serves every later need: the eigenvector and residual of the
+    level come from the one made when r_n was evaluated at it.
     Raises :class:`NonConvergence` when branch n has no level (e.g. the
     levels of a quasi-Hermitian block are complex), when the evaluation
     budget runs out, or when r_n does not confirm the level selected or
@@ -138,11 +141,10 @@ def self_consistent_solve(h, eta0, n):
     H_eff (``reason`` "no_sign_change", "budget" or "residual"); the
     evaluated energies are attached as ``trace``.
     :class:`PoleProximity` propagates when eta0 itself sits on a pole of
-    G.  A non-finite eta0 or an n outside 1..M is a ``ValueError``.  The
-    choice of path and the level-independent setup (see :func:`_setup`)
-    run once per Hamiltonian object and are reused while ``h`` is the
-    latest Hamiltonian solved, so ``h`` must not be mutated between
-    calls.
+    G, within rounding.  A non-finite eta0 or an n outside 1..M is a
+    ``ValueError``.  The choice of path and the level-independent setup
+    (see :func:`_setup`) run once per Hamiltonian object and are kept on
+    it.
     """
     if not 1 <= n <= h.M:
         raise ValueError(f"level index n={n} outside 1..{h.M}")
@@ -264,12 +266,10 @@ def _balanced_form(h, seen):
 @dataclass(frozen=True)
 class _Setup:
     """The part of the solve of one Hamiltonian that does not depend on
-    the level n, computed once per Hamiltonian.
+    the level n, computed once per Hamiltonian and kept on it by
+    :func:`_setup`, as the chain keeps the entries that G sees (its
+    ``forward._cut``).
 
-    ``chain`` is the chain's :func:`~effham.forward._cut`, the entries
-    that G sees up to its first rho_k = 0, which the chain keeps for every
-    evaluation of G on it; here it serves the evaluations of D by
-    :func:`~effham.forward._slope_recurrence`.
     ``cuts`` are the real poles of G, ascending: the real eigenvalues of
     the tail of :func:`_balanced_form` from row M on.  ``scale`` is the
     form's largest entry (1 for a zero form) and ``outer`` = 2 (M + 2)
@@ -280,7 +280,6 @@ class _Setup:
     and ``levels`` are the form's real eigenvalues, ascending, for
     :func:`_dense_solve` (by :func:`_real_eigenvalues`)."""
 
-    chain: tuple
     cuts: tuple
     scale: float
     outer: float
@@ -297,62 +296,50 @@ class _Doorway:
     ``d`` are the eigenvalues of the block without the doorway row and
     column, ascending and distinct; ``terms`` the pairs (d_i, y_i^2), every
     y_i != 0; ``poles`` the poles of D, the d_i and the poles of G, none
-    shared, sorted.  ``branches[n - 1]`` lists the pole-free intervals
-    (p_lo, p_hi) of D, ascending, with n - 1 = #{d_i <= p_lo}: those that
-    hold a level of branch n."""
+    shared, sorted."""
 
     d: tuple
     terms: tuple
     poles: tuple
-    branches: tuple
-
-
-# (weak reference to the latest Hamiltonian solved, its _Setup, and the
-# eta0.hex() and (D, D') of the start of its latest secular solve, or
-# None, None); one tuple, replaced whole, so every thread reads a
-# consistent entry and a race between threads costs at most a
-# recomputation
-_latest = None
 
 
 def _setup(h):
     """The :class:`_Setup` of ``h``, with a :class:`_Doorway` when its
     block is symmetric, every rho_k >= 0 and :func:`_doorway` finds it
-    generic.  Computed once per Hamiltonian object and kept for the latest
-    one asked for, by identity and without keeping it alive; a failed
+    generic.  Computed once per Hamiltonian object and kept in its
+    ``__dict__``, as ``forward._cut`` keeps a chain's entries; a failed
     eigensolve keeps nothing."""
-    global _latest
-    latest = _latest
-    if latest is not None and latest[0]() is h:
-        return latest[1]
-    chain = _cut(h.chain)
-    form = _balanced_form(h, len(chain[2]))
-    block = h.p_block
-    hermitian = bool((h.chain.rho >= 0).all() and (block == block.T).all())
-    cuts = _real_eigenvalues(form[h.M:, h.M:], hermitian)
-    scale = float(abs(form).max()) or 1.0
-    door = _doorway(block, cuts) if hermitian else None
-    setup = _Setup(chain, cuts, scale, 2.0 * (h.M + 2) * scale, hermitian,
-                   door, None if door else _real_eigenvalues(form, hermitian))
-    _latest = weakref.ref(h), setup, None, None
+    setup = h.__dict__.get("_setup")
+    if setup is None:
+        form = _balanced_form(h, len(_cut(h.chain)[2]))
+        block = h.p_block
+        hermitian = bool((h.chain.rho >= 0).all()
+                         and (block == block.T).all())
+        cuts = _real_eigenvalues(form[h.M:, h.M:], hermitian)
+        scale = float(abs(form).max()) or 1.0
+        door = _doorway(block, cuts) if hermitian else None
+        setup = _Setup(cuts, scale, 2.0 * (h.M + 2) * scale, hermitian, door,
+                       None if door else _real_eigenvalues(form, hermitian))
+        h.__dict__["_setup"] = setup
     return setup
 
 
-def _start(h, setup, eta0, D):
-    """``D(eta0)``, the first evaluation of a secular solve of h from
-    eta0, with h's :class:`_Setup`.  Its (D, D') is kept in ``_latest`` in
-    place of the one before, and while h is the latest Hamiltonian solved
-    the next solve from the same eta0, bit for bit (0.0 and -0.0 are two
-    starts), passes it to ``D(eta0, kept)``, which records eta0 without
-    evaluating.  An evaluation that raises keeps nothing, so it raises
-    again each time."""
-    global _latest
-    latest, key = _latest, eta0.hex()
-    if latest is not None and latest[0]() is h and latest[2] == key:
-        return D(eta0, latest[3])
-    d0 = D(eta0)
-    _latest = weakref.ref(h), setup, key, d0
-    return d0
+def _step_off(f, x, setup):
+    """(y, f(y)) at y = x, or, where G's pivot breaks down at x deeper
+    than level 1, at the first y past x by :func:`_off_pivot`, which
+    evaluates x once more.  A breakdown at level 1, or a pole of G (of
+    ``setup.cuts``) within the step off, puts x on a pole of G: its
+    :class:`PoleProximity` propagates."""
+    try:
+        return x, f(x)
+    except PoleProximity as exc:
+        if exc.level == 1:
+            raise
+        y, fy = _off_pivot(f, x, 1.0, math.ulp(max(abs(x), setup.scale)))
+        i = bisect.bisect_left(setup.cuts, 2.0 * x - y)
+        if i < len(setup.cuts) and setup.cuts[i] <= y:
+            raise
+        return y, fy
 
 
 def _real_eigenvalues(m, symmetric):
@@ -381,24 +368,21 @@ def _doorway(block, cuts):
     weights = ((q.T @ block[:-1, -1]) ** 2).tolist()
     if 0.0 in weights or len(set(d)) < len(d) or not set(d).isdisjoint(cuts):
         return None
-    poles = tuple(sorted({*cuts, *d}))
-    ends = [-math.inf, *poles, math.inf]
-    branches = [[] for _ in range(len(block))]
-    for p_lo, p_hi in zip(ends, ends[1:]):
-        branches[bisect.bisect_right(d, p_lo)].append((p_lo, p_hi))
-    return _Doorway(d, tuple(zip(d, weights)), poles,
-                    tuple(map(tuple, branches)))
+    return _Doorway(d, tuple(zip(d, weights)), tuple(sorted({*cuts, *d})))
 
 
 def _secular_solve(h, setup, eta0, n, trace, r):
     """The level x of branch n that the rule of
     :func:`self_consistent_solve` selects, for a generic Hermitian doorway,
     from the Hamiltonian's :class:`_Setup`, to be finished on r_n between
-    the poles of G next to it.  The setup holds all it needs of the
-    Hamiltonian: the doorway's terms and intervals and the chain entries
-    that G sees, so each evaluation of D is one run of the recurrence of
-    :func:`~effham.forward._slope_recurrence` plus the M - 1 terms, and
-    D(eta0) is shared by the solves of h from eta0 (see :func:`_start`).
+    the poles of G next to it.  The setup holds the doorway's terms and
+    poles and the chain keeps the entries that G sees, so each
+    evaluation of D is one run of the recurrence of
+    :func:`~effham.forward._slope_recurrence` plus the M - 1 terms.  The
+    (D, D') of a start eta0 that did not raise is kept on h, in place of
+    the one before; the next solve of h from the same eta0, bit for bit
+    (0.0 and -0.0 are two starts), passes it to ``D(eta0, kept)``, which
+    records eta0 without evaluating.
 
     Let (d_i, q_i) be the eigenpairs of the block without the doorway row
     and column, y_i = q_i . (doorway column), and t the poles of G, the
@@ -421,12 +405,12 @@ def _secular_solve(h, setup, eta0, n, trace, r):
     within ulp(max(|E|, scale)).
     """
     door, scale, outer = setup.door, setup.scale, setup.outer
-    a0, rho0, steps = setup.chain
+    a0, rho0, steps = _cut(h.chain)
     known = {}  # energy -> (D, D') of every evaluation of D
 
     def D(x, kept=None):
         """(D, D') at x, recorded in ``trace``; ``kept`` is that of an
-        earlier solve, for :func:`_start`."""
+        earlier solve."""
         _record(trace, x)
         if kept is None:
             g, dg = _slope_recurrence(a0, rho0, steps, x)
@@ -439,15 +423,24 @@ def _secular_solve(h, setup, eta0, n, trace, r):
         return kept
 
     # the levels of branch n, ascending: [lo, hi, interval], the open
-    # bracket of the root of D in each pole-free interval with n - 1 d_i
-    # below it
+    # bracket of the root of D in each pole-free interval (p_lo, p_hi)
+    # with n - 1 d_i below it
+    ends = [-math.inf, *door.poles, math.inf]
     levels = [[max(p_lo, -outer), min(p_hi, outer), (p_lo, p_hi)]
-              for p_lo, p_hi in door.branches[n - 1]]
+              for p_lo, p_hi in zip(ends, ends[1:])
+              if bisect.bisect_right(door.d, p_lo) == n - 1]
     if eta0 in door.poles:
         # r_n gives the direction; on a pole of G it raises PoleProximity
-        ahead = 1.0 if r(eta0) >= 0 else -1.0
+        ahead = 1.0 if _step_off(r, eta0, setup)[1] >= 0 else -1.0
     else:
-        d0 = _start(h, setup, eta0, D)[0]
+        key, kept = eta0.hex(), h.__dict__.get("_start")
+        if kept is not None and kept[0] == key:
+            d0 = D(eta0, kept[1])[0]
+        else:
+            x, d = _step_off(D, eta0, setup)
+            if x == eta0:
+                h.__dict__["_start"] = key, d
+            eta0, d0 = x, d[0]
         # eigenvalues of H_eff(eta0) below eta0; a level of branch n at
         # eta0 itself is found ahead, at distance 0
         n_below = bisect.bisect_left(door.d, eta0) + (d0 < 0)
@@ -530,10 +523,9 @@ def _dense_solve(setup, eta0, n, trace, r, spectrum):
     Otherwise each level lam is evaluated and has branch m when the m-th
     eigenvalue of H_eff(lam) is the one nearest lam, and halfway stops
     halfway to the levels next to x, as every root of r_n is a level.  A
-    level on a pole of G is passed over: G's pivot breaks down at level 1
-    there, or at a deeper one that :func:`_off_pivot` steps off past the
-    pole.  A level where only a deeper pivot breaks down is stepped off."""
-    r0 = r(eta0)
+    level on a pole of G is passed over, and one where only a deeper pivot
+    breaks down is stepped off, by :func:`_step_off`, as is eta0."""
+    eta0, r0 = _step_off(r, eta0, setup)
     if r0 == 0.0:
         return eta0, None
     levels, outer = setup.levels, setup.outer
@@ -546,17 +538,9 @@ def _dense_solve(setup, eta0, n, trace, r, spectrum):
                 and j - bisect.bisect_left(setup.cuts, lam) != n - 1):
             continue
         try:
-            w = spectrum(lam)
-        except PoleProximity as exc:
-            if exc.level == 1:
-                continue
-            x, w = _off_pivot(spectrum, lam, 1.0,
-                              math.ulp(max(abs(lam), setup.scale)))
-            # lam is on a pole of G when one lies within the step off
-            i = bisect.bisect_left(setup.cuts, 2.0 * lam - x)
-            if i < len(setup.cuts) and setup.cuts[i] <= x:
-                continue
-            lam = x
+            lam, w = _step_off(spectrum, lam, setup)
+        except PoleProximity:
+            continue
         if setup.hermitian:
             return lam, (-outer, outer)
         if np.argmin(np.abs(w - lam)) == n - 1:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from effham import forward, spectral
 from effham.errors import NearSingularBlock, PoleProximity
-from effham.forward import (_g_slope, continued_fraction,
+from effham.forward import (_cut, _slope_recurrence, continued_fraction,
                             effective_hamiltonian, g_function,
                             g_function_dense_oracle, ufl_factorize)
 from effham.instances import random_chain, random_hamiltonian
@@ -123,7 +123,7 @@ class TestGFunction:
         chain = TridiagonalChain([1.5, 2.0, 3.0], [0.0, 0.0])
         for E in (-1.0, 0.0, 2.0, 2.5, 3.0):
             assert g_function(chain, E) == 1.5 - E
-            assert _g_slope(chain, E) == (1.5 - E, -1.0)
+            assert _slope_recurrence(*_cut(chain), E) == (1.5 - E, -1.0)
         np.testing.assert_array_equal(
             g_function(chain, np.array([2.0, 3.0])), [-0.5, -1.5])
 
@@ -135,10 +135,12 @@ class TestGFunction:
         cut = TridiagonalChain([1.0, 2.0], [0.5])
         for E in (-1.0, 0.5, 3.0, 4.0):
             assert _bits(g_function(chain, E)) == _bits(g_function(cut, E))
-            assert _g_slope(chain, E) == _g_slope(cut, E)
-        for fn in (g_function, _g_slope):
+            assert (_slope_recurrence(*_cut(chain), E)
+                    == _slope_recurrence(*_cut(cut), E))
+        for fn, args in ((g_function, (chain,)),
+                         (_slope_recurrence, _cut(chain))):
             with pytest.raises(PoleProximity) as exc:
-                fn(chain, 2.0)
+                fn(*args, 2.0)
             assert exc.value.level == 1
 
     def test_k0(self):
@@ -284,7 +286,7 @@ class TestCut:
         with pytest.raises(PoleProximity) as exc:
             g_function(chain, np.array([0.25, chain.a[-1]]))
         assert exc.value.level == chain.K
-        _g_slope(chain, 0.5)
+        _slope_recurrence(*_cut(chain), 0.5)
         effective_hamiltonian(h, 0.75)
         spectral._setup(h)
         assert scans == [chain.rho.tolist()]
@@ -323,7 +325,7 @@ class TestGSlope:
         for K in range(21):
             chain = random_chain(K, rng, sign)
             for E in rng.uniform(-8.0, 8.0, 10).tolist():
-                g, slope = _g_slope(chain, E)
+                g, slope = _slope_recurrence(*_cut(chain), E)
                 assert _bits(g) == _bits(g_function(chain, E))
                 ref = _g_complex(chain, complex(E, 1e-30)).imag / 1e-30
                 worst = max(worst, abs(slope - ref) / abs(ref))
@@ -342,7 +344,8 @@ class TestGSlope:
                 block = TridiagonalChain(chain.a[k:], chain.rho[k:])
                 for p in np.linalg.eigvals(block.to_dense()).real.tolist():
                     for E in (p, p * (1 + 1e-13), p * (1 + 1e-11)):
-                        got = _outcome(lambda: _g_slope(chain, E)[0])
+                        got = _outcome(lambda: _slope_recurrence(
+                            *_cut(chain), E)[0])
                         assert got == _outcome(g_function, chain, E)
                         raised += isinstance(got, tuple)
         assert raised >= 100

@@ -1,5 +1,6 @@
 import gc
 import logging
+import math
 import sys
 import weakref
 from collections import Counter
@@ -13,8 +14,8 @@ from hypothesis import strategies as st
 from effham import spectral
 from effham.errors import (DomainError, EigSolverFailure, NonConvergence,
                            PoleProximity)
-from effham.forward import (_g_slope, _slope_recurrence,
-                            effective_hamiltonian, g_function)
+from effham.forward import (_cut, _slope_recurrence, effective_hamiltonian,
+                            g_function)
 from effham.instances import random_hamiltonian, real_poles
 from effham.model import (PartitionedHamiltonian, TridiagonalChain,
                           assemble_dense)
@@ -564,6 +565,30 @@ class TestSecular:
         level = np.linalg.eigvalsh(_balanced_form(h))[j]
         assert abs(res.energy - level) <= 2e-12
 
+    def test_newton_steps_off_a_deeper_pivot(self, monkeypatch):
+        # the level 2.0 of branch 2 is the eigenvalue of the trailing
+        # block [a_2], where G's pivot breaks down at level 2 and D has no
+        # pole: Newton steps on D move off it, and the level comes back
+        # within the width of the breakdown (5.5e-12 measured), after 104
+        # evaluations of D and r_2 where a level off it takes about 10
+        h = PartitionedHamiltonian(np.array([[1.0, 2.0], [2.0, 2.0]]),
+                                   TridiagonalChain([-2.0, -2.0, 2.0],
+                                                    [1.0, 2.0]))
+        stepped = []
+        off_pivot = spectral._off_pivot
+
+        def spy(f, x, side, step):
+            stepped.append((f.__name__, x))
+            return off_pivot(f, x, side, step)
+        monkeypatch.setattr(spectral, "_off_pivot", spy)
+        res = self_consistent_solve(h, -2.0, 2)
+        assert spectral._setup(h).door is not None
+        assert ("D", 2.0) in stepped
+        level = np.linalg.eigvalsh(_balanced_form(h))[2]
+        assert level == pytest.approx(2.0, abs=1e-15)
+        assert abs(res.energy - level) <= 1e-11
+        assert res.iterations <= 120
+
     @pytest.mark.parametrize("M, K", [(1, 3), (3, 0)])
     def test_single_model_state_or_no_tail(self, M, K):
         h = random_hamiltonian(M, K, np.random.default_rng(11))
@@ -846,11 +871,12 @@ class TestDoorwayReuse:
 
     @pytest.mark.parametrize("order, starts", [
         ("in order", {-5.0: 1}), ("reverse", {-5.0: 1}),
-        ("two starts", {-5.0: 4, 0.0: 4}), ("other between", {-5.0: 4})])
+        ("two starts", {-5.0: 4, 0.0: 4}), ("other between", {-5.0: 1})])
     def test_start_once_per_eta0(self, monkeypatch, order, starts):
         # D(eta0) is evaluated once by the solves of h from one eta0 in a
-        # row, in any order of the levels; a solve from another eta0, or
-        # of another Hamiltonian, in between evaluates it again
+        # row, in any order of the levels and with other Hamiltonians
+        # solved in between; a solve of h from another eta0 in between
+        # evaluates it again
         h = random_hamiltonian(4, 8, np.random.default_rng(3))
         other = random_hamiltonian(4, 8, np.random.default_rng(5), "mixed")
         jobs = _level_orders(h, (-5.0, 0.0), other)[order]
@@ -874,17 +900,35 @@ class TestDoorwayReuse:
         assert energies.count(0.0) == 3
 
     def test_start_that_raises_is_not_kept(self, monkeypatch):
-        # at E = a_K the deepest pivot of G vanishes, off the poles of D:
-        # D(eta0) raises there, so each solve evaluates it and raises
+        # one float above a pole of G, off the poles of D as computed, the
+        # pivot of G vanishes at level 1: D(eta0) raises there, so each
+        # solve evaluates it and raises
         h = random_hamiltonian(4, 8, np.random.default_rng(3))
-        eta0 = float(h.chain.a[-1])
-        assert eta0 not in spectral._setup(h).door.poles
+        setup = spectral._setup(h)
+        eta0 = math.nextafter(setup.cuts[3], math.inf)
+        assert eta0 not in setup.door.poles
         energies = _spy_slope(monkeypatch)
         for n in (1, 2, 1):
             with pytest.raises(PoleProximity) as exc:
                 self_consistent_solve(h, eta0, n)
-            assert exc.value.level == h.K
+            assert exc.value.level == 1
         assert energies == [eta0] * 3
+
+    def test_setup_and_start_kept_per_hamiltonian(self, monkeypatch):
+        # levels 1..4 of two Hamiltonians, interleaved: each runs its
+        # setup once and evaluates D(eta0) once, and every result is
+        # the cold one
+        hs = [random_hamiltonian(4, 8, np.random.default_rng(s))
+              for s in (3, 6)]
+        jobs = [(h, n) for n in range(1, 5) for h in hs]
+        cold = [_outcome(_copy(h), -5.0, n) for h, n in jobs]
+        calls = _spy_eigensolvers(monkeypatch)
+        energies = _spy_slope(monkeypatch)
+        assert [_outcome(h, -5.0, n) for h, n in jobs] == cold
+        assert calls == {"eigh": 2, "eigvalsh": 2}
+        assert energies.count(-5.0) == 2
+        for (h, _), out in zip(jobs, cold):
+            _assert_dense_outcome(h, out)
 
     def test_non_hermitian_in_between(self):
         h = random_hamiltonian(4, 8, np.random.default_rng(4))
@@ -951,6 +995,17 @@ class TestDenseReuse:
         assert warm == cold
         # equal in value is not the same Hamiltonian
         assert _outcome(_copy(h), 0.0, 2) == cold[1]
+        assert calls == {"eigvals": 4}
+
+    def test_setup_once_per_hamiltonian_interleaved(self, monkeypatch):
+        # levels 1..4 of two Hamiltonians, interleaved: each runs its
+        # setup once
+        hs = [random_hamiltonian(4, 8, np.random.default_rng(s), "mixed")
+              for s in (5, 6)]
+        jobs = [(h, n) for n in range(1, 5) for h in hs]
+        cold = [_outcome(_copy(h), 0.0, n) for h, n in jobs]
+        calls = _spy_eigensolvers(monkeypatch, ("eigvals",))
+        assert [_outcome(h, 0.0, n) for h, n in jobs] == cold
         assert calls == {"eigvals": 4}
 
     @pytest.mark.parametrize("order", ["in order", "reverse", "two starts",
@@ -1129,9 +1184,9 @@ def _slope_outcome(fn, *args):
 
 
 class TestSetupChain:
-    """The chain entries that the setup keeps, cut at the first rho_k = 0,
-    give the recurrence of D bitwise the G and dG/dE of _g_slope, with the
-    same PoleProximity."""
+    """The entries that _cut keeps on a chain for the recurrence of D, cut
+    at the first rho_k = 0, give bitwise the G and dG/dE of the recurrence
+    over the whole chain, with the same PoleProximity."""
 
     @pytest.mark.parametrize("zero", [None, 0, "middle", "last", "-0.0"])
     def test_matches_g_slope(self, zero):
@@ -1147,9 +1202,8 @@ class TestSetupChain:
                        "-0.0": K // 2}[zero]
                 rho[cut] = -0.0 if zero == "-0.0" else 0.0
             chain = TridiagonalChain(h.chain.a, rho)
-            setup = spectral._setup(PartitionedHamiltonian(h.p_block, chain))
             # the recurrence runs from the cut down to level 1
-            assert [step[0] for step in setup.chain[2]] == list(
+            assert [step[0] for step in _cut(chain)[2]] == list(
                 range(cut, 0, -1))
             energies = rng.uniform(-8.0, 8.0, 20).tolist()
             # on and next to the eigenvalues of every trailing block,
@@ -1159,8 +1213,7 @@ class TestSetupChain:
                 for p in np.linalg.eigvals(block).real.tolist():
                     energies += [p, p * (1 + 1e-13), p * (1 + 1e-11)]
             for E in energies:
-                got = _slope_outcome(_slope_recurrence, *setup.chain, E)
-                assert got == _slope_outcome(_g_slope, chain, E)
+                got = _slope_outcome(_slope_recurrence, *_cut(chain), E)
                 assert got == _slope_outcome(_g_slope_reference, chain, E)
                 if isinstance(got, tuple):
                     raised[min(got[1], 2)] += 1
@@ -1208,6 +1261,39 @@ class TestScanEdges:
             self_consistent_solve(h, eta0=100.0, n=1)
         assert exc.value.reason == "no_sign_change"
         assert max(exc.value.trace) == 100.0
+
+    @pytest.mark.parametrize("block, rho, secular", [
+        ([[0.0]], [1.0, 1.0], True),
+        ([[0.0]], [-1.0, 1.0], False),
+        ([[1.0, 0.7], [0.2, 0.0]], [1.0, 1.0], False),
+    ], ids=["secular", "dense-rho", "dense-block"])
+    def test_start_on_a_deeper_pivot_breakdown(self, block, rho, secular):
+        # a = (0, 0, 0): G's pivot breaks down at 0 at level 2, but the
+        # poles of G are +-1 and G is continuous at 0.  The start steps
+        # off 0, and the trace still begins with it: each level is the one
+        # found from 1e-12
+        h = PartitionedHamiltonian(np.array(block),
+                                   TridiagonalChain([0.0, 0.0, 0.0], rho))
+        assert (spectral._setup(h).door is not None) == secular
+        with pytest.raises(PoleProximity) as exc:
+            g_function(h.chain, 0.0)
+        assert exc.value.level == 2
+        for n in range(1, h.M + 1):
+            res = self_consistent_solve(h, 0.0, n)
+            assert res.trace[0] == 0.0
+            near = self_consistent_solve(h, 1e-12, n)
+            assert abs(res.energy - near.energy) <= 1e-12
+
+    def test_start_on_a_pole_behind_a_deeper_pivot(self):
+        # G's pivot breaks down at -1 first at level 3, and a pole of G
+        # lies within the step off -1: the start raises
+        h = PartitionedHamiltonian(np.diag([-1.0, 0.5]), TridiagonalChain(
+            [0.5, -1.0, 0.3, -1.0], [0.7, 1.0, 1.0]))
+        assert abs(spectral._setup(h).cuts[1] + 1.0) <= 1e-15
+        for n in (1, 2):
+            with pytest.raises(PoleProximity) as exc:
+                self_consistent_solve(h, -1.0, n)
+            assert exc.value.level == 3
 
     def test_interval_narrower_than_two_offsets(self):
         # poles at +-7.5e-11, 1.5e-10 apart, narrower than two pole offsets
