@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from .model import PartitionedHamiltonian, TridiagonalChain
+from .model import PartitionedHamiltonian, TridiagonalChain, _chain_matrix
 
 __all__ = ["random_chain", "random_hamiltonian", "probe_window", "real_poles"]
 
@@ -34,9 +34,9 @@ def random_hamiltonian(M, K, rng, rho_sign="positive"):
 
 def probe_window(chain, pad=2.0):
     """An energy window comfortably containing the spectrum of the chain."""
-    w = np.linalg.eigvals(chain.to_dense())
-    lo = float(np.min(w.real - np.abs(w.imag))) - pad
-    hi = float(np.max(w.real + np.abs(w.imag))) + pad
+    w = np.linalg.eigvals(chain.to_dense()).tolist()
+    lo = min(x.real - abs(x.imag) for x in w) - pad
+    hi = max(x.real + abs(x.imag) for x in w) + pad
     return lo, hi
 
 
@@ -44,5 +44,5 @@ def real_poles(chain):
     """Real eigenvalues of the excluded-space block (the poles of G)."""
     if chain.K == 0:
         return np.zeros(0)
-    w = np.linalg.eigvals(chain.tail().to_dense())
+    w = np.linalg.eigvals(_chain_matrix(chain.a[1:], chain.rho[1:]))
     return np.sort(w.real[np.abs(w.imag) <= IMAG_TOL * (1 + np.abs(w))])

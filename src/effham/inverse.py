@@ -34,10 +34,12 @@ The K = 1 case admits the closed-form change of variables
 """
 
 import logging
+from bisect import bisect_left
 from dataclasses import dataclass
 from decimal import (MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal,
                      DivisionByZero, InvalidOperation, Overflow, getcontext,
                      localcontext)
+from math import isfinite
 
 import numpy as np
 
@@ -83,8 +85,8 @@ def choose_probe_energies(count, window, forbidden=(), margin=0.0):
     """``count`` distinct Chebyshev-node probe energies inside
     ``window = (lo, hi)``, each at distance >= ``margin`` from every
     forbidden value.  Deterministic given its inputs.  ``ValueError``
-    unless the window has positive width, ``count`` >= 1 and ``margin`` is
-    finite and >= 0.
+    unless the window has positive width, ``count`` >= 1, ``margin`` is
+    finite and >= 0 and no forbidden value is NaN.
 
     Probes as close as the margin allows to the forbidden values (the
     poles of G) carry the most information about the deep chain levels,
@@ -99,6 +101,8 @@ def choose_probe_energies(count, window, forbidden=(), margin=0.0):
     if not 0.0 <= margin < np.inf:
         raise ValueError(f"margin must be finite and >= 0, got {margin}")
     forbidden = np.sort(np.asarray(list(forbidden), dtype=float))
+    if len(forbidden) and np.isnan(forbidden[-1]):  # NaN sorts last
+        raise ValueError("forbidden values must not be NaN")
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     # dense enough that interior node spacing is below the margin
     m_start = max(count, int(np.ceil(4.0 * half / max(margin, half / 64.0))))
@@ -107,7 +111,12 @@ def choose_probe_energies(count, window, forbidden=(), margin=0.0):
         i = np.arange(m)
         nodes = np.sort(mid + half * np.cos((2 * i + 1) * np.pi / (2 * m)))
         if len(forbidden):
-            dist = np.min(np.abs(nodes[:, None] - forbidden[None, :]), axis=1)
+            # the smallest |x - f| over the sorted forbidden values is that
+            # of the nearest one below x or the nearest one at or above it:
+            # x - f rounds monotonically in f, and f - x is its negative
+            fence = np.concatenate(([-np.inf], forbidden, [np.inf]))
+            pos = np.searchsorted(forbidden, nodes)
+            dist = np.minimum(nodes - fence[pos], fence[pos + 1] - nodes)
             nodes = nodes[dist >= margin]
         if len(nodes) >= count:
             return _select_probes(nodes, forbidden, count)
@@ -117,22 +126,29 @@ def choose_probe_energies(count, window, forbidden=(), margin=0.0):
 
 
 def _select_probes(nodes, forbidden, count):
-    chosen = []
-    taken = np.zeros(len(nodes), dtype=bool)
-    for f in forbidden:
-        if len(chosen) >= count:
+    """``count`` of the sorted admissible ``nodes`` (an array), as a sorted
+    array: for each of the sorted ``forbidden`` values in turn, while
+    picks remain, the untaken node just below its insertion point
+    (``bisect_left``) and the one at it; then the rest spread evenly, by
+    rounded ``np.linspace`` positions, over the nodes left.  The brackets
+    are found on Python lists of floats, which a few dozen forbidden
+    values and a few hundred nodes make cheaper than numpy calls."""
+    xs = nodes.tolist()
+    taken = []  # indices into xs, in the order they are picked
+    for f in forbidden.tolist():
+        if len(taken) >= count:
             break
-        pos = np.searchsorted(nodes, f)
+        pos = bisect_left(xs, f)
         for idx in (pos - 1, pos):  # nearest admissible node on each side
-            if 0 <= idx < len(nodes) and not taken[idx] and len(chosen) < count:
-                taken[idx] = True
-                chosen.append(nodes[idx])
-    free = nodes[~taken]
+            if 0 <= idx < len(xs) and idx not in taken and len(taken) < count:
+                taken.append(idx)
+    chosen = [xs[i] for i in taken]
     need = count - len(chosen)
     if need > 0:
+        free = np.delete(nodes, taken)
         # need <= len(free), so the step is >= 1 and the picks are distinct
         picks = np.round(np.linspace(0, len(free) - 1, need)).astype(int)
-        chosen.extend(free[picks])
+        chosen.extend(free[picks].tolist())
     return np.sort(np.array(chosen))
 
 
@@ -146,14 +162,17 @@ def k1_invert(var):
 
 def _sample_arrays(samples):
     """Energies and values of the samples as float arrays (E, G).  Raises
-    :class:`SampleDegeneracy` for a duplicate energy, checked first since
-    two samples at one energy are one interpolation node short, or for a
-    non-finite entry."""
+    :class:`SampleDegeneracy` for a finite energy that repeats, checked
+    first since two samples at one energy are one interpolation node
+    short, or for a non-finite entry; two NaN or infinite energies are
+    non-finite, not repeated.  The arrays convert each entry as
+    ``np.array(..., dtype=float)`` does; the checks run on their lists."""
     E = np.array([s.energy for s in samples], dtype=float)
     G = np.array([s.g_value for s in samples], dtype=float)
-    if len(np.unique(E)) != len(E):
+    finite = [e for e in E.tolist() if isfinite(e)]
+    if len(set(finite)) < len(finite):
         raise SampleDegeneracy("duplicate probe energies")
-    if not (np.all(np.isfinite(E)) and np.all(np.isfinite(G))):
+    if len(finite) < len(E) or not all(map(isfinite, G.tolist())):
         raise SampleDegeneracy("non-finite sample values")
     return E, G
 
@@ -297,7 +316,7 @@ def _cascade(d0, d1, center, K, rho_tol):
             break
         rho_list.append(float(rho))
         cur, nxt = nxt, [r / -rho for r in rem]
-    if 0.0 in rho_list or not np.isfinite(a_list + rho_list).all():
+    if 0.0 in rho_list or not all(map(isfinite, a_list + rho_list)):
         raise MalformedPair("a chain entry over- or underflows float64")
     return TridiagonalChain(np.array(a_list), np.array(rho_list)), low, level
 
@@ -354,25 +373,29 @@ def _expand_extended(E, G, K):
 def reconstruct(samples, K, holdout=()):
     """End-to-end reconstruction: fit and expand in extended precision,
     then score against held-out samples via the continued-fraction G of
-    the recovered chain."""
-    hold_E = np.array([s.energy for s in holdout], dtype=float)
-    hold_G = np.array([s.g_value for s in holdout], dtype=float)
-    if not (np.all(np.isfinite(hold_E)) and np.all(np.isfinite(hold_G))):
-        raise SampleDegeneracy("non-finite holdout values")
+    the recovered chain.  A wrong sample count is a ``ValueError``,
+    checked before any sample or holdout value."""
     if len(samples) != 2 * K + 1:
         raise ValueError(f"need exactly {2 * K + 1} samples, got {len(samples)}")
+    hold_E = np.array([s.energy for s in holdout], dtype=float)
+    hold_G = np.array([s.g_value for s in holdout], dtype=float)
+    if not (np.isfinite(hold_E).all() and np.isfinite(hold_G).all()):
+        raise SampleDegeneracy("non-finite holdout values")
     chain = _expand_extended(*_sample_arrays(samples), K)
     residual = 0.0
     if len(hold_E):
         residual = float(np.max(np.abs(hold_G - g_function(chain, hold_E))))
     return ReconstructionReport(chain=chain,
                                 residual_max=residual,
-                                hermitizable=tuple(bool(r >= 0)
-                                                   for r in chain.rho))
+                                hermitizable=tuple(r >= 0 for r in
+                                                   chain.rho.tolist()))
 
 
 def samples_from_chain(chain, energies):
-    """Evaluate G at the given probe energies (forward direction helper)."""
-    E = np.asarray(energies, dtype=float)
-    return [GSample(e, g) for e, g in zip(E.tolist(),
-                                          g_function(chain, E).tolist())]
+    """Evaluate G at the given probe energies (forward direction helper):
+    one :func:`~effham.forward.g_function` call on the float form per
+    energy, in order.  By that function's contract each value is bitwise
+    the array form's entry, and the first :class:`PoleProximity` met is
+    the one the array form raises."""
+    return [GSample(e, g_function(chain, e))
+            for e in np.asarray(energies, dtype=float).tolist()]

@@ -55,6 +55,23 @@ def _vector(name, x):
     return v
 
 
+def _chain_matrix(a, rho):
+    """The dense matrix with diagonal ``a``, superdiagonal ``rho`` and unit
+    subdiagonal, filled in place through a flat view.  For two or more
+    rows every entry gets ``+ 0.0``, so a -0.0 in ``a`` or ``rho`` reads
+    +0.0, as in ``np.diag(a) + np.diag(rho, 1) + np.diag(ones, -1)``; a
+    1 x 1 matrix is ``[[a_0]]``, sign of zero kept."""
+    n = len(a)
+    m = np.zeros((n, n))
+    flat = m.reshape(-1)  # a view of m
+    flat[::n + 1] = a
+    if n > 1:
+        flat[1::n + 1] = rho
+        flat[n::n + 1] = 1.0
+        m += 0.0
+    return m
+
+
 @dataclass(frozen=True)
 class TridiagonalChain:
     """The reconstructable tail: diagonal ``a`` (K+1 entries) and
@@ -90,11 +107,7 @@ class TridiagonalChain:
 
     def to_dense(self):
         """Dense (K+1)x(K+1) matrix with unit subdiagonal."""
-        n = self.K + 1
-        m = np.diag(self.a)
-        if n > 1:
-            m += np.diag(self.rho, 1) + np.diag(np.ones(n - 1), -1)
-        return m
+        return _chain_matrix(self.a, self.rho)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import effham
 from effham import inverse
 from effham.errors import (ChainBreakdown, DomainError, InfeasibleSampling,
-                           MalformedPair, SampleDegeneracy)
+                           MalformedPair, PoleProximity, SampleDegeneracy)
 from effham.forward import g_function
 from effham.instances import probe_window, random_chain, real_poles
 from effham.inverse import (K1Variables, choose_probe_energies, k1_closed_form,
@@ -116,7 +116,79 @@ def _max_rel_err(got, ref):
     return float(np.max(np.abs(g - r) / np.maximum(np.abs(r), 1.0)))
 
 
+def _numpy_probes(count, window, forbidden, margin):
+    """``choose_probe_energies`` with the array form of ``_select_probes``
+    that it had before the selection moved to Python lists (one
+    ``np.searchsorted`` per forbidden value, a boolean ``taken`` mask,
+    numpy scalars): the reference of the list form, bit for bit."""
+    lo, hi = float(window[0]), float(window[1])
+    forbidden = np.sort(np.asarray(list(forbidden), dtype=float))
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    m = max(count, int(np.ceil(4.0 * half / max(margin, half / 64.0))))
+    for _ in range(8):
+        i = np.arange(m)
+        nodes = np.sort(mid + half * np.cos((2 * i + 1) * np.pi / (2 * m)))
+        if len(forbidden):
+            dist = np.min(np.abs(nodes[:, None] - forbidden[None, :]), axis=1)
+            nodes = nodes[dist >= margin]
+        if len(nodes) >= count:
+            break
+        m *= 2
+    else:
+        raise InfeasibleSampling("no room")
+    chosen = []
+    taken = np.zeros(len(nodes), dtype=bool)
+    for f in forbidden:
+        if len(chosen) >= count:
+            break
+        pos = np.searchsorted(nodes, f)
+        for idx in (pos - 1, pos):
+            if 0 <= idx < len(nodes) and not taken[idx] and len(chosen) < count:
+                taken[idx] = True
+                chosen.append(nodes[idx])
+    free = nodes[~taken]
+    need = count - len(chosen)
+    if need > 0:
+        picks = np.round(np.linspace(0, len(free) - 1, need)).astype(int)
+        chosen.extend(free[picks])
+    return np.sort(np.array(chosen))
+
+
+def _probe_outcome(fn, *args):
+    try:
+        return fn(*args).tobytes()
+    except InfeasibleSampling:
+        return "InfeasibleSampling"
+
+
 class TestProbeSelection:
+    @pytest.mark.parametrize("margin", [0.0, 0.05, 0.2])
+    @pytest.mark.parametrize("sign", ["positive", "mixed"])
+    def test_matches_array_form(self, sign, margin):
+        for K in range(1, 21):
+            chain = random_chain(K, np.random.default_rng(200 + K), sign)
+            args = (2 * K + 1, probe_window(chain, pad=0.5),
+                    real_poles(chain), margin)
+            assert (_probe_outcome(choose_probe_energies, *args)
+                    == _probe_outcome(_numpy_probes, *args))
+
+    @pytest.mark.parametrize("count", [3, 5, 40])
+    def test_forbidden_on_a_node(self, count):
+        # at margin 0 a node equal to a forbidden value stays admissible:
+        # the insertion point is that node, and brackets of neighbouring
+        # forbidden values meet on a taken node; at count 3 the second
+        # forbidden value of [nodes[50], nodes[100]] gets only the node
+        # below it
+        m = 256  # the grid of (-2, 2) at margin 0
+        i = np.arange(m)
+        nodes = np.sort(2.0 * np.cos((2 * i + 1) * np.pi / (2 * m)))
+        for forbidden in ([nodes[100], nodes[101]], [nodes[50], nodes[100]],
+                          [nodes[0]], [nodes[-1], -5.0, 5.0],
+                          [nodes[7], nodes[7]], [np.inf, nodes[3], -np.inf]):
+            args = (count, (-2.0, 2.0), forbidden, 0.0)
+            got = choose_probe_energies(*args)
+            assert got.tobytes() == _numpy_probes(*args).tobytes()
+
     def test_basic_contract(self):
         probes = choose_probe_energies(7, (-2.0, 2.0))
         assert len(probes) == 7
@@ -158,6 +230,11 @@ class TestProbeSelection:
         with pytest.raises(ValueError, match="margin must be finite"):
             choose_probe_energies(3, (-1.0, 1.0), [0.0], margin)
 
+    def test_nan_forbidden(self):
+        # a NaN is no pole: an input error, not infeasible sampling
+        with pytest.raises(ValueError, match="must not be NaN"):
+            choose_probe_energies(3, (-1.0, 1.0), [0.5, np.nan], 0.1)
+
     def test_more_poles_than_brackets(self):
         # two probes bracket the first pole; the others get none
         probes = choose_probe_energies(2, (-3.0, 3.0), [-1.0, 0.0, 1.0], 0.1)
@@ -181,6 +258,85 @@ class TestLinearize:
         bad = [GSample(0.0, np.inf), GSample(1.0, -2.0), GSample(3.0, -6.0)]
         with pytest.raises(SampleDegeneracy):
             reconstruct(bad, 1)
+
+    def test_two_nan_energies_are_non_finite(self):
+        # one NaN object twice, two distinct NaNs and two infinities: a
+        # non-finite energy is not a repeated node
+        nan = float("nan")
+        for bad in ([GSample(nan, 0.5), GSample(nan, 0.5), GSample(1.0, 0.5)],
+                    [GSample(float("nan"), 0.5), GSample(1.0, 0.5),
+                     GSample(float("nan"), 0.5)],
+                    [GSample(np.inf, 0.5), GSample(np.inf, 0.5),
+                     GSample(1.0, 0.5)]):
+            for call in (reconstruct, lambda x, _: k1_closed_form(x)):
+                with pytest.raises(SampleDegeneracy,
+                                   match="^non-finite sample values$"):
+                    call(bad, 1)
+
+    def test_duplicate_reported_before_non_finite(self):
+        nan = float("nan")
+        bad = [GSample(1.0, nan), GSample(nan, 0.5), GSample(1.0, 0.5)]
+        for call in (reconstruct, lambda x, _: k1_closed_form(x)):
+            with pytest.raises(SampleDegeneracy,
+                               match="^duplicate probe energies$"):
+                call(bad, 1)
+
+    def test_signed_zero_energies_repeat(self):
+        bad = [GSample(0.0, -1.5), GSample(-0.0, -1.5), GSample(3.0, -6.0)]
+        with pytest.raises(SampleDegeneracy, match="^duplicate"):
+            reconstruct(bad, 1)
+
+
+def _g_outcome(pairs):
+    """(E, G) pairs as float hex, or the level of the PoleProximity that
+    evaluating them raises."""
+    try:
+        return [(e.hex(), g.hex()) for e, g in pairs()]
+    except PoleProximity as exc:
+        return ("PoleProximity", exc.level)
+
+
+class TestSamplesFromChain:
+    """Each sample is a float call of ``g_function``; the values and the
+    first pole met are those of one call on the array of energies."""
+
+    @staticmethod
+    def _both(chain, energies):
+        E = np.asarray(energies, dtype=float)
+        got = _g_outcome(lambda: [(s.energy, s.g_value) for s in
+                                  samples_from_chain(chain, energies)])
+        ref = _g_outcome(lambda: zip(E.tolist(),
+                                     g_function(chain, E).tolist()))
+        return got, ref
+
+    @pytest.mark.parametrize("sign", ["positive", "mixed"])
+    def test_bitwise_array_form(self, sign):
+        for K in range(21):
+            rng = np.random.default_rng(300 + K)
+            chain = random_chain(K, rng, sign)
+            lo, hi = probe_window(chain, pad=0.5)
+            energies = np.concatenate([
+                choose_probe_energies(2 * K + 1, (lo, hi), real_poles(chain),
+                                      0.05),
+                rng.uniform(lo, hi, 8), [-0.0, 0.0, 1e300, -1e-300]])
+            got, ref = self._both(chain, energies)
+            assert got == ref and len(got) == 2 * K + 13
+
+    def test_types_and_list_input(self):
+        chain = TridiagonalChain([0.5, -1.0], [2.0])
+        samples = samples_from_chain(chain, [1, 2.5, np.float64(-3.0)])
+        assert [s.energy for s in samples] == [1.0, 2.5, -3.0]
+        assert all(type(s.energy) is float and type(s.g_value) is float
+                   for s in samples)
+
+    @pytest.mark.parametrize("energies, level", [
+        ((-1.0, 0.5, 2.0, 3.0), 2),   # E = a_2: the last level's pivot
+        ((0.0, (3 - 5 ** 0.5) / 2, 2.0), 1),   # a pole of G first
+        ((0.0, 2.0, (3 - 5 ** 0.5) / 2), 2)])  # the same two, swapped
+    def test_first_pole_in_energy_order(self, energies, level):
+        chain = TridiagonalChain([0.0, 1.0, 2.0], [1.0, 1.0])
+        got, ref = self._both(chain, energies)
+        assert got == ref == ("PoleProximity", level)
 
 
 class TestK1:
@@ -484,6 +640,20 @@ class TestReconstruct:
         good = GSample(0.5, -1.5)
         with pytest.raises(SampleDegeneracy):
             reconstruct(PAPER_SAMPLES, 1, holdout=[good, bad])
+
+    def test_sample_count_checked_before_holdout(self):
+        # a usage error comes before any domain error of the values
+        bad = [GSample(float("nan"), 1.0)]
+        with pytest.raises(ValueError, match="^need exactly 7 samples, got 1$"):
+            reconstruct([GSample(0.0, 1.0)], 3, bad)
+        with pytest.raises(SampleDegeneracy,
+                           match="^non-finite holdout values$"):
+            reconstruct(PAPER_SAMPLES, 1, bad)
+
+    def test_hermitizable_is_plain_bools(self):
+        rep = reconstruct(PAPER_SAMPLES, 1)
+        assert rep.hermitizable == (False,)
+        assert type(rep.hermitizable[0]) is bool
 
     @pytest.mark.parametrize("s", [1e-150, 1e-50, 1e-6, 1e10, 1e50, 1e100,
                                    1e150])

@@ -116,6 +116,35 @@ class TestAssemble:
         assert np.count_nonzero(outside[M:, :M - 1]) == 0
 
 
+def _diag_sum(a, rho):
+    """The dense chain as the sum of ``np.diag`` matrices, the reference
+    for the in-place fill of ``to_dense``."""
+    m = np.diag(np.asarray(a, dtype=float))
+    if len(a) > 1:
+        m += np.diag(rho, 1) + np.diag(np.ones(len(a) - 1), -1)
+    return m
+
+
+class TestToDense:
+    @pytest.mark.parametrize("a, rho", [
+        ([-0.0], []), ([0.0], []), ([2.5], []),
+        ([-0.0, 1.0], [-0.0]), ([1.0, -0.0], [0.0]), ([-0.0, -0.0], [3.0]),
+        ([-0.0, 2.0, -0.0], [-0.0, -1.5]),
+        ([1.0, -2.0, 3.0, -0.0], [4.0, -0.0, 6.0])])
+    def test_bitwise_diag_sum(self, a, rho):
+        got = TridiagonalChain(a, rho).to_dense()
+        ref = _diag_sum(a, rho)
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+    def test_bitwise_random(self):
+        rng = np.random.default_rng(11)
+        for K in range(8):
+            a = rng.choice([-0.0, 0.0, 1.0, -2.5], K + 1)
+            rho = rng.choice([-0.0, 0.0, 0.5, -3.0], K)
+            assert (TridiagonalChain(a, rho).to_dense().tobytes()
+                    == _diag_sum(a, rho).tobytes())
+
+
 class TestRefactorize:
     def test_symmetric(self):
         fc = refactorize(TridiagonalChain([0.0, 0.0], [4.0]), "symmetric")
