@@ -34,6 +34,7 @@ The K = 1 case admits the closed-form change of variables
 """
 
 import logging
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from decimal import (MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal,
@@ -84,15 +85,17 @@ class ReconstructionReport:
 def choose_probe_energies(count, window, forbidden=(), margin=0.0):
     """``count`` distinct Chebyshev-node probe energies inside
     ``window = (lo, hi)``, each at distance >= ``margin`` from every
-    forbidden value.  Deterministic given its inputs.  ``ValueError``
-    unless the window has positive width, ``count`` >= 1, ``margin`` is
-    finite and >= 0 and no forbidden value is NaN.
+    forbidden value.  Deterministic given its inputs.  A ``count`` that
+    is not an integer is a ``TypeError``; ``ValueError`` unless the window
+    has positive width, ``count`` >= 1, ``margin`` is finite and >= 0 and
+    no forbidden value is NaN.
 
     Probes as close as the margin allows to the forbidden values (the
     poles of G) carry the most information about the deep chain levels,
     so the selection brackets each interior forbidden value with its two
     nearest admissible nodes and spreads the rest evenly.
     """
+    count = operator.index(count)
     lo, hi = float(window[0]), float(window[1])
     if not hi > lo:
         raise ValueError("window must have positive width")
@@ -373,8 +376,10 @@ def _expand_extended(E, G, K):
 def reconstruct(samples, K, holdout=()):
     """End-to-end reconstruction: fit and expand in extended precision,
     then score against held-out samples via the continued-fraction G of
-    the recovered chain.  A wrong sample count is a ``ValueError``,
-    checked before any sample or holdout value."""
+    the recovered chain.  A ``K`` that is not an integer is a
+    ``TypeError`` and a wrong sample count a ``ValueError``, both checked
+    before any sample or holdout value."""
+    K = operator.index(K)
     if len(samples) != 2 * K + 1:
         raise ValueError(f"need exactly {2 * K + 1} samples, got {len(samples)}")
     hold_E = np.array([s.energy for s in holdout], dtype=float)

@@ -55,20 +55,32 @@ def _vector(name, x):
     return v
 
 
-def _chain_matrix(a, rho):
-    """The dense matrix with diagonal ``a``, superdiagonal ``rho`` and unit
-    subdiagonal, filled in place through a flat view.  For two or more
-    rows every entry gets ``+ 0.0``, so a -0.0 in ``a`` or ``rho`` reads
-    +0.0, as in ``np.diag(a) + np.diag(rho, 1) + np.diag(ones, -1)``; a
+def _chain_matrix(a, upper, lower=1.0):
+    """The dense matrix with diagonal ``a``, superdiagonal ``upper`` and
+    subdiagonal ``lower``, filled in place through a flat view.  For two or
+    more rows every entry gets ``+ 0.0``, so a -0.0 in ``a``, ``upper`` or
+    ``lower`` reads +0.0, as in the sum of three ``np.diag`` matrices; a
     1 x 1 matrix is ``[[a_0]]``, sign of zero kept."""
     n = len(a)
     m = np.zeros((n, n))
     flat = m.reshape(-1)  # a view of m
     flat[::n + 1] = a
     if n > 1:
-        flat[1::n + 1] = rho
-        flat[n::n + 1] = 1.0
+        flat[1::n + 1] = upper
+        flat[n::n + 1] = lower
         m += 0.0
+    return m
+
+
+def _doorway_matrix(block, a, upper, lower=1.0):
+    """The M x M ``block`` upper-left and the :func:`_chain_matrix` of
+    ``(a, upper, lower)`` lower-right, sharing the corner (M-1, M-1),
+    which holds a_0; zeros elsewhere.  The rest of the block keeps its
+    signs of zero."""
+    M = len(block)
+    m = np.zeros((M + len(a) - 1,) * 2)
+    m[:M, :M] = block
+    m[M - 1:, M - 1:] = _chain_matrix(a, upper, lower)
     return m
 
 
@@ -129,11 +141,8 @@ class FactoredChain:
         return len(self.a) - 1
 
     def to_dense(self):
-        n = self.K + 1
-        m = np.diag(self.a)
-        if n > 1:
-            m += np.diag(self.b, 1) + np.diag(self.c, -1)
-        return m
+        """Dense (K+1)x(K+1) matrix with superdiagonal b, subdiagonal c."""
+        return _chain_matrix(self.a, self.b, self.c)
 
 
 @dataclass(frozen=True)
@@ -191,16 +200,9 @@ class GSample:
 
 def assemble_dense(h):
     """The full N x N matrix: model block upper-left, rho_0 at (M, M+1),
-    unit subdiagonal and (a_k, rho_k) along the tail, zeros elsewhere."""
-    M, K, N = h.M, h.K, h.N
-    out = np.zeros((N, N))
-    out[:M, :M] = h.p_block
-    chain = h.chain
-    for k in range(K):
-        out[M - 1 + k, M + k] = chain.rho[k]
-        out[M + k, M - 1 + k] = 1.0
-        out[M + k, M + k] = chain.a[k + 1]
-    return out
+    unit subdiagonal and (a_k, rho_k) along the tail, zeros elsewhere; a
+    -0.0 in the chain reads +0.0, as in its ``to_dense``."""
+    return _doorway_matrix(h.p_block, h.chain.a, h.chain.rho)
 
 
 def refactorize(chain, style="unit_subdiagonal"):

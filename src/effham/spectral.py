@@ -30,6 +30,7 @@ final eigenvector check share it.
 import bisect
 import logging
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +38,7 @@ import numpy as np
 from .errors import EigSolverFailure, NonConvergence, PoleProximity
 from .forward import (_cut, _slope_recurrence, continued_fraction,
                       effective_hamiltonian)
-from .model import assemble_dense
+from .model import _doorway_matrix, assemble_dense
 
 __all__ = [
     "SelfConsistentResult",
@@ -81,21 +82,23 @@ def eigenvalues_dense(m):
     m = np.atleast_2d(np.asarray(m, dtype=float))
     if m.shape[0] != m.shape[1]:
         raise ValueError("matrix must be square")
-    return _sort_eig(m, _eig(m, vectors=False)[0])
+    return _sort_eig(m, _solve(np.linalg.eigvals, m))
 
 
-def _eig(m, vectors=True):
-    """(w, v): the eigenvalues of m, unsorted, with right eigenvectors as
-    columns when ``vectors`` (else None)."""
+def _solve(eigensolver, m):
+    """``eigensolver(m)`` for a ``numpy.linalg`` eigensolver, which the
+    caller looks up at the call, with its ``LinAlgError`` raised as
+    :class:`EigSolverFailure`: the one boundary between numpy's
+    eigensolvers and this package."""
     try:
-        return np.linalg.eig(m) if vectors else (np.linalg.eigvals(m), None)
+        return eigensolver(m)
     except np.linalg.LinAlgError as exc:
         raise EigSolverFailure(str(exc)) from exc
 
 
 def _sort_eig(m, w):
-    """The eigenvalues w of m, as :func:`_eig` gives them, collapsed and
-    ordered as by :func:`eigenvalues_dense`."""
+    """The eigenvalues w of m, unsorted as ``np.linalg.eig`` or ``eigvals``
+    gives them, collapsed and ordered as by :func:`eigenvalues_dense`."""
     # relative to the matrix alone: a zero matrix collapses exact zeros only
     scale = float(np.max(np.abs(m)))
     w = np.where(np.abs(w.imag) <= IMAG_COLLAPSE * scale, w.real, w)
@@ -141,11 +144,12 @@ def self_consistent_solve(h, eta0, n):
     H_eff (``reason`` "no_sign_change", "budget" or "residual"); the
     evaluated energies are attached as ``trace``.
     :class:`PoleProximity` propagates when eta0 itself sits on a pole of
-    G, within rounding.  A non-finite eta0 or an n outside 1..M is a
-    ``ValueError``.  The choice of path and the level-independent setup
-    (see :func:`_setup`) run once per Hamiltonian object and are kept on
-    it.
+    G, within rounding.  An n that is not an integer is a ``TypeError``;
+    a non-finite eta0 or an n outside 1..M is a ``ValueError``.  The
+    choice of path and the level-independent setup (see :func:`_setup`)
+    run once per Hamiltonian object and are kept on it.
     """
+    n = operator.index(n)
     if not 1 <= n <= h.M:
         raise ValueError(f"level index n={n} outside 1..{h.M}")
     if not math.isfinite(eta0):
@@ -154,12 +158,12 @@ def self_consistent_solve(h, eta0, n):
     trace, known = [], {}  # energy -> (H_eff, w, v) of its eigensolve
 
     def evaluate(x):
-        """H_eff(x) and its eigenpairs from :func:`_eig`, unsorted; each
-        energy is evaluated, and recorded in ``trace``, once."""
+        """H_eff(x) and its eigenpairs from ``np.linalg.eig``, unsorted;
+        each energy is evaluated, and recorded in ``trace``, once."""
         if x not in known:
             _record(trace, x)
             heff = effective_hamiltonian(h, x)
-            known[x] = (heff, *_eig(heff))
+            known[x] = (heff, *_solve(np.linalg.eig, heff))
         return known[x]
 
     def r(x):
@@ -208,8 +212,8 @@ def self_consistent_solve(h, eta0, n):
 
 def _level_check(heff, w, v, eta, n):
     """(vec, residual, scale) of a level eta of branch n, from H_eff(eta)
-    and its eigenpairs (w, v) by :func:`_eig`: vec is the n-th eigenvector
-    in the order of :func:`eigenvalues_dense`, real where
+    and its eigenpairs (w, v) by ``np.linalg.eig``: vec is the n-th
+    eigenvector in the order of :func:`eigenvalues_dense`, real where
     ``np.real_if_close`` makes it so, residual the 2-norm of
     (H_eff - eta) vec and scale max(1, max|H_eff|).  Only that column is
     looked up and one max|H_eff| serves both the collapse and scale, and
@@ -251,16 +255,10 @@ def _balanced_form(h, seen):
     :func:`~effham.model.assemble_dense` but has entries at the chain's
     own scale.  Its block from row M on has the poles of G as
     eigenvalues."""
-    M, chain = h.M, h.chain
-    rho, N = chain.rho[:seen], M + seen
+    rho = h.chain.rho[:seen]
     root = np.sqrt(np.abs(rho))
-    form = np.zeros((N, N))
-    form[:M, :M] = h.p_block
-    flat = form.reshape(-1)  # a view: entry (i, j) is flat[i N + j]
-    flat[M * (N + 1)::N + 1] = chain.a[1:seen + 1]
-    flat[(M - 1) * (N + 1) + 1::N + 1] = np.copysign(root, rho)
-    flat[M * (N + 1) - 1::N + 1] = root
-    return form
+    return _doorway_matrix(h.p_block, h.chain.a[:seen + 1],
+                           np.copysign(root, rho), root)
 
 
 @dataclass(frozen=True)
@@ -348,11 +346,8 @@ def _real_eigenvalues(m, symmetric):
     if not len(m):
         return ()
     if symmetric:
-        try:
-            return tuple(np.linalg.eigvalsh(m).tolist())
-        except np.linalg.LinAlgError as exc:
-            raise EigSolverFailure(str(exc)) from exc
-    w = _sort_eig(m, _eig(m, vectors=False)[0])
+        return tuple(_solve(np.linalg.eigvalsh, m).tolist())
+    w = eigenvalues_dense(m)
     return tuple(w[w.imag == 0].real.tolist())
 
 
@@ -360,10 +355,7 @@ def _doorway(block, cuts):
     """The :class:`_Doorway` of a symmetric block with the poles of G
     ``cuts``, or None when it is not generic: some y_i = 0, a repeated
     d_i, or a d_i on a pole of G."""
-    try:
-        d, q = np.linalg.eigh(block[:-1, :-1])
-    except np.linalg.LinAlgError as exc:
-        raise EigSolverFailure(str(exc)) from exc
+    d, q = _solve(np.linalg.eigh, block[:-1, :-1])
     d = tuple(d.tolist())
     weights = ((q.T @ block[:-1, -1]) ** 2).tolist()
     if 0.0 in weights or len(set(d)) < len(d) or not set(d).isdisjoint(cuts):

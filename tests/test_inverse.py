@@ -225,6 +225,17 @@ class TestProbeSelection:
         with pytest.raises(ValueError, match="count"):
             choose_probe_energies(0, (-1.0, 1.0))
 
+    @pytest.mark.parametrize("count", [3.0, 2.5, np.float64(3.0), "3"])
+    def test_non_integer_count(self, count):
+        with pytest.raises(TypeError):
+            choose_probe_energies(count, (-1.0, 1.0))
+
+    def test_numpy_integer_count(self):
+        want = choose_probe_energies(5, (-1.0, 1.0), [0.3], 0.05)
+        for count in (np.int64(5), np.uint8(5)):
+            got = choose_probe_energies(count, (-1.0, 1.0), [0.3], 0.05)
+            assert got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("margin", [np.nan, -1.0, np.inf])
     def test_bad_margin(self, margin):
         with pytest.raises(ValueError, match="margin must be finite"):
@@ -248,6 +259,18 @@ class TestLinearize:
     def test_wrong_count(self):
         with pytest.raises(ValueError):
             reconstruct(PAPER_SAMPLES, 2)
+
+    @pytest.mark.parametrize("K", [1.0, 1.5, np.float64(1.0), "1"])
+    def test_non_integer_K(self, K):
+        with pytest.raises(TypeError):
+            reconstruct(PAPER_SAMPLES, K)
+
+    def test_numpy_integer_K(self):
+        want = reconstruct(PAPER_SAMPLES, 1).chain
+        for K in (np.int64(1), np.uint8(1)):
+            got = reconstruct(PAPER_SAMPLES, K).chain
+            assert got.a.tobytes() == want.a.tobytes()
+            assert got.rho.tobytes() == want.rho.tobytes()
 
     def test_duplicate_energy(self):
         bad = [GSample(0.0, -1.5), GSample(0.0, -1.5), GSample(3.0, -6.0)]
@@ -649,6 +672,11 @@ class TestReconstruct:
         with pytest.raises(SampleDegeneracy,
                            match="^non-finite holdout values$"):
             reconstruct(PAPER_SAMPLES, 1, bad)
+
+    def test_non_integer_K_checked_first(self):
+        # a usage error comes before any domain error of the values
+        with pytest.raises(TypeError):
+            reconstruct([GSample(0.0, 1.0)], 1.0, [GSample(float("nan"), 1.0)])
 
     def test_hermitizable_is_plain_bools(self):
         rep = reconstruct(PAPER_SAMPLES, 1)

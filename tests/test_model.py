@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from effham.errors import NotSymmetrizable
+from effham.instances import random_hamiltonian
 from effham.model import (FactoredChain, GSample, PartitionedHamiltonian,
                           TridiagonalChain, assemble_dense, chain_from_dict,
                           chain_to_dict, hamiltonian_from_dict,
@@ -116,6 +117,49 @@ class TestAssemble:
         assert np.count_nonzero(outside[M:, :M - 1]) == 0
 
 
+def _loop_fill(h):
+    """The full matrix filled by a loop over k, the reference for the
+    shared doorway fill of ``assemble_dense``; the corner a_0 is the
+    block's."""
+    M, K, N = h.M, h.K, h.N
+    out = np.zeros((N, N))
+    out[:M, :M] = h.p_block
+    chain = h.chain
+    for k in range(K):
+        out[M - 1 + k, M + k] = chain.rho[k]
+        out[M + k, M - 1 + k] = 1.0
+        out[M + k, M + k] = chain.a[k + 1]
+    return out
+
+
+class TestAssembleFill:
+    @pytest.mark.parametrize("sign", ["positive", "mixed"])
+    def test_bitwise_loop_fill(self, sign):
+        # sweep H and the mixed sweep
+        for K in (4, 8, 16):
+            for s in range(20):
+                h = random_hamiltonian(4, K, np.random.default_rng(
+                    1000 * K + s), sign)
+                got, ref = assemble_dense(h), _loop_fill(h)
+                assert got.shape == ref.shape
+                assert got.tobytes() == ref.tobytes()
+
+    def test_signed_zeros(self):
+        # a -0.0 in the chain reads +0.0 from the corner on, as in the
+        # chain's to_dense; the block keeps its own
+        chain = TridiagonalChain([-0.0, -0.0, 2.0], [-0.0, 3.0])
+        h = PartitionedHamiltonian(np.array([[-0.0, 1.0], [1.0, 5.0]]), chain)
+        dense = assemble_dense(h)
+        np.testing.assert_array_equal(dense, _loop_fill(h))
+        assert np.signbit(dense[0, 0])
+        assert dense[1:, 1:].tobytes() == chain.to_dense().tobytes()
+        assert not np.signbit(dense[1:, 1:]).any()
+        # a K = 0 chain is its 1 x 1 matrix, sign kept
+        k0 = TridiagonalChain([-0.0], [])
+        assert np.signbit(assemble_dense(
+            PartitionedHamiltonian.from_chain(k0))).all()
+
+
 def _diag_sum(a, rho):
     """The dense chain as the sum of ``np.diag`` matrices, the reference
     for the in-place fill of ``to_dense``."""
@@ -143,6 +187,34 @@ class TestToDense:
             rho = rng.choice([-0.0, 0.0, 0.5, -3.0], K)
             assert (TridiagonalChain(a, rho).to_dense().tobytes()
                     == _diag_sum(a, rho).tobytes())
+
+
+def _factored_diag_sum(a, b, c):
+    """The dense factored chain as the sum of ``np.diag`` matrices, the
+    reference for the shared fill of ``FactoredChain.to_dense``."""
+    m = np.diag(np.asarray(a, dtype=float))
+    if len(a) > 1:
+        m += np.diag(b, 1) + np.diag(c, -1)
+    return m
+
+
+class TestFactoredToDense:
+    @pytest.mark.parametrize("a, b, c", [
+        ([-0.0], [], []), ([2.5], [], []),
+        ([-0.0, 1.0], [-0.0], [-0.0]), ([1.0, -0.0], [0.0], [2.0]),
+        ([-0.0, 2.0, -0.0], [-0.0, -1.5], [0.5, -0.0])])
+    def test_bitwise_diag_sum(self, a, b, c):
+        got = FactoredChain(a, b, c).to_dense()
+        ref = _factored_diag_sum(a, b, c)
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+    def test_bitwise_random(self):
+        rng = np.random.default_rng(12)
+        for K in range(8):
+            a = rng.choice([-0.0, 0.0, 1.0, -2.5], K + 1)
+            b, c = rng.choice([-0.0, 0.0, 0.5, -3.0], (2, K))
+            assert (FactoredChain(a, b, c).to_dense().tobytes()
+                    == _factored_diag_sum(a, b, c).tobytes())
 
 
 class TestRefactorize:

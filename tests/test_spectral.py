@@ -102,9 +102,27 @@ class TestSelfConsistent:
         res = self_consistent_solve(h, eta0=0.0, n=1)
         assert res.energy == pytest.approx(4.0, abs=1e-12)
 
-    def test_bad_level_index(self, m2_hamiltonian):
-        with pytest.raises(ValueError):
-            self_consistent_solve(m2_hamiltonian, 0.0, n=3)
+    @pytest.mark.parametrize("n, error", [
+        (3, ValueError), (0, ValueError), (1.5, TypeError), (2.0, TypeError),
+        (np.float64(1.0), TypeError), ("1", TypeError)])
+    def test_bad_level_index(self, m2_hamiltonian, n, error):
+        with pytest.raises(error):
+            self_consistent_solve(m2_hamiltonian, 0.0, n=n)
+
+    @pytest.mark.parametrize("n", [1.0, 1.5])
+    def test_level_index_checked_before_setup(self, m2_hamiltonian, n):
+        # a usage error, raised before the setup of the Hamiltonian
+        with pytest.raises(TypeError):
+            self_consistent_solve(m2_hamiltonian, 0.0, n)
+        assert "_setup" not in m2_hamiltonian.__dict__
+
+    @pytest.mark.parametrize("n", [np.int64(2), np.uint8(1), True])
+    def test_integer_level_index(self, m2_hamiltonian, n):
+        # any integer type is a level index, returned as a plain int
+        res = self_consistent_solve(m2_hamiltonian, 0.0, n)
+        assert type(res.level_index) is int and res.level_index == n
+        assert _outcome(m2_hamiltonian, 0.0, n) == _outcome(
+            m2_hamiltonian, 0.0, int(n))
 
     @pytest.mark.parametrize("eta0", [np.nan, np.inf, -np.inf])
     def test_non_finite_start_rejected(self, m2_hamiltonian, monkeypatch,
@@ -613,11 +631,20 @@ class TestSecular:
         assert r_lo >= 0 >= r_hi and 0 < hi - lo <= np.spacing(1.0)
         assert spectral._polish(r, 0.0, 1.0, (-1.0, 0.25)) is None
 
-    def test_eigh_failure(self, monkeypatch):
-        monkeypatch.setattr(np.linalg, "eigh", _no_eig)
+    @pytest.mark.parametrize("name", ["eigh", "eigvalsh", "eig"])
+    def test_eigh_failure(self, monkeypatch, name):
+        # eigvalsh (the poles of G) and eigh (the doorway) fail in the
+        # setup, which keeps nothing on h; eig fails at the first H_eff,
+        # after the setup and D(eta0) are kept, and what is kept changes
+        # no bit of the next solve
+        h = random_hamiltonian(2, 2, np.random.default_rng(1))
+        monkeypatch.setattr(np.linalg, name, _no_eig)
         with pytest.raises(EigSolverFailure, match="no convergence"):
-            self_consistent_solve(random_hamiltonian(
-                2, 2, np.random.default_rng(1)), 0.0, 1)
+            self_consistent_solve(h, 0.0, 1)
+        kept = set(h.__dict__) - {"p_block", "chain"}
+        assert kept == ({"_setup", "_start"} if name == "eig" else set())
+        monkeypatch.undo()
+        assert _outcome(h, 0.0, 1) == _outcome(_copy(h), 0.0, 1)
 
     def test_debug_line(self, caplog):
         h = PartitionedHamiltonian.from_chain(TridiagonalChain([0.0, 2.0],
@@ -1157,6 +1184,49 @@ class TestLevelCheck:
         assert residual == pytest.approx(1e-12, rel=1e-3)
 
 
+def _flat_balanced_form(h, seen):
+    """The balanced form by a flat-view fill of its own, the reference for
+    the shared fill of spectral._balanced_form; the corner a_0 is the
+    block's."""
+    M, chain = h.M, h.chain
+    rho, N = chain.rho[:seen], M + seen
+    root = np.sqrt(np.abs(rho))
+    form = np.zeros((N, N))
+    form[:M, :M] = h.p_block
+    flat = form.reshape(-1)  # a view: entry (i, j) is flat[i N + j]
+    flat[M * (N + 1)::N + 1] = chain.a[1:seen + 1]
+    flat[(M - 1) * (N + 1) + 1::N + 1] = np.copysign(root, rho)
+    flat[M * (N + 1) - 1::N + 1] = root
+    return form
+
+
+class TestBalancedForm:
+    """The balanced form is the doorway fill of the model module in the
+    balanced gauge, bit for bit the flat-view fill, signs of zero aside."""
+
+    @pytest.mark.parametrize("sign", ["positive", "mixed", "nonsymmetric"])
+    def test_bitwise_flat_fill(self, sign):
+        for h in _sweep(sign):
+            for seen in range(h.K + 1):
+                got = spectral._balanced_form(h, seen)
+                ref = _flat_balanced_form(h, seen)
+                assert got.shape == ref.shape
+                assert got.tobytes() == ref.tobytes()
+
+    def test_signed_zeros(self):
+        # a -0.0 in the chain reads +0.0 from the corner on, as in the
+        # chain's to_dense; the block keeps its own
+        h = PartitionedHamiltonian(np.array([[-0.0, 0.5], [0.5, 1.0]]),
+                                   TridiagonalChain([-0.0] * 3, [1.0, -4.0]))
+        form = spectral._balanced_form(h, 2)
+        np.testing.assert_array_equal(form, _flat_balanced_form(h, 2))
+        assert np.signbit(form[0, 0])
+        assert not np.signbit(np.diag(form)[1:]).any()
+        assert np.signbit(np.diag(_flat_balanced_form(h, 2))[1:]).all()
+        # no rho_k before the cut, so the form is the block, sign kept
+        assert np.signbit(np.diag(spectral._balanced_form(h, 0))).all()
+
+
 def _g_slope_reference(chain, E):
     """(G, dG/dE) by the recurrence over the stored arrays of the whole
     chain, from its first rho_k = 0, with the pivot rule of g_function."""
@@ -1252,9 +1322,9 @@ class TestScanEdges:
         assert res.energy == pytest.approx(ROOT3, abs=1e-12)
 
     def test_start_beyond_the_bound(self):
-        # levels +-i, so no scan finds a sign change; the scan back up from
-        # eta0 = 100 starts past the bound 1 + ||H||_inf = 2 and has no
-        # interval to visit
+        # levels +-i: the dense path has no real level to visit, so branch
+        # 1 has none.  eta0 = 100, far beyond every level, is the one
+        # energy evaluated
         h = PartitionedHamiltonian.from_chain(
             TridiagonalChain([0.0, 0.0], [-1.0]))
         with pytest.raises(NonConvergence) as exc:
@@ -1296,10 +1366,10 @@ class TestScanEdges:
             assert exc.value.level == 3
 
     def test_interval_narrower_than_two_offsets(self):
-        # poles at +-7.5e-11, 1.5e-10 apart, narrower than two pole offsets
-        # of 1e-10.  Hermitian, so no scan: the first level above eta0,
-        # 1.3e-13 below the lower pole, is the one returned (a scan
-        # skipped it and the next one and returned 0.7)
+        # poles of G at +-7.5e-11, 1.5e-10 apart, and a level 1.3e-13
+        # below the lower one.  Hermitian with M = 1, so the secular path:
+        # the rule takes the first level above eta0, and Newton steps on
+        # D, in the bracket from eta0 to that pole, find it
         h = PartitionedHamiltonian.from_chain(
             TridiagonalChain([0.7, 7.5e-11, -7.5e-11], [1e-10, 1e-24]))
         levels = np.linalg.eigvalsh(_balanced_form(h))
@@ -1311,8 +1381,9 @@ class TestScanEdges:
     def test_near_end_past_a_light_pole(self):
         # rho_1 = 1e-22 gives the pole near 0 a weight of 1e-22, and the
         # rest of G vanishes there, so a level sits about 7.07e-12 to each
-        # side of it, inside the pole offset of a scan; the first level
-        # above eta0 is the one below the pole (a scan returned 2.0)
+        # side of it.  Hermitian with M = 1, so the secular path: the rule
+        # takes the first level above eta0, the one just below the pole,
+        # not the one just above it or the level near 2
         h = PartitionedHamiltonian.from_chain(
             TridiagonalChain([1.0, 1.0, 0.0], [1.0, 1e-22]))
         levels = np.linalg.eigvalsh(_balanced_form(h))
@@ -1329,21 +1400,26 @@ class TestScanEdges:
         res = self_consistent_solve(h, eta0=1.2e-10, n=1)
         _assert_dense_level(h, res)
 
-    def test_interior_sample_on_a_pole_is_skipped(self, monkeypatch,
-                                                  paper_hamiltonian):
-        # from eta0 = 3 the first level looked up is sqrt(3), below the
-        # pole at 2; the first evaluation in (0, sqrt(3)) is made to sit
-        # on a pole of a deeper level of the chain
+    def test_polish_step_on_a_deeper_pivot_moves_on(self, monkeypatch,
+                                                    paper_hamiltonian):
+        # rho_0 < 0, so the dense path: from eta0 = 3 the level of the
+        # rule is sqrt(3), below the pole of G at 2.  The first evaluation
+        # in (0, sqrt(3)) is the first step of the finish on r_n below the
+        # level, made to sit on a pole of a deeper level of the chain;
+        # _off_pivot moves that end one step further
         hits = _pole_once(monkeypatch, lambda x: 0.0 < x < ROOT3)
         res = self_consistent_solve(paper_hamiltonian, eta0=3.0, n=1)
         assert len(hits) == 1
         _assert_dense_level(paper_hamiltonian, res)
         assert res.energy == pytest.approx(ROOT3, abs=1e-12)
 
-    def test_regula_falsi_step_on_a_pole_bisects(self, monkeypatch,
-                                                 paper_hamiltonian):
-        # from eta0 = -1 the first evaluation in (-4, -1) other than -2.5
-        # is made to sit on a pole of a deeper level of the chain
+    def test_level_on_a_deeper_pivot_is_stepped_off(self, monkeypatch,
+                                                    paper_hamiltonian):
+        # rho_0 < 0, so the dense path: from eta0 = -1 the level of the
+        # rule is -sqrt(3).  The first evaluation in (-4, -1) other than
+        # -2.5, which no solve evaluates, is H_eff at that level, made to
+        # sit on a pole of a deeper level of the chain; _step_off
+        # evaluates the level once more and keeps it
         hits = _pole_once(monkeypatch,
                           lambda x: -4.0 < x < -1.0 and x != -2.5)
         res = self_consistent_solve(paper_hamiltonian, eta0=-1.0, n=1)
