@@ -19,10 +19,11 @@ class PoleProximity(DomainError):
     top of) an eigenvalue of a trailing block of the excluded-space matrix.
 
     ``level`` is the recursion index k at which the pivot broke down: E is
-    an eigenvalue of the block from level k on.  For G, which sees the
-    chain up to its first rho_k = 0, that block ends there, and level 1
-    means a pole of G; a pole of G that a deeper block shares breaks down
-    at that block's level first.
+    an eigenvalue of the block from level k on.  ``continued_fraction``
+    tests every level.  G, which sees the chain up to its first rho_k = 0,
+    tests only level 1, a pole of G, and runs through a deeper pivot that
+    vanishes, so from G, H_eff and the self-consistent solve the level is
+    always 1.
     """
 
     def __init__(self, level, detail=""):

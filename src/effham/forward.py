@@ -24,8 +24,17 @@ kept in the chain's ``__dict__``: every later evaluation of G, H_eff or
 D on that chain reads them without scanning it again.  All start the
 recursion at the first rho_k = 0, if any: f_k is then 1 / (a_k - E)
 whatever lies deeper, so G sees nothing past it.
+
+G breaks down only at its own poles.  :func:`continued_fraction` tests
+every pivot, since each is a factor of the UFL factorization, but G and
+its slope test only level 1: a deeper pivot vanishes at an eigenvalue of
+a trailing block, where G is analytic, so they run through it, with a
+pivot within ``PIVMIN`` of its level's scale moved off zero, as in
+LAPACK's bisection (``dstebz``, ``dlaneg``; Kahan 1966; Demmel, Dhillon
+& Ren 1995).
 """
 
+import math
 import sys
 from dataclasses import dataclass
 
@@ -45,6 +54,8 @@ __all__ = [
 ]
 
 PIVOT_TOL = 1e-12  # relative to the local scale of each pivot
+# of min(|a_k|, sqrt|rho_{k-1}|): a deeper pivot of G within it moves
+PIVMIN = 1e-32
 ORACLE_COND_LIMIT = 1e12  # of E - QHQ in the dense oracle
 _TINY = sys.float_info.min
 
@@ -121,49 +132,56 @@ def g_function(chain, E):
 
     ``E`` is a single energy (returns a float) or an array of energies
     (returns an array of the same shape).  One loop over the steps of the
-    chain's :func:`_cut` serves both: Python's ``abs``, ``-``, ``*`` and
-    ``/`` do the same float64 operations on a float and, elementwise, on
-    an array, so each entry of an array result is bitwise the float result
-    at that energy.  For a K = 0 chain, or rho_0 = 0, this is just
-    a_0 - E.
+    chain's :func:`_cut` serves both: Python's ``abs``, ``-``, ``*``,
+    ``<=`` and ``/`` do the same float64 operations on a float and,
+    elementwise, on an array, so each entry of an array result is bitwise
+    the float result at that energy.  For a K = 0 chain, or rho_0 = 0,
+    this is just a_0 - E.
 
     The recursion starts at the first rho_k = 0, so G is that of the
     chain cut there, bit for bit, and the levels past the cut are no
-    poles.  Raises :class:`PoleProximity` under the pivot rule of
-    :func:`continued_fraction` on that cut chain; level 1 is a pole of G.
-    For an array, the error is the one a loop of float calls over the
-    energies in order would raise first: once a pivot vanishes, the
-    energies are replayed in order through the float form.  A non-finite
-    energy is not a pole; it propagates NaN or infinity.
+    poles.  Only level 1 is tested, by the pivot rule of
+    :func:`continued_fraction`: its breakdown is a pole of G and raises
+    :class:`PoleProximity` (level 1), for an array when any energy's
+    does, as a loop of float calls would.  A deeper pivot p_k vanishes at
+    an eigenvalue of a trailing block, where G is analytic, so it is not
+    tested.  Where |p_k| <= ``PIVMIN`` min(|a_k|, sqrt|rho_{k-1}|), 0
+    included, it is moved up by 2 ``PIVMIN`` sqrt|rho_{k-1}|, as LAPACK's
+    Sturm counts (``dlaneg``) move a pivot off zero, and the recursion
+    goes on through it: G there is that of the chain with a_k moved by at
+    most 3e-32 of its coupling to level k - 1.  Only a pivot that fails
+    the pivot rule moves, so wherever the rule passes every level, G is
+    that of the plain recurrence.  A non-finite energy is not a pole; it
+    propagates NaN or infinity.
     """
     if type(E) is not float:
         E = np.asarray(E, dtype=float)
         if not E.ndim:
             E = float(E)
     a0, rho0, steps = _cut(chain)
-    absE = abs(E)
     f = 0.0  # f_{k+1}; f_{K+1} = 0
-    for k, ak, abs_ak, r in steps:
+    for ak, r, small, lift in steps:  # k = seen, ..., 1
         coupling = r * f
         pivot = ak - E - coupling
-        bad = abs(pivot) < PIVOT_TOL * (abs_ak + absE + abs(coupling) + _TINY)
-        if bad is not False:  # a float E gives a bool, an array an array
-            if bad is True:
-                raise PoleProximity(k)
-            if bad.any():
-                for e in E.ravel().tolist():
-                    g_function(chain, e)
-        f = 1.0 / pivot
+        f = 1.0 / (pivot + (abs(pivot) <= small) * lift)
+    if steps:  # level 1, which moves only where the rule fires
+        bad = abs(pivot) < PIVOT_TOL * (abs(ak) + abs(E) + abs(coupling)
+                                        + _TINY)
+        # a float E gives a bool, an array an array
+        if bad is True or bad is not False and bad.any():
+            raise PoleProximity(1)
     return a0 - E - rho0 * f
 
 
 def _cut(chain):
     """(a_0, rho_0, steps): the entries of ``chain`` that G sees, for
     :func:`g_function` and :func:`_slope_recurrence`.  ``steps`` are the
-    tuples (k, a_k, |a_k|, rho_k) for k from ``seen`` down to 1, where
+    tuples (a_k, rho_k, ``PIVMIN`` min(|a_k|, sqrt|rho_{k-1}|),
+    2 ``PIVMIN`` sqrt|rho_{k-1}|) for k from ``seen`` down to 1, where
     rho_seen is the first rho_k = 0, else 0 past the end of the chain (as
     is rho_0 of a K = 0 chain): what the recurrence reads of the chain, in
-    its order.
+    its order, with the bound below which a pivot moves and its move,
+    positive since rho_{k-1} != 0.
 
     They are computed once per chain object, in one scan, and kept in its
     ``__dict__`` as ``functools.cached_property`` keeps a value: a chain
@@ -176,8 +194,12 @@ def _cut(chain):
         a, rho = chain.a.tolist(), chain.rho.tolist()
         seen = _seen(rho)
         rho = rho[:seen + 1] if seen < len(rho) else rho + [0.0]
-        cut = a[0], rho[0], tuple((k, a[k], abs(a[k]), rho[k])
-                                  for k in range(seen, 0, -1))
+        steps = []
+        for k in range(seen, 0, -1):
+            edge = PIVMIN * math.sqrt(abs(rho[k - 1]))
+            steps.append((a[k], rho[k], min(PIVMIN * abs(a[k]), edge),
+                          2.0 * edge))
+        cut = a[0], rho[0], tuple(steps)
         chain.__dict__["_cut"] = cut
     return cut
 
@@ -189,19 +211,30 @@ def _slope_recurrence(a0, rho0, steps, E):
 
         f_k' = f_k^2 (1 + rho_k f_{k+1}'),   G' = -1 - rho_0 f_1'.
 
-    It makes the float operations of :func:`g_function`, in its order and
-    from the first rho_k = 0, so G is bitwise that of :func:`g_function`
-    and the pivot rule is the same: :class:`PoleProximity` fires at the
-    same energies and levels."""
-    absE = abs(E)
+    It computes the values of :func:`g_function`, in its order and from
+    the first rho_k = 0, so G is bitwise that of :func:`g_function` and
+    the pivot rule is the same: :class:`PoleProximity` fires at the same
+    energies, at level 1.
+
+    Through a pivot moved to p, between e and 3 e with
+    e = 1e-32 sqrt|rho_{k-1}|, f_k^2 is about 1 / p^2 and f_{k-1}^2 about
+    p^2 / rho_{k-1}^2, whose product in f_{k-1}' is finite in the limit.
+    Both squares are normal floats, and G' is within rounding of its
+    limit, for sqrt|rho_{k-1}| from about 1e-122 to 1e122, which holds
+    the range the package is tested over, 1e-100 to 1e100.  Below it the
+    slope there overflows; above it f_{k-1}^2 is subnormal and the slope
+    loses digits."""
     f = df = 0.0  # f_{k+1} and its slope; f_{K+1} = 0
-    for k, ak, abs_ak, r in steps:
+    for ak, r, small, lift in steps:  # k = seen, ..., 1
         coupling = r * f
         pivot = ak - E - coupling
-        if abs(pivot) < PIVOT_TOL * (abs_ak + absE + abs(coupling) + _TINY):
-            raise PoleProximity(k)
-        f = 1.0 / pivot
+        size = abs(pivot)
+        # g_function adds 0.0 to an unmoved pivot, which is never -0.0
+        f = 1.0 / (pivot + lift if size <= small else pivot)
         df = f * f * (1.0 + r * df)
+    if steps and size < PIVOT_TOL * (abs(ak) + abs(E) + abs(coupling)
+                                     + _TINY):
+        raise PoleProximity(1)
     return a0 - E - rho0 * f, -1.0 - rho0 * df
 
 

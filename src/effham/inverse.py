@@ -377,9 +377,11 @@ def reconstruct(samples, K, holdout=()):
     """End-to-end reconstruction: fit and expand in extended precision,
     then score against held-out samples via the continued-fraction G of
     the recovered chain.  A ``K`` that is not an integer is a
-    ``TypeError`` and a wrong sample count a ``ValueError``, both checked
-    before any sample or holdout value."""
+    ``TypeError``, and a negative K or a wrong sample count a
+    ``ValueError``, all checked before any sample or holdout value."""
     K = operator.index(K)
+    if K < 0:
+        raise ValueError(f"K must be at least 0, got {K}")
     if len(samples) != 2 * K + 1:
         raise ValueError(f"need exactly {2 * K + 1} samples, got {len(samples)}")
     hold_E = np.array([s.energy for s in holdout], dtype=float)

@@ -24,7 +24,10 @@ frozen chain, so what is kept cannot go stale.  On the secular path D at
 the start eta0 of a solve is kept there too, for the latest eta0: the
 solves of levels 1..M from one eta0 share it.  Within one solve H_eff is
 evaluated and eigensolved once per energy: r_n, the branch test and the
-final eigenvector check share it.
+final eigenvector check share it.  G, and so H_eff and D, break down only
+within rounding of a pole of G (``forward.g_function`` runs through a
+deeper pivot that vanishes), so each :class:`PoleProximity` met marks a
+pole of G: the finish steps past it, and a start on it raises.
 """
 
 import bisect
@@ -116,7 +119,8 @@ def self_consistent_solve(h, eta0, n):
     G, where H_eff is undefined, is none.
     (eta0, n) selects the first one met going from eta0 in the direction
     of sign r_n(eta0), where r_n pushes eta, else the first one met in the
-    opposite direction; eta0 itself when r_n(eta0) = 0.  It is finished on
+    opposite direction; eta0 itself when r_n(eta0) = 0 (on the dense path,
+    when it rounds to 0: see :func:`_dense_solve`).  It is finished on
     r_n between the poles of G next to it by :func:`_polish`, and the end
     of that bracket with the smaller |r_n| is the energy.  For a generic
     Hermitian doorway (a symmetric block, every rho_k >= 0, and the
@@ -129,14 +133,12 @@ def self_consistent_solve(h, eta0, n):
 
     ``trace`` lists the energies where D or H_eff (for r_n or the branch
     test) was evaluated, in order, starting with eta0, and ``MAX_EVALS``
-    bounds its length.  Where G's pivot breaks down at eta0 deeper than
-    level 1, with no pole of G within rounding, the solve starts from the
-    first energy past it by :func:`_step_off` instead.  On the secular
-    path, D(eta0) is kept on ``h`` and reused, bit for bit, by its next
-    solve from the same eta0, which still lists eta0 first.  H_eff is
-    evaluated once per energy where it is defined, and its eigensolve
-    there serves every later need: the eigenvector and residual of the
-    level come from the one made when r_n was evaluated at it.
+    bounds its length.  On the secular path, D(eta0) is kept on ``h``
+    and reused, bit for bit, by its next solve from the same eta0, which
+    still lists eta0 first.  H_eff is evaluated once per energy where it
+    is defined, and its eigensolve there serves every later need: the
+    eigenvector and residual of the level come from the one made when r_n
+    was evaluated at it.
     Raises :class:`NonConvergence` when branch n has no level (e.g. the
     levels of a quasi-Hermitian block are complex), when the evaluation
     budget runs out, or when r_n does not confirm the level selected or
@@ -322,24 +324,6 @@ def _setup(h):
     return setup
 
 
-def _step_off(f, x, setup):
-    """(y, f(y)) at y = x, or, where G's pivot breaks down at x deeper
-    than level 1, at the first y past x by :func:`_off_pivot`, which
-    evaluates x once more.  A breakdown at level 1, or a pole of G (of
-    ``setup.cuts``) within the step off, puts x on a pole of G: its
-    :class:`PoleProximity` propagates."""
-    try:
-        return x, f(x)
-    except PoleProximity as exc:
-        if exc.level == 1:
-            raise
-        y, fy = _off_pivot(f, x, 1.0, math.ulp(max(abs(x), setup.scale)))
-        i = bisect.bisect_left(setup.cuts, 2.0 * x - y)
-        if i < len(setup.cuts) and setup.cuts[i] <= y:
-            raise
-        return y, fy
-
-
 def _real_eigenvalues(m, symmetric):
     """The real eigenvalues of m, ascending: by ``eigvalsh`` when m is
     ``symmetric``, else those of :func:`eigenvalues_dense`."""
@@ -423,16 +407,12 @@ def _secular_solve(h, setup, eta0, n, trace, r):
               if bisect.bisect_right(door.d, p_lo) == n - 1]
     if eta0 in door.poles:
         # r_n gives the direction; on a pole of G it raises PoleProximity
-        ahead = 1.0 if _step_off(r, eta0, setup)[1] >= 0 else -1.0
+        ahead = 1.0 if r(eta0) >= 0 else -1.0
     else:
         key, kept = eta0.hex(), h.__dict__.get("_start")
-        if kept is not None and kept[0] == key:
-            d0 = D(eta0, kept[1])[0]
-        else:
-            x, d = _step_off(D, eta0, setup)
-            if x == eta0:
-                h.__dict__["_start"] = key, d
-            eta0, d0 = x, d[0]
+        d = D(eta0, kept[1] if kept and kept[0] == key else None)
+        h.__dict__["_start"] = key, d
+        d0 = d[0]
         # eigenvalues of H_eff(eta0) below eta0; a level of branch n at
         # eta0 itself is found ahead, at distance 0
         n_below = bisect.bisect_left(door.d, eta0) + (d0 < 0)
@@ -459,10 +439,9 @@ def _newton(D, a, b, poles, scale, known):
     of the bracket where D is ``known``, else from its middle.  A step that
     would leave the bracket, or is more than half the step before last
     (the rule of rtsafe in Numerical Recipes), is a bisection instead.
-    Where the pivot test of G fires at level 1, on a pole of G and so next
-    to an end of (a, b), the bracket is cut there: no root that close to a
-    pole can be checked.  Where it fires deeper, at an eigenvalue of a
-    trailing block that is no pole of D, the point moves off it."""
+    Where the pivot test of G fires, on a pole of G and so next to an end
+    of (a, b), the bracket is cut there: no root that close to a pole can
+    be checked."""
     p_lo, p_hi = poles
     x = a if a in known else b if b in known else 0.5 * (a + b)
     before = last = b - a
@@ -472,15 +451,10 @@ def _newton(D, a, b, poles, scale, known):
             return 0.5 * (a + b)
         try:
             value, slope = known.get(x) or D(x)
-        except PoleProximity as exc:
-            inward = 1.0 if x - a < b - x else -1.0
-            if exc.level == 1:  # a pole of G ends (a, b)
-                a, b = (x, b) if inward > 0 else (a, x)
-                x = 0.5 * (a + b)
-                continue
-            x, (value, slope) = _off_pivot(D, x, inward, w)
-            if not a < x < b:
-                return 0.5 * (a + b)
+        except PoleProximity:  # a pole of G ends (a, b)
+            a, b = (x, b) if x - a < b - x else (a, x)
+            x = 0.5 * (a + b)
+            continue
         if value == 0.0:
             return x
         if value > 0:
@@ -502,9 +476,11 @@ def _dense_solve(setup, eta0, n, trace, r, spectrum):
     """(x, halfway) for the level x of branch n that the rule of
     :func:`self_consistent_solve` selects, for any input that is not a
     generic Hermitian doorway, from its :class:`_Setup`: x is finished on
-    r_n within ``halfway``, None when x = eta0 and r_n(eta0) = 0.
-    ``spectrum(x)`` is the eigenvalues of H_eff(x), sorted, from the same
-    evaluation as r(x).
+    r_n within ``halfway``, None when x = eta0 and r_n(eta0) rounds to 0:
+    |r_n(eta0)| below half an ulp of max(|eta0|, scale), the rounding of
+    an eigenvalue of H_eff there (G through a pivot moved off zero is
+    about 1e-32 off its limit).  ``spectrum(x)`` is the eigenvalues of
+    H_eff(x), sorted, from the same evaluation as r(x).
 
     The levels are the real eigenvalues of :func:`_balanced_form`,
     visited in the order of the rule.  In a Hermitian form the j-th (from
@@ -515,10 +491,10 @@ def _dense_solve(setup, eta0, n, trace, r, spectrum):
     Otherwise each level lam is evaluated and has branch m when the m-th
     eigenvalue of H_eff(lam) is the one nearest lam, and halfway stops
     halfway to the levels next to x, as every root of r_n is a level.  A
-    level on a pole of G is passed over, and one where only a deeper pivot
-    breaks down is stepped off, by :func:`_step_off`, as is eta0."""
-    eta0, r0 = _step_off(r, eta0, setup)
-    if r0 == 0.0:
+    level on a pole of G, where H_eff raises :class:`PoleProximity`, is
+    passed over."""
+    r0 = r(eta0)
+    if abs(r0) < 0.5 * math.ulp(max(abs(eta0), setup.scale)):
         return eta0, None
     levels, outer = setup.levels, setup.outer
     ahead = 1.0 if r0 > 0 else -1.0
@@ -530,7 +506,7 @@ def _dense_solve(setup, eta0, n, trace, r, spectrum):
                 and j - bisect.bisect_left(setup.cuts, lam) != n - 1):
             continue
         try:
-            lam, w = _step_off(spectrum, lam, setup)
+            w = spectrum(lam)
         except PoleProximity:
             continue
         if setup.hermitian:
@@ -550,10 +526,11 @@ def _polish(r, x, scale, limits, decreasing=True):
     w = ulp(max(|x|, scale)) and then doubling, until r changes sign: in
     the direction sign r(x) when r is ``decreasing`` through the root,
     else to that side and the other in turn.  The bracket is then bisected
-    until its ends are adjacent floats or at most w apart.  An end on a
-    pivot breakdown of G moves on by :func:`_off_pivot`; a midpoint on one
-    ends the bisection.  None when every stepping end would leave the open
-    interval ``limits`` first."""
+    until its ends are adjacent floats or at most w apart.  An end within
+    rounding of a pole of G, where r raises :class:`PoleProximity`, moves
+    on by :func:`_off_pivot`; a midpoint there ends the bisection.  None
+    when every stepping end would leave the open interval ``limits``
+    first."""
     w = math.ulp(max(abs(x), scale))
     inward = 1.0 if x - limits[0] < limits[1] - x else -1.0
     start = near = far = _off_pivot(r, x, inward, w)
@@ -584,8 +561,8 @@ def _polish(r, x, scale, limits, decreasing=True):
 
 def _off_pivot(f, x, side, step):
     """(y, f(y)) at the first of y = x, x + side step, x + 2 side step,
-    x + 4 side step, ... where the pivot test of G does not fire: off an
-    energy where a trailing block of the tail has an eigenvalue."""
+    x + 4 side step, ... where the pivot test of G does not fire: past the
+    rounding of a pole of G, for the ends of :func:`_polish`."""
     y = x
     while True:
         try:

@@ -357,9 +357,16 @@ class TestSamplesFromChain:
         ((0.0, (3 - 5 ** 0.5) / 2, 2.0), 1),   # a pole of G first
         ((0.0, 2.0, (3 - 5 ** 0.5) / 2), 2)])  # the same two, swapped
     def test_first_pole_in_energy_order(self, energies, level):
+        # ``level`` is where the first pivot to vanish does: only level 1,
+        # a pole of G, raises.  At E = a_2 = 2 G is -2, and a pole after it
+        # still raises
         chain = TridiagonalChain([0.0, 1.0, 2.0], [1.0, 1.0])
         got, ref = self._both(chain, energies)
-        assert got == ref == ("PoleProximity", level)
+        assert got == ref
+        if (3 - 5 ** 0.5) / 2 in energies:
+            assert got == ("PoleProximity", 1)
+        else:
+            assert level == 2 and float.fromhex(got[2][1]) == -2.0
 
 
 class TestK1:
@@ -672,6 +679,12 @@ class TestReconstruct:
         with pytest.raises(SampleDegeneracy,
                            match="^non-finite holdout values$"):
             reconstruct(PAPER_SAMPLES, 1, bad)
+
+    @pytest.mark.parametrize("samples", [[], [GSample(0.0, 1.0)]])
+    def test_negative_K_is_its_own_usage_error(self, samples):
+        # no sample count fits K < 0: the error names K, not a count
+        with pytest.raises(ValueError, match="^K must be at least 0, got -1$"):
+            reconstruct(samples, -1, [GSample(float("nan"), 1.0)])
 
     def test_non_integer_K_checked_first(self):
         # a usage error comes before any domain error of the values

@@ -311,15 +311,15 @@ def _assert_dense_level(h, res):
 
 def _pole_once(monkeypatch, where):
     """Make the first H_eff evaluation at an energy x with ``where(x)``
-    raise PoleProximity(2), as if x sat on a pole of a deeper level of the
-    chain; return the list that receives that x."""
+    raise PoleProximity(1), as if x sat within rounding of a pole of G;
+    return the list that receives that x."""
     heff = spectral.effective_hamiltonian
     hits = []
 
     def fake(h, x):
         if not hits and where(x):
             hits.append(x)
-            raise PoleProximity(2)
+            raise PoleProximity(1)
         return heff(h, x)
     monkeypatch.setattr(spectral, "effective_hamiltonian", fake)
     return hits
@@ -519,13 +519,14 @@ class TestSecular:
 
     def test_level_on_a_pole_behind_a_deeper_pivot(self):
         # the uncoupled model state and a pole of G are both at -1, where
-        # G's pivot breaks down first at level 3 (a_3 = -1): the level -1
-        # is in no branch
+        # G's pivot vanishes at level 3 (a_3 = -1) too: G runs through it
+        # and breaks down at level 1, its pole, so the level -1 is in no
+        # branch
         h = PartitionedHamiltonian(np.diag([-1.0, 0.5]), TridiagonalChain(
             [0.5, -1.0, 0.3, -1.0], [0.7, 1.0, 1.0]))
         with pytest.raises(PoleProximity) as exc:
             g_function(h.chain, -1.0)
-        assert exc.value.level == 3
+        assert exc.value.level == 1
         _check_rule(h, [-3.0, -1.5, -0.5, 0.0, 2.0])
 
     @pytest.mark.parametrize("y", [(0.0, 0.0, 0.0), (1.0, 1.0, 1.0),
@@ -585,10 +586,10 @@ class TestSecular:
 
     def test_newton_steps_off_a_deeper_pivot(self, monkeypatch):
         # the level 2.0 of branch 2 is the eigenvalue of the trailing
-        # block [a_2], where G's pivot breaks down at level 2 and D has no
-        # pole: Newton steps on D move off it, and the level comes back
-        # within the width of the breakdown (5.5e-12 measured), after 104
-        # evaluations of D and r_2 where a level off it takes about 10
+        # block [a_2], where G's pivot vanishes at level 2 and D has no
+        # pole: G runs through that pivot, so Newton steps on D land on
+        # the level like on any other (8 evaluations of D and r_2
+        # measured), and nothing steps off a breakdown
         h = PartitionedHamiltonian(np.array([[1.0, 2.0], [2.0, 2.0]]),
                                    TridiagonalChain([-2.0, -2.0, 2.0],
                                                     [1.0, 2.0]))
@@ -601,11 +602,11 @@ class TestSecular:
         monkeypatch.setattr(spectral, "_off_pivot", spy)
         res = self_consistent_solve(h, -2.0, 2)
         assert spectral._setup(h).door is not None
-        assert ("D", 2.0) in stepped
+        assert [x for _, x in stepped] == [2.0]  # the finish's first end
         level = np.linalg.eigvalsh(_balanced_form(h))[2]
         assert level == pytest.approx(2.0, abs=1e-15)
-        assert abs(res.energy - level) <= 1e-11
-        assert res.iterations <= 120
+        assert abs(res.energy - 2.0) <= math.ulp(2.0)
+        assert res.iterations <= 10
 
     @pytest.mark.parametrize("M, K", [(1, 3), (3, 0)])
     def test_single_model_state_or_no_tail(self, M, K):
@@ -1227,17 +1228,24 @@ class TestBalancedForm:
         assert np.signbit(np.diag(spectral._balanced_form(h, 0))).all()
 
 
-def _g_slope_reference(chain, E):
+def _g_slope_reference(chain, E, moved=()):
     """(G, dG/dE) by the recurrence over the stored arrays of the whole
-    chain, from its first rho_k = 0, with the pivot rule of g_function."""
+    chain, from its first rho_k = 0, with the pivot rule of g_function:
+    level 1 is tested, and a deeper pivot p with |p| <= 1e-32 min(|a_k|,
+    sqrt|rho_{k-1}|) is moved up by 2e-32 sqrt|rho_{k-1}|, with its level
+    appended to the list ``moved``."""
     a, rho = chain.a.tolist(), chain.rho.tolist()
     f = df = 0.0
     for k in range(rho.index(0.0) if 0.0 in rho else len(rho), 0, -1):
         r = rho[k] if k < len(rho) else 0.0
         pivot = a[k] - E - r * f
         scale = abs(a[k]) + abs(E) + abs(r * f) + sys.float_info.min
-        if abs(pivot) < 1e-12 * scale:
-            raise PoleProximity(k)
+        if k == 1 and abs(pivot) < 1e-12 * scale:
+            raise PoleProximity(1)
+        edge = 1e-32 * math.sqrt(abs(rho[k - 1]))
+        if k > 1 and abs(pivot) <= min(1e-32 * abs(a[k]), edge):
+            pivot += 2.0 * edge
+            moved.append(k)
         f = 1.0 / pivot
         df = f * f * (1.0 + r * df)
     if not rho:
@@ -1273,8 +1281,8 @@ class TestSetupChain:
                 rho[cut] = -0.0 if zero == "-0.0" else 0.0
             chain = TridiagonalChain(h.chain.a, rho)
             # the recurrence runs from the cut down to level 1
-            assert [step[0] for step in _cut(chain)[2]] == list(
-                range(cut, 0, -1))
+            assert [step[0] for step in _cut(chain)[2]] == (
+                chain.a[cut:0:-1].tolist())
             energies = rng.uniform(-8.0, 8.0, 20).tolist()
             # on and next to the eigenvalues of every trailing block,
             # those past the cut included, which are no poles of G
@@ -1284,18 +1292,23 @@ class TestSetupChain:
                     energies += [p, p * (1 + 1e-13), p * (1 + 1e-11)]
             for E in energies:
                 got = _slope_outcome(_slope_recurrence, *_cut(chain), E)
-                assert got == _slope_outcome(_g_slope_reference, chain, E)
+                moved = []
+                assert got == _slope_outcome(_g_slope_reference, chain, E,
+                                             moved)
+                if moved:
+                    raised["moved"] += 1
                 if isinstance(got, tuple):
-                    raised[min(got[1], 2)] += 1
+                    raised[got[1]] += 1
                 else:
                     assert got[:8] == np.float64(g_function(chain,
                                                             E)).tobytes()
-        if zero == 0:  # G = a_0 - E has no pole
+        if zero == 0:  # G = a_0 - E has no pole and no deeper pivot
             assert not raised
         else:
             # a pole of G, at level 1, and a deeper trailing-block
-            # eigenvalue
-            assert raised[1] >= 5 and raised[2] >= 5
+            # eigenvalue whose pivot is moved
+            assert raised[1] >= 5 and raised["moved"] >= 5
+            assert set(raised) == {1, "moved"}
 
 
 class TestScanEdges:
@@ -1338,16 +1351,14 @@ class TestScanEdges:
         ([[1.0, 0.7], [0.2, 0.0]], [1.0, 1.0], False),
     ], ids=["secular", "dense-rho", "dense-block"])
     def test_start_on_a_deeper_pivot_breakdown(self, block, rho, secular):
-        # a = (0, 0, 0): G's pivot breaks down at 0 at level 2, but the
-        # poles of G are +-1 and G is continuous at 0.  The start steps
-        # off 0, and the trace still begins with it: each level is the one
-        # found from 1e-12
+        # a = (0, 0, 0): G's pivot vanishes at 0 at level 2, but the poles
+        # of G are +-1 and G is continuous at 0, where it is 0: G runs
+        # through that pivot, within 1e-31 of 0, and the solve starts at
+        # 0.  Each level is the one found from 1e-12
         h = PartitionedHamiltonian(np.array(block),
                                    TridiagonalChain([0.0, 0.0, 0.0], rho))
         assert (spectral._setup(h).door is not None) == secular
-        with pytest.raises(PoleProximity) as exc:
-            g_function(h.chain, 0.0)
-        assert exc.value.level == 2
+        assert abs(g_function(h.chain, 0.0)) <= 1e-31
         for n in range(1, h.M + 1):
             res = self_consistent_solve(h, 0.0, n)
             assert res.trace[0] == 0.0
@@ -1355,15 +1366,16 @@ class TestScanEdges:
             assert abs(res.energy - near.energy) <= 1e-12
 
     def test_start_on_a_pole_behind_a_deeper_pivot(self):
-        # G's pivot breaks down at -1 first at level 3, and a pole of G
-        # lies within the step off -1: the start raises
+        # G's pivot vanishes at -1 at level 3, and -1 is a pole of G too:
+        # G runs through level 3 and breaks down at level 1, so the start
+        # raises
         h = PartitionedHamiltonian(np.diag([-1.0, 0.5]), TridiagonalChain(
             [0.5, -1.0, 0.3, -1.0], [0.7, 1.0, 1.0]))
         assert abs(spectral._setup(h).cuts[1] + 1.0) <= 1e-15
         for n in (1, 2):
             with pytest.raises(PoleProximity) as exc:
                 self_consistent_solve(h, -1.0, n)
-            assert exc.value.level == 3
+            assert exc.value.level == 1
 
     def test_interval_narrower_than_two_offsets(self):
         # poles of G at +-7.5e-11, 1.5e-10 apart, and a level 1.3e-13
@@ -1400,12 +1412,12 @@ class TestScanEdges:
         res = self_consistent_solve(h, eta0=1.2e-10, n=1)
         _assert_dense_level(h, res)
 
-    def test_polish_step_on_a_deeper_pivot_moves_on(self, monkeypatch,
-                                                    paper_hamiltonian):
+    def test_polish_step_on_a_pole_moves_on(self, monkeypatch,
+                                            paper_hamiltonian):
         # rho_0 < 0, so the dense path: from eta0 = 3 the level of the
         # rule is sqrt(3), below the pole of G at 2.  The first evaluation
         # in (0, sqrt(3)) is the first step of the finish on r_n below the
-        # level, made to sit on a pole of a deeper level of the chain;
+        # level, made to raise as within rounding of a pole of G;
         # _off_pivot moves that end one step further
         hits = _pole_once(monkeypatch, lambda x: 0.0 < x < ROOT3)
         res = self_consistent_solve(paper_hamiltonian, eta0=3.0, n=1)
@@ -1413,19 +1425,17 @@ class TestScanEdges:
         _assert_dense_level(paper_hamiltonian, res)
         assert res.energy == pytest.approx(ROOT3, abs=1e-12)
 
-    def test_level_on_a_deeper_pivot_is_stepped_off(self, monkeypatch,
-                                                    paper_hamiltonian):
+    def test_level_on_a_pole_is_passed_over(self, monkeypatch,
+                                            paper_hamiltonian):
         # rho_0 < 0, so the dense path: from eta0 = -1 the level of the
-        # rule is -sqrt(3).  The first evaluation in (-4, -1) other than
-        # -2.5, which no solve evaluates, is H_eff at that level, made to
-        # sit on a pole of a deeper level of the chain; _step_off
-        # evaluates the level once more and keeps it
-        hits = _pole_once(monkeypatch,
-                          lambda x: -4.0 < x < -1.0 and x != -2.5)
+        # rule is -sqrt(3).  The first evaluation in (-4, -1) is H_eff at
+        # that level, made to raise as within rounding of a pole of G: the
+        # level is passed over, and the rule takes the next one, sqrt(3)
+        hits = _pole_once(monkeypatch, lambda x: -4.0 < x < -1.0)
         res = self_consistent_solve(paper_hamiltonian, eta0=-1.0, n=1)
-        assert len(hits) == 1
+        assert hits == [-ROOT3]
         _assert_dense_level(paper_hamiltonian, res)
-        assert res.energy == pytest.approx(-ROOT3, abs=1e-12)
+        assert res.energy == pytest.approx(ROOT3, abs=1e-12)
 
 
 class TestEmbedding:
