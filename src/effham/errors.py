@@ -16,7 +16,8 @@ class DomainError(EffHamError):
 
 class PoleProximity(DomainError):
     """The continued-fraction pivot vanished: E sits at (or numerically on
-    top of) an eigenvalue of a trailing block of the excluded-space matrix.
+    top of) an eigenvalue of a trailing block of the excluded-space matrix,
+    by the one pole test, ``forward._on_pole``.
 
     ``level`` is the recursion index k at which the pivot broke down: E is
     an eigenvalue of the block from level k on.  ``continued_fraction``

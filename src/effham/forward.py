@@ -25,13 +25,14 @@ D on that chain reads them without scanning it again.  All start the
 recursion at the first rho_k = 0, if any: f_k is then 1 / (a_k - E)
 whatever lies deeper, so G sees nothing past it.
 
-G breaks down only at its own poles.  :func:`continued_fraction` tests
-every pivot, since each is a factor of the UFL factorization, but G and
-its slope test only level 1: a deeper pivot vanishes at an eigenvalue of
-a trailing block, where G is analytic, so they run through it, with a
-pivot within ``PIVMIN`` of its level's scale moved off zero, as in
-LAPACK's bisection (``dstebz``, ``dlaneg``; Kahan 1966; Demmel, Dhillon
-& Ren 1995).
+G breaks down only at its own poles.  Whether a pivot is on a pole is
+decided in one place, :func:`_on_pole`.  :func:`continued_fraction`
+tests every pivot with it, since each is a factor of the UFL
+factorization, but G and its slope test only level 1: a deeper pivot
+vanishes at an eigenvalue of a trailing block, where G is analytic, so
+they run through it, with a pivot within ``PIVMIN`` of its level's scale
+moved off zero, as in LAPACK's bisection (``dstebz``, ``dlaneg``; Kahan
+1966; Demmel, Dhillon & Ren 1995).
 """
 
 import math
@@ -53,7 +54,7 @@ __all__ = [
     "g_function_dense_oracle",
 ]
 
-PIVOT_TOL = 1e-12  # relative to the local scale of each pivot
+PIVOT_TOL = 1e-12  # of the scale of a pivot in the test of _on_pole
 # of min(|a_k|, sqrt|rho_{k-1}|): a deeper pivot of G within it moves
 PIVMIN = 1e-32
 ORACLE_COND_LIMIT = 1e12  # of E - QHQ in the dense oracle
@@ -84,16 +85,64 @@ def _as_factored_tail(tail):
     raise TypeError(f"expected a chain, got {type(tail).__name__}")
 
 
+def _on_pole(pivot, a, E, coupling, steps=()):
+    """Whether the pivot a - E - coupling is on a pole: the one pole test
+    of the package, for every pivot of :func:`continued_fraction`, level
+    1 of :func:`g_function` and :func:`_slope_recurrence`, and
+    ``toys.m2_g_closed_form``.  A bool for a single energy (with
+    ``steps``, a Python float), an array of bools for an array of
+    energies.
+
+    The pivot is on a pole when |pivot| < ``PIVOT_TOL`` (|a| + |E| +
+    |coupling| + tiny): relative to the terms it is made of, so the rule
+    is the same at every scale of a chain, and tiny, the smallest normal
+    float64, makes an exactly zero pivot fail it even where all three
+    terms are 0.
+
+    ``steps`` are, at level 1 of G, those of :func:`_cut`.  A pivot
+    that G moves at a level k >= 3 leaves a trace: f_{k-1} is about
+    -p / rho_{k-1} where without the move it is exactly 0.  Where that
+    makes f_2 = 0 without the moves, the trace is the whole coupling of
+    level 1, and at a = E the pivot is the trace itself: the rule fires
+    only where the trace is below ``PIVOT_TOL`` (|a| + |E|), never at
+    a = E = 0, though E is a pole of G.  So where a - E alone is within
+    the rule's bound, as it is wherever the coupling without the moves is
+    0 and E is a pole, level 1 is also tested by
+    :func:`_unmoved_on_pole`.
+    """
+    edge = PIVOT_TOL * (abs(a) + abs(E) + abs(coupling) + _TINY)
+    bad = abs(pivot) < edge
+    if steps:
+        near = abs(a - E) < edge
+        if near is not False:  # for a float E, rarely
+            if near is True:
+                return bad or _unmoved_on_pole(steps, E)
+            for i in np.flatnonzero(near):
+                bad.flat[i] |= _unmoved_on_pole(steps, float(E.flat[i]))
+    return bad
+
+
+def _unmoved_on_pole(steps, E):
+    """Whether level 1 of G is on a pole at a single energy when each
+    pivot that G moves is taken as exactly 0 instead: f_k is then
+    infinite and f_{k-1} exactly 0, as in exact arithmetic, so the moves
+    leave no trace."""
+    f = 0.0
+    for ak, r, small, _ in steps:  # k = seen, ..., 1
+        coupling = r * f
+        pivot = ak - E - coupling
+        f = 1.0 / pivot if abs(pivot) > small else math.inf
+    return _on_pole(pivot, ak, E, coupling)
+
+
 def continued_fraction(tail, E):
     """Run the downward pivot recursion over a factored tail (entries
     a_1..a_K with off-diagonal factors b_k, c_{k+1}); returns the
     read-only reciprocal pivots f_1..f_{K+1}, the last exactly 0.
 
-    Raises :class:`PoleProximity` when a pivot falls below
-    ``PIVOT_TOL * (|a_k| + |E| + |coupling|)``: E is at or near an
-    eigenvalue of a trailing block of QHQ.  The rule is relative at every
-    scale of the chain; the smallest normal float64 added to the scale
-    makes an exactly zero pivot fail it even when the scale is zero.
+    Raises :class:`PoleProximity` (level k) at the first pivot that
+    :func:`_on_pole` puts on a pole: E is at or near an eigenvalue of the
+    trailing block of QHQ from level k on.
     """
     tail = _as_factored_tail(tail)
     K = tail.K + 1  # number of tail levels a_1..a_K
@@ -102,8 +151,7 @@ def continued_fraction(tail, E):
     for k in range(K, 0, -1):
         coupling = b[k - 1] * f[k] * c[k - 1] if k < K else 0.0
         pivot = a[k - 1] - E - coupling
-        scale = abs(a[k - 1]) + abs(E) + abs(coupling) + sys.float_info.min
-        if abs(pivot) < PIVOT_TOL * scale:
+        if _on_pole(pivot, a[k - 1], E, coupling):
             raise PoleProximity(k)
         f[k - 1] = 1.0 / pivot
     return _freeze(f)
@@ -140,8 +188,8 @@ def g_function(chain, E):
 
     The recursion starts at the first rho_k = 0, so G is that of the
     chain cut there, bit for bit, and the levels past the cut are no
-    poles.  Only level 1 is tested, by the pivot rule of
-    :func:`continued_fraction`: its breakdown is a pole of G and raises
+    poles.  Only level 1 is tested, by :func:`_on_pole` with the chain's
+    steps: its breakdown is a pole of G and raises
     :class:`PoleProximity` (level 1), for an array when any energy's
     does, as a loop of float calls would.  A deeper pivot p_k vanishes at
     an eigenvalue of a trailing block, where G is analytic, so it is not
@@ -149,10 +197,10 @@ def g_function(chain, E):
     included, it is moved up by 2 ``PIVMIN`` sqrt|rho_{k-1}|, as LAPACK's
     Sturm counts (``dlaneg``) move a pivot off zero, and the recursion
     goes on through it: G there is that of the chain with a_k moved by at
-    most 3e-32 of its coupling to level k - 1.  Only a pivot that fails
-    the pivot rule moves, so wherever the rule passes every level, G is
-    that of the plain recurrence.  A non-finite energy is not a pole; it
-    propagates NaN or infinity.
+    most 3e-32 of its coupling to level k - 1.  Only a pivot that
+    :func:`_on_pole` puts on a pole moves, so wherever no level is on a
+    pole, G is that of the plain recurrence.  A non-finite energy is not
+    a pole; it propagates NaN or infinity.
     """
     if type(E) is not float:
         E = np.asarray(E, dtype=float)
@@ -165,9 +213,7 @@ def g_function(chain, E):
         pivot = ak - E - coupling
         f = 1.0 / (pivot + (abs(pivot) <= small) * lift)
     if steps:  # level 1, which moves only where the rule fires
-        bad = abs(pivot) < PIVOT_TOL * (abs(ak) + abs(E) + abs(coupling)
-                                        + _TINY)
-        # a float E gives a bool, an array an array
+        bad = _on_pole(pivot, ak, E, coupling, steps)
         if bad is True or bad is not False and bad.any():
             raise PoleProximity(1)
     return a0 - E - rho0 * f
@@ -212,9 +258,9 @@ def _slope_recurrence(a0, rho0, steps, E):
         f_k' = f_k^2 (1 + rho_k f_{k+1}'),   G' = -1 - rho_0 f_1'.
 
     It computes the values of :func:`g_function`, in its order and from
-    the first rho_k = 0, so G is bitwise that of :func:`g_function` and
-    the pivot rule is the same: :class:`PoleProximity` fires at the same
-    energies, at level 1.
+    the first rho_k = 0, so G is bitwise that of :func:`g_function`, and
+    tests level 1 by the same call of :func:`_on_pole`:
+    :class:`PoleProximity` fires at the same energies, at level 1.
 
     Through a pivot moved to p, between e and 3 e with
     e = 1e-32 sqrt|rho_{k-1}|, f_k^2 is about 1 / p^2 and f_{k-1}^2 about
@@ -228,12 +274,10 @@ def _slope_recurrence(a0, rho0, steps, E):
     for ak, r, small, lift in steps:  # k = seen, ..., 1
         coupling = r * f
         pivot = ak - E - coupling
-        size = abs(pivot)
         # g_function adds 0.0 to an unmoved pivot, which is never -0.0
-        f = 1.0 / (pivot + lift if size <= small else pivot)
+        f = 1.0 / (pivot + lift if abs(pivot) <= small else pivot)
         df = f * f * (1.0 + r * df)
-    if steps and size < PIVOT_TOL * (abs(ak) + abs(E) + abs(coupling)
-                                     + _TINY):
+    if steps and _on_pole(pivot, ak, E, coupling, steps):
         raise PoleProximity(1)
     return a0 - E - rho0 * f, -1.0 - rho0 * df
 

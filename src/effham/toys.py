@@ -3,13 +3,12 @@ two-level reconstruction and the M = 2 closed-form G with its
 lucky-versus-wrong input demonstration.
 """
 
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import PoleProximity
-from .forward import PIVOT_TOL
+from .forward import _on_pole
 from .inverse import k1_closed_form
 from .model import GSample, PartitionedHamiltonian, assemble_dense
 
@@ -70,9 +69,9 @@ def two_level_reconstruct(inp):
 
 def m2_g_closed_form(inp, E):
     """The unique optimal input function for the M = 2 toy: B*C/(A - E).
-    Raises :class:`PoleProximity` under the pivot rule of G."""
-    if abs(inp.A - E) < PIVOT_TOL * (abs(inp.A) + abs(E)
-                                     + sys.float_info.min):
+    Raises :class:`PoleProximity` where the pivot A - E of its K = 1
+    chain is on a pole by ``forward._on_pole``, as G does."""
+    if _on_pole(inp.A - E, inp.A, E, 0.0):
         raise PoleProximity(1, f"E = {E} at the pole A = {inp.A}")
     return inp.B * inp.C / (inp.A - E)
 

@@ -543,6 +543,73 @@ class TestDeeperPivots:
                 assert abs(slope - float(diff)) <= 1e-12 * max(
                     1.0, abs(float(diff)))
 
+    @pytest.mark.parametrize("rho", [
+        (1.0, 1.0, 1.0), (1.0, 1e20, 1.0), (1.0, 1.0, 1e-20),
+        (1.0, 1e30, 1e-30)], ids=["uniform", "1e20", "1e-20", "1e30-1e-30"])
+    def test_pole_shared_with_a_moved_pivot(self, rho):
+        # a = (s, s, s, s): the 3 x 3 tail has the eigenvalue s, with
+        # right and left eigenvectors (rho_2, 0, -1) and (1, 0, -rho_1),
+        # so E = s is a pole of G, shared with the block [a_3].  The
+        # level-3 pivot is exactly 0 and moves; its trace two levels up,
+        # up to 3e-32 rho_1 / sqrt(rho_2) (3e13 for the last chain), is
+        # then the whole coupling of level 1.  At s = 0 it was all the
+        # scale of the rule too, and G returned -5e31, -5e11, -5e21 and
+        # -5e-14; the last chain's trace also outweighed the scale at
+        # s = 1 and -3.5
+        for s in (0.0, 1.0, -3.5):
+            chain = TridiagonalChain([s] * 4, list(rho))
+            for fn, E in ((g_function, s), (g_function, np.array([s])),
+                          (lambda c, e: _slope_recurrence(*_cut(c), e), s)):
+                with pytest.raises(PoleProximity) as exc:
+                    fn(chain, E)
+                assert exc.value.level == 1
+
+
+class TestLead:
+    """Uniform chains a_k = alpha, rho_k = beta^2: the lead of the
+    recursion method, whose G tends to the square-root terminator
+    G_inf(E) = (x + sgn(x) sqrt(x^2 - 4 beta^2)) / 2, x = alpha - E,
+    outside the band |x| <= 2 |beta| (Haydock, Heine & Kelly 1972)."""
+
+    @pytest.mark.parametrize("K", [50, 200, 2000])
+    @pytest.mark.parametrize("alpha, beta", [(0.0, 1.0), (0.3, 0.5),
+                                             (-1.0, 2.0)])
+    def test_square_root_terminator(self, alpha, beta, K):
+        # at |x| >= 2.25 |beta| the chain's G is G_inf to within 2e-16
+        # scale, scale = |alpha| + |E| + |beta| + |G_inf| (7.4e-17
+        # measured): the tail's weight falls by (beta f)^2 <= 0.38 a level
+        chain = TridiagonalChain([alpha] * (K + 1), [beta * beta] * K)
+        energies = [alpha + side * m * abs(beta) for side in (-1.0, 1.0)
+                    for m in (2.25, 2.5, 3.0, 5.0, 50.0)]
+        got = g_function(chain, np.array(energies))
+        assert _bits(got) == _bits([g_function(chain, E) for E in energies])
+        for E, g in zip(energies, got.tolist()):
+            with localcontext() as ctx:
+                ctx.prec = 40
+                x = Decimal(alpha) - Decimal(E)
+                root = (x * x - 4 * Decimal(beta) ** 2).sqrt()
+                ref = float((x + root.copy_sign(x)) / 2)
+            scale = abs(alpha) + abs(E) + abs(beta) + abs(ref)
+            assert abs(g - ref) <= 2e-16 * scale
+
+    @pytest.mark.parametrize("K", range(2, 22))
+    def test_zero_diagonal_at_zero(self, K):
+        # a_k = 0, rho_k = 1: at E = 0 the pivots alternate between exactly
+        # 0, which moves, and its reciprocal.  An odd K has the tail
+        # eigenvalue 0, a pole of G; at an even K, G(0) is 0, and G
+        # returns the trace of the move at level K
+        chain = TridiagonalChain([0.0] * (K + 1), [1.0] * K)
+        forms = (lambda: g_function(chain, 0.0),
+                 lambda: g_function(chain, np.zeros(2)),
+                 lambda: _slope_recurrence(*_cut(chain), 0.0)[0])
+        for form in forms:
+            if K % 2:
+                with pytest.raises(PoleProximity) as exc:
+                    form()
+                assert exc.value.level == 1
+            else:
+                assert np.all(np.abs(form()) <= 1e-30)
+
 
 class TestEffectiveHamiltonian:
     def test_m1(self, paper_hamiltonian, paper_chain):

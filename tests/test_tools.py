@@ -91,3 +91,43 @@ def test_outcome_digest_compare_failed_run(monkeypatch, capsys):
         _output("A", zip(NAMES, "abcd"))))
     assert tool.compare("A", "B") == 2
     assert capsys.readouterr().err == "Traceback: boom\n"
+
+
+CODE_LINES = DIGEST.with_name("code_lines.py")
+
+SAMPLE = '''"""A module docstring
+over two lines."""
+
+import os  # a comment
+
+# a comment line
+
+
+def f(x):
+    """A function docstring."""
+    y = (x +
+         1)
+    return """not a
+docstring"""
+
+
+class C:
+    """A class docstring."""
+
+    z = os.sep
+'''
+
+
+def test_code_lines(tmp_path, capsys):
+    # import, def, the two lines of y, the two of the returned string,
+    # class and z: blank, comment and docstring lines are skipped
+    spec = importlib.util.spec_from_file_location("code_lines", CODE_LINES)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    assert tool.code_lines(SAMPLE) == 8
+    (tmp_path / "b.py").write_text(SAMPLE)
+    (tmp_path / "a.py").write_text("x = 1\n")
+    (tmp_path / "notes.txt").write_text("x = 1\n")
+    tool.main(["code_lines.py", str(tmp_path)])
+    assert capsys.readouterr().out.split() == [
+        "a.py", "1", "b.py", "8", "total", "9"]

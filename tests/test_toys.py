@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,16 @@ from effham.forward import g_function
 from effham.model import TridiagonalChain
 from effham.toys import (M2ToyInput, TwoLevelInput, m2_g_closed_form,
                          m2_paradox, two_level_reconstruct)
+
+
+def _raises(fn, *args):
+    """Whether ``fn(*args)`` raises :class:`PoleProximity` (level 1)."""
+    try:
+        fn(*args)
+    except PoleProximity as exc:
+        assert exc.level == 1
+        return True
+    return False
 
 
 class TestTwoLevel:
@@ -75,6 +87,29 @@ class TestM2ClosedForm:
         with pytest.raises(PoleProximity) as chain:
             g_function(paper_chain, 2.0)
         assert closed.value.level == chain.value.level == 1
+
+    @pytest.mark.parametrize("scale", [1e-100, 1.0, 1e100])
+    def test_pole_rule_is_that_of_g(self, scale):
+        # B C / (A - E) has the pole of G of the K = 1 chain (0, A),
+        # rho_0 = B C, whose level-1 pivot is A - E: the closed form raises
+        # exactly where g_function raises, on A, one ulp either side of it
+        # and at A (1 +- 1e-13, 1e-11, 1e-9)
+        outcomes = []
+        for A, B, C in ((1.7, 0.6, -1.3), (-0.4, 2.0, 0.5), (0.0, 1.0, 1.0)):
+            inp = M2ToyInput(A * scale, B * scale, C * scale)
+            chain = TridiagonalChain([0.0, inp.A], [inp.B * inp.C])
+            energies = [inp.A, math.nextafter(inp.A, math.inf),
+                        math.nextafter(inp.A, -math.inf)] + [
+                inp.A * (1.0 + d) for d in (1e-13, -1e-13, 1e-11, -1e-11,
+                                            1e-9, -1e-9)]
+            for E in energies:
+                raised = [_raises(m2_g_closed_form, inp, E),
+                          _raises(g_function, chain, E)]
+                assert raised[0] == raised[1]
+                outcomes.append(raised[0])
+        # on A, one ulp off and 1e-13 off raise; 1e-11 and 1e-9 off
+        # return, except around A = 0, where every energy is on A or 1 ulp
+        assert outcomes.count(True) == 5 + 5 + 9
 
     def test_zero_coupling_rejected(self):
         with pytest.raises(ValueError):
