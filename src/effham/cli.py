@@ -140,7 +140,7 @@ def cmd_demo(args):
         print("reconstructed 2x2 (unit subdiagonal gauge):")
         for row in res.matrix:
             print("  [" + ", ".join(f"{x:+.12g}" for x in row) + "]")
-        w = np.sort(np.linalg.eigvals(res.matrix).real)
+        w = eigenvalues_dense(res.matrix).real
         print(f"eigenvalues: {w[0]:+.12g}, {w[1]:+.12g}")
         if res.rho < 0:
             print("rho < 0: quasi-Hermitian regime (a^2 > X^2)")

@@ -1,12 +1,13 @@
-"""Random desk-scale instances for roundtrip experiments and tests."""
+"""Random desk-scale instances for roundtrip experiments and tests, the
+probe window of a chain and, re-exported from :mod:`effham.spectral`,
+``real_poles``, the poles of G that probes keep clear of."""
 
 import numpy as np
 
-from .model import PartitionedHamiltonian, TridiagonalChain, _chain_matrix
+from .model import PartitionedHamiltonian, TridiagonalChain
+from .spectral import _solve, real_poles
 
 __all__ = ["random_chain", "random_hamiltonian", "probe_window", "real_poles"]
-
-IMAG_TOL = 1e-8  # relative imaginary part below which a pole counts as real
 
 
 def random_chain(K, rng, rho_sign="positive"):
@@ -34,15 +35,7 @@ def random_hamiltonian(M, K, rng, rho_sign="positive"):
 
 def probe_window(chain, pad=2.0):
     """An energy window comfortably containing the spectrum of the chain."""
-    w = np.linalg.eigvals(chain.to_dense()).tolist()
+    w = _solve(np.linalg.eigvals, chain.to_dense()).tolist()
     lo = min(x.real - abs(x.imag) for x in w) - pad
     hi = max(x.real + abs(x.imag) for x in w) + pad
     return lo, hi
-
-
-def real_poles(chain):
-    """Real eigenvalues of the excluded-space block (the poles of G)."""
-    if chain.K == 0:
-        return np.zeros(0)
-    w = np.linalg.eigvals(_chain_matrix(chain.a[1:], chain.rho[1:]))
-    return np.sort(w.real[np.abs(w.imag) <= IMAG_TOL * (1 + np.abs(w))])

@@ -41,11 +41,12 @@ import numpy as np
 from .errors import EigSolverFailure, NonConvergence, PoleProximity
 from .forward import (_cut, _slope_recurrence, continued_fraction,
                       effective_hamiltonian)
-from .model import _doorway_matrix, assemble_dense
+from .model import _chain_matrix, _doorway_matrix, assemble_dense
 
 __all__ = [
     "SelfConsistentResult",
     "eigenvalues_dense",
+    "real_poles",
     "self_consistent_solve",
     "embed_full_space",
     "full_space_residual",
@@ -102,10 +103,15 @@ def _solve(eigensolver, m):
 def _sort_eig(m, w):
     """The eigenvalues w of m, unsorted as ``np.linalg.eig`` or ``eigvals``
     gives them, collapsed and ordered as by :func:`eigenvalues_dense`."""
-    # relative to the matrix alone: a zero matrix collapses exact zeros only
-    scale = float(np.max(np.abs(m)))
-    w = np.where(np.abs(w.imag) <= IMAG_COLLAPSE * scale, w.real, w)
+    w = np.where(_on_axis(m, w), w.real, w)
     return w[np.lexsort((w.imag, w.real))]
+
+
+def _on_axis(m, w):
+    """Which eigenvalues w of m :func:`eigenvalues_dense` collapses onto
+    the real axis: those with |imag| at most ``IMAG_COLLAPSE`` times the
+    largest |entry| of m, so a zero matrix collapses exact zeros only."""
+    return abs(w.imag) <= IMAG_COLLAPSE * float(abs(m).max())
 
 
 def self_consistent_solve(h, eta0, n):
@@ -123,13 +129,14 @@ def self_consistent_solve(h, eta0, n):
     when it rounds to 0: see :func:`_dense_solve`).  It is finished on
     r_n between the poles of G next to it by :func:`_polish`, and the end
     of that bracket with the smaller |r_n| is the energy.  For a generic
-    Hermitian doorway (a symmetric block, every rho_k >= 0, and the
-    eigenvalues d_i of the other model states distinct, each coupled to
-    the doorway and none on a pole of G) the levels are located as the
-    roots of the doorway's secular function D and solved for by Newton
-    steps on D (see :func:`_secular_solve`).  For every other input,
-    degenerate Hermitian doorways included, they are the real eigenvalues
-    of the dense matrix (see :func:`_dense_solve`).
+    Hermitian doorway (a symmetric block, every rho_k > 0 before the
+    first rho_k = 0, and the eigenvalues d_i of the other model states
+    distinct, each coupled to the doorway and none on a pole of G) the
+    levels are located as the roots of the doorway's secular function D
+    and solved for by Newton steps on D (see :func:`_secular_solve`).
+    For every other input, degenerate Hermitian doorways included, they
+    are the real eigenvalues of the dense matrix (see
+    :func:`_dense_solve`).
 
     ``trace`` lists the energies where D or H_eff (for r_n or the branch
     test) was evaluated, in order, starting with eta0, and ``MAX_EVALS``
@@ -252,15 +259,32 @@ def _record(trace, x):
 def _balanced_form(h, seen):
     """The assembled matrix of h cut before rho_seen, its first rho_k = 0
     (after the whole chain when ``seen`` = K), past which G sees nothing,
-    in the balanced gauge: sign(rho_k) sqrt|rho_k| above the diagonal and
-    sqrt|rho_k| below.  It is similar to that cut of
-    :func:`~effham.model.assemble_dense` but has entries at the chain's
+    in the balanced gauge of :func:`_balanced`.  It is similar to that cut
+    of :func:`~effham.model.assemble_dense` but has entries at the chain's
     own scale.  Its block from row M on has the poles of G as
     eigenvalues."""
-    rho = h.chain.rho[:seen]
+    return _doorway_matrix(h.p_block, *_balanced(h.chain, seen))
+
+
+def _balanced(chain, seen):
+    """(a, upper, lower) of ``chain`` cut before rho_seen, in the balanced
+    gauge: sign(rho_k) sqrt|rho_k| above the diagonal and sqrt|rho_k|
+    below, for the fills of :func:`_balanced_form` and
+    :func:`real_poles`."""
+    rho = chain.rho[:seen]
     root = np.sqrt(np.abs(rho))
-    return _doorway_matrix(h.p_block, h.chain.a[:seen + 1],
-                           np.copysign(root, rho), root)
+    return chain.a[:seen + 1], np.copysign(root, rho), root
+
+
+def real_poles(chain):
+    """The real poles of G, ascending: the real eigenvalues, by
+    :func:`_real_eigenvalues`, of the tail of the chain cut at its first
+    rho_k = 0 (``forward._cut``), past which G sees nothing, in the
+    balanced gauge.  The one definition of the poles of G: the cuts of
+    every self-consistent finish and, re-exported by ``instances``, what
+    probes keep clear of."""
+    form = _chain_matrix(*_balanced(chain, len(_cut(chain)[2])))
+    return _real_eigenvalues(form[1:, 1:])
 
 
 @dataclass(frozen=True)
@@ -270,11 +294,11 @@ class _Setup:
     :func:`_setup`, as the chain keeps the entries that G sees (its
     ``forward._cut``).
 
-    ``cuts`` are the real poles of G, ascending: the real eigenvalues of
-    the tail of :func:`_balanced_form` from row M on.  ``scale`` is the
-    form's largest entry (1 for a zero form) and ``outer`` = 2 (M + 2)
-    scale, beyond every level.  ``hermitian`` says the form is symmetric
-    (a symmetric block and every rho_k >= 0).  ``door`` is the
+    ``cuts`` are the real poles of G, ascending, by :func:`real_poles`.
+    ``scale`` is the largest entry of :func:`_balanced_form` (1 for a
+    zero form) and ``outer`` = 2 (M + 2) scale, beyond every level.
+    ``hermitian`` says the form is symmetric (a symmetric block and every
+    rho_k > 0 before the cut).  ``door`` is the
     :class:`_Doorway` of a generic Hermitian doorway, for
     :func:`_secular_solve`, and ``levels`` None; else ``door`` is None
     and ``levels`` are the form's real eigenvalues, ascending, for
@@ -305,34 +329,32 @@ class _Doorway:
 
 def _setup(h):
     """The :class:`_Setup` of ``h``, with a :class:`_Doorway` when its
-    block is symmetric, every rho_k >= 0 and :func:`_doorway` finds it
+    :func:`_balanced_form` is symmetric and :func:`_doorway` finds it
     generic.  Computed once per Hamiltonian object and kept in its
     ``__dict__``, as ``forward._cut`` keeps a chain's entries; a failed
     eigensolve keeps nothing."""
     setup = h.__dict__.get("_setup")
     if setup is None:
         form = _balanced_form(h, len(_cut(h.chain)[2]))
-        block = h.p_block
-        hermitian = bool((h.chain.rho >= 0).all()
-                         and (block == block.T).all())
-        cuts = _real_eigenvalues(form[h.M:, h.M:], hermitian)
+        hermitian = bool((form == form.T).all())
+        cuts = tuple(real_poles(h.chain).tolist())
         scale = float(abs(form).max()) or 1.0
-        door = _doorway(block, cuts) if hermitian else None
+        door = _doorway(h.p_block, cuts) if hermitian else None
+        levels = None if door else tuple(_real_eigenvalues(form).tolist())
         setup = _Setup(cuts, scale, 2.0 * (h.M + 2) * scale, hermitian, door,
-                       None if door else _real_eigenvalues(form, hermitian))
+                       levels)
         h.__dict__["_setup"] = setup
     return setup
 
 
-def _real_eigenvalues(m, symmetric):
-    """The real eigenvalues of m, ascending: by ``eigvalsh`` when m is
-    ``symmetric``, else those of :func:`eigenvalues_dense`."""
-    if not len(m):
-        return ()
-    if symmetric:
-        return tuple(_solve(np.linalg.eigvalsh, m).tolist())
-    w = eigenvalues_dense(m)
-    return tuple(w[w.imag == 0].real.tolist())
+def _real_eigenvalues(m):
+    """The real eigenvalues of m, ascending, as an array: by ``eigvalsh``
+    when m is symmetric (0 x 0 included), else the real parts of those
+    that :func:`eigenvalues_dense` collapses onto the real axis."""
+    if (m == m.T).all():
+        return _solve(np.linalg.eigvalsh, m)
+    w = _solve(np.linalg.eigvals, m)
+    return np.sort(w.real[_on_axis(m, w)])
 
 
 def _doorway(block, cuts):

@@ -11,6 +11,7 @@ from .errors import PoleProximity
 from .forward import _on_pole
 from .inverse import k1_closed_form
 from .model import GSample, PartitionedHamiltonian, assemble_dense
+from .spectral import eigenvalues_dense
 
 __all__ = [
     "TwoLevelInput",
@@ -80,7 +81,7 @@ def _m2_levels(inp, chain):
     """Sorted real eigenvalue parts of the M = 2 doorway matrix."""
     h = PartitionedHamiltonian(
         np.array([[inp.A, inp.B], [inp.C, chain.a[0]]]), chain)
-    return np.sort(np.linalg.eigvals(assemble_dense(h)).real)
+    return eigenvalues_dense(assemble_dense(h)).real
 
 
 def m2_paradox(inp, chain, wrong_factor=1.25):

@@ -1,18 +1,32 @@
 import numpy as np
 import pytest
 
-from effham.instances import IMAG_TOL, probe_window, random_chain, real_poles
+from effham.instances import probe_window, random_chain, real_poles
 from effham.model import TridiagonalChain
+from effham.spectral import IMAG_COLLAPSE
 
 
 def _numpy_real_poles(chain):
-    """The reference of ``real_poles``: the eigenvalues of the validated
-    ``chain.tail()`` (``to_dense`` is pinned to the ``np.diag`` sum in
-    ``test_model.py``)."""
-    if chain.K == 0:
+    """The reference of ``real_poles``: the tail of the chain cut at its
+    first rho_k = 0, in the balanced gauge (sign(rho_k) sqrt|rho_k| above
+    the diagonal, sqrt|rho_k| below), as a sum of ``np.diag`` matrices;
+    ``eigvalsh`` when it is symmetric, else the eigenvalues by ``eigvals``
+    whose imaginary part is at most ``IMAG_COLLAPSE`` times its largest
+    |entry|."""
+    rho = chain.rho.tolist()
+    seen = rho.index(0.0) if 0.0 in rho else len(rho)
+    if seen == 0:
         return np.zeros(0)
-    w = np.linalg.eigvals(chain.tail().to_dense())
-    return np.sort(w.real[np.abs(w.imag) <= IMAG_TOL * (1 + np.abs(w))])
+    a, rho = chain.a[:seen + 1], chain.rho[:seen]
+    root = np.sqrt(np.abs(rho))
+    form = (np.diag(a) + np.diag(np.copysign(root, rho), 1)
+            + np.diag(root, -1))
+    tail = form[1:, 1:]
+    if (tail == tail.T).all():
+        return np.linalg.eigvalsh(tail)
+    w = np.linalg.eigvals(tail)
+    return np.sort(w.real[np.abs(w.imag) <= IMAG_COLLAPSE
+                          * np.max(np.abs(tail))])
 
 
 def _numpy_probe_window(chain, pad):
@@ -48,3 +62,21 @@ def test_probe_window_bitwise(pad):
     for chain in _chains():
         got, ref = probe_window(chain, pad), _numpy_probe_window(chain, pad)
         assert [x.hex() for x in got] == [x.hex() for x in ref]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_real_poles_scale_free(seed):
+    # the count of real poles of a mixed chain does not depend on its
+    # scale, and each pole scales with the chain
+    chain = random_chain(8, np.random.default_rng(seed), "mixed")
+    ref = real_poles(chain)
+    for s in (1e-100, 1e-20, 1e-6, 1e6, 1e100):
+        got = real_poles(TridiagonalChain(s * chain.a, s * s * chain.rho))
+        assert len(got) == len(ref)
+        np.testing.assert_allclose(got, s * ref, rtol=1e-12, atol=0)
+
+
+def test_real_poles_cut_at_zero_rho():
+    # rho_1 = 0 decouples a_2: G = a_0 - E - 1 / (1 - E) has the one pole 1
+    got = real_poles(TridiagonalChain([0.0, 1.0, 5.0], [1.0, 0.0]))
+    assert got.tolist() == [1.0]

@@ -1,3 +1,4 @@
+import ast
 import gc
 import logging
 import math
@@ -5,6 +6,7 @@ import sys
 import weakref
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,11 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from effham import spectral
+from effham.cli import main
 from effham.errors import (DomainError, EigSolverFailure, NonConvergence,
                            PoleProximity)
 from effham.forward import (_cut, _slope_recurrence, effective_hamiltonian,
                             g_function)
-from effham.instances import random_hamiltonian, real_poles
+from effham.instances import probe_window, random_hamiltonian, real_poles
 from effham.model import (PartitionedHamiltonian, TridiagonalChain,
                           assemble_dense)
 from effham.spectral import (eigenvalues_dense, embed_full_space,
@@ -88,6 +91,39 @@ class TestEigenvaluesDense:
         assert np.all(np.diff(w.real) >= 0)
         np.testing.assert_allclose(np.sort_complex(w), np.sort_complex(ref),
                                    rtol=1e-12, atol=1e-12)
+
+
+class TestEigensolverBoundary:
+    """Every ``numpy.linalg`` eigensolver call goes through
+    ``spectral._solve``, so an eigensolver's ``LinAlgError`` is an
+    :class:`EigSolverFailure` everywhere."""
+
+    def test_eigensolvers_named_only_for_solve(self):
+        # an AST scan of the package: each eigensolver it names is the
+        # argument of a _solve call, which only spectral defines
+        names = {"eig", "eigvals", "eigh", "eigvalsh"}
+        stray, defined = [], set()
+        for path in Path(spectral.__file__).parent.glob("*.py"):
+            tree = ast.parse(path.read_text())
+            passed = {id(node.args[0]) for node in ast.walk(tree)
+                      if isinstance(node, ast.Call) and node.args
+                      and getattr(node.func, "id", None) == "_solve"}
+            for node in ast.walk(tree):
+                if isinstance(node, ast.FunctionDef) and node.name == "_solve":
+                    defined.add(path.name)
+                if (isinstance(node, ast.Attribute) and node.attr in names
+                        and id(node) not in passed
+                        or isinstance(node, ast.alias)
+                        and node.name in names):
+                    stray.append((path.name, node.lineno))
+        assert stray == [] and defined == {"spectral.py"}
+
+    def test_failure_outside_spectral(self, monkeypatch, capsys):
+        monkeypatch.setattr(np.linalg, "eigvals", _no_eig)
+        with pytest.raises(EigSolverFailure, match="no convergence"):
+            probe_window(TridiagonalChain([0.0, 1.0], [1.0]))
+        assert main(["demo", "two-level"]) == 2
+        assert "EigSolverFailure" in capsys.readouterr().err
 
 
 class TestSelfConsistent:
@@ -542,6 +578,19 @@ class TestSecular:
                                                            [0.8, 0.5]))
         _check_rule(h, [-3.0, 0.0, 0.5, 1.5, 3.0])
 
+    def test_hermitian_judged_before_the_cut(self):
+        # rho_1 = 0 cuts the chain, so the sign of rho_2 is past what G
+        # sees: both Hamiltonians are Hermitian where G looks, take the
+        # secular path and return the same levels, bit for bit
+        block = np.array([[1.0, 0.7], [0.7, 0.0]])
+        a = [0.0, 0.5, -1.0, 2.0]
+        hs = [PartitionedHamiltonian(block, TridiagonalChain(a, rho))
+              for rho in ([1.0, 0.0, 1.0], [1.0, 0.0, -1.0])]
+        assert all(spectral._setup(h).door is not None for h in hs)
+        for n in (1, 2):
+            energies = [self_consistent_solve(h, 0.0, n).energy for h in hs]
+            assert energies[0].hex() == energies[1].hex()
+
     def test_start_on_the_level(self):
         # D(eta0) = 0: the bracket closes on eta0, and r_1(eta0) = 0 too
         h = PartitionedHamiltonian.from_chain(TridiagonalChain([4.0], []))
@@ -572,13 +621,14 @@ class TestSecular:
             "rho0-zero-tail"])
     def test_pivot_breakdown_off_the_poles(self, block, a, rho, eta0, n,
                                            j):
-        # G's pivot test also fires where a trailing block of the tail has
-        # an eigenvalue that is no pole of D: at a level of a model state
-        # the doorway does not see (a degenerate doorway, on the dense
-        # path), a Newton midpoint, the level itself.  The solve steps off
-        # such points and still returns the rule's level, the j-th dense
-        # one, to the width of the breakdown.  With rho_0 = 0, G sees no
-        # tail and its test does not fire at all
+        # points where a trailing block of the tail has an eigenvalue that
+        # is no pole of D: a level of a model state the doorway does not
+        # see (a degenerate doorway, on the dense path), a Newton midpoint,
+        # the level itself.  G is analytic at each: it runs through the
+        # deeper pivot that vanishes there, and its pivot test fires only
+        # at its own poles, so the solve evaluates such points as any
+        # other and returns the rule's level, the j-th dense one.  With
+        # rho_0 = 0, G sees no tail at all
         h = PartitionedHamiltonian(np.array(block), TridiagonalChain(a, rho))
         res = self_consistent_solve(h, eta0, n)
         level = np.linalg.eigvalsh(_balanced_form(h))[j]
