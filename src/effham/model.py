@@ -107,6 +107,18 @@ class TridiagonalChain:
             raise ValueError(f"length mismatch: len(rho)={len(rho)} "
                              f"!= len(a)-1={len(a) - 1}")
 
+    @classmethod
+    def _checked(cls, a, rho):
+        """The chain of the 1-D float64 arrays ``a`` and ``rho``, which the
+        caller has built to the constructor's invariants and checked for
+        finiteness: they are kept as they are, made read-only, with no copy
+        and no second check."""
+        chain = object.__new__(cls)
+        for name, v in (("a", a), ("rho", rho)):
+            v.flags.writeable = False
+            object.__setattr__(chain, name, v)
+        return chain
+
     @property
     def K(self):
         return len(self.a) - 1

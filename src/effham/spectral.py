@@ -277,14 +277,23 @@ def _balanced(chain, seen):
 
 
 def real_poles(chain):
-    """The real poles of G, ascending: the real eigenvalues, by
-    :func:`_real_eigenvalues`, of the tail of the chain cut at its first
-    rho_k = 0 (``forward._cut``), past which G sees nothing, in the
-    balanced gauge.  The one definition of the poles of G: the cuts of
-    every self-consistent finish and, re-exported by ``instances``, what
-    probes keep clear of."""
-    form = _chain_matrix(*_balanced(chain, len(_cut(chain)[2])))
-    return _real_eigenvalues(form[1:, 1:])
+    """The real poles of G, ascending: the :func:`_tail_poles` of the
+    chain cut at its first rho_k = 0 (``forward._cut``), past which G
+    sees nothing, in the balanced gauge.  The one definition of the poles
+    of G: what probes keep clear of, re-exported by ``instances``, and
+    the cuts of every self-consistent finish, which :func:`_setup` takes
+    by the same helper from its :func:`_balanced_form`, built once."""
+    seen = len(_cut(chain)[2])
+    return _tail_poles(_chain_matrix(*_balanced(chain, seen)), seen)
+
+
+def _tail_poles(form, seen):
+    """The real eigenvalues, by :func:`_real_eigenvalues`, of the last
+    ``seen`` rows and columns of ``form``: the tail a_1..a_seen of the
+    balanced chain, which both :func:`_balanced_form` and the chain's own
+    fill put lower-right."""
+    tail = len(form) - seen
+    return _real_eigenvalues(form[tail:, tail:])
 
 
 @dataclass(frozen=True)
@@ -294,7 +303,8 @@ class _Setup:
     :func:`_setup`, as the chain keeps the entries that G sees (its
     ``forward._cut``).
 
-    ``cuts`` are the real poles of G, ascending, by :func:`real_poles`.
+    ``cuts`` are the real poles of G, ascending: the :func:`_tail_poles`
+    of :func:`_balanced_form`, bitwise :func:`real_poles`.
     ``scale`` is the largest entry of :func:`_balanced_form` (1 for a
     zero form) and ``outer`` = 2 (M + 2) scale, beyond every level.
     ``hermitian`` says the form is symmetric (a symmetric block and every
@@ -335,9 +345,10 @@ def _setup(h):
     eigensolve keeps nothing."""
     setup = h.__dict__.get("_setup")
     if setup is None:
-        form = _balanced_form(h, len(_cut(h.chain)[2]))
+        seen = len(_cut(h.chain)[2])
+        form = _balanced_form(h, seen)
         hermitian = bool((form == form.T).all())
-        cuts = tuple(real_poles(h.chain).tolist())
+        cuts = tuple(_tail_poles(form, seen).tolist())
         scale = float(abs(form).max()) or 1.0
         door = _doorway(h.p_block, cuts) if hermitian else None
         levels = None if door else tuple(_real_eigenvalues(form).tolist())

@@ -253,6 +253,83 @@ class TestProbeSelection:
         assert probes[0] < -1.0 < probes[1] < 0.0
 
 
+def _spy(monkeypatch, name):
+    """Wrap ``inverse.<name>`` so that each call appends its arguments to
+    the list returned."""
+    calls, fn = [], getattr(inverse, name)
+
+    def spy(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(inverse, name, spy)
+    return calls
+
+
+class TestProbePlacement:
+    """The cached unit grid and the list selection give, bit for bit, the
+    probes and errors of the array form, on the edges of the selection."""
+
+    def test_unit_grid(self):
+        # every size the loop can ask for from m = 1..300: read-only, kept,
+        # and bitwise the expression it replaces
+        for m0 in range(1, 301):
+            for m in (m0 << d for d in range(8)):
+                grid = inverse._unit_grid(m)
+                i = np.arange(m)
+                want = np.sort(np.cos((2 * i + 1) * np.pi / (2 * m)))
+                assert grid.tobytes() == want.tobytes()
+                assert not grid.flags.writeable
+                assert inverse._unit_grid(m) is grid
+        assert inverse._unit_grid.cache_info().maxsize == 64
+
+    def test_doubling_loop(self, monkeypatch):
+        # dense forbidden values at wide margins: the first grid keeps too
+        # few nodes, and the grid doubles until enough do or it gives up
+        sizes = _spy(monkeypatch, "_unit_grid")
+        rng = np.random.default_rng(7)
+        doubled = infeasible = 0
+        for _ in range(300):
+            forbidden = rng.uniform(-1.0, 1.0, int(rng.integers(1, 12)))
+            args = (int(rng.integers(1, 30)), (-1.0, 1.0), forbidden,
+                    float(rng.uniform(0.02, 0.3)))
+            del sizes[:]
+            got = _probe_outcome(choose_probe_energies, *args)
+            assert got == _probe_outcome(_numpy_probes, *args)
+            doubled += len(sizes) > 1
+            infeasible += got == "InfeasibleSampling"
+        assert doubled >= 30 and infeasible >= 5  # 146 and 11 measured
+
+    @pytest.mark.parametrize("count, forbidden", [
+        (2, [0.3]), (4, [-0.5, 0.5]), (3, [-0.5, 0.5]), (3, [0.3]),
+        (1, []), (5, [-0.5, 0.5]), (9, [0.3, -0.2]),
+        (41, [-0.7, 0.1, 0.6]), (300, [])])
+    def test_need(self, monkeypatch, count, forbidden):
+        # each interior forbidden value takes two nodes while picks remain,
+        # so the even spread has need = 0, 0, 0, 1, 1, 1, 5, 35 and 300
+        # picks; at margin 0 and count 300 the grid has just 300 nodes
+        calls = _spy(monkeypatch, "_select_probes")
+        args = (count, (-1.0, 1.0), forbidden, 0.0)
+        got = choose_probe_energies(*args)
+        assert got.tobytes() == _numpy_probes(*args).tobytes()
+        if count == 300:
+            assert len(calls[0][0]) == count
+
+    @pytest.mark.parametrize("count", [3, 5, 9, 16])
+    def test_exactly_count_nodes(self, monkeypatch, count):
+        # margins at which the admissible nodes are exactly ``count``, so
+        # the even spread takes every free node
+        calls = _spy(monkeypatch, "_select_probes")
+        exact = 0
+        for margin in np.linspace(0.05, 1.4, 300).tolist():
+            args = (count, (-1.0, 1.0), [0.3], margin)
+            del calls[:]
+            got = _probe_outcome(choose_probe_energies, *args)
+            assert got == _probe_outcome(_numpy_probes, *args)
+            exact += bool(calls) and len(calls[0][0]) == count
+        assert exact >= 10  # 77, 42, 37 and 15 measured
+
+
 class TestLinearize:
     """The sample contract of the rational fit inside ``reconstruct``."""
 
@@ -655,6 +732,26 @@ class TestReconstruct:
         np.testing.assert_allclose(rep.chain.a, [4.0], atol=1e-14)
         assert rep.chain.K == 0
         assert rep.hermitizable == ()
+
+    @pytest.mark.parametrize("K", [0, 1, 3, 8])
+    def test_chain_checked_once(self, monkeypatch, K):
+        # the cascade checks its entries and hands the chain its arrays,
+        # read-only: the public constructor's copy and check do not run,
+        # and the chain is bitwise the one that constructor builds
+        samples = ([GSample(1.0, 3.0)] if K == 0
+                   else _roundtrip_samples(K, 5, "mixed"))
+
+        def no_vector(name, x):
+            raise AssertionError(f"{name} checked again")
+
+        monkeypatch.setattr(effham.model, "_vector", no_vector)
+        chain = reconstruct(samples, K).chain
+        monkeypatch.undo()
+        ref = TridiagonalChain(chain.a, chain.rho)
+        for got, want in ((chain.a, ref.a), (chain.rho, ref.rho)):
+            assert not got.flags.writeable
+            assert (got.dtype, got.shape, got.tobytes()) == (
+                want.dtype, want.shape, want.tobytes())
 
     def test_paper_chain_report(self):
         rep = reconstruct(PAPER_SAMPLES, 1,

@@ -1158,7 +1158,8 @@ def _sweep(sign):
     """random_hamiltonian(4, K, default_rng(1000 K + s), sign) for K = 4,
     8, 16 and s = 0..19; for "nonsymmetric", those of positive rho with
     the block, its corner aside, moved off symmetry, so that H_eff can
-    have complex pairs."""
+    have complex pairs; for "degenerate", two variants of each of positive
+    rho, model state 0 decoupled and then rho_{K//2} = 0."""
     for K in (4, 8, 16):
         for s in range(20):
             rng = np.random.default_rng(1000 * K + s)
@@ -1168,6 +1169,13 @@ def _sweep(sign):
                 block = h.p_block + 0.8 * rng.uniform(-1.0, 1.0, (4, 4))
                 block[-1, -1] = h.p_block[-1, -1]
                 h = PartitionedHamiltonian(block, h.chain)
+            if sign == "degenerate":
+                block, rho = np.array(h.p_block), np.array(h.chain.rho)
+                block[0, 1:] = block[1:, 0] = 0.0
+                yield PartitionedHamiltonian(block, h.chain)
+                rho[K // 2] = 0.0
+                h = PartitionedHamiltonian(
+                    h.p_block, TridiagonalChain(h.chain.a, rho))
             yield h
 
 
@@ -1276,6 +1284,19 @@ class TestBalancedForm:
         assert np.signbit(np.diag(_flat_balanced_form(h, 2))[1:]).all()
         # no rho_k before the cut, so the form is the block, sign kept
         assert np.signbit(np.diag(spectral._balanced_form(h, 0))).all()
+
+
+class TestSetupCuts:
+    """The setup takes the poles of G from the balanced form it builds,
+    by the helper of real_poles and bit for bit its result."""
+
+    @pytest.mark.parametrize("sign", ["positive", "mixed", "degenerate",
+                                      "nonsymmetric"])
+    def test_cuts_are_real_poles(self, sign):
+        for h in _sweep(sign):
+            cuts = spectral._setup(h).cuts
+            assert [x.hex() for x in cuts] == [
+                x.hex() for x in real_poles(h.chain).tolist()]
 
 
 def _g_slope_reference(chain, E, moved=()):

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -131,3 +132,142 @@ def test_code_lines(tmp_path, capsys):
     tool.main(["code_lines.py", str(tmp_path)])
     assert capsys.readouterr().out.split() == [
         "a.py", "1", "b.py", "8", "total", "9"]
+
+
+AB_PAIRS = DIGEST.with_name("ab_pairs.py")
+END_TO_END = [{"name": "solved_per_s", "better": "higher"},
+              {"name": "latency_p50_ms", "better": "lower"}]
+
+
+def _load_ab_pairs():
+    spec = importlib.util.spec_from_file_location("ab_pairs", AB_PAIRS)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
+def _checkout(root, name, run_py="print('{}')\n"):
+    """A checkout holding only a benchmark: BENCHMARK.json, perfbench/."""
+    where = root / name
+    (where / "perfbench" / "out").mkdir(parents=True)
+    (where / "perfbench" / "run.py").write_text(run_py)
+    (where / "BENCHMARK.json").write_text(json.dumps(
+        {"command": [sys.executable, "perfbench/run.py"],
+         "paths": ["perfbench"], "run_seconds": 25,
+         "end_to_end": END_TO_END}))
+    return where
+
+
+def test_ab_pairs_alternates(tmp_path, capsys):
+    # pair i runs the base first when i is even and the change first when
+    # it is odd; every run is the benchmark's command with the workload,
+    # the seed and the seconds
+    tool = _load_ab_pairs()
+    base, change = (_checkout(tmp_path, n) for n in ("base", "change"))
+    calls = []
+
+    def runner(checkout, argv):
+        calls.append((Path(checkout).name, tuple(argv)))
+        return {"solved_per_s": 100.0 + len(calls), "latency_p50_ms": 1.0}
+
+    assert tool.main([str(base), str(change), "--workload", "w", "--pairs",
+                      "4", "--seed", "3"], runner=runner) == 0
+    assert [c[0] for c in calls] == ["base", "change", "change", "base",
+                                     "base", "change", "change", "base"]
+    assert {c[1] for c in calls} == {(
+        sys.executable, "perfbench/run.py", "--workload", "w", "--seed", "3",
+        "--seconds", "25")}
+    out = capsys.readouterr().out.splitlines()
+    assert out[1].startswith("pair 1 (base first): base solved_per_s=101 ")
+    assert out[2].startswith("pair 2 (change first): base solved_per_s=104 ")
+
+
+def test_ab_pairs_statistics(capsys):
+    tool = _load_ab_pairs()
+    # the quartiles of perfbench/steady.py: statistics.quantiles' default
+    assert tool.quartiles([4.0, 1.0, 3.0, 2.0]) == (1.25, 2.5, 3.75)
+    base = [100.0, 101.0, 102.0, 103.0, 104.0, 100.0, 101.0, 102.0, 103.0,
+            104.0]
+    # 9 wins of 10 and a median gain of 3.5 over an interquartile range of
+    # 2.5
+    change = [x + 4.0 for x in base[:9]] + [90.0]
+    assert tool.verdict(base, change, higher=True) == (9, True)
+    # 8 wins of 10 are not nine tenths
+    assert tool.verdict(base, change[:8] + [90.0, 90.0], True) == (8, False)
+    # every pair won, by less than the base's spread
+    assert tool.verdict(base, [x + 1.0 for x in base], True) == (10, False)
+    # ties count for neither side; lower is better for a latency
+    assert tool.verdict([1.0, 2.0], [1.0, 1.0], higher=False) == (1, False)
+    assert tool.verdict([2.0] * 10, [1.0] * 10, higher=False) == (10, True)
+    runs = {"base": [{"solved_per_s": x, "latency_p50_ms": 1.0}
+                     for x in base],
+            "change": [{"solved_per_s": x, "latency_p50_ms": 1.0}
+                       for x in change]}
+    tool.report(runs, END_TO_END)
+    assert capsys.readouterr().out.splitlines() == [
+        "solved_per_s     (higher) base 102 [100.75, 103.25]  "
+        "change 105.5 [104, 107]  wins 9/10  rule holds",
+        "latency_p50_ms   (lower) base 1 [1, 1]  change 1 [1, 1]  "
+        "wins 0/10  rule fails"]
+
+
+def test_ab_pairs_refuses_other_benchmark(tmp_path, capsys):
+    # what runs leave in perfbench/out and __pycache__ does not count; any
+    # other file that differs, or that one side lacks, stops the tool
+    # before it runs anything
+    tool = _load_ab_pairs()
+    base, change = (_checkout(tmp_path, n) for n in ("base", "change"))
+    (change / "perfbench" / "out" / "spans.npz").write_bytes(b"x")
+    (change / "perfbench" / "__pycache__").mkdir()
+    (change / "perfbench" / "__pycache__" / "run.pyc").write_bytes(b"x")
+    assert tool.differing(base, change, ["perfbench"]) == []
+
+    def runner(*args):
+        raise AssertionError("ran")
+
+    for path, text in (("perfbench/run.py", "print(1)\n"),
+                       ("perfbench/extra.py", ""),
+                       ("BENCHMARK.json", "{}")):
+        other = _checkout(tmp_path / path.replace("/", "_"), "change")
+        (other / path).write_text(text)
+        assert tool.main([str(base), str(other), "--workload", "w"],
+                         runner=runner) == 2
+        assert capsys.readouterr().err == (
+            f"ab_pairs: the benchmarks differ: {path}\n")
+
+
+def test_ab_pairs_reads_benchmark_paths(tmp_path):
+    # the files compared are those under the paths BENCHMARK.json lists
+    tool = _load_ab_pairs()
+    base, change = (_checkout(tmp_path, n) for n in ("base", "change"))
+    for where in (base, change):
+        (where / "bench").mkdir()
+        (where / "bench" / "a.py").write_text("")
+    (change / "perfbench" / "run.py").write_text("print(1)\n")
+    assert tool.differing(base, change, ["bench"]) == []
+    (change / "bench" / "a.py").write_text("x = 1\n")
+    assert tool.differing(base, change, ["bench"]) == ["bench/a.py"]
+
+
+@pytest.mark.parametrize("run_py, message", [
+    ("import sys; sys.exit(1)\n", "exit 1"),
+    ("print('no json')\n", "no JSON result line"),
+    ("print('{\"correct\": false, \"metrics\": {}}')\n", "not correct")])
+def test_ab_pairs_failed_run(tmp_path, capsys, run_py, message):
+    # the real runner on a stand-in run.py: any failed run exits 2
+    tool = _load_ab_pairs()
+    base, change = (_checkout(tmp_path, n, run_py) for n in ("base", "change"))
+    assert tool.main([str(base), str(change), "--workload", "w",
+                      "--pairs", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"ab_pairs: run failed: {base}: ")
+    assert message in err
+
+
+def test_ab_pairs_reads_metrics(tmp_path):
+    run_py = ("print('human line')\nprint('{\"correct\": true, \"metrics\": "
+              "{\"solved_per_s\": {\"value\": 7.5, \"unit\": \"1/s\"}}}')\n")
+    tool = _load_ab_pairs()
+    checkout = _checkout(tmp_path, "c", run_py)
+    assert tool.run_bench(checkout, [sys.executable, "perfbench/run.py"]) == {
+        "solved_per_s": 7.5}
