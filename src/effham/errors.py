@@ -22,9 +22,9 @@ class PoleProximity(DomainError):
     ``level`` is the recursion index k at which the pivot broke down: E is
     an eigenvalue of the block from level k on.  ``continued_fraction``
     tests every level.  G, which sees the chain up to its first rho_k = 0,
-    tests only level 1, a pole of G, and runs through a deeper pivot that
-    vanishes, so from G, H_eff and the self-consistent solve the level is
-    always 1.
+    tests only level 1, a pole of G, and takes a deeper pivot that
+    vanishes at its exact limit, f_k infinite and f_{k-1} = 0, so from G,
+    H_eff and the self-consistent solve the level is always 1.
     """
 
     def __init__(self, level, detail=""):

@@ -14,9 +14,9 @@ produces the reciprocal pivots, and G(E) extends it one level to k = 0:
 :func:`continued_fraction` keeps every f_k, as :func:`ufl_factorize`
 needs, in any off-diagonal gauge.  :func:`g_function` needs only f_1 in
 the stored unit-subdiagonal gauge, so it runs the same recursion without
-keeping the others, in one loop whose arithmetic is the same for a
-single energy (Python floats) and for an array of energies (one numpy
-pass over all of them): the two agree bit for bit.  ``_slope_recurrence``
+keeping the others, with the same arithmetic for a single energy
+(Python floats) and for an array of energies (one numpy pass over all
+of them): the two agree bit for bit.  ``_slope_recurrence``
 runs the same recursion at one energy with dG/dE carried along, for the
 Newton steps of the self-consistent solve.  Both run over the chain
 entries that ``_cut`` takes from a chain, in one scan per chain object,
@@ -30,9 +30,12 @@ decided in one place, :func:`_on_pole`.  :func:`continued_fraction`
 tests every pivot with it, since each is a factor of the UFL
 factorization, but G and its slope test only level 1: a deeper pivot
 vanishes at an eigenvalue of a trailing block, where G is analytic, so
-they run through it, with a pivot within ``PIVMIN`` of its level's scale
-moved off zero, as in LAPACK's bisection (``dstebz``, ``dlaneg``; Kahan
-1966; Demmel, Dhillon & Ren 1995).
+they take it at its limit.  A deeper pivot within ``PIVMIN`` of its
+level's scale counts as vanished, as in LAPACK's bisection (``dstebz``,
+``dlaneg``; Kahan 1966; Demmel, Dhillon & Ren 1995), and gives
+f_k = infinity; IEEE arithmetic then makes the next pivot infinite and
+f_{k-1} exactly 0, the limit of exact arithmetic, so every level above
+is the plain recurrence and no trace of the vanished pivot is left.
 """
 
 import math
@@ -55,7 +58,7 @@ __all__ = [
 ]
 
 PIVOT_TOL = 1e-12  # of the scale of a pivot in the test of _on_pole
-# of min(|a_k|, sqrt|rho_{k-1}|): a deeper pivot of G within it moves
+# of min(|a_k|, sqrt|rho_{k-1}|): a deeper pivot of G within it vanishes
 PIVMIN = 1e-32
 ORACLE_COND_LIMIT = 1e12  # of E - QHQ in the dense oracle
 _TINY = sys.float_info.min
@@ -85,54 +88,21 @@ def _as_factored_tail(tail):
     raise TypeError(f"expected a chain, got {type(tail).__name__}")
 
 
-def _on_pole(pivot, a, E, coupling, steps=()):
+def _on_pole(pivot, a, E, coupling):
     """Whether the pivot a - E - coupling is on a pole: the one pole test
     of the package, for every pivot of :func:`continued_fraction`, level
     1 of :func:`g_function` and :func:`_slope_recurrence`, and
-    ``toys.m2_g_closed_form``.  A bool for a single energy (with
-    ``steps``, a Python float), an array of bools for an array of
-    energies.
+    ``toys.m2_g_closed_form``.  A bool for a single energy, an array of
+    bools for an array of energies.
 
     The pivot is on a pole when |pivot| < ``PIVOT_TOL`` (|a| + |E| +
     |coupling| + tiny): relative to the terms it is made of, so the rule
     is the same at every scale of a chain, and tiny, the smallest normal
     float64, makes an exactly zero pivot fail it even where all three
-    terms are 0.
-
-    ``steps`` are, at level 1 of G, those of :func:`_cut`.  A pivot
-    that G moves at a level k >= 3 leaves a trace: f_{k-1} is about
-    -p / rho_{k-1} where without the move it is exactly 0.  Where that
-    makes f_2 = 0 without the moves, the trace is the whole coupling of
-    level 1, and at a = E the pivot is the trace itself: the rule fires
-    only where the trace is below ``PIVOT_TOL`` (|a| + |E|), never at
-    a = E = 0, though E is a pole of G.  So where a - E alone is within
-    the rule's bound, as it is wherever the coupling without the moves is
-    0 and E is a pole, level 1 is also tested by
-    :func:`_unmoved_on_pole`.
+    terms are 0.  At level 1 of G the coupling is infinite where level 2
+    vanished, and the rule never fires: G is then a_0 - E.
     """
-    edge = PIVOT_TOL * (abs(a) + abs(E) + abs(coupling) + _TINY)
-    bad = abs(pivot) < edge
-    if steps:
-        near = abs(a - E) < edge
-        if near is not False:  # for a float E, rarely
-            if near is True:
-                return bad or _unmoved_on_pole(steps, E)
-            for i in np.flatnonzero(near):
-                bad.flat[i] |= _unmoved_on_pole(steps, float(E.flat[i]))
-    return bad
-
-
-def _unmoved_on_pole(steps, E):
-    """Whether level 1 of G is on a pole at a single energy when each
-    pivot that G moves is taken as exactly 0 instead: f_k is then
-    infinite and f_{k-1} exactly 0, as in exact arithmetic, so the moves
-    leave no trace."""
-    f = 0.0
-    for ak, r, small, _ in steps:  # k = seen, ..., 1
-        coupling = r * f
-        pivot = ak - E - coupling
-        f = 1.0 / pivot if abs(pivot) > small else math.inf
-    return _on_pole(pivot, ak, E, coupling)
+    return abs(pivot) < PIVOT_TOL * (abs(a) + abs(E) + abs(coupling) + _TINY)
 
 
 def continued_fraction(tail, E):
@@ -179,28 +149,26 @@ def g_function(chain, E):
     """The energy-dependent element G(E) = a_0 - E - rho_0 f_1(E).
 
     ``E`` is a single energy (returns a float) or an array of energies
-    (returns an array of the same shape).  One loop over the steps of the
-    chain's :func:`_cut` serves both: Python's ``abs``, ``-``, ``*``,
-    ``<=`` and ``/`` do the same float64 operations on a float and,
-    elementwise, on an array, so each entry of an array result is bitwise
-    the float result at that energy.  For a K = 0 chain, or rho_0 = 0,
-    this is just a_0 - E.
+    (returns an array of the same shape).  The two forms run the same
+    float64 operations over the steps of the chain's :func:`_cut`, on a
+    float and, elementwise, on an array, so each entry of an array result
+    is bitwise the float result at that energy.  For a K = 0 chain, or
+    rho_0 = 0, this is just a_0 - E.
 
     The recursion starts at the first rho_k = 0, so G is that of the
     chain cut there, bit for bit, and the levels past the cut are no
-    poles.  Only level 1 is tested, by :func:`_on_pole` with the chain's
-    steps: its breakdown is a pole of G and raises
-    :class:`PoleProximity` (level 1), for an array when any energy's
-    does, as a loop of float calls would.  A deeper pivot p_k vanishes at
-    an eigenvalue of a trailing block, where G is analytic, so it is not
-    tested.  Where |p_k| <= ``PIVMIN`` min(|a_k|, sqrt|rho_{k-1}|), 0
-    included, it is moved up by 2 ``PIVMIN`` sqrt|rho_{k-1}|, as LAPACK's
-    Sturm counts (``dlaneg``) move a pivot off zero, and the recursion
-    goes on through it: G there is that of the chain with a_k moved by at
-    most 3e-32 of its coupling to level k - 1.  Only a pivot that
-    :func:`_on_pole` puts on a pole moves, so wherever no level is on a
-    pole, G is that of the plain recurrence.  A non-finite energy is not
-    a pole; it propagates NaN or infinity.
+    poles.  Only level 1 is tested, by :func:`_on_pole`: its breakdown is
+    a pole of G and raises :class:`PoleProximity` (level 1), for an array
+    when any energy's does, as a loop of float calls would.  A deeper
+    pivot p_k vanishes at an eigenvalue of a trailing block, where G is
+    analytic, so it is not tested.  Where |p_k| <= ``PIVMIN``
+    min(|a_k|, sqrt|rho_{k-1}|), 0 included, it counts as vanished, as in
+    LAPACK's Sturm counts (``dlaneg``), and f_k is its limit, infinity:
+    the float form takes ``math.inf``, the array form divides by 0.0.
+    The next pivot is then infinite and f_{k-1} exactly 0, so G is the
+    exact limit of the recurrence, and wherever no pivot vanishes, G is
+    that of the plain recurrence.  A non-finite energy is not a pole; it
+    propagates NaN or infinity.
     """
     if type(E) is not float:
         E = np.asarray(E, dtype=float)
@@ -208,12 +176,19 @@ def g_function(chain, E):
             E = float(E)
     a0, rho0, steps = _cut(chain)
     f = 0.0  # f_{k+1}; f_{K+1} = 0
-    for ak, r, small, lift in steps:  # k = seen, ..., 1
-        coupling = r * f
-        pivot = ak - E - coupling
-        f = 1.0 / (pivot + (abs(pivot) <= small) * lift)
-    if steps:  # level 1, which moves only where the rule fires
-        bad = _on_pole(pivot, ak, E, coupling, steps)
+    if type(E) is float:
+        for ak, r, small in steps:  # k = seen, ..., 1
+            coupling = r * f
+            pivot = ak - E - coupling
+            f = 1.0 / pivot if abs(pivot) > small else math.inf
+    else:
+        with np.errstate(divide="ignore"):
+            for ak, r, small in steps:
+                coupling = r * f
+                pivot = ak - E - coupling
+                f = 1.0 / np.where(abs(pivot) > small, pivot, 0.0)
+    if steps:  # level 1
+        bad = _on_pole(pivot, ak, E, coupling)
         if bad is True or bad is not False and bad.any():
             raise PoleProximity(1)
     return a0 - E - rho0 * f
@@ -222,12 +197,11 @@ def g_function(chain, E):
 def _cut(chain):
     """(a_0, rho_0, steps): the entries of ``chain`` that G sees, for
     :func:`g_function` and :func:`_slope_recurrence`.  ``steps`` are the
-    tuples (a_k, rho_k, ``PIVMIN`` min(|a_k|, sqrt|rho_{k-1}|),
-    2 ``PIVMIN`` sqrt|rho_{k-1}|) for k from ``seen`` down to 1, where
-    rho_seen is the first rho_k = 0, else 0 past the end of the chain (as
-    is rho_0 of a K = 0 chain): what the recurrence reads of the chain, in
-    its order, with the bound below which a pivot moves and its move,
-    positive since rho_{k-1} != 0.
+    tuples (a_k, rho_k, ``PIVMIN`` min(|a_k|, sqrt|rho_{k-1}|)) for k from
+    ``seen`` down to 1, where rho_seen is the first rho_k = 0, else 0 past
+    the end of the chain (as is rho_0 of a K = 0 chain): what the
+    recurrence reads of the chain, in its order, with the bound at or
+    below which a pivot vanishes.
 
     They are computed once per chain object, in one scan, and kept in its
     ``__dict__`` as ``functools.cached_property`` keeps a value: a chain
@@ -240,12 +214,10 @@ def _cut(chain):
         a, rho = chain.a.tolist(), chain.rho.tolist()
         seen = _seen(rho)
         rho = rho[:seen + 1] if seen < len(rho) else rho + [0.0]
-        steps = []
-        for k in range(seen, 0, -1):
-            edge = PIVMIN * math.sqrt(abs(rho[k - 1]))
-            steps.append((a[k], rho[k], min(PIVMIN * abs(a[k]), edge),
-                          2.0 * edge))
-        cut = a[0], rho[0], tuple(steps)
+        steps = tuple((a[k], rho[k], PIVMIN * min(abs(a[k]),
+                                                  math.sqrt(abs(rho[k - 1]))))
+                      for k in range(seen, 0, -1))
+        cut = a[0], rho[0], steps
         chain.__dict__["_cut"] = cut
     return cut
 
@@ -262,22 +234,32 @@ def _slope_recurrence(a0, rho0, steps, E):
     tests level 1 by the same call of :func:`_on_pole`:
     :class:`PoleProximity` fires at the same energies, at level 1.
 
-    Through a pivot moved to p, between e and 3 e with
-    e = 1e-32 sqrt|rho_{k-1}|, f_k^2 is about 1 / p^2 and f_{k-1}^2 about
-    p^2 / rho_{k-1}^2, whose product in f_{k-1}' is finite in the limit.
-    Both squares are normal floats, and G' is within rounding of its
-    limit, for sqrt|rho_{k-1}| from about 1e-122 to 1e122, which holds
-    the range the package is tested over, 1e-100 to 1e100.  Below it the
-    slope there overflows; above it f_{k-1}^2 is subnormal and the slope
-    loses digits."""
+    Where a pivot p_k vanishes, f_k is infinite and f_{k-1} exactly 0,
+    as in :func:`g_function`, and the slope takes its limit too: as
+    p_k -> 0, f_{k-1} is about -p_k / rho_{k-1}, so
+
+        f_{k-1}' -> (1 + rho_k f_{k+1}') / rho_{k-1},
+
+    carried as 1 + rho_k f_{k+1}' at level k and divided by rho_{k-1} at
+    the level after it.  No square of a vanished pivot is formed, so the
+    slope there holds at every scale of a chain."""
     f = df = 0.0  # f_{k+1} and its slope; f_{K+1} = 0
-    for ak, r, small, lift in steps:  # k = seen, ..., 1
+    vanished = False  # whether the pivot of the level before vanished
+    for ak, r, small in steps:  # k = seen, ..., 1
         coupling = r * f
         pivot = ak - E - coupling
-        # g_function adds 0.0 to an unmoved pivot, which is never -0.0
-        f = 1.0 / (pivot + lift if abs(pivot) <= small else pivot)
-        df = f * f * (1.0 + r * df)
-    if steps and _on_pole(pivot, ak, E, coupling, steps):
+        if vanished:
+            f = 1.0 / pivot
+            df /= r
+            vanished = False
+        elif abs(pivot) > small:
+            f = 1.0 / pivot
+            df = f * f * (1.0 + r * df)
+        else:
+            f = math.inf
+            df = 1.0 + r * df
+            vanished = True
+    if steps and _on_pole(pivot, ak, E, coupling):
         raise PoleProximity(1)
     return a0 - E - rho0 * f, -1.0 - rho0 * df
 

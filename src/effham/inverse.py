@@ -41,7 +41,7 @@ from decimal import (MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal,
                      DivisionByZero, InvalidOperation, Overflow, getcontext,
                      localcontext)
 from functools import lru_cache
-from math import isfinite
+from math import ceil, isfinite
 
 import numpy as np
 
@@ -88,8 +88,10 @@ def choose_probe_energies(count, window, forbidden=(), margin=0.0):
     ``window = (lo, hi)``, each at distance >= ``margin`` from every
     forbidden value.  Deterministic given its inputs.  A ``count`` that
     is not an integer is a ``TypeError``; ``ValueError`` unless the window
-    has positive width, ``count`` >= 1, ``margin`` is finite and >= 0 and
-    no forbidden value is NaN.
+    is finite with positive width, ``count`` >= 1, ``margin`` is finite
+    and >= 0 and no forbidden value is NaN.  :class:`InfeasibleSampling`
+    when the margin leaves too few nodes, or when the window holds too
+    few floats for ``count`` distinct probes inside it.
 
     Probes as close as the margin allows to the forbidden values (the
     poles of G) carry the most information about the deep chain levels,
@@ -105,8 +107,8 @@ def choose_probe_energies(count, window, forbidden=(), margin=0.0):
     """
     count = operator.index(count)
     lo, hi = float(window[0]), float(window[1])
-    if not hi > lo:
-        raise ValueError("window must have positive width")
+    if not -np.inf < lo < hi < np.inf:
+        raise ValueError("window must be finite with positive width")
     if count < 1:
         raise ValueError("count must be >= 1")
     if not 0.0 <= margin < np.inf:
@@ -114,9 +116,12 @@ def choose_probe_energies(count, window, forbidden=(), margin=0.0):
     forbidden = np.sort(np.asarray(list(forbidden), dtype=float))
     if len(forbidden) and np.isnan(forbidden[-1]):  # NaN sorts last
         raise ValueError("forbidden values must not be NaN")
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    # dense enough that interior node spacing is below the margin
-    m = max(count, int(np.ceil(4.0 * half / max(margin, half / 64.0))))
+    # halved before they are added, so that neither overflows
+    mid, half = 0.5 * lo + 0.5 * hi, 0.5 * hi - 0.5 * lo
+    # dense enough that interior node spacing is below the margin:
+    # 4 half / max(margin, half / 64), which is 256 at most
+    m = max(count, 256 if margin <= half / 64.0
+            else ceil(4.0 * (half / margin)))
     for _ in range(8):
         nodes = mid + half * _unit_grid(m)
         if len(forbidden):
@@ -128,7 +133,13 @@ def choose_probe_energies(count, window, forbidden=(), margin=0.0):
             dist = np.minimum(nodes - fence[pos], fence[pos + 1] - nodes)
             nodes = nodes[dist >= margin]
         if len(nodes) >= count:
-            return _select_probes(nodes.tolist(), forbidden.tolist(), count)
+            picks = _select_probes(nodes.tolist(), forbidden.tolist(), count)
+            # lo < picks < hi, ascending: in a window only a few floats
+            # wide, nodes round onto each other or onto its ends
+            if all(map(operator.lt, [lo, *picks], [*picks, hi])):
+                return np.array(picks)
+            raise InfeasibleSampling(
+                f"cannot place {count} distinct probes inside ({lo}, {hi})")
         m *= 2
     raise InfeasibleSampling(
         f"cannot place {count} probes at margin {margin} in [{lo}, {hi}]")
@@ -150,7 +161,7 @@ def _unit_grid(m):
 
 def _select_probes(xs, forbidden, count):
     """``count`` of the ascending admissible nodes ``xs`` (a list of
-    floats), as an ascending array: for each of the ascending
+    floats), as an ascending list: for each of the ascending
     ``forbidden`` values (a list) in turn, while picks remain, the untaken
     node just below its insertion point (``bisect_left``) and the one at
     it; then ``need`` more, spread evenly over the ``last + 1`` nodes
@@ -184,7 +195,7 @@ def _select_probes(xs, forbidden, count):
             step = last / (need - 1)
             picks = [round(j * step + 0.0) for j in range(need - 1)] + [last]
         chosen += [free[p] for p in picks]
-    return np.array(sorted(chosen))
+    return sorted(chosen)
 
 
 def k1_invert(var):

@@ -25,9 +25,9 @@ the start eta0 of a solve is kept there too, for the latest eta0: the
 solves of levels 1..M from one eta0 share it.  Within one solve H_eff is
 evaluated and eigensolved once per energy: r_n, the branch test and the
 final eigenvector check share it.  G, and so H_eff and D, break down only
-within rounding of a pole of G (``forward.g_function`` runs through a
-deeper pivot that vanishes), so each :class:`PoleProximity` met marks a
-pole of G: the finish steps past it, and a start on it raises.
+within rounding of a pole of G (``forward.g_function`` takes a deeper
+pivot that vanishes at its limit), so each :class:`PoleProximity` met
+marks a pole of G: the finish steps past it, and a start on it raises.
 """
 
 import bisect
@@ -39,17 +39,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EigSolverFailure, NonConvergence, PoleProximity
-from .forward import (_cut, _slope_recurrence, continued_fraction,
-                      effective_hamiltonian)
-from .model import _chain_matrix, _doorway_matrix, assemble_dense
+from .forward import _cut, _slope_recurrence, effective_hamiltonian
+from .model import _chain_matrix, _doorway_matrix
 
 __all__ = [
     "SelfConsistentResult",
     "eigenvalues_dense",
     "real_poles",
     "self_consistent_solve",
-    "embed_full_space",
-    "full_space_residual",
 ]
 
 IMAG_COLLAPSE = 1e-10
@@ -511,9 +508,10 @@ def _dense_solve(setup, eta0, n, trace, r, spectrum):
     generic Hermitian doorway, from its :class:`_Setup`: x is finished on
     r_n within ``halfway``, None when x = eta0 and r_n(eta0) rounds to 0:
     |r_n(eta0)| below half an ulp of max(|eta0|, scale), the rounding of
-    an eigenvalue of H_eff there (G through a pivot moved off zero is
-    about 1e-32 off its limit).  ``spectrum(x)`` is the eigenvalues of
-    H_eff(x), sorted, from the same evaluation as r(x).
+    an eigenvalue of H_eff there (G at a vanished deeper pivot is its
+    exact limit, so it adds no error of its own).  ``spectrum(x)`` is
+    the eigenvalues of H_eff(x), sorted, from the same evaluation as
+    r(x).
 
     The levels are the real eigenvalues of :func:`_balanced_form`,
     visited in the order of the rule.  In a Hermitian form the j-th (from
@@ -603,29 +601,3 @@ def _off_pivot(f, x, side, step):
         except PoleProximity:
             y = x + side * step
             step *= 2.0
-
-
-def embed_full_space(h, energy, phi):
-    """Reinsert the eliminated components: Q psi = -(QHQ - E)^{-1} Q H phi,
-    returning the concatenated full-space vector (phi, Q psi).
-
-    With the doorway form, Q H phi has a single nonzero entry phi_M in its
-    first slot (the unit subdiagonal coupling), and the first column of
-    (QHQ - E)^{-1} is (f_1, -f_1 f_2, f_1 f_2 f_3, ...) in the pivots of
-    :func:`continued_fraction`, so Q psi_k = phi_M prod_{j<=k} (-f_j).
-    Raises :class:`PoleProximity` under its pivot rule.
-    """
-    chain = h.chain
-    phi = np.asarray(phi, dtype=float)
-    if chain.K == 0:
-        return phi.copy()
-    f = continued_fraction(chain.tail(), energy)
-    return np.concatenate([phi, phi[-1] * np.cumprod(-f[:chain.K])])
-
-
-def full_space_residual(h, result):
-    """|| (H - E) psi || for the embedded full-space vector of a converged
-    self-consistent level; a cheap isospectrality check."""
-    psi = embed_full_space(h, result.energy, result.eigvec_model)
-    dense = assemble_dense(h)
-    return float(np.linalg.norm((dense - result.energy * np.eye(h.N)) @ psi))

@@ -41,27 +41,25 @@ def _g_continued_fraction(chain, E):
     return None
 
 
-def _g_moved(chain, E):
+def _g_limit(chain, E):
     """G(E) by the recurrence over the stored arrays, from the first
-    rho_k = 0, with the move of g_function: a deeper pivot p with |p| <=
-    1e-32 min(|a_k|, sqrt|rho_{k-1}|) is moved up by 2e-32
-    sqrt|rho_{k-1}|; level 1 is not tested."""
+    rho_k = 0, with the limit rule of g_function: a deeper pivot p with
+    |p| <= 1e-32 min(|a_k|, sqrt|rho_{k-1}|) has vanished, and f_k is
+    infinite; level 1 is not tested."""
     a, rho = chain.a.tolist(), chain.rho.tolist() + [0.0]
     f = 0.0
     for k in range(rho.index(0.0), 0, -1):
         pivot = a[k] - E - rho[k] * f
-        edge = 1e-32 * math.sqrt(abs(rho[k - 1]))
-        if k > 1 and abs(pivot) <= min(1e-32 * abs(a[k]), edge):
-            pivot += 2.0 * edge
-        f = 1.0 / pivot
+        small = 1e-32 * min(abs(a[k]), math.sqrt(abs(rho[k - 1])))
+        f = math.inf if k > 1 and abs(pivot) <= small else 1.0 / pivot
     return a[0] - E - rho[0] * f
 
 
 def _g_reference(chain, E):
     """G(E) by :func:`_g_continued_fraction`, else, where only a deeper
-    pivot breaks down, by :func:`_g_moved`."""
+    pivot breaks down, by :func:`_g_limit`."""
     g = _g_continued_fraction(chain, E)
-    return _g_moved(chain, E) if g is None else g
+    return _g_limit(chain, E) if g is None else g
 
 
 def _outcome(fn, *args):
@@ -407,8 +405,8 @@ def _g_determinants(chain, E, num):
 
 
 class TestDeeperPivots:
-    """G runs through a deeper pivot that vanishes, at an eigenvalue of a
-    trailing block from level 2 on, where G is analytic."""
+    """G takes a deeper pivot that vanishes, at an eigenvalue of a
+    trailing block from level 2 on, where G is analytic, at its limit."""
 
     @pytest.mark.slow
     def test_accuracy_against_determinants(self):
@@ -455,9 +453,9 @@ class TestDeeperPivots:
     def test_graded_chain(self):
         # a = (0, 0, 0, 1e30), rho = (1, 1, 1): the chain's scale is 1e30,
         # level 2's is about |E|.  At E = 1e-3 the level-2 pivot is -1e-3,
-        # which the per-level rule passes: nothing moves, and G is the
+        # which the per-level rule passes: nothing vanishes, and G is the
         # continued fraction's, -0.002.  At E = -1e-30 that pivot is
-        # exactly 0 and moves by 2e-32 sqrt(rho_1): G is 2e-32 off the
+        # exactly 0 and vanishes: f_1 is 0, and G is a_0 - E, the
         # determinant ratio, 1e-30
         mpmath = pytest.importorskip("mpmath")
         mp = mpmath.mp.clone()
@@ -513,13 +511,16 @@ class TestDeeperPivots:
                         _bits([ref]))
         assert passed >= 500  # 507 and 524 measured
 
-    @pytest.mark.parametrize("scale", [1e-100, 1.0, 1e100])
+    @pytest.mark.parametrize("scale", [1e-140, 1e-125, 1e-100, 1.0, 1e100,
+                                       1e125, 1e140])
     def test_slope_at_moved_pivots(self, scale):
         # chains at energy scale s (a by s, rho by s^2) whose pivot at
         # level k >= 2 is exactly 0 at E = 0: a_k is set to the coupling
         # below it, as the recurrence rounds it.  G and dG/dE at 0 match
         # an 80-digit ratio of determinants and its central difference at
-        # h = 1e-30 s (worst 5e-14 measured at 1e-100)
+        # h = 1e-30 s.  The slope takes the limit at the vanished pivot,
+        # with no square of it, so it holds at the ends of float64's range
+        # as at s = 1 (worst slope error 1.5e-14 measured, at 1e-125)
         rng = np.random.default_rng(61)
         for K in (2, 3, 5, 8):
             for k in range(2, K + 1):
@@ -550,12 +551,11 @@ class TestDeeperPivots:
         # a = (s, s, s, s): the 3 x 3 tail has the eigenvalue s, with
         # right and left eigenvectors (rho_2, 0, -1) and (1, 0, -rho_1),
         # so E = s is a pole of G, shared with the block [a_3].  The
-        # level-3 pivot is exactly 0 and moves; its trace two levels up,
-        # up to 3e-32 rho_1 / sqrt(rho_2) (3e13 for the last chain), is
-        # then the whole coupling of level 1.  At s = 0 it was all the
-        # scale of the rule too, and G returned -5e31, -5e11, -5e21 and
-        # -5e-14; the last chain's trace also outweighed the scale at
-        # s = 1 and -3.5
+        # level-3 pivot is exactly 0 and vanishes, so f_2 is exactly 0
+        # and the level-1 pivot a_1 - E is exactly 0 too: G raises at
+        # every scale of the couplings.  A pivot moved off zero instead
+        # left a trace two levels up that was the whole coupling of
+        # level 1, and G returned -5e31, -5e11, -5e21 and -5e-14 at s = 0
         for s in (0.0, 1.0, -3.5):
             chain = TridiagonalChain([s] * 4, list(rho))
             for fn, E in ((g_function, s), (g_function, np.array([s])),
@@ -595,9 +595,8 @@ class TestLead:
     @pytest.mark.parametrize("K", range(2, 22))
     def test_zero_diagonal_at_zero(self, K):
         # a_k = 0, rho_k = 1: at E = 0 the pivots alternate between exactly
-        # 0, which moves, and its reciprocal.  An odd K has the tail
-        # eigenvalue 0, a pole of G; at an even K, G(0) is 0, and G
-        # returns the trace of the move at level K
+        # 0, which vanishes, and infinity.  An odd K has the tail
+        # eigenvalue 0, a pole of G; at an even K, G(0) is exactly 0
         chain = TridiagonalChain([0.0] * (K + 1), [1.0] * K)
         forms = (lambda: g_function(chain, 0.0),
                  lambda: g_function(chain, np.zeros(2)),
@@ -608,7 +607,7 @@ class TestLead:
                     form()
                 assert exc.value.level == 1
             else:
-                assert np.all(np.abs(form()) <= 1e-30)
+                assert np.all(form() == 0.0)
 
 
 class TestEffectiveHamiltonian:

@@ -329,6 +329,31 @@ class TestProbePlacement:
             exact += bool(calls) and len(calls[0][0]) == count
         assert exact >= 10  # 77, 42, 37 and 15 measured
 
+    @pytest.mark.parametrize("count, window, feasible", [
+        (7, (0.0, 1e-323), False), (1, (0.0, 5e-324), False),
+        (7, (1.0, 1.0 + 1e-15), False), (7, (0.0, 1e308), True),
+        (7, (-1e308, 1e308), True), (7, (1e308, 1.7e308), True),
+        (7, (-2.0 ** 1023, 2.0 ** 1023), True)],
+        ids=["1e-323", "one-float", "1e-15", "0-1e308", "pm1e308",
+             "1e308-1.7e308", "pm2^1023"])
+    def test_edges_of_float64(self, count, window, feasible):
+        # windows at the ends of float64's range, and windows holding
+        # fewer floats than probes: count distinct probes strictly inside
+        # the window, or InfeasibleSampling, never an error of the
+        # arithmetic (a ZeroDivisionError, an OverflowError or a NaN
+        # conversion, and at 1 + 1e-15 a repeated probe below lo)
+        if not feasible:
+            with pytest.raises(InfeasibleSampling, match="distinct"):
+                choose_probe_energies(count, window)
+            return
+        probes = choose_probe_energies(count, window).tolist()
+        assert len(probes) == count
+        assert window[0] < probes[0] and probes[-1] < window[1]
+        assert all(x < y for x, y in zip(probes, probes[1:]))
+        if window[1] == 2.0 ** 1023:  # halving is exact: scaled bitwise
+            unit = choose_probe_energies(count, (-1.0, 1.0)).tolist()
+            assert probes == [2.0 ** 1023 * x for x in unit]
+
 
 class TestLinearize:
     """The sample contract of the rational fit inside ``reconstruct``."""

@@ -22,8 +22,7 @@ from effham.forward import (_cut, _slope_recurrence, effective_hamiltonian,
 from effham.instances import probe_window, random_hamiltonian, real_poles
 from effham.model import (PartitionedHamiltonian, TridiagonalChain,
                           assemble_dense)
-from effham.spectral import (eigenvalues_dense, embed_full_space,
-                             full_space_residual, self_consistent_solve)
+from effham.spectral import eigenvalues_dense, self_consistent_solve
 
 ROOT3 = np.sqrt(3.0)
 
@@ -330,10 +329,6 @@ class TestSelfConsistent:
             n_r = int(line.split(" and ")[-1].split(" r_n")[0])
             assert len(energies) == len(set(energies)) == len(eig) == n_r
             assert res.energy in energies
-
-    def test_full_space_residual(self, m2_hamiltonian):
-        res = self_consistent_solve(m2_hamiltonian, eta0=-3.0, n=1)
-        assert full_space_residual(m2_hamiltonian, res) < 1e-7
 
 
 def _no_eig(m):
@@ -1303,8 +1298,10 @@ def _g_slope_reference(chain, E, moved=()):
     """(G, dG/dE) by the recurrence over the stored arrays of the whole
     chain, from its first rho_k = 0, with the pivot rule of g_function:
     level 1 is tested, and a deeper pivot p with |p| <= 1e-32 min(|a_k|,
-    sqrt|rho_{k-1}|) is moved up by 2e-32 sqrt|rho_{k-1}|, with its level
-    appended to the list ``moved``."""
+    sqrt|rho_{k-1}|) has vanished, with its level appended to the list
+    ``moved``.  It is taken at its limit: f_k is infinite, and the slope
+    of f_{k-1} = 1 / (a_{k-1} - E - rho_{k-1} f_k), exactly 0, is
+    (1 + rho_k f_{k+1}') / rho_{k-1}."""
     a, rho = chain.a.tolist(), chain.rho.tolist()
     f = df = 0.0
     for k in range(rho.index(0.0) if 0.0 in rho else len(rho), 0, -1):
@@ -1313,12 +1310,15 @@ def _g_slope_reference(chain, E, moved=()):
         scale = abs(a[k]) + abs(E) + abs(r * f) + sys.float_info.min
         if k == 1 and abs(pivot) < 1e-12 * scale:
             raise PoleProximity(1)
-        edge = 1e-32 * math.sqrt(abs(rho[k - 1]))
-        if k > 1 and abs(pivot) <= min(1e-32 * abs(a[k]), edge):
-            pivot += 2.0 * edge
+        if moved and moved[-1] == k + 1:
+            f, df = 1.0 / pivot, df / r
+        elif k > 1 and abs(pivot) <= 1e-32 * min(abs(a[k]),
+                                                 math.sqrt(abs(rho[k - 1]))):
+            f, df = math.inf, 1.0 + r * df
             moved.append(k)
-        f = 1.0 / pivot
-        df = f * f * (1.0 + r * df)
+        else:
+            f = 1.0 / pivot
+            df = f * f * (1.0 + r * df)
     if not rho:
         return a[0] - E, -1.0
     return a[0] - E - rho[0] * f, -1.0 - rho[0] * df
@@ -1377,7 +1377,7 @@ class TestSetupChain:
             assert not raised
         else:
             # a pole of G, at level 1, and a deeper trailing-block
-            # eigenvalue whose pivot is moved
+            # eigenvalue whose pivot vanishes
             assert raised[1] >= 5 and raised["moved"] >= 5
             assert set(raised) == {1, "moved"}
 
@@ -1507,35 +1507,3 @@ class TestScanEdges:
         assert hits == [-ROOT3]
         _assert_dense_level(paper_hamiltonian, res)
         assert res.energy == pytest.approx(ROOT3, abs=1e-12)
-
-
-class TestEmbedding:
-    def test_k0_passthrough(self):
-        h = PartitionedHamiltonian.from_chain(TridiagonalChain([4.0], []))
-        np.testing.assert_array_equal(embed_full_space(h, 4.0, [1.0]), [1.0])
-
-    def test_matches_dense_solve(self):
-        # Q psi = -phi_M (QHQ - E)^{-1} e_1, read off the pivots
-        rng = np.random.default_rng(17)
-        for K in range(1, 15):
-            h = random_hamiltonian(2, K, rng, "mixed")
-            energy = float(rng.uniform(-3.0, 3.0))
-            phi = rng.uniform(-1.0, 1.0, 2)
-            block = h.chain.tail().to_dense() - energy * np.eye(K)
-            ref = -np.linalg.solve(block, phi[-1] * np.eye(K)[0])
-            got = embed_full_space(h, energy, phi)
-            np.testing.assert_array_equal(got[:2], phi)
-            np.testing.assert_allclose(got[2:], ref, rtol=1e-9,
-                                       atol=1e-12 * np.max(np.abs(ref)))
-
-    def test_pole_raises(self, paper_hamiltonian):
-        # E = a_1 = 2 is the eigenvalue of QHQ
-        with pytest.raises(PoleProximity):
-            embed_full_space(paper_hamiltonian, 2.0, [1.0])
-
-    def test_embedded_vector_is_eigenvector(self, paper_hamiltonian):
-        res = self_consistent_solve(paper_hamiltonian, eta0=-1.0, n=1)
-        psi = embed_full_space(paper_hamiltonian, res.energy,
-                               res.eigvec_model)
-        dense = assemble_dense(paper_hamiltonian)
-        np.testing.assert_allclose(dense @ psi, res.energy * psi, atol=1e-9)

@@ -132,6 +132,16 @@ def test_code_lines(tmp_path, capsys):
     tool.main(["code_lines.py", str(tmp_path)])
     assert capsys.readouterr().out.split() == [
         "a.py", "1", "b.py", "8", "total", "9"]
+    # two checkouts: a file of only one side counts 0 on the other, and
+    # each row ends with the change from the first to the second
+    other = tmp_path / "other"
+    other.mkdir()
+    (other / "a.py").write_text("x = 1\ny = 2\n")
+    (other / "c.py").write_text("z = 3\n")
+    tool.main(["code_lines.py", str(tmp_path), str(other)])
+    assert [line.split() for line in capsys.readouterr().out.splitlines()] == [
+        ["a.py", "1", "2", "+1"], ["b.py", "8", "0", "-8"],
+        ["c.py", "0", "1", "+1"], ["total", "9", "3", "-6"]]
 
 
 AB_PAIRS = DIGEST.with_name("ab_pairs.py")
