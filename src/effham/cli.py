@@ -19,9 +19,9 @@ from .errors import DomainError, NonConvergence
 from .forward import effective_hamiltonian, g_function
 from .instances import probe_window, random_chain, real_poles
 from .inverse import choose_probe_energies, reconstruct, samples_from_chain
-from .model import (assemble_dense, chain_to_dict, hamiltonian_from_dict,
-                    samples_from_dict, samples_to_dict)
-from .spectral import eigenvalues_dense, self_consistent_solve
+from .model import (chain_to_dict, hamiltonian_from_dict, samples_from_dict,
+                    samples_to_dict)
+from .spectral import _balanced_form, eigenvalues_dense, self_consistent_solve
 
 log = logging.getLogger("effham")
 
@@ -85,7 +85,8 @@ def cmd_spectrum(args):
               f"({res.iterations} evaluations, "
               f"residual {res.residual:.3e})")
     else:
-        for w in eigenvalues_dense(assemble_dense(h)):
+        # the solver's fill, uncut: entries at the chain's own scale
+        for w in eigenvalues_dense(_balanced_form(h, h.K)):
             if w.imag == 0:
                 print(f"{w.real:+.15g}")
             else:

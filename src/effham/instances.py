@@ -34,7 +34,14 @@ def random_hamiltonian(M, K, rng, rho_sign="positive"):
 
 
 def probe_window(chain, pad=2.0):
-    """An energy window comfortably containing the spectrum of the chain."""
+    """An energy window comfortably containing the spectrum of the chain.
+
+    It eigensolves ``chain.to_dense()``, the unit-subdiagonal gauge, not
+    the balanced one of ``real_poles``, so away from unit scale the window
+    does not scale with the chain.  Taking it from the balanced chain
+    moves every probe by rounding, and so flips reconstruction verdicts
+    of chains that their samples do not determine; it waits for a gate
+    that tells those chains apart."""
     w = _solve(np.linalg.eigvals, chain.to_dense()).tolist()
     lo = min(x.real - abs(x.imag) for x in w) - pad
     hi = max(x.real + abs(x.imag) for x in w) + pad

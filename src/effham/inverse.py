@@ -90,8 +90,8 @@ def choose_probe_energies(count, window, forbidden=(), margin=0.0):
     is not an integer is a ``TypeError``; ``ValueError`` unless the window
     is finite with positive width, ``count`` >= 1, ``margin`` is finite
     and >= 0 and no forbidden value is NaN.  :class:`InfeasibleSampling`
-    when the margin leaves too few nodes, or when the window holds too
-    few floats for ``count`` distinct probes inside it.
+    when the margin leaves too few nodes, or when fewer than ``count`` of
+    them are distinct floats strictly inside the window.
 
     Probes as close as the margin allows to the forbidden values (the
     poles of G) carry the most information about the deep chain levels,
@@ -134,12 +134,18 @@ def choose_probe_energies(count, window, forbidden=(), margin=0.0):
             nodes = nodes[dist >= margin]
         if len(nodes) >= count:
             picks = _select_probes(nodes.tolist(), forbidden.tolist(), count)
-            # lo < picks < hi, ascending: in a window only a few floats
-            # wide, nodes round onto each other or onto its ends
-            if all(map(operator.lt, [lo, *picks], [*picks, hi])):
-                return np.array(picks)
-            raise InfeasibleSampling(
-                f"cannot place {count} distinct probes inside ({lo}, {hi})")
+            # lo < picks < hi, ascending, unless in a window only a few
+            # floats wide nodes round onto each other or onto its ends:
+            # then the picks are made again from the distinct nodes
+            # strictly inside it
+            if not all(map(operator.lt, [lo, *picks], [*picks, hi])):
+                nodes = np.unique(nodes[(lo < nodes) & (nodes < hi)])
+                if len(nodes) < count:
+                    raise InfeasibleSampling(f"cannot place {count} distinct "
+                                             f"probes inside ({lo}, {hi})")
+                picks = _select_probes(nodes.tolist(), forbidden.tolist(),
+                                       count)
+            return np.array(picks)
         m *= 2
     raise InfeasibleSampling(
         f"cannot place {count} probes at margin {margin} in [{lo}, {hi}]")

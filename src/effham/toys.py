@@ -10,8 +10,8 @@ import numpy as np
 from .errors import PoleProximity
 from .forward import _on_pole
 from .inverse import k1_closed_form
-from .model import GSample, PartitionedHamiltonian, assemble_dense
-from .spectral import eigenvalues_dense
+from .model import GSample, PartitionedHamiltonian
+from .spectral import _balanced_form, eigenvalues_dense
 
 __all__ = [
     "TwoLevelInput",
@@ -78,10 +78,11 @@ def m2_g_closed_form(inp, E):
 
 
 def _m2_levels(inp, chain):
-    """Sorted real eigenvalue parts of the M = 2 doorway matrix."""
+    """Sorted real eigenvalue parts of the M = 2 doorway matrix, in the
+    solver's balanced form."""
     h = PartitionedHamiltonian(
         np.array([[inp.A, inp.B], [inp.C, chain.a[0]]]), chain)
-    return eigenvalues_dense(assemble_dense(h)).real
+    return eigenvalues_dense(_balanced_form(h, h.K)).real
 
 
 def m2_paradox(inp, chain, wrong_factor=1.25):

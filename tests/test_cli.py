@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from effham.cli import main
+from effham.instances import random_hamiltonian
 from effham.model import (PartitionedHamiltonian, TridiagonalChain,
                           hamiltonian_to_dict)
 
@@ -101,6 +102,35 @@ class TestSpectrum:
             [[0.0, -1e-11], [1e-11, 0.0]], TridiagonalChain([0.0])))))
         assert main(["spectrum", "--input", str(path)]) == 0
         assert capsys.readouterr().out == "+0 -1e-11j\n+0 +1e-11j\n"
+
+    @pytest.mark.parametrize("sign", ["positive", "mixed"])
+    def test_dense_scale_covariant(self, tmp_path, capsys, sign):
+        # H scaled by s = 2^e (block and a by s, rho by s^2) has s times
+        # the levels of H.  The balanced form that the command eigensolves
+        # has entries at the chain's own scale, so its printed levels
+        # scale with H; eigensolving assemble_dense instead misses by 6e-7
+        # relative at 2^-10, by 0.5 at 2^40 (mixed) and by 1e61 at 2^-480
+        path = tmp_path / "h.json"
+
+        def levels(h):
+            path.write_text(json.dumps(hamiltonian_to_dict(h)))
+            assert main(["spectrum", "--input", str(path)]) == 0
+            return np.array([complex(float(re), float(im[0][:-1]) if im else 0.0)
+                             for re, *im in map(str.split, capsys.readouterr()
+                                                .out.splitlines())])
+
+        for i in range(10):
+            h = random_hamiltonian(4, 8, np.random.default_rng(100 + i), sign)
+            want = levels(h)
+            radius = float(np.max(np.abs(want)))
+            for e in (-480, -300, -100, -40, -10, 10, 40, 100, 300, 480):
+                s = 2.0 ** e
+                got = levels(PartitionedHamiltonian(
+                    s * h.p_block,
+                    TridiagonalChain(s * h.chain.a, s * s * h.chain.rho)))
+                assert len(got) == len(want)
+                # 6e-15 measured
+                assert np.max(np.abs(got / s - want)) <= 1e-14 * radius
 
     def test_self_consistent(self, paper_file, capsys):
         assert main(["spectrum", "--input", paper_file, "--self-consistent",

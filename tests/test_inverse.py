@@ -333,15 +333,16 @@ class TestProbePlacement:
         (7, (0.0, 1e-323), False), (1, (0.0, 5e-324), False),
         (7, (1.0, 1.0 + 1e-15), False), (7, (0.0, 1e308), True),
         (7, (-1e308, 1e308), True), (7, (1e308, 1.7e308), True),
-        (7, (-2.0 ** 1023, 2.0 ** 1023), True)],
+        (7, (-2.0 ** 1023, 2.0 ** 1023), True),
+        (7, (1.0, 1.0 + 1e-13), True), (1, (0.0, 1e-323), True)],
         ids=["1e-323", "one-float", "1e-15", "0-1e308", "pm1e308",
-             "1e308-1.7e308", "pm2^1023"])
+             "1e308-1.7e308", "pm2^1023", "1e-13", "1e-323-one-probe"])
     def test_edges_of_float64(self, count, window, feasible):
         # windows at the ends of float64's range, and windows holding
-        # fewer floats than probes: count distinct probes strictly inside
-        # the window, or InfeasibleSampling, never an error of the
-        # arithmetic (a ZeroDivisionError, an OverflowError or a NaN
-        # conversion, and at 1 + 1e-15 a repeated probe below lo)
+        # fewer floats than probes, or not many more: count distinct
+        # probes strictly inside the window, or InfeasibleSampling, never
+        # an error of the arithmetic (a ZeroDivisionError, an OverflowError
+        # or a NaN conversion, and at 1 + 1e-15 a repeated probe below lo)
         if not feasible:
             with pytest.raises(InfeasibleSampling, match="distinct"):
                 choose_probe_energies(count, window)

@@ -117,6 +117,19 @@ class TestEigensolverBoundary:
                     stray.append((path.name, node.lineno))
         assert stray == [] and defined == {"spectral.py"}
 
+    def test_one_fill_for_spectra(self):
+        # every package spectrum of a Hamiltonian eigensolves the solver's
+        # _balanced_form; the unit-subdiagonal assemble_dense is defined
+        # in model and exported, for tests to use as a reference
+        named = set()
+        for path in Path(spectral.__file__).parent.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if "assemble_dense" in (getattr(node, "id", None),
+                                        getattr(node, "attr", None),
+                                        getattr(node, "name", None)):
+                    named.add(path.name)
+        assert named == {"model.py", "__init__.py"}
+
     def test_failure_outside_spectral(self, monkeypatch, capsys):
         monkeypatch.setattr(np.linalg, "eigvals", _no_eig)
         with pytest.raises(EigSolverFailure, match="no convergence"):
@@ -676,6 +689,22 @@ class TestSecular:
         (lo, r_lo), (hi, r_hi) = spectral._polish(r, 0.0, 1.0, (-1.0, 1.0))
         assert r_lo >= 0 >= r_hi and 0 < hi - lo <= np.spacing(1.0)
         assert spectral._polish(r, 0.0, 1.0, (-1.0, 0.25)) is None
+
+    def test_polish_midpoint_on_a_pole(self):
+        # the first midpoint of the bisection is made to raise as within
+        # rounding of a pole of G: the bisection ends, and the bracket it
+        # had comes back, its ends of opposite sign
+        seen = []
+
+        def r(x):
+            if seen and seen[-1][1] < 0:  # the sign change is found
+                seen.append((x, None))
+                raise PoleProximity(1, "midpoint on a pole")
+            seen.append((x, 0.3 - x))
+            return seen[-1][1]
+        (lo, r_lo), (hi, r_hi) = spectral._polish(r, 0.0, 1.0, (-1.0, 1.0))
+        assert [(lo, r_lo), (hi, r_hi)] == seen[-3:-1]
+        assert r_lo > 0 > r_hi and seen[-1] == (0.5 * (lo + hi), None)
 
     @pytest.mark.parametrize("name", ["eigh", "eigvalsh", "eig"])
     def test_eigh_failure(self, monkeypatch, name):

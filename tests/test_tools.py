@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import json
 import os
@@ -92,6 +93,91 @@ def test_outcome_digest_compare_failed_run(monkeypatch, capsys):
         _output("A", zip(NAMES, "abcd"))))
     assert tool.compare("A", "B") == 2
     assert capsys.readouterr().err == "Traceback: boom\n"
+
+
+def _load_workloads():
+    path = DIGEST.parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    wl = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(wl)
+    return wl
+
+
+def test_outcome_digest_counts_checked_verdicts(monkeypatch):
+    # the counts are the benchmark checker's verdicts: a returned chain
+    # off the true one by more than ROUNDTRIP_TOL is a tol_miss, and an
+    # error outside the taxonomy is unexpected; the digest entries, and so
+    # the digests, do not depend on them
+    import effham as api
+    tool, wl = _load_digest_tool(), _load_workloads()
+    inst = wl.make_inputs("recon_deep", 1, count=1)[0]
+
+    def returns(shift):
+        chain = api.TridiagonalChain(inst.a + shift, inst.rho)
+        return lambda *args: api.ReconstructionReport(
+            chain=chain, residual_max=0.0, hermitizable=(True,))
+
+    def raises(exc):
+        def op(*args):
+            raise exc
+        return op
+
+    for op, verdict in ((returns(0.0), "ok"), (returns(1e-6), "tol_miss"),
+                        (raises(api.InfeasibleSampling("few")),
+                         "InfeasibleSampling"),
+                        (raises(ZeroDivisionError("x")),
+                         "unexpected:ZeroDivisionError")):
+        monkeypatch.setattr(wl, "recon_op", op)
+        entry, got = tool._recon_entry(api, wl, inst)
+        assert got == verdict
+        assert entry[0] == ("ok" if verdict in ("ok", "tol_miss")
+                            else verdict.split(":")[-1])
+
+    # levels: one true, one moved off its dense level, one raised
+    inst = wl.make_inputs("self_consistent", 1, count=1)[0]
+    h, eta0 = wl.to_program(api, inst)
+    levels = wl.solve_op(api, h, eta0)[:2] + [api.NonConvergence(
+        (0.0,), "budget", "out of budget")]
+    levels[1] = dataclasses.replace(levels[1], energy=levels[1].energy + 1.0)
+    assert tool._level_digest(wl, [(inst, levels)])[1] == {
+        "NonConvergence": 1, "ok": 1, "tol_miss": 1}
+
+
+def _digest_step():
+    """The script of the workflow step that prints the outcome digests."""
+    lines = (DIGEST.parents[1] / ".github" / "workflows" / "tests.yml"
+             ).read_text().splitlines()
+    start = lines.index("      - name: Outcome digests")
+    run = next(i for i in range(start, len(lines))
+               if lines[i].strip() == "run: |")
+    script = []
+    for line in lines[run + 1:]:
+        if line.strip() and not line.startswith(" " * 10):
+            break
+        script.append(line[10:])
+    return "\n".join(script)
+
+
+@pytest.mark.parametrize("counts, status", [
+    ("{'ok': 1}", 0), ("{'NonConvergence': 2, 'ok': 1}", 0),
+    ("{'ok': 1, 'unexpected:ZeroDivisionError': 1}", 1)],
+    ids=["ok", "domain-error", "unexpected"])
+def test_digest_step_fails_on_unexpected(tmp_path, counts, status):
+    # the workflow step runs on a stand-in for python that prints four
+    # digest lines with the given counts on the last
+    out = tmp_path / "out.txt"
+    out.write_text("".join([f"effham from {tmp_path}\n"] + [
+        f"{name} {'a' * 64} {{'ok': 1}}\n" for name in NAMES[:3]] + [
+        f"{NAMES[3]} {'a' * 64} {counts}\n"]))
+    fake = tmp_path / "python"
+    fake.write_text(f"#!/bin/sh\ncat '{out}'\n")
+    fake.chmod(0o755)
+    env = {**os.environ, "PATH": f"{tmp_path}{os.pathsep}{os.environ['PATH']}"}
+    proc = subprocess.run(["bash", "--noprofile", "--norc", "-eo", "pipefail",
+                           "-c", _digest_step()], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == status
+    assert proc.stdout == out.read_text()
 
 
 CODE_LINES = DIGEST.with_name("code_lines.py")

@@ -8,6 +8,11 @@ The first form runs the effham under ``CHECKOUT/src`` (default: this
 checkout) on the inputs of ``perfbench/workloads.py`` in this checkout and
 on two seeded sweeps, and prints the four digests with the verdict counts
 behind them.  Two commits do the same work when all four digests agree.
+The counts are verdicts of the benchmark's own checker: ``workloads.check``
+for what returned (``ok`` within its tolerance, else ``tol_miss``) and
+``workloads.classify`` for what raised (the error's name, or
+``unexpected:<name>`` outside the package's error taxonomy).  They are
+not part of a digest, which covers the results themselves.
 
 The second form compares two checkouts: it runs the first form on each,
 in its own interpreter and on the same inputs, and prints for each digest
@@ -18,14 +23,19 @@ differs and 2 when a run fails, so a bit-for-bit claim takes one command.
 Reconstruction digest: ``recon_op`` over seeds 1, 2, 5 and 7777 in that
 order, ``recon_deep`` before ``recon_holdout`` (2000 ops).  A returned op
 contributes ``["ok", a, rho, residual_max.hex(), hermitizable]``, a
-raised one ``[type name, str(exc), level or None]``.
+raised one ``[type name, str(exc), level or None]``.  Its counts are one
+verdict per op: a returned chain is ``ok`` when it is within
+``ROUNDTRIP_TOL`` of the true one.
 
 Self-consistent digest: every level of ``solve_op`` over
 ``self_consistent`` seeds 1, then 7777.  A returned level contributes
 ``[energy, [lo, hi], trace, residual, eigvec_model]`` as float hex, a
-raised one ``[type name, str(exc), trace as float hex]``.
+raised one ``[type name, str(exc), trace as float hex]``.  Its counts,
+and those of the two sweeps, are one verdict per level: a returned level
+is ``ok`` when it is within ``ENERGY_TOL`` of a real level of the dense
+matrix, which the sweeps compute as ``make_inputs`` does.
 
-Quasi-Hermitian digest: levels 1..4 from eta0 = 0 of
+Quasi-Hermitian digest: ``solve_op`` from eta0 = 0 of
 ``random_hamiltonian(4, K, default_rng(1000 K + s), "mixed")`` for
 K = 4, 8, 16 and s = 0..19 (240 levels), which all take the dense path,
 with the entries of the self-consistent digest.
@@ -68,12 +78,15 @@ def _hex(xs):
 
 
 def _recon_entry(api, wl, inst):
+    """(digest entry, verdict) of one reconstruction op."""
     try:
         rep = wl.recon_op(api, *wl.to_program(api, inst))
     except Exception as exc:  # every outcome, expected or not, is recorded
-        return [type(exc).__name__, str(exc), getattr(exc, "level", None)]
-    return ["ok", rep.chain.a.tolist(), rep.chain.rho.tolist(),
-            rep.residual_max.hex(), list(rep.hermitizable)]
+        return ([type(exc).__name__, str(exc), getattr(exc, "level", None)],
+                wl.classify(exc, api.DomainError))
+    return (["ok", rep.chain.a.tolist(), rep.chain.rho.tolist(),
+             rep.residual_max.hex(), list(rep.hermitizable)],
+            wl.check(inst, rep)[0])
 
 
 def _level_entry(level):
@@ -85,25 +98,29 @@ def _level_entry(level):
             level.residual.hex(), _hex(level.eigvec_model.tolist())]
 
 
-def _level_digest(levels):
-    """(sha256 hex digest, verdict counts) of self-consistent levels, each
-    a result or the DomainError raised."""
+def _level_digest(wl, ops):
+    """(sha256 hex digest, verdict counts) of self-consistent ops, each a
+    workload instance and the levels ``solve_op`` gave for it."""
     digest, counts = hashlib.sha256(), Counter()
-    for level in levels:
-        entry = _level_entry(level)
-        counts[entry[0] if isinstance(level, Exception) else "ok"] += 1
-        digest.update(json.dumps(entry).encode())
+    for inst, levels in ops:
+        counts.update(wl.check(inst, levels)[2])
+        for level in levels:
+            digest.update(json.dumps(_level_entry(level)).encode())
     return digest.hexdigest(), dict(sorted(counts.items()))
 
 
-def _sweep_levels(api, hamiltonians):
-    """Levels 1..4 from eta0 = 0 of each Hamiltonian, in digest order."""
+def _sweep_ops(api, wl, hamiltonians):
+    """(instance, levels 1..4 from eta0 = 0) of each Hamiltonian, in
+    digest order; the instance carries the real levels and scale of the
+    dense matrix as ``make_inputs`` takes them."""
     for h in hamiltonians:
-        for n in range(1, 5):
-            try:
-                yield api.spectral.self_consistent_solve(h, 0.0, n)
-            except api.DomainError as exc:
-                yield exc
+        block, a, rho = h.p_block, h.chain.a, h.chain.rho
+        dense = wl._doorway_matrix(block, a, rho)
+        w = np.linalg.eigvals(dense)
+        inst = wl.SolveInstance(block, a, rho, 0.0,
+                                np.sort(w.real[np.abs(w.imag) < 1e-10]),
+                                max(1.0, float(np.max(np.abs(dense)))))
+        yield inst, wl.solve_op(api, h, 0.0)
 
 
 def _sweep(api, sign):
@@ -177,20 +194,20 @@ def main(argv):
     for seed in RECON_SEEDS:
         for workload in ("recon_deep", "recon_holdout"):
             for inst in wl.make_inputs(workload, seed):
-                entry = _recon_entry(api, wl, inst)
-                counts[entry[0]] += 1
+                entry, verdict = _recon_entry(api, wl, inst)
+                counts[verdict] += 1
                 digest.update(json.dumps(entry).encode())
     print("reconstruction ", digest.hexdigest(), dict(sorted(counts.items())),
           flush=True)
 
-    print("self-consistent", *_level_digest(
-        level for seed in SOLVE_SEEDS
-        for inst in wl.make_inputs("self_consistent", seed)
-        for level in wl.solve_op(api, *wl.to_program(api, inst))), flush=True)
+    print("self-consistent", *_level_digest(wl, (
+        (inst, wl.solve_op(api, *wl.to_program(api, inst)))
+        for seed in SOLVE_SEEDS
+        for inst in wl.make_inputs("self_consistent", seed))), flush=True)
     print("quasi-Hermitian", *_level_digest(
-        _sweep_levels(api, _sweep(api, "mixed"))), flush=True)
+        wl, _sweep_ops(api, wl, _sweep(api, "mixed"))), flush=True)
     print("degenerate Hermitian", *_level_digest(
-        _sweep_levels(api, _degenerate(api))), flush=True)
+        wl, _sweep_ops(api, wl, _degenerate(api))), flush=True)
 
 
 if __name__ == "__main__":
