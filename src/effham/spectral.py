@@ -199,10 +199,11 @@ def self_consistent_solve(h, eta0, n):
             f"confirm the level at {x:.17g}, within rounding of a pole of G")
     (lo, r_lo), (hi, r_hi) = ends
     eta, bracket = lo if abs(r_lo) <= abs(r_hi) else hi, (lo, hi)
-    log.debug("self_consistent_solve: level %d at %.17g in branch interval "
-              "(%.17g, %.17g), %d %s and %d r_n evaluations", n, eta,
-              *interval, n_find, "H_eff" if setup.door is None else "D",
-              len(trace) - n_find)
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug("self_consistent_solve: level %d at %.17g in branch "
+                  "interval (%.17g, %.17g), %d %s and %d r_n evaluations", n,
+                  eta, *interval, n_find,
+                  "H_eff" if setup.door is None else "D", len(trace) - n_find)
 
     # r_n was evaluated at eta, so its eigensolve is known
     vec, residual, scale = _level_check(*known[eta], eta, n)
@@ -224,16 +225,25 @@ def _level_check(heff, w, v, eta, n):
     (H_eff - eta) vec and scale max(1, max|H_eff|).  Only that column is
     looked up and one max|H_eff| serves both the collapse and scale, and
     the values are bitwise those of sorting all of v in the order of
-    :func:`_sort_eig` and taking ``np.linalg.norm``."""
-    top = float(abs(heff).max())
-    cut = IMAG_COLLAPSE * top
-    # the key of np.lexsort in _sort_eig: real part, then imaginary part,
-    # 0 when collapsed; both sorts are stable
-    keys = [(z.real, 0.0 if abs(z.imag) <= cut else z.imag)
-            for z in w.tolist()]
+    :func:`_sort_eig` and taking ``np.linalg.norm``.  A real w, as every
+    Hermitian H_eff gives, is sorted by its values and its real column
+    kept as it is, which is that order and ``np.real_if_close`` for it;
+    max|H_eff| is taken over Python floats, exact as numpy's, since
+    ``np.linalg.eig`` accepts finite matrices only."""
+    top = max(map(abs, heff.ravel().tolist()))
+    if w.dtype.kind == "c":
+        cut = IMAG_COLLAPSE * top
+        # the key of np.lexsort in _sort_eig: real part, then imaginary
+        # part, 0 when collapsed; both sorts are stable
+        keys = [(z.real, 0.0 if abs(z.imag) <= cut else z.imag)
+                for z in w.tolist()]
+    else:
+        keys = w.tolist()
     j = sorted(range(len(keys)), key=keys.__getitem__)[n - 1]
     # a contiguous copy, as the column of a sorted v is
-    vec = np.real_if_close(v[:, j].copy(), tol=1e6)
+    vec = v[:, j].copy()
+    if vec.dtype.kind == "c":
+        vec = np.real_if_close(vec, tol=1e6)
     shifted = heff.copy()
     shifted.reshape(-1)[::len(heff) + 1] -= eta
     x = shifted @ vec
@@ -307,7 +317,8 @@ class _Setup:
     ``hermitian`` says the form is symmetric (a symmetric block and every
     rho_k > 0 before the cut).  ``door`` is the
     :class:`_Doorway` of a generic Hermitian doorway, for
-    :func:`_secular_solve`, and ``levels`` None; else ``door`` is None
+    :func:`_secular_solve`, with the brackets of every branch, and
+    ``levels`` None; else ``door`` is None
     and ``levels`` are the form's real eigenvalues, ascending, for
     :func:`_dense_solve` (by :func:`_real_eigenvalues`)."""
 
@@ -327,11 +338,15 @@ class _Doorway:
     ``d`` are the eigenvalues of the block without the doorway row and
     column, ascending and distinct; ``terms`` the pairs (d_i, y_i^2), every
     y_i != 0; ``poles`` the poles of D, the d_i and the poles of G, none
-    shared, sorted."""
+    shared, sorted.  ``branches[n - 1]`` are the brackets of the levels of
+    branch n, ascending: one (max(p_lo, -outer), min(p_hi, outer),
+    (p_lo, p_hi)) for each pole-free interval (p_lo, p_hi) of D with
+    n - 1 d_i below it, for the ``outer`` of the :class:`_Setup`."""
 
     d: tuple
     terms: tuple
     poles: tuple
+    branches: tuple
 
 
 def _setup(h):
@@ -347,10 +362,10 @@ def _setup(h):
         hermitian = bool((form == form.T).all())
         cuts = tuple(_tail_poles(form, seen).tolist())
         scale = float(abs(form).max()) or 1.0
-        door = _doorway(h.p_block, cuts) if hermitian else None
+        outer = 2.0 * (h.M + 2) * scale
+        door = _doorway(h.p_block, cuts, outer) if hermitian else None
         levels = None if door else tuple(_real_eigenvalues(form).tolist())
-        setup = _Setup(cuts, scale, 2.0 * (h.M + 2) * scale, hermitian, door,
-                       levels)
+        setup = _Setup(cuts, scale, outer, hermitian, door, levels)
         h.__dict__["_setup"] = setup
     return setup
 
@@ -365,26 +380,35 @@ def _real_eigenvalues(m):
     return np.sort(w.real[_on_axis(m, w)])
 
 
-def _doorway(block, cuts):
+def _doorway(block, cuts, outer):
     """The :class:`_Doorway` of a symmetric block with the poles of G
-    ``cuts``, or None when it is not generic: some y_i = 0, a repeated
-    d_i, or a d_i on a pole of G."""
+    ``cuts`` and levels within +-``outer``, or None when it is not
+    generic: some y_i = 0, a repeated d_i, or a d_i on a pole of G."""
     d, q = _solve(np.linalg.eigh, block[:-1, :-1])
     d = tuple(d.tolist())
     weights = ((q.T @ block[:-1, -1]) ** 2).tolist()
     if 0.0 in weights or len(set(d)) < len(d) or not set(d).isdisjoint(cuts):
         return None
-    return _Doorway(d, tuple(zip(d, weights)), tuple(sorted({*cuts, *d})))
+    poles = tuple(sorted({*cuts, *d}))
+    branches = [[] for _ in range(len(block))]
+    ends = [-math.inf, *poles, math.inf]
+    for p_lo, p_hi in zip(ends, ends[1:]):
+        branches[bisect.bisect_right(d, p_lo)].append(
+            (max(p_lo, -outer), min(p_hi, outer), (p_lo, p_hi)))
+    return _Doorway(d, tuple(zip(d, weights)), poles,
+                    tuple(map(tuple, branches)))
 
 
 def _secular_solve(h, setup, eta0, n, trace, r):
     """The level x of branch n that the rule of
     :func:`self_consistent_solve` selects, for a generic Hermitian doorway,
     from the Hamiltonian's :class:`_Setup`, to be finished on r_n between
-    the poles of G next to it.  The setup holds the doorway's terms and
-    poles and the chain keeps the entries that G sees, so each
-    evaluation of D is one run of the recurrence of
-    :func:`~effham.forward._slope_recurrence` plus the M - 1 terms.  The
+    the poles of G next to it.  The setup holds the doorway's terms,
+    poles and the brackets of each branch, and the chain keeps the
+    entries that G sees, so each evaluation of D is one run of the
+    recurrence of :func:`~effham.forward._slope_recurrence` plus the
+    M - 1 terms, and a solve only copies branch n's brackets, narrowing
+    the one that holds eta0 to it.  The
     (D, D') of a start eta0 that did not raise is kept on h, in place of
     the one before; the next solve of h from the same eta0, bit for bit
     (0.0 and -0.0 are two starts), passes it to ``D(eta0, kept)``, which
@@ -406,11 +430,11 @@ def _secular_solve(h, setup, eta0, n, trace, r):
     root E of D is a root of r_n with n = 1 + #{d_i < E}, and D(eta0)
     gives sign r_n(eta0).
 
-    The outermost intervals end at +-outer, beyond every level by
+    The outermost brackets end at +-outer, beyond every level by
     Gershgorin's theorem.  :func:`_newton` finds the root of D selected to
     within ulp(max(|E|, scale)).
     """
-    door, scale, outer = setup.door, setup.scale, setup.outer
+    door, scale = setup.door, setup.scale
     a0, rho0, steps = _cut(h.chain)
     known = {}  # energy -> (D, D') of every evaluation of D
 
@@ -429,12 +453,9 @@ def _secular_solve(h, setup, eta0, n, trace, r):
         return kept
 
     # the levels of branch n, ascending: [lo, hi, interval], the open
-    # bracket of the root of D in each pole-free interval (p_lo, p_hi)
-    # with n - 1 d_i below it
-    ends = [-math.inf, *door.poles, math.inf]
-    levels = [[max(p_lo, -outer), min(p_hi, outer), (p_lo, p_hi)]
-              for p_lo, p_hi in zip(ends, ends[1:])
-              if bisect.bisect_right(door.d, p_lo) == n - 1]
+    # bracket of the root of D in each pole-free interval; copies, which
+    # a start inside narrows
+    levels = [list(level) for level in door.branches[n - 1]]
     if eta0 in door.poles:
         # r_n gives the direction; on a pole of G it raises PoleProximity
         ahead = 1.0 if r(eta0) >= 0 else -1.0

@@ -1,5 +1,7 @@
 import ast
+import bisect
 import gc
+import importlib.util
 import logging
 import math
 import sys
@@ -136,6 +138,27 @@ class TestEigensolverBoundary:
             probe_window(TridiagonalChain([0.0, 1.0], [1.0]))
         assert main(["demo", "two-level"]) == 2
         assert "EigSolverFailure" in capsys.readouterr().err
+
+
+def test_debug_lines_only_when_enabled():
+    # an AST scan of the package: every log.debug call sits in the body
+    # of an `if log.isEnabledFor(logging.DEBUG):`, so no hot path builds
+    # the arguments of a line that is not emitted
+    guard = "log.isEnabledFor(logging.DEBUG)"
+    calls, bare = 0, []
+    for path in Path(spectral.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        guarded = {id(node) for top in ast.walk(tree)
+                   if isinstance(top, ast.If)
+                   and ast.unparse(top.test) == guard
+                   for stmt in top.body for node in ast.walk(stmt)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call)
+                    and ast.unparse(node.func) == "log.debug"):
+                calls += 1
+                if id(node) not in guarded:
+                    bare.append((path.name, node.lineno))
+    assert bare == [] and calls >= 2
 
 
 class TestSelfConsistent:
@@ -721,6 +744,40 @@ class TestSecular:
         monkeypatch.undo()
         assert _outcome(h, 0.0, 1) == _outcome(_copy(h), 0.0, 1)
 
+    def test_branch_brackets_match_per_level_build(self):
+        # the setup's table of each branch's brackets is, bit for bit,
+        # what the solve of each level built for itself before
+        doors = 0
+        for h in _bracket_sweep():
+            setup = spectral._setup(h)
+            if setup.door is None:
+                continue
+            doors += 1
+            assert len(setup.door.branches) == h.M
+            for n in range(1, h.M + 1):
+                got = setup.door.branches[n - 1]
+                assert isinstance(got, tuple)
+                assert all(isinstance(level, tuple) for level in got)
+                assert _bracket_hexes(got) == _bracket_hexes(
+                    _per_level_brackets(setup.door, setup.outer, n))
+        assert doors >= 100  # 110 of 110 measured
+
+    def test_narrowed_bracket_stays_with_its_solve(self):
+        # a start inside a bracket narrows the solve's copy of it, and a
+        # later start on a d_i, which takes the first bracket ahead as the
+        # table holds it, finds the table as the setup built it
+        h = random_hamiltonian(4, 8, np.random.default_rng(8008))
+        door = spectral._setup(h).door
+        assert door is not None
+        jobs = []
+        for n in range(1, h.M + 1):
+            for lo, hi, _ in door.branches[n - 1]:
+                jobs.append((0.5 * (lo + hi), n))
+                jobs.extend((di, n) for di in door.d)
+        got = [_outcome(h, eta0, n) for eta0, n in jobs]
+        assert got == [_outcome(_copy(h), eta0, n) for eta0, n in jobs]
+        assert sum(isinstance(out[0], int) for out in got) >= 40  # 48 of 48
+
     def test_debug_line(self, caplog):
         h = PartitionedHamiltonian.from_chain(TridiagonalChain([0.0, 2.0],
                                                                [1.0]))
@@ -734,6 +791,38 @@ class TestSecular:
                                "(-inf, 2), ")
         assert line.endswith(f" D and {res.iterations - int(n_d)} r_n "
                              "evaluations")
+
+
+def _bracket_sweep():
+    """random_hamiltonian(4, K, default_rng(1000 K + s)) for K = 8, 16, 32
+    and s = 0..19, then the Hamiltonians of the first 50 self_consistent
+    benchmark inputs of seed 1."""
+    for K in (8, 16, 32):
+        for s in range(20):
+            yield random_hamiltonian(4, K, np.random.default_rng(1000 * K + s))
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for inst in workloads.make_inputs("self_consistent", 1, count=50):
+        yield PartitionedHamiltonian(inst.block, TridiagonalChain(inst.a,
+                                                                  inst.rho))
+
+
+def _per_level_brackets(door, outer, n):
+    """The brackets of branch n as each solve built them for itself: one
+    pass over the pole-free intervals of D, one bisect each, kept when
+    n - 1 d_i lie below."""
+    ends = [-math.inf, *door.poles, math.inf]
+    return [[max(p_lo, -outer), min(p_hi, outer), (p_lo, p_hi)]
+            for p_lo, p_hi in zip(ends, ends[1:])
+            if bisect.bisect_right(door.d, p_lo) == n - 1]
+
+
+def _bracket_hexes(levels):
+    """Every float of a list of brackets as hex, signs of zero included."""
+    return [(lo.hex(), hi.hex(), p_lo.hex(), p_hi.hex())
+            for lo, hi, (p_lo, p_hi) in levels]
 
 
 def _branches(h):
@@ -1230,6 +1319,44 @@ class TestLevelCheck:
             # dense-path levels whose H_eff has a complex pair, so v is
             # complex and the column is made real; 18 measured
             assert complex_pairs >= 15
+
+    def test_real_ties(self):
+        # symmetric H_eff with repeated eigenvalues and signed zeros: the
+        # real path's order by value keeps ties, -0.0 and 0.0 among them,
+        # in the order of eig, as the stable lexsort did
+        rng = np.random.default_rng(43)
+        q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        pair = np.array([[0.0, 1.0], [1.0, 0.0]])
+        matrices = [
+            np.eye(3),
+            np.diag([2.0, -1.0, 2.0, -1.0]),
+            np.kron(np.eye(2), pair),
+            np.diag([0.0, -0.0, 1.0, -0.0]),
+            np.array([[1.0, -0.0, 0.0], [-0.0, 1.0, -0.0],
+                      [0.0, -0.0, -3.0]]),
+            np.array([[-0.0, 0.0], [0.0, -0.0]]),
+            np.diag([-0.0]),
+        ]
+        # a double eigenvalue that rounding may or may not split
+        m = q @ np.diag([1.0, 1.0, -2.0, 3.0]) @ q.T
+        matrices.append(0.5 * (m + m.T))
+        ties = 0
+        for m in matrices:
+            w, v = np.linalg.eig(m)
+            assert not np.iscomplexobj(w)
+            ties += len(set(w.tolist())) < len(w)
+            for n in range(1, len(m) + 1):
+                for eta in (float(np.sort(w)[n - 1]), -0.0, 0.25):
+                    vec, residual, scale = spectral._level_check(m, w, v,
+                                                                 eta, n)
+                    _, old_residual, old_vec = _old_level_check(m, w, v,
+                                                                eta, n)
+                    assert residual.hex() == old_residual.hex()
+                    assert vec.dtype == old_vec.dtype
+                    assert vec.tobytes() == old_vec.tobytes()
+                    assert scale.hex() == max(
+                        1.0, float(np.max(np.abs(m)))).hex()
+        assert ties >= 6  # 6 of 8
 
     def test_complex_columns(self):
         # columns left complex by np.real_if_close: a pair whose imaginary

@@ -302,9 +302,26 @@ def test_ab_pairs_statistics(capsys):
     tool.report(runs, END_TO_END)
     assert capsys.readouterr().out.splitlines() == [
         "solved_per_s     (higher) base 102 [100.75, 103.25]  "
-        "change 105.5 [104, 107]  wins 9/10  rule holds",
+        "change 105.5 [104, 107]  ratio 1.0343  wins 9/10  rule holds",
         "latency_p50_ms   (lower) base 1 [1, 1]  change 1 [1, 1]  "
-        "wins 0/10  rule fails"]
+        "ratio 1.0000  wins 0/10  rule fails"]
+
+
+def test_ab_pairs_ratio_of_medians(capsys):
+    # the change/base ratio of the medians, not of the means or of the
+    # pairs, whichever way the metric is better; n/a over a zero median
+    tool = _load_ab_pairs()
+    assert tool.ratio([1.0, 2.0, 9.0], [3.0, 1.0, 1.0]) == "0.5000"
+    assert tool.ratio([4.0, 4.0], [5.0, 5.0]) == "1.2500"
+    assert tool.ratio([0.0, 0.0, 1.0], [1.0, 1.0, 1.0]) == "n/a"
+    runs = {"base": [{"solved_per_s": x, "latency_p50_ms": y}
+                     for x, y in ((2.0, 0.0), (4.0, 0.0), (30.0, 1.0))],
+            "change": [{"solved_per_s": x, "latency_p50_ms": y}
+                       for x, y in ((3.0, 1.0), (5.0, 1.0), (6.0, 1.0))]}
+    tool.report(runs, END_TO_END)
+    lines = capsys.readouterr().out.splitlines()
+    assert "  ratio 1.2500  wins 2/3  " in lines[0]
+    assert "  ratio n/a  wins 0/3  " in lines[1]
 
 
 def test_ab_pairs_refuses_other_benchmark(tmp_path, capsys):

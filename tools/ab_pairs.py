@@ -18,10 +18,11 @@ Pair i runs the ``command`` of ``BENCHMARK.json`` with ``--workload W
 and CHANGE first in odd ones, and prints both runs' metrics.  Then, for
 each end-to-end metric of ``BENCHMARK.json``, it prints each side's
 median and quartiles (``statistics.quantiles``, as
-``perfbench/steady.py`` takes them), the pairs the change won (ties count
-for neither) and whether the rule holds: the change wins at least nine
-tenths of the pairs and its median is better than the base's by more
-than the base's interquartile range.  It exits 0 when every run succeeded
+``perfbench/steady.py`` takes them), the ratio of the change's median to
+the base's (``n/a`` when the base's is 0), the pairs the change won (ties
+count for neither) and whether the rule holds: the change wins at least
+nine tenths of the pairs and its median is better than the base's by
+more than the base's interquartile range.  It exits 0 when every run succeeded
 and 2 when a run fails: a nonzero exit, no JSON result line, or
 ``correct`` false.
 """
@@ -113,9 +114,17 @@ def run_pairs(base, change, argv, pairs, runner):
     return runs
 
 
+def ratio(base, change):
+    """The change's median over the base's, as printed: four decimals,
+    or ``n/a`` when the base's median is 0."""
+    median = statistics.median(base)
+    return f"{statistics.median(change) / median:.4f}" if median else "n/a"
+
+
 def report(runs, end_to_end):
     """One line per end-to-end metric: each side's median and quartiles,
-    the change's wins and whether the nine-in-ten rule holds."""
+    the change/base ratio of the medians, the change's wins and whether
+    the nine-in-ten rule holds."""
     pairs = len(runs["base"])
     for metric in end_to_end:
         name, higher = metric["name"], metric["better"] == "higher"
@@ -126,8 +135,9 @@ def report(runs, end_to_end):
             "{} {:.6g} [{:.6g}, {:.6g}]".format(side, *(
                 quartiles(values)[i] for i in (1, 0, 2)))
             for side, values in (("base", base), ("change", change)))
-        print(f"{name:16} ({metric['better']}) {sides}  wins {wins}/{pairs}"
-              f"  rule {'holds' if holds else 'fails'}")
+        print(f"{name:16} ({metric['better']}) {sides}  ratio "
+              f"{ratio(base, change)}  wins {wins}/{pairs}  rule "
+              f"{'holds' if holds else 'fails'}")
 
 
 def main(argv=None, runner=run_bench):
