@@ -20,12 +20,11 @@ Hermitian, else each by one evaluation of H_eff.  On both paths the work
 that does not depend on n runs once per Hamiltonian object and is kept in
 its ``__dict__``, as ``forward._cut`` keeps a chain's entries in the
 chain's: a Hamiltonian is a frozen dataclass with a read-only block and a
-frozen chain, so what is kept cannot go stale.  On the secular path D at
-the start eta0 of a solve is kept there too, for the latest eta0: the
-solves of levels 1..M from one eta0 share it.  Within one solve H_eff is
-evaluated and eigensolved once per energy: r_n, the branch test and the
-final eigenvector check share it.  G, and so H_eff and D, break down only
-within rounding of a pole of G (``forward.g_function`` takes a deeper
+frozen chain, so what is kept cannot go stale.  Nothing else is kept
+between solves.  Within one solve H_eff is evaluated and eigensolved once
+per energy (r_n, the branch test and the final eigenvector check share
+it), and so is D on the secular path.  G, and so H_eff and D, break down
+only within rounding of a pole of G (``forward.g_function`` takes a deeper
 pivot that vanishes at its limit), so each :class:`PoleProximity` met
 marks a pole of G: the finish steps past it, and a start on it raises.
 """
@@ -63,8 +62,7 @@ class SelfConsistentResult:
     """A converged level.  ``bracket`` is the final (lo, hi) around
     ``energy``; ``trace`` lists every energy at which H_eff (for r_n or
     a branch) or the secular function D was evaluated, in order, starting
-    with eta0, whose evaluation may be reused from an earlier solve, and
-    ``iterations`` is its length."""
+    with eta0, and ``iterations`` is its length."""
 
     level_index: int
     energy: float
@@ -137,9 +135,7 @@ def self_consistent_solve(h, eta0, n):
 
     ``trace`` lists the energies where D or H_eff (for r_n or the branch
     test) was evaluated, in order, starting with eta0, and ``MAX_EVALS``
-    bounds its length.  On the secular path, D(eta0) is kept on ``h``
-    and reused, bit for bit, by its next solve from the same eta0, which
-    still lists eta0 first.  H_eff is evaluated once per energy where it
+    bounds its length.  H_eff is evaluated once per energy where it
     is defined, and its eigensolve there serves every later need: the
     eigenvector and residual of the level come from the one made when r_n
     was evaluated at it.
@@ -223,23 +219,21 @@ def _level_check(heff, w, v, eta, n):
     eigenvector in the order of :func:`eigenvalues_dense`, real where
     ``np.real_if_close`` makes it so, residual the 2-norm of
     (H_eff - eta) vec and scale max(1, max|H_eff|).  Only that column is
-    looked up and one max|H_eff| serves both the collapse and scale, and
-    the values are bitwise those of sorting all of v in the order of
-    :func:`_sort_eig` and taking ``np.linalg.norm``.  A real w, as every
-    Hermitian H_eff gives, is sorted by its values and its real column
-    kept as it is, which is that order and ``np.real_if_close`` for it;
-    max|H_eff| is taken over Python floats, exact as numpy's, since
-    ``np.linalg.eig`` accepts finite matrices only."""
+    looked up, and the values are bitwise those of sorting all of v in
+    the order of :func:`_sort_eig` and taking ``np.linalg.norm``.  A
+    complex w takes that order from :func:`_on_axis` and ``np.lexsort``,
+    as :func:`_sort_eig` does.  A real w, as every Hermitian H_eff gives,
+    is sorted by its values and its real column kept as it is, which is
+    that order and ``np.real_if_close`` for it; max|H_eff| is taken over
+    Python floats, exact as numpy's, since ``np.linalg.eig`` accepts
+    finite matrices only."""
     top = max(map(abs, heff.ravel().tolist()))
     if w.dtype.kind == "c":
-        cut = IMAG_COLLAPSE * top
-        # the key of np.lexsort in _sort_eig: real part, then imaginary
-        # part, 0 when collapsed; both sorts are stable
-        keys = [(z.real, 0.0 if abs(z.imag) <= cut else z.imag)
-                for z in w.tolist()]
+        # real part, then imaginary part, 0 when collapsed
+        j = np.lexsort((np.where(_on_axis(heff, w), 0.0, w.imag),
+                        w.real))[n - 1]
     else:
-        keys = w.tolist()
-    j = sorted(range(len(keys)), key=keys.__getitem__)[n - 1]
+        j = sorted(range(len(w)), key=w.tolist().__getitem__)[n - 1]
     # a contiguous copy, as the column of a sorted v is
     vec = v[:, j].copy()
     if vec.dtype.kind == "c":
@@ -407,12 +401,11 @@ def _secular_solve(h, setup, eta0, n, trace, r):
     poles and the brackets of each branch, and the chain keeps the
     entries that G sees, so each evaluation of D is one run of the
     recurrence of :func:`~effham.forward._slope_recurrence` plus the
-    M - 1 terms, and a solve only copies branch n's brackets, narrowing
-    the one that holds eta0 to it.  The
-    (D, D') of a start eta0 that did not raise is kept on h, in place of
-    the one before; the next solve of h from the same eta0, bit for bit
-    (0.0 and -0.0 are two starts), passes it to ``D(eta0, kept)``, which
-    records eta0 without evaluating.
+    M - 1 terms.  A solve evaluates D at its own eta0 (unless eta0 is a
+    pole of D, where r_n gives the direction) and walks branch n's
+    brackets in place: only the one that holds eta0 is narrowed to it,
+    as a new tuple, and (eta0, (D, D')) is passed to :func:`_newton` as
+    its start.
 
     Let (d_i, q_i) be the eigenpairs of the block without the doorway row
     and column, y_i = q_i . (doorway column), and t the poles of G, the
@@ -436,76 +429,73 @@ def _secular_solve(h, setup, eta0, n, trace, r):
     """
     door, scale = setup.door, setup.scale
     a0, rho0, steps = _cut(h.chain)
-    known = {}  # energy -> (D, D') of every evaluation of D
 
-    def D(x, kept=None):
-        """(D, D') at x, recorded in ``trace``; ``kept`` is that of an
-        earlier solve."""
+    def D(x):
+        """(D, D') at x, recorded in ``trace``."""
         _record(trace, x)
-        if kept is None:
-            g, dg = _slope_recurrence(a0, rho0, steps, x)
-            for di, wi in door.terms:
-                u = 1.0 / (x - di)
-                g += wi * u
-                dg -= wi * u * u
-            kept = g, dg
-        known[x] = kept
-        return kept
+        g, dg = _slope_recurrence(a0, rho0, steps, x)
+        for di, wi in door.terms:
+            u = 1.0 / (x - di)
+            g += wi * u
+            dg -= wi * u * u
+        return g, dg
 
-    # the levels of branch n, ascending: [lo, hi, interval], the open
-    # bracket of the root of D in each pole-free interval; copies, which
-    # a start inside narrows
-    levels = [list(level) for level in door.branches[n - 1]]
     if eta0 in door.poles:
         # r_n gives the direction; on a pole of G it raises PoleProximity
+        start = None
         ahead = 1.0 if r(eta0) >= 0 else -1.0
     else:
-        key, kept = eta0.hex(), h.__dict__.get("_start")
-        d = D(eta0, kept[1] if kept and kept[0] == key else None)
-        h.__dict__["_start"] = key, d
-        d0 = d[0]
+        start = eta0, D(eta0)
+        d0 = start[1][0]
         # eigenvalues of H_eff(eta0) below eta0; a level of branch n at
         # eta0 itself is found ahead, at distance 0
         n_below = bisect.bisect_left(door.d, eta0) + (d0 < 0)
         ahead = -1.0 if n <= n_below else 1.0
-        for level in levels:
-            if level[0] < eta0 < level[1]:
-                # the root lies above eta0 where D(eta0) > 0
-                if d0 >= 0:
-                    level[0] = eta0
-                if d0 <= 0:
-                    level[1] = eta0
+    # the brackets of branch n nearest eta0 ahead of it and behind it; one
+    # that holds eta0 (so eta0 is no pole of D) is narrowed to the root's
+    # side of eta0: above it where D(eta0) > 0, below it where D(eta0) < 0,
+    # and to eta0 alone, both ahead and behind, where D(eta0) = 0
+    above = below = None
+    for lo, hi, interval in door.branches[n - 1]:
+        if lo < eta0 < hi:
+            lo, hi = eta0 if d0 >= 0 else lo, eta0 if d0 <= 0 else hi
+        if hi <= eta0:
+            below = lo, hi, interval
+        if lo >= eta0:
+            above = lo, hi, interval
+            break
+    lo, hi, interval = (above or below) if ahead > 0 else (below or above)
+    return _newton(D, lo, hi, interval, scale, start)
 
-    above = [level for level in levels if level[0] >= eta0]
-    below = [level for level in reversed(levels) if level[1] <= eta0]
-    lo, hi, interval = (above + below if ahead > 0 else below + above)[0]
-    return _newton(D, lo, hi, interval, scale, known)
 
-
-def _newton(D, a, b, poles, scale, known):
+def _newton(D, a, b, poles, scale, start):
     """A root of D in (a, b), where D(a) > 0 > D(b), to within
     ulp(max(|x|, scale)).  Newton steps on F = D (E - p_lo)(p_hi - E), for
     the bounding poles (p_lo, p_hi) = ``poles`` (an infinite one drops
-    out): F is smooth where D has those poles.  The steps start from an end
-    of the bracket where D is ``known``, else from its middle.  A step that
-    would leave the bracket, or is more than half the step before last
-    (the rule of rtsafe in Numerical Recipes), is a bisection instead.
-    Where the pivot test of G fires, on a pole of G and so next to an end
-    of (a, b), the bracket is cut there: no root that close to a pole can
-    be checked."""
+    out): F is smooth where D has those poles.  The steps start from
+    eta0 when the ``start`` (eta0, (D, D')) of the solve ends the
+    bracket, else from its middle.  Every later step lands strictly
+    inside the open bracket, so no energy is evaluated twice.  A step
+    that would leave the bracket, or is more than half the step before
+    last (the rule of rtsafe in Numerical Recipes), is a bisection
+    instead.  Where the pivot test of G fires, on a pole of G and so next
+    to an end of (a, b), the bracket is cut there: no root that close to a
+    pole can be checked."""
     p_lo, p_hi = poles
-    x = a if a in known else b if b in known else 0.5 * (a + b)
+    x, first = (start if start and start[0] in (a, b)
+                else (0.5 * (a + b), None))
     before = last = b - a
     while True:
         w = math.ulp(max(abs(x), scale))
         if b - a <= 2.0 * w:
             return 0.5 * (a + b)
         try:
-            value, slope = known.get(x) or D(x)
+            value, slope = first or D(x)
         except PoleProximity:  # a pole of G ends (a, b)
             a, b = (x, b) if x - a < b - x else (a, x)
             x = 0.5 * (a + b)
             continue
+        first = None
         if value == 0.0:
             return x
         if value > 0:

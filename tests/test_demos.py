@@ -1,6 +1,8 @@
-"""Every script under demos/ runs to completion."""
+"""Every script under demos/ runs to completion, and so does the library
+tour of the README."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -23,3 +25,13 @@ def test_demo_exits_0(script):
     proc = subprocess.run([sys.executable, str(script)], capture_output=True,
                           env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr.decode()
+
+
+def test_readme_tour_runs():
+    # the README's python block is the library tour: it runs against the
+    # package as it is, so the tour cannot drift from the API
+    blocks = re.findall(r"^```python\n(.*?)^```$",
+                        (ROOT / "README.md").read_text(),
+                        re.MULTILINE | re.DOTALL)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})

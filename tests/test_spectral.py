@@ -161,6 +161,24 @@ def test_debug_lines_only_when_enabled():
     assert bare == [] and calls >= 2
 
 
+def test_only_setup_and_cut_kept_on_objects():
+    # an AST scan of the package: the only values it writes into an
+    # object's __dict__ are a chain's _cut (forward) and a Hamiltonian's
+    # _setup (spectral); any other use of a __dict__ than get() counts
+    # as a write too
+    writes = set()
+    for path in Path(spectral.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Subscript)
+                    and getattr(node.value, "attr", None) == "__dict__"
+                    and not isinstance(node.ctx, ast.Load)):
+                writes.add((path.name, ast.literal_eval(node.slice)))
+            elif (isinstance(node, ast.Attribute) and node.attr != "get"
+                  and getattr(node.value, "attr", None) == "__dict__"):
+                writes.add((path.name, f"{node.attr}()"))
+    assert writes == {("forward.py", "_cut"), ("spectral.py", "_setup")}
+
+
 class TestSelfConsistent:
     def test_paper_ground_level(self, paper_hamiltonian):
         res = self_consistent_solve(paper_hamiltonian, eta0=-1.0, n=1)
@@ -733,14 +751,14 @@ class TestSecular:
     def test_eigh_failure(self, monkeypatch, name):
         # eigvalsh (the poles of G) and eigh (the doorway) fail in the
         # setup, which keeps nothing on h; eig fails at the first H_eff,
-        # after the setup and D(eta0) are kept, and what is kept changes
-        # no bit of the next solve
+        # after the setup is kept, and what is kept changes no bit of the
+        # next solve
         h = random_hamiltonian(2, 2, np.random.default_rng(1))
         monkeypatch.setattr(np.linalg, name, _no_eig)
         with pytest.raises(EigSolverFailure, match="no convergence"):
             self_consistent_solve(h, 0.0, 1)
         kept = set(h.__dict__) - {"p_block", "chain"}
-        assert kept == ({"_setup", "_start"} if name == "eig" else set())
+        assert kept == ({"_setup"} if name == "eig" else set())
         monkeypatch.undo()
         assert _outcome(h, 0.0, 1) == _outcome(_copy(h), 0.0, 1)
 
@@ -800,13 +818,20 @@ def _bracket_sweep():
     for K in (8, 16, 32):
         for s in range(20):
             yield random_hamiltonian(4, K, np.random.default_rng(1000 * K + s))
+    for h, _ in _benchmark_solves():
+        yield h
+
+
+def _benchmark_solves():
+    """(Hamiltonian, eta0) of the first 50 self_consistent benchmark
+    inputs of seed 1."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
     for inst in workloads.make_inputs("self_consistent", 1, count=50):
-        yield PartitionedHamiltonian(inst.block, TridiagonalChain(inst.a,
-                                                                  inst.rho))
+        yield PartitionedHamiltonian(inst.block, TridiagonalChain(
+            inst.a, inst.rho)), inst.eta0
 
 
 def _per_level_brackets(door, outer, n):
@@ -1061,34 +1086,41 @@ class TestDoorwayReuse:
         assert calls == {"eigh": 2, "eigvalsh": 2}
 
     @pytest.mark.parametrize("order, starts", [
-        ("in order", {-5.0: 1}), ("reverse", {-5.0: 1}),
-        ("two starts", {-5.0: 4, 0.0: 4}), ("other between", {-5.0: 1})])
+        ("in order", {-5.0: 4}), ("reverse", {-5.0: 4}),
+        ("two starts", {-5.0: 4, 0.0: 4}), ("other between", {-5.0: 4})])
     def test_start_once_per_eta0(self, monkeypatch, order, starts):
-        # D(eta0) is evaluated once by the solves of h from one eta0 in a
-        # row, in any order of the levels and with other Hamiltonians
-        # solved in between; a solve of h from another eta0 in between
-        # evaluates it again
+        # the secular twin of TestDenseReuse's
+        # test_start_evaluated_by_each_solve: no start is kept, so each
+        # solve of h evaluates D once at its own eta0, first, in any order
+        # of the levels, starts and Hamiltonians, and every result is the
+        # cold one; ``starts`` counts those evaluations per eta0
         h = random_hamiltonian(4, 8, np.random.default_rng(3))
         other = random_hamiltonian(4, 8, np.random.default_rng(5), "mixed")
         jobs = _level_orders(h, (-5.0, 0.0), other)[order]
         cold = [_outcome(_copy(g), e, n) for g, e, n in jobs]
         energies = _spy_slope(monkeypatch)
-        assert [_outcome(g, e, n) for g, e, n in jobs] == cold
-        assert {e: energies.count(e) for e in starts} == starts
-        for (g, e, _), out in zip(jobs, cold):
+        seen = Counter()
+        for (g, e, n), out in zip(jobs, cold):
+            energies.clear()
+            assert _outcome(g, e, n) == out
             if g is h:
+                assert energies[0] == e and energies.count(e) == 1
                 assert out[4][0] == e.hex()  # the trace starts at eta0
                 _assert_dense_outcome(h, out)
+                seen[e] += 1
+        assert seen == starts
 
     def test_signed_zero_starts(self, monkeypatch):
-        # 0.0 and -0.0 are two starts: each trace begins with its own
+        # 0.0 and -0.0 are two starts: each solve evaluates D at its own,
+        # sign included, and each trace begins with it
         h = random_hamiltonian(4, 8, np.random.default_rng(3))
         jobs = [(0.0, 1), (-0.0, 2), (-0.0, 3), (0.0, 4)]
         cold = [_outcome(_copy(h), e, n) for e, n in jobs]
         energies = _spy_slope(monkeypatch)
         assert [_outcome(h, e, n) for e, n in jobs] == cold
         assert [out[4][0] for out in cold] == [e.hex() for e, _ in jobs]
-        assert energies.count(0.0) == 3
+        assert [x.hex() for x in energies if x == 0.0] == [
+            e.hex() for e, _ in jobs]
 
     def test_start_that_raises_is_not_kept(self, monkeypatch):
         # one float above a pole of G, off the poles of D as computed, the
@@ -1107,8 +1139,9 @@ class TestDoorwayReuse:
 
     def test_setup_and_start_kept_per_hamiltonian(self, monkeypatch):
         # levels 1..4 of two Hamiltonians, interleaved: each runs its
-        # setup once and evaluates D(eta0) once, and every result is
-        # the cold one
+        # setup once, each of the eight solves evaluates D(eta0) once, h
+        # keeps its setup and nothing else, and every result is the cold
+        # one
         hs = [random_hamiltonian(4, 8, np.random.default_rng(s))
               for s in (3, 6)]
         jobs = [(h, n) for n in range(1, 5) for h in hs]
@@ -1117,9 +1150,34 @@ class TestDoorwayReuse:
         energies = _spy_slope(monkeypatch)
         assert [_outcome(h, -5.0, n) for h, n in jobs] == cold
         assert calls == {"eigh": 2, "eigvalsh": 2}
-        assert energies.count(-5.0) == 2
+        assert energies.count(-5.0) == 8
         for (h, _), out in zip(jobs, cold):
             _assert_dense_outcome(h, out)
+            assert set(h.__dict__) - {"p_block", "chain"} == {"_setup"}
+
+    def test_d_energies_of_a_solve_are_distinct(self, monkeypatch):
+        # no solve evaluates D twice at one energy, so it needs no memo of
+        # D: the Newton and bisection steps land strictly inside the open
+        # bracket, and only its start at eta0 is passed on; sweep H at
+        # K = 8 and 16 from eta0 = 0 and the first 50 self_consistent
+        # benchmark inputs of seed 1, levels 1..4 each
+        solves = [(random_hamiltonian(4, K, np.random.default_rng(
+            1000 * K + s)), 0.0) for K in (8, 16) for s in range(20)]
+        solves += _benchmark_solves()
+        energies = _spy_slope(monkeypatch)
+        evaluated = 0
+        for h, eta0 in solves:
+            assert spectral._setup(h).door is not None
+            for n in range(1, h.M + 1):
+                energies.clear()
+                try:
+                    self_consistent_solve(h, eta0, n)
+                except DomainError:
+                    pass
+                assert energies[0] == eta0
+                assert len(set(energies)) == len(energies), (eta0, n)
+                evaluated += len(energies)
+        assert len(solves) == 90 and evaluated > 5 * 4 * 90
 
     def test_non_hermitian_in_between(self):
         h = random_hamiltonian(4, 8, np.random.default_rng(4))
