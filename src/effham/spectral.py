@@ -13,20 +13,23 @@ of them), so :func:`self_consistent_solve` looks the levels of branch n
 up, takes one by a single rule and finishes it on r_n.  For a generic
 Hermitian doorway the levels are the roots of the doorway's secular
 function D(E) = G(E) + sum_i y_i^2/(E - d_i), one per pole-free interval
-of D, with branches from Haynsworth inertia, solved by Newton steps
-costing O(K + M) each.  Otherwise the levels are the real eigenvalues of
-the dense matrix, given their branches by Haynsworth inertia when it is
-Hermitian, else each by one evaluation of H_eff.  On both paths the work
-that does not depend on n runs once per Hamiltonian object and is kept in
-its ``__dict__``, as ``forward._cut`` keeps a chain's entries in the
-chain's: a Hamiltonian is a frozen dataclass with a read-only block and a
-frozen chain, so what is kept cannot go stale.  Nothing else is kept
-between solves.  Within one solve H_eff is evaluated and eigensolved once
-per energy (r_n, the branch test and the final eigenvector check share
-it), and so is D on the secular path.  G, and so H_eff and D, break down
-only within rounding of a pole of G (``forward.g_function`` takes a deeper
-pivot that vanishes at its limit), so each :class:`PoleProximity` met
-marks a pole of G: the finish steps past it, and a start on it raises.
+of D, and by Haynsworth inertia those of branch n fill the intervals
+between the (n-1)-th and n-th eigenvalue d_i of the other model states:
+a solve bisects eta0 into the poles of D, clamps the interval to that
+run, and takes Newton steps costing O(K + M) each.  Otherwise the
+levels are the real eigenvalues of the dense matrix, given their
+branches by Haynsworth inertia when it is Hermitian, else each by one
+evaluation of H_eff.  On both paths the work that does not depend on n
+runs once per Hamiltonian object and is kept in its ``__dict__``, as
+``forward._cut`` keeps a chain's entries in the chain's: a Hamiltonian
+is a frozen dataclass with a read-only block and a frozen chain, so what
+is kept cannot go stale.  Nothing else is kept between solves.  Within
+one solve H_eff is evaluated and eigensolved once per energy (r_n, the
+branch test and the final eigenvector check share it), and so is D on
+the secular path.  G, and so H_eff and D, break down only within
+rounding of a pole of G (``forward.g_function`` takes a deeper pivot
+that vanishes at its limit), so each :class:`PoleProximity` met marks a
+pole of G: the finish steps past it, and a start on it raises.
 """
 
 import bisect
@@ -311,8 +314,7 @@ class _Setup:
     ``hermitian`` says the form is symmetric (a symmetric block and every
     rho_k > 0 before the cut).  ``door`` is the
     :class:`_Doorway` of a generic Hermitian doorway, for
-    :func:`_secular_solve`, with the brackets of every branch, and
-    ``levels`` None; else ``door`` is None
+    :func:`_secular_solve`, and ``levels`` None; else ``door`` is None
     and ``levels`` are the form's real eigenvalues, ascending, for
     :func:`_dense_solve` (by :func:`_real_eigenvalues`)."""
 
@@ -329,18 +331,16 @@ class _Doorway:
     """The level-independent part of the secular solve (see
     :func:`_secular_solve`), computed once per Hamiltonian.
 
-    ``d`` are the eigenvalues of the block without the doorway row and
-    column, ascending and distinct; ``terms`` the pairs (d_i, y_i^2), every
+    ``d`` are the eigenvalues d_1..d_{M-1} of the block without the
+    doorway row and column, ascending and distinct, padded with
+    d_0 = -inf and d_M = +inf; ``terms`` the pairs (d_i, y_i^2), every
     y_i != 0; ``poles`` the poles of D, the d_i and the poles of G, none
-    shared, sorted.  ``branches[n - 1]`` are the brackets of the levels of
-    branch n, ascending: one (max(p_lo, -outer), min(p_hi, outer),
-    (p_lo, p_hi)) for each pole-free interval (p_lo, p_hi) of D with
-    n - 1 d_i below it, for the ``outer`` of the :class:`_Setup`."""
+    shared, sorted and padded with -inf and +inf, so that consecutive
+    entries end the pole-free intervals of D."""
 
     d: tuple
     terms: tuple
     poles: tuple
-    branches: tuple
 
 
 def _setup(h):
@@ -357,7 +357,7 @@ def _setup(h):
         cuts = tuple(_tail_poles(form, seen).tolist())
         scale = float(abs(form).max()) or 1.0
         outer = 2.0 * (h.M + 2) * scale
-        door = _doorway(h.p_block, cuts, outer) if hermitian else None
+        door = _doorway(h.p_block, cuts) if hermitian else None
         levels = None if door else tuple(_real_eigenvalues(form).tolist())
         setup = _Setup(cuts, scale, outer, hermitian, door, levels)
         h.__dict__["_setup"] = setup
@@ -374,38 +374,27 @@ def _real_eigenvalues(m):
     return np.sort(w.real[_on_axis(m, w)])
 
 
-def _doorway(block, cuts, outer):
+def _doorway(block, cuts):
     """The :class:`_Doorway` of a symmetric block with the poles of G
-    ``cuts`` and levels within +-``outer``, or None when it is not
-    generic: some y_i = 0, a repeated d_i, or a d_i on a pole of G."""
+    ``cuts``, or None when it is not generic: some y_i = 0, a repeated
+    d_i, or a d_i on a pole of G."""
     d, q = _solve(np.linalg.eigh, block[:-1, :-1])
     d = tuple(d.tolist())
     weights = ((q.T @ block[:-1, -1]) ** 2).tolist()
     if 0.0 in weights or len(set(d)) < len(d) or not set(d).isdisjoint(cuts):
         return None
-    poles = tuple(sorted({*cuts, *d}))
-    branches = [[] for _ in range(len(block))]
-    ends = [-math.inf, *poles, math.inf]
-    for p_lo, p_hi in zip(ends, ends[1:]):
-        branches[bisect.bisect_right(d, p_lo)].append(
-            (max(p_lo, -outer), min(p_hi, outer), (p_lo, p_hi)))
-    return _Doorway(d, tuple(zip(d, weights)), poles,
-                    tuple(map(tuple, branches)))
+    return _Doorway((-math.inf, *d, math.inf), tuple(zip(d, weights)),
+                    (-math.inf, *sorted({*cuts, *d}), math.inf))
 
 
 def _secular_solve(h, setup, eta0, n, trace, r):
     """The level x of branch n that the rule of
     :func:`self_consistent_solve` selects, for a generic Hermitian doorway,
     from the Hamiltonian's :class:`_Setup`, to be finished on r_n between
-    the poles of G next to it.  The setup holds the doorway's terms,
-    poles and the brackets of each branch, and the chain keeps the
-    entries that G sees, so each evaluation of D is one run of the
-    recurrence of :func:`~effham.forward._slope_recurrence` plus the
-    M - 1 terms.  A solve evaluates D at its own eta0 (unless eta0 is a
-    pole of D, where r_n gives the direction) and walks branch n's
-    brackets in place: only the one that holds eta0 is narrowed to it,
-    as a new tuple, and (eta0, (D, D')) is passed to :func:`_newton` as
-    its start.
+    the poles of G next to it.  The setup holds the doorway's d_i, terms
+    and poles, and the chain keeps the entries that G sees, so each
+    evaluation of D is one run of the recurrence of
+    :func:`~effham.forward._slope_recurrence` plus the M - 1 terms.
 
     Let (d_i, q_i) be the eigenpairs of the block without the doorway row
     and column, y_i = q_i . (doorway column), and t the poles of G, the
@@ -420,14 +409,22 @@ def _secular_solve(h, setup, eta0, n, trace, r):
     a t.  D strictly decreases between its poles, so each pole-free
     interval holds exactly one root, a level.  By Haynsworth inertia
     H_eff(E) - E has #{d_i < E} + [D(E) < 0] negative eigenvalues, so a
-    root E of D is a root of r_n with n = 1 + #{d_i < E}, and D(eta0)
-    gives sign r_n(eta0).
+    root E of D is a root of r_n with n = 1 + #{d_i < E}: the levels of
+    branch n fill run n, the pole-free intervals of D between d_{n-1}
+    and d_n (d_0 = -inf, d_M = +inf), one each.
 
-    The outermost brackets end at +-outer, beyond every level by
+    So the rule selects by position alone.  The interval of run n that
+    holds eta0 is taken, narrowed to the root's side of eta0 by the sign
+    of D(eta0), and (eta0, (D, D')) is passed to :func:`_newton` as its
+    start.  On a pole of D, eta0 is no start: the interval above it is
+    taken when r_n(eta0) >= 0, else the one below.  When run n lies
+    wholly on one side of eta0, its end interval nearest eta0 is taken.
+    That is one bisection of eta0 into the poles of D, clamped to run n.
+    The outermost intervals are cut at +-outer, beyond every level by
     Gershgorin's theorem.  :func:`_newton` finds the root of D selected to
     within ulp(max(|E|, scale)).
     """
-    door, scale = setup.door, setup.scale
+    door, scale, outer = setup.door, setup.scale, setup.outer
     a0, rho0, steps = _cut(h.chain)
 
     def D(x):
@@ -440,32 +437,28 @@ def _secular_solve(h, setup, eta0, n, trace, r):
             dg -= wi * u * u
         return g, dg
 
-    if eta0 in door.poles:
-        # r_n gives the direction; on a pole of G it raises PoleProximity
+    # the pole-free interval (ends[j], ends[j + 1]) of D that holds eta0,
+    # or that starts at eta0 when eta0 is a pole of D
+    ends = door.poles
+    j = bisect.bisect_right(ends, eta0) - 1
+    if ends[j] == eta0:
+        # the root lies above the pole eta0 where r_n(eta0) >= 0, else
+        # below it; on a pole of G r_n raises PoleProximity
         start = None
-        ahead = 1.0 if r(eta0) >= 0 else -1.0
+        j = j if r(eta0) >= 0 else j - 1
     else:
         start = eta0, D(eta0)
+    # clamped to branch n's run, between d_{n-1} and d_n
+    j = min(max(j, bisect.bisect_left(ends, door.d[n - 1])),
+            bisect.bisect_left(ends, door.d[n]) - 1)
+    p_lo, p_hi = ends[j], ends[j + 1]
+    lo, hi = max(p_lo, -outer), min(p_hi, outer)
+    if lo < eta0 < hi:
+        # narrowed to the root's side of eta0: above it where D(eta0) > 0,
+        # below it where D(eta0) < 0, and to eta0 alone where D(eta0) = 0
         d0 = start[1][0]
-        # eigenvalues of H_eff(eta0) below eta0; a level of branch n at
-        # eta0 itself is found ahead, at distance 0
-        n_below = bisect.bisect_left(door.d, eta0) + (d0 < 0)
-        ahead = -1.0 if n <= n_below else 1.0
-    # the brackets of branch n nearest eta0 ahead of it and behind it; one
-    # that holds eta0 (so eta0 is no pole of D) is narrowed to the root's
-    # side of eta0: above it where D(eta0) > 0, below it where D(eta0) < 0,
-    # and to eta0 alone, both ahead and behind, where D(eta0) = 0
-    above = below = None
-    for lo, hi, interval in door.branches[n - 1]:
-        if lo < eta0 < hi:
-            lo, hi = eta0 if d0 >= 0 else lo, eta0 if d0 <= 0 else hi
-        if hi <= eta0:
-            below = lo, hi, interval
-        if lo >= eta0:
-            above = lo, hi, interval
-            break
-    lo, hi, interval = (above or below) if ahead > 0 else (below or above)
-    return _newton(D, lo, hi, interval, scale, start)
+        lo, hi = eta0 if d0 >= 0 else lo, eta0 if d0 <= 0 else hi
+    return _newton(D, lo, hi, (p_lo, p_hi), scale, start)
 
 
 def _newton(D, a, b, poles, scale, start):

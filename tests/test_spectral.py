@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from effham import spectral
+from effham import forward, spectral
 from effham.cli import main
 from effham.errors import (DomainError, EigSolverFailure, NonConvergence,
                            PoleProximity)
@@ -762,39 +762,90 @@ class TestSecular:
         monkeypatch.undo()
         assert _outcome(h, 0.0, 1) == _outcome(_copy(h), 0.0, 1)
 
-    def test_branch_brackets_match_per_level_build(self):
-        # the setup's table of each branch's brackets is, bit for bit,
-        # what the solve of each level built for itself before
-        doors = 0
+    def test_newton_gets_what_the_walk_gave(self, monkeypatch):
+        # the positional rule hands _newton, bit for bit, the bracket, its
+        # poles and the start that the walk over branch n's brackets,
+        # steered by the inertia direction, handed it: from starts on and
+        # next to every pole of D (every d_i among them), at the middle of
+        # every bracket, at +-0.0, +-outer and +-1.5 outer
+        picked = _spy_newton(monkeypatch)
+        solves = 0
         for h in _bracket_sweep():
             setup = spectral._setup(h)
             if setup.door is None:
                 continue
-            doors += 1
-            assert len(setup.door.branches) == h.M
-            for n in range(1, h.M + 1):
-                got = setup.door.branches[n - 1]
-                assert isinstance(got, tuple)
-                assert all(isinstance(level, tuple) for level in got)
-                assert _bracket_hexes(got) == _bracket_hexes(
-                    _per_level_brackets(setup.door, setup.outer, n))
-        assert doors >= 100  # 110 of 110 measured
+            door, outer = setup.door, setup.outer
+            ends = door.poles
+            starts = [x for p in ends[1:-1] for x in (
+                math.nextafter(p, -math.inf), p, math.nextafter(p, math.inf))]
+            starts += [0.5 * (max(lo, -outer) + min(hi, outer))
+                       for lo, hi in zip(ends, ends[1:])]
+            starts += [0.0, -0.0, outer, -outer, 1.5 * outer, -1.5 * outer]
+            for eta0 in starts:
+                for n in range(1, h.M + 1):
+                    try:
+                        want = _walked(h, setup, eta0, n)
+                    except PoleProximity:
+                        with pytest.raises(PoleProximity):
+                            self_consistent_solve(h, eta0, n)
+                        continue
+                    picked.clear()
+                    with pytest.raises(_Picked):
+                        self_consistent_solve(h, eta0, n)
+                    (got,) = picked
+                    assert _picked_hexes(*got) == _picked_hexes(*want), (
+                        eta0, n)
+                    solves += 1
+        assert solves > 20000  # 21160 measured; the rest raise
 
-    def test_narrowed_bracket_stays_with_its_solve(self):
-        # a start inside a bracket narrows the solve's copy of it, and a
-        # later start on a d_i, which takes the first bracket ahead as the
-        # table holds it, finds the table as the setup built it
+    def test_pole_of_g_in_its_run_takes_the_side_of_r_n(self, monkeypatch):
+        # solves from inside each bracket and from each d_i return what a
+        # cold copy of h returns; then, with the pole test of G off, a
+        # start on a pole of G inside branch n's run is the one place
+        # where the sign of r_n(eta0) still chooses: the interval above
+        # the pole where r_n(eta0) >= 0, else the one below
         h = random_hamiltonian(4, 8, np.random.default_rng(8008))
-        door = spectral._setup(h).door
+        setup = spectral._setup(h)
+        door = setup.door
         assert door is not None
         jobs = []
         for n in range(1, h.M + 1):
-            for lo, hi, _ in door.branches[n - 1]:
+            for lo, hi, _ in _per_level_brackets(door, setup.outer, n):
                 jobs.append((0.5 * (lo + hi), n))
-                jobs.extend((di, n) for di in door.d)
+                jobs.extend((di, n) for di in door.d[1:-1])
         got = [_outcome(h, eta0, n) for eta0, n in jobs]
         assert got == [_outcome(_copy(h), eta0, n) for eta0, n in jobs]
         assert sum(isinstance(out[0], int) for out in got) >= 40  # 48 of 48
+
+        monkeypatch.setattr(forward, "_on_pole", lambda *args: False)
+        picked = _spy_newton(monkeypatch)
+        sides = Counter()
+        for K in (8, 16):
+            for s in range(20):
+                h = random_hamiltonian(4, K, np.random.default_rng(
+                    1000 * K + s))
+                setup = spectral._setup(h)
+                ends = setup.door.poles
+                for t in setup.cuts:
+                    n = 1 + bisect.bisect_left(setup.door.d[1:-1], t)
+                    j = ends.index(t)
+                    picked.clear()
+                    try:
+                        w = spectral._solve(np.linalg.eig,
+                                            effective_hamiltonian(h, t))[0]
+                    except DomainError as exc:
+                        with pytest.raises(type(exc)):
+                            self_consistent_solve(h, t, n)
+                        continue
+                    above = sorted(w.real.tolist())[n - 1] - t >= 0
+                    with pytest.raises(_Picked):
+                        self_consistent_solve(h, t, n)
+                    ((_, _, poles, start),) = picked
+                    assert start is None
+                    assert poles == ((t, ends[j + 1]) if above
+                                     else (ends[j - 1], t))
+                    sides[above] += 1
+        assert min(sides.values()) >= 100  # 239 above, 236 below measured
 
     def test_debug_line(self, caplog):
         h = PartitionedHamiltonian.from_chain(TridiagonalChain([0.0, 2.0],
@@ -835,19 +886,70 @@ def _benchmark_solves():
 
 
 def _per_level_brackets(door, outer, n):
-    """The brackets of branch n as each solve built them for itself: one
-    pass over the pole-free intervals of D, one bisect each, kept when
+    """The brackets of branch n as each solve once built them for itself:
+    one pass over the pole-free intervals of D, one bisect each, kept when
     n - 1 d_i lie below."""
-    ends = [-math.inf, *door.poles, math.inf]
-    return [[max(p_lo, -outer), min(p_hi, outer), (p_lo, p_hi)]
+    ends = door.poles  # padded with -inf and +inf
+    return [(max(p_lo, -outer), min(p_hi, outer), (p_lo, p_hi))
             for p_lo, p_hi in zip(ends, ends[1:])
-            if bisect.bisect_right(door.d, p_lo) == n - 1]
+            if bisect.bisect_right(door.d[1:-1], p_lo) == n - 1]
 
 
-def _bracket_hexes(levels):
-    """Every float of a list of brackets as hex, signs of zero included."""
-    return [(lo.hex(), hi.hex(), p_lo.hex(), p_hi.hex())
-            for lo, hi, (p_lo, p_hi) in levels]
+def _walked(h, setup, eta0, n):
+    """(a, b, poles, start) that the secular solve handed to _newton when
+    it walked branch n's brackets from eta0: the nearest ahead of eta0,
+    else the nearest behind, in the direction of sign r_n(eta0), which
+    r_n gives on a pole of D and Haynsworth inertia with D(eta0)
+    elsewhere; the bracket that holds eta0 is narrowed to the root's side
+    of it.  D and r_n are evaluated as the solve evaluates them, and
+    PoleProximity propagates."""
+    door = setup.door
+    if eta0 in door.poles:
+        start = None
+        w = np.linalg.eig(effective_hamiltonian(h, eta0))[0]
+        ahead = sorted(w.real.tolist())[n - 1] - eta0 >= 0
+    else:
+        g, dg = _slope_recurrence(*_cut(h.chain), eta0)
+        for di, wi in door.terms:
+            u = 1.0 / (eta0 - di)
+            g += wi * u
+            dg -= wi * u * u
+        start = eta0, (g, dg)
+        d0 = g
+        ahead = n > bisect.bisect_left(door.d[1:-1], eta0) + (d0 < 0)
+    above = below = None
+    for lo, hi, interval in _per_level_brackets(door, setup.outer, n):
+        if lo < eta0 < hi:
+            lo, hi = eta0 if d0 >= 0 else lo, eta0 if d0 <= 0 else hi
+        if hi <= eta0:
+            below = lo, hi, interval
+        if lo >= eta0:
+            above = lo, hi, interval
+            break
+    return (*((above or below) if ahead else (below or above)), start)
+
+
+class _Picked(Exception):
+    """Raised in place of _newton, so a solve stops once it has picked its
+    bracket."""
+
+
+def _spy_newton(monkeypatch):
+    """Record the (a, b, poles, start) of spectral._newton's calls in a
+    list, which is returned, and raise _Picked in place of each."""
+    picked = []
+
+    def spy(D, a, b, poles, scale, start):
+        picked.append((a, b, poles, start))
+        raise _Picked
+    monkeypatch.setattr(spectral, "_newton", spy)
+    return picked
+
+
+def _picked_hexes(a, b, poles, start):
+    """Every float of _newton's (a, b, poles, start) as hex."""
+    return (a.hex(), b.hex(), tuple(p.hex() for p in poles),
+            start and (start[0].hex(), tuple(x.hex() for x in start[1])))
 
 
 def _branches(h):

@@ -6,8 +6,9 @@ self-consistent ops, for checking that a change keeps every result.
 
 The first form runs the effham under ``CHECKOUT/src`` (default: this
 checkout) on the inputs of ``perfbench/workloads.py`` in this checkout and
-on two seeded sweeps, and prints the four digests with the verdict counts
-behind them.  Two commits do the same work when all four digests agree.
+on three seeded sweeps, and prints the five digests with the verdict
+counts behind them.  Two commits do the same work when all five digests
+agree.
 The counts are verdicts of the benchmark's own checker: ``workloads.check``
 for what returned (``ok`` within its tolerance, else ``tol_miss``) and
 ``workloads.classify`` for what raised (the error's name, or
@@ -17,7 +18,7 @@ not part of a digest, which covers the results themselves.
 The second form compares two checkouts: it runs the first form on each,
 in its own interpreter and on the same inputs, and prints for each digest
 whether it is ``equal`` or ``differs``, with the digest and counts of
-each side where they differ.  It exits 0 when all four agree, 1 when any
+each side where they differ.  It exits 0 when all five agree, 1 when any
 differs and 2 when a run fails, so a bit-for-bit claim takes one command.
 
 Reconstruction digest: ``recon_op`` over seeds 1, 2, 5 and 7777 in that
@@ -48,6 +49,17 @@ the secular path on the part of the chain that G sees.  This digest
 starts with the commit that sent degenerate Hermitian doorways to the
 dense path; earlier commits print it too, from their own paths.
 
+Hermitian starts digest: ``solve_op`` of
+``random_hamiltonian(M, K, default_rng(7000 + 100 M + 10 K + s))`` for
+M = 1..4, K = 0, 1, 2, 3, 5, 8 and s = 0..11, from every start of
+:func:`_starts`: each pole of the doorway's secular function D and the
+floats next to it, the midpoints between them, +-0.0, +-outer and
++-1.5 outer, where a secular solve picks its bracket by position.  The
+starts come from public or independent data alone (``real_poles``, an
+``eigh`` of the block without the doorway row and column, and the
+largest entry of the balanced form taken here), so two commits solve
+the same starts whatever setup their solver keeps.
+
 Each digest is the sha256 of the concatenated ``json.dumps`` of one such
 list per op or per level.  Each line is flushed as it is printed; when the
 reader of the output goes away (``| head -1``), the tool stops there and
@@ -56,6 +68,7 @@ exits 0 without a traceback.
 
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -69,6 +82,7 @@ ROOT = Path(__file__).resolve().parent.parent
 RECON_SEEDS = (1, 2, 5, 7777)
 SOLVE_SEEDS = (1, 7777)
 SWEEP_K = (4, 8, 16)
+STARTS_K = (0, 1, 2, 3, 5, 8)
 # a digest line: name, sha256 hex digest, verdict counts
 DIGEST_LINE = re.compile(r"(.+?) +([0-9a-f]{64} .*)")
 
@@ -109,18 +123,19 @@ def _level_digest(wl, ops):
     return digest.hexdigest(), dict(sorted(counts.items()))
 
 
-def _sweep_ops(api, wl, hamiltonians):
-    """(instance, levels 1..4 from eta0 = 0) of each Hamiltonian, in
-    digest order; the instance carries the real levels and scale of the
-    dense matrix as ``make_inputs`` takes them."""
+def _sweep_ops(api, wl, hamiltonians, starts=lambda h: (0.0,)):
+    """(instance, levels 1..M from eta0) of each Hamiltonian and each eta0
+    of ``starts(h)``, in digest order; the instance carries the real
+    levels and scale of the dense matrix as ``make_inputs`` takes them."""
     for h in hamiltonians:
         block, a, rho = h.p_block, h.chain.a, h.chain.rho
         dense = wl._doorway_matrix(block, a, rho)
         w = np.linalg.eigvals(dense)
-        inst = wl.SolveInstance(block, a, rho, 0.0,
-                                np.sort(w.real[np.abs(w.imag) < 1e-10]),
-                                max(1.0, float(np.max(np.abs(dense)))))
-        yield inst, wl.solve_op(api, h, 0.0)
+        ref = np.sort(w.real[np.abs(w.imag) < 1e-10])
+        scale = max(1.0, float(np.max(np.abs(dense))))
+        for eta0 in starts(h):
+            yield (wl.SolveInstance(block, a, rho, eta0, ref, scale),
+                   wl.solve_op(api, h, eta0))
 
 
 def _sweep(api, sign):
@@ -142,6 +157,37 @@ def _degenerate(api):
         rho[h.K // 2] = 0.0
         yield api.PartitionedHamiltonian(
             h.p_block, api.TridiagonalChain(h.chain.a, rho))
+
+
+def _starts_sweep(api):
+    """The Hamiltonians of the Hermitian starts digest, in order."""
+    for M in range(1, 5):
+        for K in STARTS_K:
+            for s in range(12):
+                yield api.instances.random_hamiltonian(
+                    M, K, np.random.default_rng(7000 + 100 * M + 10 * K + s))
+
+
+def _starts(api, h):
+    """The starts of h in the Hermitian starts digest, in order: each pole
+    of D (a real pole of G or an eigenvalue d_i of the block without the
+    doorway row and column) with the float below and above it, the
+    midpoint of each interval between -outer, those poles and outer, then
+    0.0, -0.0, outer, -outer, 1.5 outer and -1.5 outer.  outer is
+    2 (M + 2) times the largest entry of the balanced form: the block with
+    a_0 in its corner, a_k and sqrt|rho_k| up to the first rho_k = 0."""
+    block, a, rho = h.p_block, h.chain.a.tolist(), h.chain.rho.tolist()
+    seen = rho.index(0.0) if 0.0 in rho else len(rho)
+    entries = [*block.ravel()[:-1].tolist(), *a[:seen + 1],
+               *(math.sqrt(abs(x)) for x in rho[:seen])]
+    outer = 2.0 * (h.M + 2) * (max(map(abs, entries)) or 1.0)
+    d = np.linalg.eigh(block[:-1, :-1])[0].tolist()
+    poles = sorted({*api.spectral.real_poles(h.chain).tolist(), *d})
+    ends = [-outer, *poles, outer]
+    return ([x for p in poles for x in (math.nextafter(p, -math.inf), p,
+                                        math.nextafter(p, math.inf))]
+            + [0.5 * (lo + hi) for lo, hi in zip(ends, ends[1:])]
+            + [0.0, -0.0, outer, -outer, 1.5 * outer, -1.5 * outer])
 
 
 def _digests(proc):
@@ -208,6 +254,8 @@ def main(argv):
         wl, _sweep_ops(api, wl, _sweep(api, "mixed"))), flush=True)
     print("degenerate Hermitian", *_level_digest(
         wl, _sweep_ops(api, wl, _degenerate(api))), flush=True)
+    print("Hermitian starts", *_level_digest(wl, _sweep_ops(
+        api, wl, _starts_sweep(api), lambda h: _starts(api, h))), flush=True)
 
 
 if __name__ == "__main__":
