@@ -16,20 +16,23 @@ function D(E) = G(E) + sum_i y_i^2/(E - d_i), one per pole-free interval
 of D, and by Haynsworth inertia those of branch n fill the intervals
 between the (n-1)-th and n-th eigenvalue d_i of the other model states:
 a solve bisects eta0 into the poles of D, clamps the interval to that
-run, and takes Newton steps costing O(K + M) each.  Otherwise the
-levels are the real eigenvalues of the dense matrix, given their
-branches by Haynsworth inertia when it is Hermitian, else each by one
-evaluation of H_eff.  On both paths the work that does not depend on n
-runs once per Hamiltonian object and is kept in its ``__dict__``, as
-``forward._cut`` keeps a chain's entries in the chain's: a Hamiltonian
-is a frozen dataclass with a read-only block and a frozen chain, so what
-is kept cannot go stale.  Nothing else is kept between solves.  Within
-one solve H_eff is evaluated and eigensolved once per energy (r_n, the
-branch test and the final eigenvector check share it), and so is D on
-the secular path.  G, and so H_eff and D, break down only within
-rounding of a pole of G (``forward.g_function`` takes a deeper pivot
-that vanishes at its limit), so each :class:`PoleProximity` met marks a
-pole of G: the finish steps past it, and a start on it raises.
+run, and takes Newton steps costing O(K + M) each.  Its setup reads the
+block and the chain's entries and takes the poles of G from
+:func:`real_poles`, so it never builds the N x N matrix.  Otherwise the
+levels are the real eigenvalues of the dense matrix, in the balanced
+gauge, given their branches by Haynsworth inertia when it is Hermitian,
+else each by one evaluation of H_eff.  On both paths the work that does
+not depend on n runs once per Hamiltonian object and is kept in its
+``__dict__``, as ``forward._cut`` keeps a chain's entries in the
+chain's: a Hamiltonian is a frozen dataclass with a read-only block and
+a frozen chain, so what is kept cannot go stale.  Nothing else is kept
+between solves.  Within one solve H_eff is evaluated and eigensolved
+once per energy (r_n, the branch test and the final eigenvector check
+share it), and so is D on the secular path.  G, and so H_eff and D,
+break down only within rounding of a pole of G (``forward.g_function``
+takes a deeper pivot that vanishes at its limit), so each
+:class:`PoleProximity` met marks a pole of G: the finish steps past it,
+and a start on it raises.
 """
 
 import bisect
@@ -265,8 +268,8 @@ def _balanced_form(h, seen):
     (after the whole chain when ``seen`` = K), past which G sees nothing,
     in the balanced gauge of :func:`_balanced`.  It is similar to that cut
     of :func:`~effham.model.assemble_dense` but has entries at the chain's
-    own scale.  Its block from row M on has the poles of G as
-    eigenvalues."""
+    own scale.  The dense path of :func:`_setup` takes its levels from
+    it; the secular path never builds it."""
     return _doorway_matrix(h.p_block, *_balanced(h.chain, seen))
 
 
@@ -274,30 +277,23 @@ def _balanced(chain, seen):
     """(a, upper, lower) of ``chain`` cut before rho_seen, in the balanced
     gauge: sign(rho_k) sqrt|rho_k| above the diagonal and sqrt|rho_k|
     below, for the fills of :func:`_balanced_form` and
-    :func:`real_poles`."""
+    :func:`real_poles` and the entries :func:`_setup` reads."""
     rho = chain.rho[:seen]
     root = np.sqrt(np.abs(rho))
     return chain.a[:seen + 1], np.copysign(root, rho), root
 
 
 def real_poles(chain):
-    """The real poles of G, ascending: the :func:`_tail_poles` of the
-    chain cut at its first rho_k = 0 (``forward._cut``), past which G
-    sees nothing, in the balanced gauge.  The one definition of the poles
-    of G: what probes keep clear of, re-exported by ``instances``, and
-    the cuts of every self-consistent finish, which :func:`_setup` takes
-    by the same helper from its :func:`_balanced_form`, built once."""
+    """The real poles of G, ascending: the real eigenvalues, by
+    :func:`_real_eigenvalues`, of the tail a_1..a_seen of the chain cut
+    at its first rho_k = 0 (``forward._cut``), past which G sees nothing,
+    in the balanced gauge.  The tail is the lower-right block of the
+    whole cut chain's fill, where every -0.0 reads +0.0.  The one
+    definition of the poles of G: what probes keep clear of, re-exported
+    by ``instances``, and the cuts of every self-consistent finish, which
+    :func:`_setup` takes from here."""
     seen = len(_cut(chain)[2])
-    return _tail_poles(_chain_matrix(*_balanced(chain, seen)), seen)
-
-
-def _tail_poles(form, seen):
-    """The real eigenvalues, by :func:`_real_eigenvalues`, of the last
-    ``seen`` rows and columns of ``form``: the tail a_1..a_seen of the
-    balanced chain, which both :func:`_balanced_form` and the chain's own
-    fill put lower-right."""
-    tail = len(form) - seen
-    return _real_eigenvalues(form[tail:, tail:])
+    return _real_eigenvalues(_chain_matrix(*_balanced(chain, seen))[1:, 1:])
 
 
 @dataclass(frozen=True)
@@ -307,12 +303,12 @@ class _Setup:
     :func:`_setup`, as the chain keeps the entries that G sees (its
     ``forward._cut``).
 
-    ``cuts`` are the real poles of G, ascending: the :func:`_tail_poles`
-    of :func:`_balanced_form`, bitwise :func:`real_poles`.
-    ``scale`` is the largest entry of :func:`_balanced_form` (1 for a
-    zero form) and ``outer`` = 2 (M + 2) scale, beyond every level.
-    ``hermitian`` says the form is symmetric (a symmetric block and every
-    rho_k > 0 before the cut).  ``door`` is the
+    ``cuts`` are the real poles of G, ascending: ``real_poles(h.chain)``.
+    ``scale`` is the largest of |block|, |a_k| and sqrt|rho_k| over the
+    cut, the largest |entry| of :func:`_balanced_form` (1 when all are
+    0), and ``outer`` = 2 (M + 2) scale, beyond every level.
+    ``hermitian`` says that form is symmetric: a symmetric block and every
+    rho_k > 0 before the cut.  ``door`` is the
     :class:`_Doorway` of a generic Hermitian doorway, for
     :func:`_secular_solve`, and ``levels`` None; else ``door`` is None
     and ``levels`` are the form's real eigenvalues, ascending, for
@@ -344,21 +340,24 @@ class _Doorway:
 
 
 def _setup(h):
-    """The :class:`_Setup` of ``h``, with a :class:`_Doorway` when its
-    :func:`_balanced_form` is symmetric and :func:`_doorway` finds it
-    generic.  Computed once per Hamiltonian object and kept in its
-    ``__dict__``, as ``forward._cut`` keeps a chain's entries; a failed
-    eigensolve keeps nothing."""
+    """The :class:`_Setup` of ``h``, read off the block and the chain's
+    balanced entries, with a :class:`_Doorway` when it is Hermitian and
+    :func:`_doorway` finds it generic; only the dense path builds
+    :func:`_balanced_form`, for its levels.  Computed once per Hamiltonian
+    object and kept in its ``__dict__``, as ``forward._cut`` keeps a
+    chain's entries; a failed eigensolve keeps nothing."""
     setup = h.__dict__.get("_setup")
     if setup is None:
-        seen = len(_cut(h.chain)[2])
-        form = _balanced_form(h, seen)
-        hermitian = bool((form == form.T).all())
-        cuts = tuple(_tail_poles(form, seen).tolist())
-        scale = float(abs(form).max()) or 1.0
+        seen, block = len(_cut(h.chain)[2]), h.p_block
+        a, upper, lower = _balanced(h.chain, seen)
+        hermitian = bool((block == block.T).all() and (upper == lower).all())
+        cuts = tuple(real_poles(h.chain).tolist())
+        scale = float(np.abs(np.concatenate(
+            (block.ravel(), a, lower))).max()) or 1.0
         outer = 2.0 * (h.M + 2) * scale
-        door = _doorway(h.p_block, cuts) if hermitian else None
-        levels = None if door else tuple(_real_eigenvalues(form).tolist())
+        door = _doorway(block, cuts) if hermitian else None
+        levels = None if door else tuple(
+            _real_eigenvalues(_balanced_form(h, seen)).tolist())
         setup = _Setup(cuts, scale, outer, hermitian, door, levels)
         h.__dict__["_setup"] = setup
     return setup
@@ -398,7 +397,8 @@ def _secular_solve(h, setup, eta0, n, trace, r):
 
     Let (d_i, q_i) be the eigenpairs of the block without the doorway row
     and column, y_i = q_i . (doorway column), and t the poles of G, the
-    eigenvalues of the tail of :func:`_balanced_form`, symmetric here.
+    eigenvalues of the balanced chain's tail (:func:`real_poles`),
+    symmetric here.
     The Schur complement of the other model states in H_eff(E) - E is the
     doorway's secular function
 

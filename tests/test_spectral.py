@@ -1597,9 +1597,68 @@ class TestBalancedForm:
         assert np.signbit(np.diag(spectral._balanced_form(h, 0))).all()
 
 
+def _setup_oracle(h):
+    """(form, setup): the balanced form of h and spectral._setup(h) by its
+    definition on that form.  The form is the flat-view fill with every
+    -0.0 of the chain read +0.0 from the corner on when the cut keeps a
+    rho_k, as the shared fill reads them (see TestBalancedForm).  The
+    setup is Hermitian when the form is symmetric; its cuts are the real
+    eigenvalues of the form's tail, its scale the largest |entry| (1 when
+    all are 0), and its levels the real eigenvalues of the whole form
+    when h is no generic Hermitian doorway."""
+    M, rho = h.M, h.chain.rho.tolist()
+    seen = rho.index(0.0) if 0.0 in rho else len(rho)
+    form = _flat_balanced_form(h, seen)
+    if seen:
+        form[M - 1:, M - 1:] += 0.0
+    hermitian = bool((form == form.T).all())
+    cuts = tuple(spectral._real_eigenvalues(form[M:, M:]).tolist())
+    scale = float(np.abs(form).max()) or 1.0
+    door = spectral._doorway(h.p_block, cuts) if hermitian else None
+    levels = None if door else tuple(
+        spectral._real_eigenvalues(form).tolist())
+    return form, spectral._Setup(cuts, scale, 2.0 * (M + 2) * scale,
+                                 hermitian, door, levels)
+
+
+def _setup_inputs():
+    """random_hamiltonian(M, K, default_rng(1000 K + M), sign) for
+    K = 0..32, M = 1..4 and positive and mixed rho; the degenerate and
+    nonsymmetric sweeps (a zero rho_k in mid-chain, a decoupled model
+    state, blocks off symmetry); -0.0 in a and in the block; and chains
+    scaled by 2^500 and 2^-500."""
+    for sign in ("positive", "mixed"):
+        for M in range(1, 5):
+            for K in range(33):
+                yield random_hamiltonian(
+                    M, K, np.random.default_rng(1000 * K + M), sign)
+    yield from _sweep("degenerate")
+    yield from _sweep("nonsymmetric")
+    for K in (0, 1, 2, 5):
+        for sign in ("positive", "mixed"):
+            h = random_hamiltonian(3, K, np.random.default_rng(K), sign)
+            a, block = np.array(h.chain.a), np.array(h.p_block)
+            a[::2] = -0.0
+            block[0, 0] = block[0, 1] = block[1, 0] = -0.0
+            # symmetric; still symmetric, as +0.0 == -0.0; off symmetry
+            for i, j, x in ((0, 0, -0.0), (1, 0, 0.0), (2, 1, -0.0)):
+                block[i, j] = x
+                yield PartitionedHamiltonian(block, TridiagonalChain(
+                    a, h.chain.rho))
+        yield PartitionedHamiltonian.from_chain(TridiagonalChain(
+            [-0.0] * (K + 1), [1.0] * K))
+    for s in (2.0 ** 500, 2.0 ** -500):
+        for K in (0, 1, 4, 16):
+            for sign in ("positive", "mixed"):
+                h = random_hamiltonian(4, K, np.random.default_rng(K), sign)
+                yield PartitionedHamiltonian(s * h.p_block, TridiagonalChain(
+                    s * h.chain.a, s * s * h.chain.rho))
+
+
 class TestSetupCuts:
-    """The setup takes the poles of G from the balanced form it builds,
-    by the helper of real_poles and bit for bit its result."""
+    """The setup reads the block and the chain's entries and takes the
+    poles of G from real_poles, bit for bit what its definition on the
+    balanced form gives, and builds that form only for the dense path."""
 
     @pytest.mark.parametrize("sign", ["positive", "mixed", "degenerate",
                                       "nonsymmetric"])
@@ -1608,6 +1667,41 @@ class TestSetupCuts:
             cuts = spectral._setup(h).cuts
             assert [x.hex() for x in cuts] == [
                 x.hex() for x in real_poles(h.chain).tolist()]
+
+    def test_setup_matches_dense_definition(self):
+        paths = set()
+        for h in _setup_inputs():
+            form, ref = _setup_oracle(h)
+            assert form.tobytes() == spectral._balanced_form(
+                h, len(_cut(h.chain)[2])).tobytes()
+            assert repr(spectral._setup(h)) == repr(ref)
+            paths.add((ref.hermitian, ref.door is not None))
+        # every path: generic doorways, degenerate Hermitian ones and
+        # non-Hermitian forms
+        assert paths == {(True, True), (True, False), (False, False)}
+
+    def test_secular_setup_builds_no_dense_form(self, monkeypatch):
+        # a generic Hermitian doorway at K = 200 (sweep H, s = 0): neither
+        # its setup nor any level builds the N x N form; a mixed-rho one
+        # still builds it, for its dense levels
+        class FormBuilt(Exception):
+            pass
+
+        def spy(h, seen):
+            raise FormBuilt(h.N)
+
+        monkeypatch.setattr(spectral, "_balanced_form", spy)
+        h = random_hamiltonian(4, 200, np.random.default_rng(200000))
+        assert spectral._setup(h).door is not None
+        for n in range(1, 5):
+            try:
+                self_consistent_solve(h, 0.0, n)
+            except DomainError:
+                pass
+        mixed = random_hamiltonian(4, 200, np.random.default_rng(200000),
+                                   "mixed")
+        with pytest.raises(FormBuilt):
+            spectral._setup(mixed)
 
 
 def _g_slope_reference(chain, E, moved=()):

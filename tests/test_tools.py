@@ -231,8 +231,8 @@ def test_code_lines(tmp_path, capsys):
 
 
 AB_PAIRS = DIGEST.with_name("ab_pairs.py")
-END_TO_END = [{"name": "solved_per_s", "better": "higher"},
-              {"name": "latency_p50_ms", "better": "lower"}]
+END_TO_END = [{"name": "solved_per_s", "better": "higher", "bound": 0.24},
+              {"name": "latency_p50_ms", "better": "lower", "bound": 0.2}]
 
 
 def _load_ab_pairs():
@@ -302,9 +302,10 @@ def test_ab_pairs_statistics(capsys):
     tool.report(runs, END_TO_END)
     assert capsys.readouterr().out.splitlines() == [
         "solved_per_s     (higher) base 102 [100.75, 103.25]  "
-        "change 105.5 [104, 107]  ratio 1.0343  wins 9/10  rule holds",
+        "change 105.5 [104, 107]  ratio 1.0343  wins 9/10  rule holds  "
+        "regression none",
         "latency_p50_ms   (lower) base 1 [1, 1]  change 1 [1, 1]  "
-        "ratio 1.0000  wins 0/10  rule fails"]
+        "ratio 1.0000  wins 0/10  rule fails  regression none"]
 
 
 def test_ab_pairs_ratio_of_medians(capsys):
@@ -322,6 +323,36 @@ def test_ab_pairs_ratio_of_medians(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert "  ratio 1.2500  wins 2/3  " in lines[0]
     assert "  ratio n/a  wins 0/3  " in lines[1]
+
+
+@pytest.mark.parametrize("change, verdicts", [
+    ([(70.0, 1.5)] * 4, ["worse", "unresolved"]),
+    ([(77.0, 0.9)] * 4, ["none", "none"]),
+    ([(100.0, 2.0)] * 4, ["none", "worse"]),
+    ([(130.0, 0.9), (130.0, 1.2)] * 2, ["none", "unresolved"]),
+], ids=["worse-and-wide", "within-bound", "latency-worse", "wide"])
+def test_ab_pairs_regression(tmp_path, capsys, change, verdicts):
+    # the no-regression verdict of each end-to-end metric against its
+    # bound in BENCHMARK.json: worse when the change's median is worse by
+    # more than bound times the base's median; unresolved when the base's
+    # interquartile range is wider than that (1 here, over 0.2 * 1.5 for
+    # the latency), unless every change run beats every base run; none
+    # otherwise.  Base runs: solved_per_s 100, latency 1, 2, 1, 2
+    tool = _load_ab_pairs()
+    dirs = [_checkout(tmp_path, n) for n in ("base", "change")]
+    runs = {"base": iter([(100.0, 1.0), (100.0, 2.0)] * 2),
+            "change": iter(change)}
+
+    def runner(checkout, argv):
+        x, y = next(runs[Path(checkout).name])
+        return {"solved_per_s": x, "latency_p50_ms": y}
+
+    assert tool.main([*map(str, dirs), "--workload", "w", "--pairs", "4"],
+                     runner=runner) == 0
+    lines = capsys.readouterr().out.splitlines()[-2:]
+    assert [line.split()[0] for line in lines] == [
+        "solved_per_s", "latency_p50_ms"]
+    assert [line.split("  regression ")[1] for line in lines] == verdicts
 
 
 def test_ab_pairs_refuses_other_benchmark(tmp_path, capsys):

@@ -1,5 +1,5 @@
-"""Alternating benchmark pairs of two checkouts, with the verdict of the
-nine-in-ten rule on every end-to-end metric.
+"""Alternating benchmark pairs of two checkouts, with the verdicts of the
+nine-in-ten rule and of no regression on every end-to-end metric.
 
     python3 tools/ab_pairs.py BASE [CHANGE] --workload W [--pairs N]
                               [--seconds S] [--seed S]
@@ -22,9 +22,14 @@ median and quartiles (``statistics.quantiles``, as
 the base's (``n/a`` when the base's is 0), the pairs the change won (ties
 count for neither) and whether the rule holds: the change wins at least
 nine tenths of the pairs and its median is better than the base's by
-more than the base's interquartile range.  It exits 0 when every run succeeded
-and 2 when a run fails: a nonzero exit, no JSON result line, or
-``correct`` false.
+more than the base's interquartile range.  Last comes the regression
+verdict against the metric's relative ``bound``: ``worse`` when the
+change's median is worse than the base's by more than bound times the
+base's median; else ``unresolved`` when the base's interquartile range
+is wider than that, so the runs cannot show a regression within the
+bound, unless every change run beats every base run; else ``none``.
+It exits 0 when every run succeeded and 2 when a run fails: a nonzero
+exit, no JSON result line, or ``correct`` false.
 """
 
 import argparse
@@ -97,6 +102,22 @@ def verdict(base, change, higher):
     return wins, 10 * wins >= 9 * len(base) and gain > q3 - q1
 
 
+def regression(base, change, higher, bound):
+    """``worse``, ``unresolved`` or ``none``: the no-regression verdict of
+    the change's runs against the base's, for a metric that is better
+    ``higher`` or lower and may worsen by ``bound`` times the base's
+    median."""
+    sign = 1.0 if higher else -1.0
+    q1, median, q3 = quartiles(base)
+    allowed = bound * abs(median)
+    if sign * (median - statistics.median(change)) > allowed:
+        return "worse"
+    if q3 - q1 > allowed and not (
+            min(sign * c for c in change) > max(sign * b for b in base)):
+        return "unresolved"
+    return "none"
+
+
 def run_pairs(base, change, argv, pairs, runner):
     """{side: [metrics of each run]} of ``pairs`` alternating pairs, each
     run of ``argv`` by ``runner`` (:func:`run_bench` or a stand-in),
@@ -123,21 +144,22 @@ def ratio(base, change):
 
 def report(runs, end_to_end):
     """One line per end-to-end metric: each side's median and quartiles,
-    the change/base ratio of the medians, the change's wins and whether
-    the nine-in-ten rule holds."""
+    the change/base ratio of the medians, the change's wins, whether
+    the nine-in-ten rule holds and the regression verdict."""
     pairs = len(runs["base"])
     for metric in end_to_end:
         name, higher = metric["name"], metric["better"] == "higher"
         base = [run[name] for run in runs["base"]]
         change = [run[name] for run in runs["change"]]
         wins, holds = verdict(base, change, higher)
+        worse = regression(base, change, higher, metric["bound"])
         sides = "  ".join(
             "{} {:.6g} [{:.6g}, {:.6g}]".format(side, *(
                 quartiles(values)[i] for i in (1, 0, 2)))
             for side, values in (("base", base), ("change", change)))
         print(f"{name:16} ({metric['better']}) {sides}  ratio "
               f"{ratio(base, change)}  wins {wins}/{pairs}  rule "
-              f"{'holds' if holds else 'fails'}")
+              f"{'holds' if holds else 'fails'}  regression {worse}")
 
 
 def main(argv=None, runner=run_bench):
