@@ -41,7 +41,7 @@ from decimal import (MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal,
                      DivisionByZero, InvalidOperation, Overflow, getcontext,
                      localcontext)
 from functools import lru_cache
-from math import ceil, isfinite
+from math import ceil, isfinite, isnan, nextafter
 
 import numpy as np
 
@@ -104,6 +104,17 @@ def choose_probe_energies(count, window, forbidden=(), margin=0.0):
     for element, the sorted mid + half cos((2i + 1) pi / 2m).  m starts
     where the interior node spacing is below the margin and doubles, up to
     seven times, until enough nodes keep the margin.
+
+    The work is in grid-index space.  A node x is within the margin of f
+    when -margin < x - f < margin, and x - f rounds monotonically in x and
+    in f, so those nodes are a run [s, e) of grid indices, with s and e
+    ascending in f; runs that overlap merge.  :func:`_count` finds each
+    end by bisecting the grid at (f -+ margin - mid) / half and correcting
+    that guess with exact comparisons.  The admissible nodes are the gaps
+    between the runs, :func:`_select` picks among them by rank, and node
+    values are computed for the picks alone.  The narrow-window fallback
+    lists the distinct admissible nodes and picks among them with the
+    same routine.
     """
     count = operator.index(count)
     lo, hi = float(window[0]), float(window[1])
@@ -113,8 +124,8 @@ def choose_probe_energies(count, window, forbidden=(), margin=0.0):
         raise ValueError("count must be >= 1")
     if not 0.0 <= margin < np.inf:
         raise ValueError(f"margin must be finite and >= 0, got {margin}")
-    forbidden = np.sort(np.asarray(list(forbidden), dtype=float))
-    if len(forbidden) and np.isnan(forbidden[-1]):  # NaN sorts last
+    forbidden = sorted(np.asarray(list(forbidden), dtype=float).tolist())
+    if any(map(isnan, forbidden)):
         raise ValueError("forbidden values must not be NaN")
     # halved before they are added, so that neither overflows
     mid, half = 0.5 * lo + 0.5 * hi, 0.5 * hi - 0.5 * lo
@@ -122,29 +133,44 @@ def choose_probe_energies(count, window, forbidden=(), margin=0.0):
     # 4 half / max(margin, half / 64), which is 256 at most
     m = max(count, 256 if margin <= half / 64.0
             else ceil(4.0 * (half / margin)))
+    # s counts the nodes with x - f <= -margin, or at margin 0 those
+    # below f, which have the same admissible nodes below them as f has
+    below = nextafter(-margin, np.inf) if margin else 0.0
     for _ in range(8):
-        nodes = mid + half * _unit_grid(m)
-        if len(forbidden):
-            # the smallest |x - f| over the sorted forbidden values is that
-            # of the nearest one below x or the nearest one at or above it:
-            # x - f rounds monotonically in f, and f - x is its negative
-            fence = np.concatenate(([-np.inf], forbidden, [np.inf]))
-            pos = np.searchsorted(forbidden, nodes)
-            dist = np.minimum(nodes - fence[pos], fence[pos + 1] - nodes)
-            nodes = nodes[dist >= margin]
-        if len(nodes) >= count:
-            picks = _select_probes(nodes.tolist(), forbidden.tolist(), count)
+        grid = _unit_grid(m)
+        # the admissible nodes: gap k holds those of rank gaps[k][0] up to
+        # gaps[k + 1][0], at grid index rank + gaps[k][1].  start is the
+        # end of the last run, and a run that starts before it merges with
+        # it; points are the ranks at which the forbidden values insert
+        gaps, points, n, start = [(0, 0)], [], 0, 0
+        for f in forbidden:
+            s = _count(grid, mid, half, f, below)
+            n += max(s - start, 0)
+            points.append(n)
+            start = _count(grid, mid, half, f, margin) if margin else s
+            gaps.append((n, start - n))
+        n += m - start
+        gaps.append((n, 0))  # the end of the last gap
+        if n >= count:
+            def values(ranks):  # the nodes at ascending ranks
+                k, out = 0, []
+                for r in ranks:
+                    while gaps[k + 1][0] <= r:
+                        k += 1
+                    out.append(mid + half * grid[r + gaps[k][1]])
+                return out
+            picks = values(_select(count, n, points))
             # lo < picks < hi, ascending, unless in a window only a few
             # floats wide nodes round onto each other or onto its ends:
             # then the picks are made again from the distinct nodes
             # strictly inside it
             if not all(map(operator.lt, [lo, *picks], [*picks, hi])):
-                nodes = np.unique(nodes[(lo < nodes) & (nodes < hi)])
+                nodes = sorted({x for x in values(range(n)) if lo < x < hi})
                 if len(nodes) < count:
                     raise InfeasibleSampling(f"cannot place {count} distinct "
                                              f"probes inside ({lo}, {hi})")
-                picks = _select_probes(nodes.tolist(), forbidden.tolist(),
-                                       count)
+                picks = [nodes[r] for r in _select(count, len(nodes), [
+                    bisect_left(nodes, f) for f in forbidden])]
             return np.array(picks)
         m *= 2
     raise InfeasibleSampling(
@@ -154,54 +180,61 @@ def choose_probe_energies(count, window, forbidden=(), margin=0.0):
 @lru_cache(maxsize=64)
 def _unit_grid(m):
     """The m Chebyshev nodes cos((2i + 1) pi / 2m), i = 0..m-1, ascending,
-    as a read-only array shared by every call with this m.  A call's
-    first m is at most max(count, 256), and 256 unless the window is
-    narrow: the 300 K = 3 chains of one ``recon_holdout`` benchmark cycle
-    give 39 to 47 distinct m (seeds 1..10), all at most 256 (2 KB a
-    grid), which 64 grids keep from one cycle to the next."""
+    as a read-only memoryview of float64 shared by every call with this
+    m: its items are Python floats, which bisection and the node
+    arithmetic take without a numpy call.  A call's first m is at most
+    max(count, 256), and 256 unless the window is narrow: the 300 K = 3
+    chains of one ``recon_holdout`` benchmark cycle give 39 to 47
+    distinct m (seeds 1..10), all at most 256 (2 KB a grid), which 64
+    grids keep from one cycle to the next."""
     i = np.arange(m)
     grid = np.sort(np.cos((2 * i + 1) * np.pi / (2 * m)))
     grid.flags.writeable = False
-    return grid
+    return memoryview(grid)
 
 
-def _select_probes(xs, forbidden, count):
-    """``count`` of the ascending admissible nodes ``xs`` (a list of
-    floats), as an ascending list: for each of the ascending
-    ``forbidden`` values (a list) in turn, while picks remain, the untaken
-    node just below its insertion point (``bisect_left``) and the one at
-    it; then ``need`` more, spread evenly over the ``last + 1`` nodes
-    left.  Their positions are those of
-    ``np.round(np.linspace(0, last, need))``: linspace computes
-    j * (last / (need - 1)) + 0 and sets its end to ``last``, a single
-    point to 0, and ``round`` rounds half to even as ``np.round`` does.
-    The picks are distinct, since need <= last + 1 makes the step >= 1.
-    A few dozen forbidden values and a few hundred nodes make Python
-    lists cheaper here than numpy calls."""
-    taken = []  # indices into xs, in the order they are picked
-    for f in forbidden:
-        if len(taken) >= count:
-            break
-        pos = bisect_left(xs, f)
-        for idx in (pos - 1, pos):  # nearest admissible node on each side
-            if 0 <= idx < len(xs) and idx not in taken and len(taken) < count:
-                taken.append(idx)
-    chosen = [xs[i] for i in taken]
-    need = count - len(chosen)
+def _count(grid, mid, half, f, bound):
+    """The number of values x of the ascending ``grid`` with
+    mid + half x - f < ``bound``, which is monotone in x: from the guess
+    where that holds with equality, gallop to a bracket of the answer and
+    bisect it, so that no run of nodes is walked."""
+    lo = hi = bisect_left(grid, (f + bound - mid) / half) if half else 0
+    step = 1
+    while lo > 0 and mid + half * grid[lo - 1] - f >= bound:
+        hi, lo, step = lo - 1, max(lo - 1 - step, 0), 2 * step
+    while hi < len(grid) and mid + half * grid[hi] - f < bound:
+        lo, hi, step = hi + 1, min(hi + 1 + step, len(grid)), 2 * step
+    return lo if lo == hi else bisect_left(grid, bound, lo, hi,
+                                           key=lambda x: mid + half * x - f)
+
+
+def _select(count, n, points):
+    """The ranks of ``count`` of ``n`` ascending admissible nodes, as an
+    ascending list, given the ranks ``points`` at which the ascending
+    forbidden values insert among them.  For each point in turn, while
+    picks remain, the untaken node just below it and the one at it; then
+    ``need`` more, spread evenly over the ``last + 1`` nodes left.  Their
+    positions are those of ``np.round(np.linspace(0, last, need))``:
+    linspace computes j * (last / (need - 1)) + 0 and sets its end to
+    ``last``, a single point to 0, and ``round`` rounds half to even as
+    ``np.round`` does.  The picks are distinct, since need <= last + 1
+    makes the step >= 1."""
+    # ascending, as a later point brackets no lower: a rank is untaken
+    # when it is above the last one taken
+    taken = []
+    for pos in points:
+        for r in (pos - 1, pos):  # nearest admissible node on each side
+            if len(taken) < count and (taken[-1] if taken else -1) < r < n:
+                taken.append(r)
+    need, last = count - len(taken), n - len(taken) - 1
     if need > 0:
-        free, start = [], 0
-        for i in sorted(taken):
-            free += xs[start:i]
-            start = i + 1
-        free += xs[start:]
-        last = len(free) - 1
-        if need == 1:
-            picks = [0]
-        else:
-            step = last / (need - 1)
-            picks = [round(j * step + 0.0) for j in range(need - 1)] + [last]
-        chosen += [free[p] for p in picks]
-    return sorted(chosen)
+        step, held, k = last / max(need - 1, 1), taken[:], 0
+        for q in ([round(j * step + 0.0) for j in range(need - 1)]
+                  + [last if need > 1 else 0]):
+            while k < len(held) and held[k] <= q + k:
+                k += 1  # to the rank of the q-th node not taken
+            taken.append(q + k)
+    return sorted(taken)
 
 
 def k1_invert(var):
@@ -454,6 +487,9 @@ def samples_from_chain(chain, energies):
     one :func:`~effham.forward.g_function` call on the float form per
     energy, in order.  By that function's contract each value is bitwise
     the array form's entry, and the first :class:`PoleProximity` met is
-    the one the array form raises."""
-    return [GSample(e, g_function(chain, e))
-            for e in np.asarray(energies, dtype=float).tolist()]
+    the one the array form raises.  ``ValueError`` unless the energies
+    form a one-dimensional sequence."""
+    energies = np.asarray(energies, dtype=float)
+    if energies.ndim != 1:
+        raise ValueError(f"energies must be 1-D, got {energies.ndim}-D")
+    return [GSample(e, g_function(chain, e)) for e in energies.tolist()]

@@ -116,11 +116,10 @@ def _max_rel_err(got, ref):
     return float(np.max(np.abs(g - r) / np.maximum(np.abs(r), 1.0)))
 
 
-def _numpy_probes(count, window, forbidden, margin):
-    """``choose_probe_energies`` with the array form of ``_select_probes``
-    that it had before the selection moved to Python lists (one
-    ``np.searchsorted`` per forbidden value, a boolean ``taken`` mask,
-    numpy scalars): the reference of the list form, bit for bit."""
+def _numpy_nodes(count, window, forbidden, margin):
+    """The admissible nodes of the array form of ``choose_probe_energies``:
+    the m-node grid masked by the distance to every forbidden value, m
+    doubling until at least ``count`` nodes keep the margin."""
     lo, hi = float(window[0]), float(window[1])
     forbidden = np.sort(np.asarray(list(forbidden), dtype=float))
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
@@ -132,10 +131,19 @@ def _numpy_probes(count, window, forbidden, margin):
             dist = np.min(np.abs(nodes[:, None] - forbidden[None, :]), axis=1)
             nodes = nodes[dist >= margin]
         if len(nodes) >= count:
-            break
+            return nodes
         m *= 2
-    else:
-        raise InfeasibleSampling("no room")
+    raise InfeasibleSampling("no room")
+
+
+def _numpy_probes(count, window, forbidden, margin):
+    """``choose_probe_energies`` in the array form it had before the
+    selection moved to Python lists (one ``np.searchsorted`` per forbidden
+    value, a boolean ``taken`` mask, numpy scalars) and then to grid
+    indices: the reference of both, bit for bit.  It has no fallback for
+    windows only a few floats wide."""
+    nodes = _numpy_nodes(count, window, forbidden, margin)
+    forbidden = np.sort(np.asarray(list(forbidden), dtype=float))
     chosen = []
     taken = np.zeros(len(nodes), dtype=bool)
     for f in forbidden:
@@ -267,8 +275,9 @@ def _spy(monkeypatch, name):
 
 
 class TestProbePlacement:
-    """The cached unit grid and the list selection give, bit for bit, the
-    probes and errors of the array form, on the edges of the selection."""
+    """The cached unit grid and the selection in grid-index space give,
+    bit for bit, the probes and errors of the array form, on the edges of
+    the selection."""
 
     def test_unit_grid(self):
         # every size the loop can ask for from m = 1..300: read-only, kept,
@@ -279,7 +288,7 @@ class TestProbePlacement:
                 i = np.arange(m)
                 want = np.sort(np.cos((2 * i + 1) * np.pi / (2 * m)))
                 assert grid.tobytes() == want.tobytes()
-                assert not grid.flags.writeable
+                assert grid.readonly and grid.format == "d"
                 assert inverse._unit_grid(m) is grid
         assert inverse._unit_grid.cache_info().maxsize == 64
 
@@ -304,30 +313,75 @@ class TestProbePlacement:
         (2, [0.3]), (4, [-0.5, 0.5]), (3, [-0.5, 0.5]), (3, [0.3]),
         (1, []), (5, [-0.5, 0.5]), (9, [0.3, -0.2]),
         (41, [-0.7, 0.1, 0.6]), (300, [])])
-    def test_need(self, monkeypatch, count, forbidden):
+    def test_need(self, count, forbidden):
         # each interior forbidden value takes two nodes while picks remain,
         # so the even spread has need = 0, 0, 0, 1, 1, 1, 5, 35 and 300
         # picks; at margin 0 and count 300 the grid has just 300 nodes
-        calls = _spy(monkeypatch, "_select_probes")
         args = (count, (-1.0, 1.0), forbidden, 0.0)
         got = choose_probe_energies(*args)
         assert got.tobytes() == _numpy_probes(*args).tobytes()
         if count == 300:
-            assert len(calls[0][0]) == count
+            assert len(_numpy_nodes(*args)) == count
 
     @pytest.mark.parametrize("count", [3, 5, 9, 16])
-    def test_exactly_count_nodes(self, monkeypatch, count):
+    def test_exactly_count_nodes(self, count):
         # margins at which the admissible nodes are exactly ``count``, so
         # the even spread takes every free node
-        calls = _spy(monkeypatch, "_select_probes")
         exact = 0
         for margin in np.linspace(0.05, 1.4, 300).tolist():
             args = (count, (-1.0, 1.0), [0.3], margin)
-            del calls[:]
             got = _probe_outcome(choose_probe_energies, *args)
             assert got == _probe_outcome(_numpy_probes, *args)
-            exact += bool(calls) and len(calls[0][0]) == count
+            exact += (got != "InfeasibleSampling"
+                      and len(_numpy_nodes(*args)) == count)
         assert exact >= 10  # 77, 42, 37 and 15 measured
+
+    @pytest.mark.parametrize("count", [3, 7, 40])
+    def test_margin_edges(self, count):
+        # at margin > 0: forbidden values on a node, at +-inf, outside the
+        # window or on its ends, repeated, closer than 2 margin (their runs
+        # of nodes within the margin merge), and at exactly the margin from
+        # a node, which keeps it (the mask is dist >= margin), or at one
+        # float more, which drops it
+        m = 256  # the grid of (-2, 2) at a margin up to 2 / 64
+        i = np.arange(m)
+        nodes = np.sort(2.0 * np.cos((2 * i + 1) * np.pi / (2 * m)))
+        f = 0.5 * nodes[100] + 0.5 * nodes[101]
+        cases = [([nodes[100]], 0.01), ([nodes[0], nodes[-1]], 0.02),
+                 ([nodes[7], nodes[7], nodes[200]], 0.015),
+                 ([np.inf, nodes[3], -np.inf], 0.01), ([np.inf], 0.03),
+                 ([-7.0, 2.5, 9.0, -2.0, 2.0], 0.03),
+                 ([0.3, 0.3, 0.3], 0.02), ([0.3, 0.31, 0.33, 0.36], 0.02),
+                 ([-1.99, -1.98, 1.985], 0.03)]
+        for edge in (nodes[101] - f, f - nodes[100]):
+            cases += [([f], edge), ([f], np.nextafter(edge, np.inf))]
+        for forbidden, margin in cases:
+            args = (count, (-2.0, 2.0), forbidden, float(margin))
+            got = _probe_outcome(choose_probe_energies, *args)
+            assert got == _probe_outcome(_numpy_probes, *args)
+        kept = [len(_numpy_nodes(3, (-2.0, 2.0), [f], float(margin)))
+                for _, margin in cases[-4:]]
+        # f - nodes[100] rounds above nodes[101] - f: at the smaller edge
+        # both nodes stay, at the larger one only nodes[100]
+        assert kept == [m, m - 1, m - 1, m - 2]
+
+    @pytest.mark.parametrize("forbidden, margin, want", [
+        ([1.0 + 3e-14, 1.0 + 7e-14], 0.0,
+         [1, 133, 135, 224, 312, 315, 449]),
+        ([1.0 + 3e-14, 1.0 + 7e-14], 1e-15,
+         [1, 128, 141, 223, 309, 322, 449]),
+        ([1.0, 1.0 + 1e-13], 0.0, [1, 2, 83, 226, 367, 448, 449])])
+    def test_narrow_window_with_poles(self, forbidden, margin, want):
+        # a window 450 floats wide: grid nodes round onto each other, the
+        # array form's picks repeat, and the picks are made again from the
+        # distinct nodes strictly inside it, bracketing the forbidden
+        # values there; ``want`` is 1 + ulp(1) * want, as measured on
+        # the numpy mask and the node lists that the grid indices replace
+        args = (7, (1.0, 1.0 + 1e-13), forbidden, margin)
+        ends = [1.0, *_numpy_probes(*args).tolist(), 1.0 + 1e-13]
+        assert np.any(np.diff(ends) <= 0)
+        got = choose_probe_energies(*args)
+        assert got.tolist() == [1.0 + k * 2.0 ** -52 for k in want]
 
     @pytest.mark.parametrize("count, window, feasible", [
         (7, (0.0, 1e-323), False), (1, (0.0, 5e-324), False),
@@ -454,6 +508,13 @@ class TestSamplesFromChain:
         assert [s.energy for s in samples] == [1.0, 2.5, -3.0]
         assert all(type(s.energy) is float and type(s.g_value) is float
                    for s in samples)
+
+    @pytest.mark.parametrize("energies", [
+        [[0.1, 0.2], [0.3, 0.4]], 0.1, np.float64(0.1), np.zeros((1, 3))])
+    def test_not_one_dimensional(self, energies):
+        chain = TridiagonalChain([0.5, -1.0], [2.0])
+        with pytest.raises(ValueError, match="energies must be 1-D"):
+            samples_from_chain(chain, energies)
 
     @pytest.mark.parametrize("energies, level", [
         ((-1.0, 0.5, 2.0, 3.0), 2),   # E = a_2: the last level's pivot

@@ -51,7 +51,7 @@ def _output(where, digests):
 
 
 NAMES = ("reconstruction ", "self-consistent", "quasi-Hermitian",
-         "degenerate Hermitian", "Hermitian starts")
+         "degenerate Hermitian", "Hermitian starts", "probe placement")
 
 
 @pytest.mark.parametrize("b_digests, status, verdicts", [
@@ -163,12 +163,12 @@ def _digest_step():
     ("{'ok': 1, 'unexpected:ZeroDivisionError': 1}", 1)],
     ids=["ok", "domain-error", "unexpected"])
 def test_digest_step_fails_on_unexpected(tmp_path, counts, status):
-    # the workflow step runs on a stand-in for python that prints five
+    # the workflow step runs on a stand-in for python that prints six
     # digest lines with the given counts on the last
     out = tmp_path / "out.txt"
     out.write_text("".join([f"effham from {tmp_path}\n"] + [
-        f"{name} {'a' * 64} {{'ok': 1}}\n" for name in NAMES[:4]] + [
-        f"{NAMES[4]} {'a' * 64} {counts}\n"]))
+        f"{name} {'a' * 64} {{'ok': 1}}\n" for name in NAMES[:5]] + [
+        f"{NAMES[5]} {'a' * 64} {counts}\n"]))
     fake = tmp_path / "python"
     fake.write_text(f"#!/bin/sh\ncat '{out}'\n")
     fake.chmod(0o755)

@@ -1,13 +1,14 @@
 """Bitwise outcome digests of the benchmark's reconstruction and
-self-consistent ops, for checking that a change keeps every result.
+self-consistent ops and of probe placement, for checking that a change
+keeps every result.
 
     python3 tools/outcome_digest.py [CHECKOUT]
     python3 tools/outcome_digest.py CHECKOUT_A CHECKOUT_B
 
 The first form runs the effham under ``CHECKOUT/src`` (default: this
 checkout) on the inputs of ``perfbench/workloads.py`` in this checkout and
-on three seeded sweeps, and prints the five digests with the verdict
-counts behind them.  Two commits do the same work when all five digests
+on four seeded sweeps, and prints the six digests with the verdict
+counts behind them.  Two commits do the same work when all six digests
 agree.
 The counts are verdicts of the benchmark's own checker: ``workloads.check``
 for what returned (``ok`` within its tolerance, else ``tol_miss``) and
@@ -18,7 +19,7 @@ not part of a digest, which covers the results themselves.
 The second form compares two checkouts: it runs the first form on each,
 in its own interpreter and on the same inputs, and prints for each digest
 whether it is ``equal`` or ``differs``, with the digest and counts of
-each side where they differ.  It exits 0 when all five agree, 1 when any
+each side where they differ.  It exits 0 when all six agree, 1 when any
 differs and 2 when a run fails, so a bit-for-bit claim takes one command.
 
 Reconstruction digest: ``recon_op`` over seeds 1, 2, 5 and 7777 in that
@@ -60,6 +61,20 @@ starts come from public or independent data alone (``real_poles``, an
 largest entry of the balanced form taken here), so two commits solve
 the same starts whatever setup their solver keeps.
 
+Probe placement digest: ``choose_probe_energies(count, window,
+forbidden, margin)`` over, in order, 300 random inputs drawn as
+``TestProbePlacement::test_doubling_loop`` draws them (the window
+(-1, 1), up to 11 forbidden values, margins 0.02 to 0.3, so that the
+grid often doubles or runs out); the window, real poles and 2K+1 probes
+of every ``recon_deep`` and ``recon_holdout`` chain of seeds 1 and 2 at
+margins 0, 0.05 and 0.2; the windows of
+``TestProbePlacement::test_edges_of_float64`` with 1 and 7 probes; and
+windows a few hundred floats wide with forbidden values inside them, at
+margins 0, 1% and 4% of the width, where nodes round onto each other
+and the picks are made again from the distinct nodes.  An input contributes the
+hex of the probes' bytes, or the name of the error raised; its count is
+``ok`` or ``workloads.classify`` of the error.
+
 Each digest is the sha256 of the concatenated ``json.dumps`` of one such
 list per op or per level.  Each line is flushed as it is printed; when the
 reader of the output goes away (``| head -1``), the tool stops there and
@@ -83,6 +98,15 @@ RECON_SEEDS = (1, 2, 5, 7777)
 SOLVE_SEEDS = (1, 7777)
 SWEEP_K = (4, 8, 16)
 STARTS_K = (0, 1, 2, 3, 5, 8)
+PROBE_SEEDS = (1, 2)
+PROBE_MARGINS = (0.0, 0.05, 0.2)
+# the windows of TestProbePlacement::test_edges_of_float64
+EDGE_WINDOWS = ((0.0, 1e-323), (0.0, 5e-324), (1.0, 1.0 + 1e-15),
+                (0.0, 1e308), (-1e308, 1e308), (1e308, 1.7e308),
+                (-2.0 ** 1023, 2.0 ** 1023), (1.0, 1.0 + 1e-13))
+# windows 18 to 450 floats wide
+NARROW_WINDOWS = ((1.0, 1.0 + 1e-13), (1.0, 1.0 + 4e-15),
+                  (-1.0, -1.0 + 3e-14), (1e10, 1e10 + 2e-4), (0.0, 1e-321))
 # a digest line: name, sha256 hex digest, verdict counts
 DIGEST_LINE = re.compile(r"(.+?) +([0-9a-f]{64} .*)")
 
@@ -190,6 +214,49 @@ def _starts(api, h):
             + [0.0, -0.0, outer, -outer, 1.5 * outer, -1.5 * outer])
 
 
+def _probe_inputs(api, wl):
+    """The (count, window, forbidden, margin) inputs of the probe placement
+    digest, in order."""
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        forbidden = rng.uniform(-1.0, 1.0, int(rng.integers(1, 12)))
+        yield (int(rng.integers(1, 30)), (-1.0, 1.0), forbidden,
+               float(rng.uniform(0.02, 0.3)))
+    for seed in PROBE_SEEDS:
+        for workload in ("recon_deep", "recon_holdout"):
+            for inst in wl.make_inputs(workload, seed):
+                chain, K, _ = wl.to_program(api, inst)
+                window = api.instances.probe_window(chain, pad=wl.PROBE_PAD)
+                poles = api.instances.real_poles(chain)
+                for margin in PROBE_MARGINS:
+                    yield 2 * K + 1, window, poles, margin
+    for window in EDGE_WINDOWS:
+        for count in (1, 7):
+            yield count, window, (), 0.0
+    for lo, hi in NARROW_WINDOWS:
+        width = hi - lo
+        for forbidden in ([lo + 0.3 * width, lo + 0.7 * width],
+                          [lo + 0.5 * width], [lo, hi],
+                          [lo + 0.1 * width] * 2 + [lo + 0.9 * width]):
+            for margin in (0.0, 0.01 * width, 0.04 * width):
+                for count in (3, 7, 20):
+                    yield count, (lo, hi), forbidden, margin
+
+
+def _probe_digest(api, wl):
+    """(sha256 hex digest, counts) of the probe placement digest."""
+    digest, counts = hashlib.sha256(), Counter()
+    for args in _probe_inputs(api, wl):
+        try:
+            entry = api.inverse.choose_probe_energies(*args).tobytes().hex()
+            counts["ok"] += 1
+        except Exception as exc:  # every outcome is recorded
+            entry = type(exc).__name__
+            counts[wl.classify(exc, api.DomainError)] += 1
+        digest.update(json.dumps(entry).encode())
+    return digest.hexdigest(), dict(sorted(counts.items()))
+
+
 def _digests(proc):
     """{digest name: "digest counts"} from the output of a run of this
     tool, in its order, or None when the run failed."""
@@ -256,6 +323,7 @@ def main(argv):
         wl, _sweep_ops(api, wl, _degenerate(api))), flush=True)
     print("Hermitian starts", *_level_digest(wl, _sweep_ops(
         api, wl, _starts_sweep(api), lambda h: _starts(api, h))), flush=True)
+    print("probe placement", *_probe_digest(api, wl), flush=True)
 
 
 if __name__ == "__main__":
